@@ -10,19 +10,33 @@ below zero keeps its magnitude and carries a flag, and |dH| below the
 sentinel threshold means no rank movement at all, which maps to an
 unbounded length scale (the +inf sentinel).
 
-Cross-dimension coupling is restored by a damped fixed point on the
-symmetrized balance.  For dimension d the update is
+Cross-dimension coupling is restored through the symmetrized balance.
+For dimension d it asks for the fixed point of
 
-    x_d  <-  (4 * R_d) / (dh_sum * g_d),    dh_sum = (4 / D) * sum_k dH_k
+    x_d  =  c_d / g_d,    c_d = 4 * R_d / dh_sum,    dh_sum = (4 / D) * sum_k dH_k
 
-where g_d is the geometric mean of the other dimensions' |x| (the
-dimension's own |x| when it has no finite partner).  The iteration is
-damped by 0.5 and runs per sign branch; only the 2**(D-1) branches with a
-positive first dimension are iterated and each converged vector is paired
-with its exact negation, which keeps the root set closed under a global
-sign flip (the balance is quadratic, so roots come in +/- pairs).
-Branches that fail to converge fall back to the signed diagonal closed
-form and are labeled as such.
+where g_d is the geometric mean of the other finite dimensions' |x| (the
+dimension's own |x| when it has no finite partner).  With f >= 3 finite
+dimensions the fixed point is unique and has a closed form: sign(x_d) =
+sign(c_d), and y = log|x| over the finite dimensions solves
+
+    M y = log|c|,    M = I + (11^T - I) / (f - 1)
+
+that is, with L = sum_k log|c_k|,
+
+    log|x_d| = ((f - 1) * log|c_d| - L / 2) / (f - 2).
+
+Every sign branch therefore carries the same vector up to a global sign:
+the 2**(D-1) branches with a positive first dimension hold x* and their
+negations hold -x*, which keeps the root set closed under a global sign
+flip (the balance is quadratic, so roots come in +/- pairs).  A point
+whose x* leaves [1e-150, 1e150] in magnitude, or is not finite, falls
+back to the signed diagonal closed form and is labeled as such.
+
+With f <= 2 the log-space system is singular (f = 2) or the fixed point
+z|z| = c is reached through rounding (f = 1), so those points keep the
+damped iteration x <- x/2 + c/(2 g), run per sign branch up to
+refinement_max_iter steps until the relative step is below refinement_tol.
 """
 
 from __future__ import annotations
@@ -43,9 +57,9 @@ _MAG_LOW = 1e-150
 
 
 class Convergence(enum.IntEnum):
-    CLOSED_FORM = 0  # refinement not applicable; diagonal root used directly
-    REFINED = 1      # damped fixed point converged
-    FALLBACK = 2     # refinement diverged; diagonal root restored
+    CLOSED_FORM = 0  # coupling not applicable; diagonal root used directly
+    REFINED = 1      # coupled root found: x* when f >= 3, converged iteration otherwise
+    FALLBACK = 2     # x* out of range or iteration diverged; diagonal root restored
 
 
 @dataclass(frozen=True)
@@ -115,8 +129,25 @@ class LengthScaleRoots:
         return float(np.mean(self.convergence == Convergence.FALLBACK))
 
 
+def _coupled_root(c_signed, finite):
+    """Closed-form fixed point x* of the coupled balance, f >= 3 finite dims.
+
+    c_signed, finite: (P, D).  Returns x* (P, D), with arbitrary values on
+    sentinel dimensions, and a (P,) mask of points whose x* is finite and
+    within [1e-150, 1e150] in magnitude on every finite dimension.
+    """
+    f = finite.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        log_c = np.where(finite, np.log(np.abs(c_signed)), 0.0)
+        total = log_c.sum(axis=1, keepdims=True)
+        x = np.sign(c_signed) * np.exp(((f - 1) * log_c - 0.5 * total) / (f - 2))
+    mag = np.abs(x)
+    bad = (~np.isfinite(x) | (mag > _MAG_HIGH) | (mag < _MAG_LOW)) & finite
+    return x, ~bad.any(axis=1)
+
+
 def _refine_branches(c_signed, z0, finite, max_iter, tol):
-    """Damped signed fixed point over a flat batch of branch rows.
+    """Damped signed fixed point over a flat batch of branch rows (f <= 2).
 
     c_signed, z0, finite: (K, D).  Rows are independent.  Returns the final
     state (K, D) and a (K,) convergence mask.  Rows whose iterate leaves
@@ -160,7 +191,7 @@ def _sign_table(d: int):
 
 
 def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots:
-    """Enumerate and refine the 2**D root vectors of every point in a frame.
+    """Enumerate and couple the 2**D root vectors of every point in a frame.
 
     r_matrix, dh_matrix: (D, N) rank and Borda-change matrices.
     """
@@ -190,9 +221,20 @@ def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots
     dh_sum = (4.0 / d) * dh_pts.sum(axis=1)
     refinable = (np.abs(dh_sum) >= SENTINEL_THRESHOLD) & finite.any(axis=1)
     pts = np.nonzero(refinable)[0]
+    coeff = 4.0 * r_pts[pts] / dh_sum[pts][:, None]               # (P, D) signed
+    closed = finite[pts].sum(axis=1) >= 3
+
+    if closed.any():
+        x, ok = _coupled_root(coeff[closed], finite[pts[closed]])
+        good = pts[closed][ok]
+        # representative branches (sigma_0 = +1) hold x*, their negations -x*
+        roots[good] = sigma_all[None, :, :1] * x[ok][:, None, :]
+        convergence[good] = Convergence.REFINED
+        convergence[pts[closed][~ok]] = Convergence.FALLBACK
+
+    pts, coeff = pts[~closed], coeff[~closed]
     if pts.size:
         n_p = pts.size
-        coeff = 4.0 * r_pts[pts] / dh_sum[pts][:, None]           # (P, D) signed
         z0 = (sigma_rep[None, :, :] * magnitude[pts][:, None, :]).reshape(n_p * n_rep, d)
         fin = np.broadcast_to(
             finite[pts][:, None, :], (n_p, n_rep, d)

@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity along a deliberately different route
 from the package code (explicit loops, np.roots, parametric segment
-intersection) so that agreement is meaningful evidence, not tautology.
+intersection, the damped iteration in place of the closed-form root) so
+that agreement is meaningful evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -10,6 +11,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ddp.lengthscale import SENTINEL_THRESHOLD, Convergence, LengthScaleRoots
+
+_MAG_HIGH = 1e150
+_MAG_LOW = 1e-150
 
 
 def margin_oracle(u_a: float, u_b: float, m_bar: float) -> float:
@@ -122,3 +128,118 @@ def quantile_oracle(values, q: float) -> float:
     hi = int(math.ceil(pos))
     frac = pos - lo
     return float(v[lo] * (1.0 - frac) + v[hi] * frac)
+
+
+def _refine_branches_oracle(c_signed, z0, finite, max_iter, tol):
+    """Damped signed fixed point over a flat batch of branch rows.
+
+    c_signed, z0, finite: (K, D).  Rows are independent.  Returns the final
+    state (K, D) and a (K,) convergence mask.  Rows whose iterate leaves
+    [1e-150, 1e150] in magnitude or stops being finite are abandoned.
+    """
+    k, _ = z0.shape
+    z = z0.copy()
+    converged = np.zeros(k, dtype=bool)
+    f_count = finite.sum(axis=1)
+    active = np.nonzero(f_count > 0)[0]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _ in range(max_iter):
+            if active.size == 0:
+                break
+            za = z[active]
+            fa = finite[active]
+            fc = f_count[active][:, None]
+            absz = np.abs(za)
+            logz = np.where(fa, np.log(np.where(fa, absz, 1.0)), 0.0)
+            total = logz.sum(axis=1, keepdims=True)
+            partner_log = np.where(fc == 1, logz, (total - logz) / np.maximum(fc - 1, 1))
+            update = c_signed[active] / np.exp(partner_log)
+            z_new = np.where(fa, 0.5 * za + 0.5 * update, za)
+            rel = np.where(fa, np.abs(z_new - za) / (np.abs(za) + 1e-300), 0.0)
+            small_step = rel.max(axis=1) < tol
+            bad = (
+                (~np.isfinite(z_new) | (np.abs(z_new) > _MAG_HIGH) | (np.abs(z_new) < _MAG_LOW))
+                & fa
+            ).any(axis=1)
+            z[active] = z_new
+            converged[active[small_step & ~bad]] = True
+            active = active[~(small_step | bad)]
+    return z, converged
+
+
+def _sign_table_oracle(d: int):
+    """Sign patterns per root index: sigma_d = +1 when bit d of the index is 0."""
+    idx = np.arange(2 ** d)
+    bits = (idx[:, None] >> np.arange(d)[None, :]) & 1
+    return idx, 1.0 - 2.0 * bits
+
+
+def refine_roots_oracle(r_matrix, dh_matrix, config) -> LengthScaleRoots:
+    """2**D root vectors of every point by the damped fixed point, for every f.
+
+    A drop-in for ``solve_roots``: the coupled balance is iterated per sign
+    branch at every refinable point, whatever its count f of finite
+    dimensions, instead of being solved in closed form where f >= 3.
+
+    r_matrix, dh_matrix: (D, N) rank and Borda-change matrices.
+    """
+    r_pts = np.asarray(r_matrix, dtype=float).T   # (N, D)
+    dh_pts = np.asarray(dh_matrix, dtype=float).T
+    if r_pts.shape != dh_pts.shape:
+        raise ValueError("rank and Borda-change matrices must share a shape")
+    n, d = r_pts.shape
+    nroots = 2 ** d
+
+    sentinel = np.abs(dh_pts) < SENTINEL_THRESHOLD
+    safe_dh = np.where(sentinel, 1.0, dh_pts)
+    ratio = r_pts / safe_dh
+    magnitude = np.where(sentinel, np.inf, np.sqrt(np.abs(ratio)))
+    negative = ~sentinel & (ratio < 0.0)
+    finite = ~sentinel
+
+    idx, sigma_all = _sign_table_oracle(d)
+    rep_idx = idx[(idx & 1) == 0]           # branches with sigma_0 = +1
+    anti_idx = rep_idx ^ (nroots - 1)
+    sigma_rep = sigma_all[rep_idx]
+    n_rep = rep_idx.size
+
+    roots = sigma_all[None, :, :] * magnitude[:, None, :]
+    convergence = np.full((n, nroots), int(Convergence.CLOSED_FORM), dtype=np.uint8)
+
+    dh_sum = (4.0 / d) * dh_pts.sum(axis=1)
+    refinable = (np.abs(dh_sum) >= SENTINEL_THRESHOLD) & finite.any(axis=1)
+    pts = np.nonzero(refinable)[0]
+    if pts.size:
+        n_p = pts.size
+        coeff = 4.0 * r_pts[pts] / dh_sum[pts][:, None]           # (P, D) signed
+        z0 = (sigma_rep[None, :, :] * magnitude[pts][:, None, :]).reshape(n_p * n_rep, d)
+        fin = np.broadcast_to(
+            finite[pts][:, None, :], (n_p, n_rep, d)
+        ).reshape(n_p * n_rep, d)
+        c_rows = np.broadcast_to(
+            coeff[:, None, :], (n_p, n_rep, d)
+        ).reshape(n_p * n_rep, d)
+        z, conv = _refine_branches_oracle(
+            c_rows, z0, fin, config.refinement_max_iter, config.refinement_tol
+        )
+        z = z.reshape(n_p, n_rep, d)
+        conv = conv.reshape(n_p, n_rep)
+        for b in range(n_rep):
+            ri, ai = int(rep_idx[b]), int(anti_idx[b])
+            good = pts[conv[:, b]]
+            roots[good, ri] = z[conv[:, b], b]
+            roots[good, ai] = -z[conv[:, b], b]
+            convergence[good, ri] = Convergence.REFINED
+            convergence[good, ai] = Convergence.REFINED
+            failed = pts[~conv[:, b]]
+            convergence[failed, ri] = Convergence.FALLBACK
+            convergence[failed, ai] = Convergence.FALLBACK
+
+    # sentinel dimensions carry a sign-free +inf in every vector
+    roots = np.where(sentinel[:, None, :], np.inf, roots)
+    return LengthScaleRoots(
+        roots=roots,
+        sentinel=sentinel,
+        negative_ratio=negative,
+        convergence=convergence,
+    )

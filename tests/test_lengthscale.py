@@ -5,7 +5,7 @@ import pytest
 
 from ddp import Convergence, PipelineConfig, diagonal_roots, enumerate_roots, solve_roots
 
-from oracles import diagonal_root_oracle
+from oracles import diagonal_root_oracle, refine_roots_oracle
 
 CFG = PipelineConfig()
 
@@ -117,15 +117,79 @@ def test_batch_and_per_point_agree():
         np.testing.assert_array_equal(point.convergence, batch.convergence[a])
 
 
-def test_refined_vectors_differ_across_branches():
-    # cross-coupling must differentiate branch magnitudes, not just signs
-    r = np.array([3.0, 11.0, 40.0, 70.0])
-    dh = np.array([0.8, -0.3, 0.5, -1.1])
-    point = enumerate_roots(r, dh, CFG)
-    refined = point.vectors[point.convergence == Convergence.REFINED]
-    if refined.shape[0] >= 4:
-        mags = np.round(np.abs(refined), 12)
-        assert len({tuple(row) for row in mags}) > 1
+def test_refined_branches_are_plus_minus_oracle_root():
+    # With f >= 3 finite dimensions the coupled balance has one root x*:
+    # every refined branch holds x* (first sign +) or -x*, and the damped
+    # iteration converges to the same vector from every branch.
+    rng = np.random.default_rng(11)
+    for d in (3, 4, 5):
+        cfg = PipelineConfig(D=d)
+        r = rng.uniform(1.0, 81.0, (d, 400))
+        dh = rng.normal(0.0, 1.0, (d, 400))
+        batch = solve_roots(r, dh, cfg)
+        oracle = refine_roots_oracle(r, dh, cfg)
+        refined = batch.convergence == Convergence.REFINED
+        assert refined.any()
+        first_sign = np.where(np.arange(2 ** d) % 2 == 0, 1.0, -1.0)
+        plus_minus = first_sign[None, :, None] * batch.roots[:, :1, :]
+        np.testing.assert_array_equal(batch.roots[refined], plus_minus[refined])
+        assert np.all(oracle.convergence[refined] == Convergence.REFINED)
+        np.testing.assert_allclose(batch.roots[refined], oracle.roots[refined], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_labels_match_oracle_with_sentinels(d):
+    rng = np.random.default_rng(20 + d)
+    cfg = PipelineConfig(D=d)
+    r = rng.uniform(1.0, 81.0, (d, 1500))
+    dh = rng.normal(0.0, 1.0, (d, 1500))
+    dh[rng.random(dh.shape) < 0.2] = 0.0  # sprinkle sentinels
+    batch = solve_roots(r, dh, cfg)
+    oracle = refine_roots_oracle(r, dh, cfg)
+    np.testing.assert_array_equal(batch.convergence, oracle.convergence)
+    assert set(np.unique(batch.convergence)) == {0, 1, 2}
+    # closed-form and fallback roots are the signed diagonal on both routes
+    not_refined = batch.convergence != Convergence.REFINED
+    np.testing.assert_array_equal(batch.roots[not_refined], oracle.roots[not_refined])
+
+
+def test_ill_conditioned_labels_match_oracle():
+    # |dH| spread over twelve decades per dimension: the iteration needs a
+    # long budget to settle, the closed form does not
+    rng = np.random.default_rng(31)
+    r = rng.uniform(1.0, 81.0, (3, 2000))
+    dh = rng.choice([-1.0, 1.0], (3, 2000)) * 10.0 ** rng.uniform(-10.0, 2.0, (3, 2000))
+    batch = solve_roots(r, dh, PipelineConfig(D=3))
+    slow = refine_roots_oracle(r, dh, PipelineConfig(D=3, refinement_max_iter=2000))
+    np.testing.assert_array_equal(batch.convergence, slow.convergence)
+    # at the default budget the iteration can only run out of steps, which
+    # it reports as a fallback where the closed form finds x*
+    short = refine_roots_oracle(r, dh, PipelineConfig(D=3))
+    differ = batch.convergence != short.convergence
+    assert np.all(short.convergence[differ] == Convergence.FALLBACK)
+    assert np.all(batch.convergence[differ] == Convergence.REFINED)
+
+
+def test_d2_generic_points_always_fall_back():
+    # two finite dimensions make the log-space system singular
+    rng = np.random.default_rng(41)
+    r = rng.uniform(1.0, 81.0, (2, 2000))
+    dh = rng.normal(0.0, 1.0, (2, 2000))
+    batch = solve_roots(r, dh, PipelineConfig(D=2))
+    assert np.all(batch.convergence == Convergence.FALLBACK)
+
+
+def test_d1_falls_back_only_on_negative_ratios():
+    # z|z| = R/dH: the positive root is the start, the negative one is
+    # reached or missed through rounding
+    rng = np.random.default_rng(42)
+    r = rng.uniform(1.0, 81.0, (1, 4000))
+    dh = rng.normal(0.0, 1.0, (1, 4000))
+    batch = solve_roots(r, dh, PipelineConfig(D=1))
+    fallback = (batch.convergence == Convergence.FALLBACK).any(axis=1)
+    assert fallback.any()
+    assert np.all(batch.negative_ratio[fallback, 0])
+    assert np.all(batch.convergence[~batch.negative_ratio[:, 0]] == Convergence.REFINED)
 
 
 def test_fallback_restores_diagonal():

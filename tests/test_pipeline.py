@@ -10,10 +10,15 @@ from ddp import (
     PipelineConfig,
     ValidationError,
     analyze_dataset,
+    solve_roots,
     synthesize,
 )
+import ddp.pipeline
+import ddp.zoomout
 from ddp.cli import main
 from ddp.report import report_json
+
+from oracles import refine_roots_oracle
 
 
 def test_analyze_frame_count_matches_pairs():
@@ -99,6 +104,76 @@ def test_dump_unknown_kind_rejected():
     ds = synthesize("stable", cfg, n_bursts=2)
     with pytest.raises(ValidationError):
         analyze_dataset(ds, cfg, dumps=("everything",))
+
+
+# --- closed-form roots against the iterated oracle ------------------------
+
+
+def _noise_dataset(cfg, n_bursts, draw):
+    return Dataset(
+        bursts=[DataBurst(values=draw((cfg.N, cfg.D)), burst_index=b) for b in range(n_bursts)]
+    )
+
+
+def _scaled(ds, scale):
+    return Dataset(
+        bursts=[DataBurst(values=b.values * scale, burst_index=b.burst_index) for b in ds.bursts]
+    )
+
+
+def _adversarial_cases():
+    rng = np.random.default_rng(5)
+    cfg = PipelineConfig(seed=5)
+    stable = synthesize("stable", cfg, n_bursts=4)
+    zero_col = _scaled(stable, np.array([1.0, 1.0, 0.0, 1.0]))
+    cfg3 = PipelineConfig(D=3, seed=6)
+    cfg5 = PipelineConfig(D=5, N=243, seed=8)
+    return {
+        "signed_noise": (cfg, _noise_dataset(cfg, 4, lambda s: rng.normal(0.0, 1.0, s))),
+        "zero_column": (cfg, zero_col),
+        "huge": (cfg, _scaled(stable, 1e300)),
+        "tiny": (cfg, _scaled(stable, 1e-300)),
+        "mixed_scales": (cfg, _scaled(stable, np.array([1e-6, 1.0, 1e3, 1e8]))),
+        "cauchy": (cfg, _noise_dataset(cfg, 4, rng.standard_cauchy)),
+        "d3_burst": (cfg3, synthesize("burst", cfg3, n_bursts=4)),
+        "d5_n243": (cfg5, synthesize("burst", cfg5, n_bursts=3)),
+    }
+
+
+def _analyze_with(solver, monkeypatch, ds, cfg):
+    labels = []
+
+    def counting(r, dh, config):
+        out = solver(r, dh, config)
+        labels.append(out.convergence.ravel())
+        return out
+
+    monkeypatch.setattr(ddp.pipeline, "solve_roots", counting)
+    monkeypatch.setattr(ddp.zoomout, "solve_roots", counting)
+    return analyze_dataset(ds, cfg).subjects, np.concatenate(labels)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["signed_noise", "zero_column", "huge", "tiny", "mixed_scales", "cauchy", "d3_burst", "d5_n243"],
+)
+def test_closed_form_roots_match_iteration_end_to_end(case, monkeypatch):
+    cfg, ds = _adversarial_cases()[case]
+    got, got_labels = _analyze_with(solve_roots, monkeypatch, ds, cfg)
+    ref, ref_labels = _analyze_with(refine_roots_oracle, monkeypatch, ds, cfg)
+    np.testing.assert_array_equal(got_labels, ref_labels)
+    for rep_got, rep_ref in zip(got, ref, strict=True):
+        for a, b in zip(rep_got.frames, rep_ref.frames, strict=True):
+            np.testing.assert_array_equal(a.categories, b.categories)
+            assert a.chains == b.chains
+            assert a.gti.triggered == b.gti.triggered
+            np.testing.assert_allclose(a.rc.rc, b.rc.rc, rtol=1e-8, atol=0)
+            np.testing.assert_allclose(
+                [a.critical_short, a.critical_long],
+                [b.critical_short, b.critical_long],
+                rtol=1e-8,
+                atol=0,
+            )
 
 
 # --- command line ---------------------------------------------------------
