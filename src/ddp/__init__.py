@@ -34,14 +34,12 @@ from .ingest import (
     DataBurst,
     Dataset,
     Injection,
-    Sample,
     SubjectMeta,
     emit_xyzm,
     frame_pairs,
     parse_xyzm,
     parse_xyzm_file,
     prescale_burst,
-    prescale_dataset,
     synthesize,
 )
 from .lengthscale import (

@@ -7,8 +7,6 @@
                 [--subjects K] [--bursts B] [--group LABEL] [--com]
     ddp stats   --reports <dir> [--groups control,post_aclr]
                 [--format csv|json] [--out PATH]
-
-DDP_MAX_PARALLEL_SUBJECTS caps subject-level parallelism during analyze.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import PipelineConfig
-from .errors import DdpError
+from .errors import DdpError, ParseError
 from .ingest import (
     GROUP_LABELS,
     SYNTH_PROFILES,
@@ -177,21 +175,29 @@ def _cmd_stats(args) -> int:
     pools = []
     config = None
     for f in files:
-        doc = json.loads(f.read_text(encoding="utf-8"))
-        if config is None and "config" in doc:
-            cfg = doc["config"]
-            config = PipelineConfig(
-                D=cfg["D"], N=cfg["N"], stride_n=cfg["stride_n"],
-                aggregation_factor=cfg["aggregation_factor"],
-                drop_threshold=cfg["drop_threshold"],
-                rc_threshold_multiplier=cfg["rc_threshold_multiplier"],
-                bin_edges=tuple(cfg["bin_edges"]),
-                epsilon_denominator=cfg["epsilon_denominator"],
-                refinement_max_iter=cfg["refinement_max_iter"],
-                refinement_tol=cfg["refinement_tol"],
-                seed=cfg["seed"],
-            )
-        pools.extend(p for p in subject_pools_from_json(doc) if p.group_label in wanted)
+        try:
+            doc = json.loads(f.read_text(encoding="utf-8"))
+            if not isinstance(doc, dict):
+                raise ValueError("the top level is not a JSON object")
+            if config is None and "config" in doc:
+                cfg = doc["config"]
+                config = PipelineConfig(
+                    D=cfg["D"], N=cfg["N"], stride_n=cfg["stride_n"],
+                    aggregation_factor=cfg["aggregation_factor"],
+                    drop_threshold=cfg["drop_threshold"],
+                    rc_threshold_multiplier=cfg["rc_threshold_multiplier"],
+                    bin_edges=tuple(cfg["bin_edges"]),
+                    epsilon_denominator=cfg["epsilon_denominator"],
+                    refinement_max_iter=cfg["refinement_max_iter"],
+                    refinement_tol=cfg["refinement_tol"],
+                    seed=cfg["seed"],
+                )
+            file_pools = subject_pools_from_json(doc)
+        except ValueError as exc:
+            raise ParseError(f"malformed report {f}: {exc}") from None
+        except KeyError as exc:
+            raise ParseError(f"malformed report {f}: missing field {exc}") from None
+        pools.extend(p for p in file_pools if p.group_label in wanted)
     if config is None:
         config = PipelineConfig()
     if not pools:

@@ -36,24 +36,6 @@ DEFAULT_SUBJECT = "default"
 SYNTH_PROFILES = ("stable", "burst", "drift")
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observation point: D channel values at one time index."""
-
-    values: np.ndarray
-    time_index: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValidationError("sample values must be a flat vector")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("sample values must be finite")
-        if self.time_index < 0:
-            raise ValidationError("time_index must be non-negative")
-        object.__setattr__(self, "values", v)
-
-
 @dataclass
 class DataBurst:
     """One frame of N observation points by D dimensions plus a time step."""
@@ -94,13 +76,6 @@ class DataBurst:
     @property
     def n_dims(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def samples(self) -> tuple[Sample, ...]:
-        return tuple(
-            Sample(values=self.values[i], time_index=int(self.time_indices[i]))
-            for i in range(self.n_points)
-        )
 
 
 @dataclass(frozen=True)
@@ -367,16 +342,6 @@ def prescale_burst(burst: DataBurst) -> tuple[DataBurst, np.ndarray]:
     scaled = replace(burst, values=burst.values / divisors,
                      time_indices=burst.time_indices.copy())
     return scaled, divisors
-
-
-def prescale_dataset(dataset: Dataset) -> tuple[Dataset, dict[str, list[np.ndarray]]]:
-    scaled: list[DataBurst] = []
-    factors: dict[str, list[np.ndarray]] = {}
-    for burst in dataset.bursts:
-        sburst, div = prescale_burst(burst)
-        scaled.append(sburst)
-        factors.setdefault(burst.subject_id, []).append(div)
-    return Dataset(bursts=scaled, metadata=dataset.metadata), factors
 
 
 def synthesize(

@@ -152,6 +152,21 @@ def _values_vector(burst_or_values, dimension: int | None) -> np.ndarray:
     return v
 
 
+def _fit_dimension(u: np.ndarray, epsilon: float, iu):
+    """Datum, RMS residual and upper-triangle admissibility of one dimension.
+
+    iu are the upper-triangle indices (A < B) of the frame.  The datum is
+    NaN, with residual 0, when no pair is admissible.
+    """
+    m, admissible, _ = pair_constant_grid(u, epsilon)
+    ok = admissible[iu]
+    good = m[iu][ok]
+    if good.size == 0:
+        return math.nan, 0.0, ok
+    m_bar = np.mean(good)
+    return m_bar, np.sqrt(np.mean((good - m_bar) ** 2)), ok
+
+
 def fit_datum(
     burst_or_values,
     dimension: int | None = None,
@@ -162,19 +177,14 @@ def fit_datum(
     Raises DatumUnfittable when every pair A < B is excluded.
     """
     u = _values_vector(burst_or_values, dimension)
-    m, admissible, _ = pair_constant_grid(u, epsilon)
     iu = np.triu_indices(len(u), k=1)
-    vals = m[iu]
-    ok = admissible[iu]
-    good = vals[ok]
-    if good.size == 0:
+    m_bar, residual, ok = _fit_dimension(u, epsilon, iu)
+    if not ok.any():
         raise DatumUnfittable(dimension if dimension is not None else 0)
-    m_bar = float(np.mean(good))
-    residual = float(np.sqrt(np.mean((good - m_bar) ** 2)))
     excluded = frozenset(
         (int(a), int(b)) for a, b in zip(iu[0][~ok], iu[1][~ok])
     )
-    return DatumFit(m_bar=m_bar, excluded=excluded, residual=residual)
+    return DatumFit(m_bar=float(m_bar), excluded=excluded, residual=float(residual))
 
 
 def _margins_for_dimension(u: np.ndarray, m_bar: float, epsilon: float):
@@ -241,16 +251,8 @@ def build_field(burst_or_values, epsilon: float = DEFAULT_EPSILON) -> Normalized
     fit_excluded = np.zeros((d, n, n), dtype=bool)
     iu = np.triu_indices(n, k=1)
     for dim in range(d):
-        m, admissible, _ = pair_constant_grid(values[:, dim], epsilon)
-        good = m[iu][admissible[iu]]
-        if good.size == 0:
-            fit_excluded[dim][iu] = True
-            continue
-        datum[dim] = np.mean(good)
-        residual[dim] = np.sqrt(np.mean((good - datum[dim]) ** 2))
-        upper_bad = np.zeros((n, n), dtype=bool)
-        upper_bad[iu] = ~admissible[iu]
-        fit_excluded[dim] = upper_bad
+        datum[dim], residual[dim], ok = _fit_dimension(values[:, dim], epsilon, iu)
+        fit_excluded[dim][iu] = ~ok
     field = normalize_pairs(values, datum, epsilon)
     field.datum_residual = residual
     field.fit_excluded = fit_excluded

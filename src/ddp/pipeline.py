@@ -1,22 +1,14 @@
 """End-to-end analysis: subjects in, subject reports and dump tables out.
 
-Per subject the flow is: prescale each burst per dimension, build the
-normalization and ranking state for every burst at every zoom level, solve
-all length-scale roots in one batch (they do not depend on earlier frame
-pairs), then walk the frame pairs in order, threading the running
-threshold history and the residual-curvature history through the
-classification, chain, critical-length and GTI stages.
-
-Subjects are independent; DDP_MAX_PARALLEL_SUBJECTS > 1 turns on a thread
-pool across subjects.  Results keep the input subject order either way, so
-the emitted output is byte-identical.
+Per subject the flow is: prescale each burst per dimension, run the
+zoom-out kernel once over all of the subject's bursts (one outcome per
+frame pair, see `zoomout.zoom_profile`), then walk the outcomes in order
+for classification, chains, critical lengths, residual curvature and the
+GTI, which needs the residual-curvature history of earlier pairs.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,23 +17,14 @@ from .config import PipelineConfig
 from .curvature import classify_frame, detect_chains, escalate_chain_categories
 from .errors import ValidationError
 from .ingest import DataBurst, Dataset, SubjectMeta, prescale_burst
-from .lengthscale import Convergence, solve_roots
+from .lengthscale import Convergence
 from .report import (
     FrameResult,
     SubjectReport,
     boxplot_stats,
     energy_exchange_amplitude,
 )
-from .zoomout import (
-    FrameLevelState,
-    critical_chain_lengths,
-    frame_level_state,
-    gti,
-    residual_curvature,
-    zoom_profile,
-)
-
-log = logging.getLogger(__name__)
+from .zoomout import critical_chain_lengths, gti, residual_curvature, zoom_profile
 
 DUMP_KINDS = ("borda", "roots", "pdi", "zoom")
 _CONV_NAMES = {int(c): c.name.lower() for c in Convergence}
@@ -81,100 +64,55 @@ def analyze_subject(
         factors.append(div)
 
     stride = config.stride_n
-    pair_positions = [(t - stride, t) for t in range(stride, len(scaled))]
-    counts = config.zoom_point_counts()
-    n_levels = len(counts)
-
     frames: list[FrameResult] = []
-    if pair_positions:
-        # normalization and ranking state for every burst at every level
-        state_cache: dict[tuple[int, int], FrameLevelState] = {}
-        from .zoomout import aggregate
+    rc_records = []
+    outcomes = zoom_profile(scaled, config)
+    for t, outcome in zip(range(stride, len(scaled)), outcomes, strict=True):
+        previous, current = scaled[t - stride], scaled[t]
+        fin = outcome.finest
+        cls = classify_frame(
+            fin.kappa_median, fin.kappa_short, fin.kappa_long, fin.defined, fin.dh.T
+        )
+        chains = detect_chains(cls.categories, cls.jointly_unstable)
+        criticals = critical_chain_lengths(outcome.profile, config)
+        rc = residual_curvature(outcome.profile)
+        rc_records.append(rc)
+        gti_record = gti(rc_records, chains, criticals, config.drop_threshold)
+        final_categories = escalate_chain_categories(cls.categories, chains, *criticals)
 
-        for b in scaled:
-            cur = b
-            for li in range(n_levels):
-                if li > 0:
-                    cur = aggregate(cur, config.aggregation_factor)
-                state_cache[(b.burst_index, li)] = frame_level_state(cur, config)
-
-        # one batched root solve across every (pair, level)
-        problems: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        for pi, (p0, p1) in enumerate(pair_positions):
-            for li in range(n_levels):
-                st_prev = state_cache[(scaled[p0].burst_index, li)]
-                st_cur = state_cache[(scaled[p1].burst_index, li)]
-                valid = ~(st_prev.unfittable | st_cur.unfittable)
-                dh = st_cur.borda.H - st_prev.borda.H
-                dh[~valid, :] = 0.0
-                problems.append((pi, li, st_cur.borda.R, dh))
-        r_all = np.concatenate([p[2] for p in problems], axis=1)
-        dh_all = np.concatenate([p[3] for p in problems], axis=1)
-        roots_all = solve_roots(r_all, dh_all, config)
-        roots_map = {}
-        offset = 0
-        for pi, li, r_mat, _ in problems:
-            n_l = r_mat.shape[1]
-            roots_map[(pi, li)] = roots_all.slice_points(offset, offset + n_l)
-            offset += n_l
-
-        histories = None
-        rc_records = []
-        for pi, (p0, p1) in enumerate(pair_positions):
-            outcome = zoom_profile(
-                scaled[p0],
-                scaled[p1],
-                config,
-                histories=histories,
-                state_cache=state_cache,
-                roots_by_level=[roots_map[(pi, li)] for li in range(n_levels)],
+        partial = sorted(
+            {
+                d
+                for lv in outcome.profile.levels
+                for d in np.nonzero(~lv.valid_dims)[0].tolist()
+            }
+        )
+        frames.append(
+            FrameResult(
+                previous_burst_index=previous.burst_index,
+                current_burst_index=current.burst_index,
+                dt_span=stride * current.dt,
+                datum=outcome.current_state.datum,
+                datum_residual=outcome.current_state.datum_residual,
+                rc=rc,
+                critical_short=criticals[0],
+                critical_long=criticals[1],
+                gti=gti_record,
+                categories=final_categories,
+                chains=chains,
+                mixed_disjoint_points=np.nonzero(cls.mixed_disjoint)[0].tolist(),
+                fallback_fraction=outcome.fallback_fraction,
+                fit_excluded_fraction=outcome.current_state.fit_excluded_fraction,
+                margin_zeroed_fraction=outcome.current_state.margin_zeroed_fraction,
+                partial_dims=partial,
+                levels=outcome.profile.levels,
+                short_unstable=cls.short_unstable,
+                long_unstable=cls.long_unstable,
             )
-            histories = outcome.histories
-            fin = outcome.finest
-            cls = classify_frame(
-                fin.kappa_median, fin.kappa_short, fin.kappa_long, fin.defined, fin.dh.T
-            )
-            chains = detect_chains(cls.categories, cls.jointly_unstable)
-            criticals = critical_chain_lengths(outcome.profile, config)
-            rc = residual_curvature(outcome.profile)
-            rc_records.append(rc)
-            gti_record = gti(rc_records, chains, criticals, config.drop_threshold)
-            final_categories = escalate_chain_categories(cls.categories, chains, *criticals)
-
-            partial = sorted(
-                {
-                    d
-                    for lv in outcome.profile.levels
-                    for d in np.nonzero(~lv.valid_dims)[0].tolist()
-                }
-            )
-            cur_idx = scaled[p1].burst_index
-            frames.append(
-                FrameResult(
-                    previous_burst_index=scaled[p0].burst_index,
-                    current_burst_index=cur_idx,
-                    dt_span=stride * scaled[p1].dt,
-                    datum=outcome.current_state.datum,
-                    datum_residual=outcome.current_state.datum_residual,
-                    rc=rc,
-                    critical_short=criticals[0],
-                    critical_long=criticals[1],
-                    gti=gti_record,
-                    categories=final_categories,
-                    chains=chains,
-                    mixed_disjoint_points=np.nonzero(cls.mixed_disjoint)[0].tolist(),
-                    fallback_fraction=outcome.fallback_fraction,
-                    fit_excluded_fraction=outcome.current_state.fit_excluded_fraction,
-                    margin_zeroed_fraction=outcome.current_state.margin_zeroed_fraction,
-                    partial_dims=partial,
-                    levels=outcome.profile.levels,
-                    short_unstable=cls.short_unstable,
-                    long_unstable=cls.long_unstable,
-                )
-            )
-            _collect_dumps(
-                dump_rows, subject_id, cur_idx, outcome, cls, final_categories, config
-            )
+        )
+        _collect_dumps(
+            dump_rows, subject_id, current.burst_index, outcome, cls, final_categories, config
+        )
 
     return _assemble_report(subject_id, bursts, meta, factors, frames, config), dump_rows
 
@@ -294,30 +232,13 @@ def analyze_dataset(
     for kind in dumps:
         if kind not in DUMP_KINDS:
             raise ValidationError(f"unknown dump kind {kind!r}; choose from {DUMP_KINDS}")
-    subjects = dataset.subjects()
-    jobs = [
-        (sid, dataset.bursts_for(sid), dataset.metadata.get(sid, SubjectMeta()))
-        for sid in subjects
+    results = [
+        analyze_subject(
+            sid, dataset.bursts_for(sid), dataset.metadata.get(sid, SubjectMeta()), config,
+            dumps=dumps,
+        )
+        for sid in dataset.subjects()
     ]
-
-    max_workers = 1
-    env = os.environ.get("DDP_MAX_PARALLEL_SUBJECTS", "").strip()
-    if env:
-        try:
-            max_workers = max(1, int(env))
-        except ValueError:
-            log.warning("ignoring non-integer DDP_MAX_PARALLEL_SUBJECTS=%r", env)
-
-    def run(job):
-        sid, bursts, meta = job
-        return analyze_subject(sid, bursts, meta, config, dumps=dumps)
-
-    if max_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
     reports = [rep for rep, _ in results]
     dump_tables: dict[str, str] = {}
     for kind in dumps:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ContractViolation
 from .normalization import NormalizedField
@@ -38,14 +37,29 @@ def borda_counts(field: NormalizedField) -> np.ndarray:
 
 
 def objective_ranks(h: np.ndarray) -> np.ndarray:
-    """Ascending fractional ranks of one dimension's Borda counts."""
-    return rankdata(np.asarray(h, dtype=float), method="average")
+    """Ascending fractional ranks of finite Borda counts along the last axis.
+
+    Tied values share the mean of the 1-based positions they occupy.
+    """
+    h = np.asarray(h, dtype=float)
+    order = np.argsort(h, axis=-1, kind="stable")
+    ordered = np.take_along_axis(h, order, axis=-1)
+    n = h.shape[-1]
+    position = np.arange(1, n + 1)
+    starts = np.ones(h.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(h.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, position, 1), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, position, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(h.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0, axis=-1)
+    return ranks
 
 
 def borda_state(field: NormalizedField, frame_ref: int = 0) -> BordaState:
     h = borda_counts(field)
-    r = np.vstack([objective_ranks(h[d]) for d in range(h.shape[0])])
-    return BordaState(H=h, R=r, frame_ref=frame_ref)
+    return BordaState(H=h, R=objective_ranks(h), frame_ref=frame_ref)
 
 
 def delta_borda(current: BordaState, previous: BordaState, dt_span: float) -> DeltaBorda:

@@ -1,12 +1,19 @@
 """Zoom-out aggregation, residual curvature, critical chain lengths, GTI.
 
-A frame pair is re-analyzed at increasing aggregation levels (81, 27, 9
-points for the defaults): consecutive groups of `factor` points are
+Every frame pair is re-analyzed at increasing aggregation levels (81, 27,
+9 points for the defaults): consecutive groups of `factor` points are
 replaced by their per-dimension mean and the whole normalization, ranking,
 length-scale and curvature stack is rerun on the coarsened frames.  The
 curvature remaining at the coarsest (9-point) level is the residual
 curvature, a magnitude-only measure of the energy exchange rate of the
 frame as a whole.
+
+`zoom_profile` walks this hierarchy once per subject, level by level: each
+burst is aggregated and normalized once per level, the Borda changes of
+all frame pairs at that level go through one root solve and one curvature
+evaluation, and the running threshold history is threaded through the
+pairs in time order.  Points never interact across pairs, so a pair's
+outcome does not depend on the bursts that follow it.
 
 Critical chain lengths come from an intersection construction on the
 per-level statistics.  With x the aggregation level (finest = 1) and a log
@@ -70,7 +77,6 @@ class FrameLevelState:
     fit_excluded_fraction: np.ndarray   # (D,)
     margin_zeroed_fraction: np.ndarray  # (D,)
     unfittable: np.ndarray       # (D,) bool
-    dt: float
 
 
 def frame_level_state(burst: DataBurst, config: PipelineConfig) -> FrameLevelState:
@@ -89,7 +95,6 @@ def frame_level_state(burst: DataBurst, config: PipelineConfig) -> FrameLevelSta
         fit_excluded_fraction=fit_frac,
         margin_zeroed_fraction=zero_frac,
         unfittable=field.unfittable,
-        dt=burst.dt,
     )
 
 
@@ -120,22 +125,18 @@ class FinestFrameData:
 
     dh: np.ndarray            # (D, N)
     roots: LengthScaleRoots
-    kappa: np.ndarray         # (N, 2**D, D)
     kappa_median: np.ndarray  # (N, D)
     kappa_short: np.ndarray   # (N, D)
     kappa_long: np.ndarray    # (N, D)
     defined: np.ndarray       # (N, D)
-    valid_dims: np.ndarray    # (D,)
 
 
 @dataclass
 class ZoomOutcome:
     profile: ZoomProfile
     finest: FinestFrameData
-    histories: dict[int, ThresholdHistory]
     fallback_fraction: float
     current_state: FrameLevelState
-    previous_state: FrameLevelState
 
 
 def _nanmedian(values: np.ndarray) -> float:
@@ -176,108 +177,92 @@ def _summarize_level(
     )
 
 
-def zoom_profile(
-    previous: DataBurst,
-    current: DataBurst,
-    config: PipelineConfig,
-    histories: dict[int, ThresholdHistory] | None = None,
-    state_cache: dict[tuple[int, int], FrameLevelState] | None = None,
-    roots_by_level: list[LengthScaleRoots] | None = None,
-) -> ZoomOutcome:
-    """Run the full per-level analysis for one frame pair.
+def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOutcome]:
+    """Run the full per-level analysis for every frame pair of one subject.
 
-    `histories` carries the per-level threshold state of earlier pairs of
-    the same subject and is returned advanced, never mutated.  A shared
-    `state_cache` keyed by (burst_index, level) avoids re-normalizing
-    bursts that appear in several pairs.  `roots_by_level` lets a caller
-    inject pre-solved roots (the batch path); otherwise they are solved
-    here.
+    Returns one outcome per pair (t - stride, t), in order.  Levels form
+    the outer loop: each burst is aggregated and normalized once per level,
+    the Borda changes of all pairs are stacked into one root solve and one
+    curvature evaluation, and the per-level threshold history is threaded
+    through the pairs in order, so a pair never sees a later burst.
     """
-    if previous.n_points != current.n_points or previous.n_dims != current.n_dims:
-        raise ContractViolation("frame pair shapes do not match")
     counts = config.zoom_point_counts()
-    if current.n_points != counts[0]:
-        raise ContractViolation(
-            f"burst has {current.n_points} points but the config expects {counts[0]}"
-        )
-    histories = dict(histories) if histories else {}
-    state_cache = state_cache if state_cache is not None else {}
+    for b in bursts:
+        if b.n_points != counts[0] or b.n_dims != config.D:
+            raise ContractViolation(
+                f"burst {b.burst_index} is {b.n_points}x{b.n_dims}, "
+                f"the config expects {counts[0]}x{config.D}"
+            )
+    stride = config.stride_n
+    pairs = [(t - stride, t) for t in range(stride, len(bursts))]
+    if not pairs:
+        return []
 
-    prev_level, cur_level = previous, current
-    levels: list[ZoomLevel] = []
-    finest: FinestFrameData | None = None
-    coarsest_kappa = None
-    coarsest_valid = None
-    fallback_vectors = 0
-    total_vectors = 0
-    first_states: tuple[FrameLevelState, FrameLevelState] | None = None
+    levels: list[list[ZoomLevel]] = [[] for _ in pairs]
+    finest: list[FinestFrameData] = []
+    current_states: list[FrameLevelState] = []
+    fallback_vectors = [0] * len(pairs)
+    total_vectors = [0] * len(pairs)
+    level_bursts = list(bursts)
 
     for li, n_l in enumerate(counts):
         if li > 0:
-            prev_level = aggregate(prev_level, config.aggregation_factor)
-            cur_level = aggregate(cur_level, config.aggregation_factor)
+            level_bursts = [aggregate(b, config.aggregation_factor) for b in level_bursts]
+        states = [frame_level_state(b, config) for b in level_bursts]
+        valid = np.array([~(states[p].unfittable | states[c].unfittable) for p, c in pairs])
+        dh = np.stack([
+            delta_borda(states[c].borda, states[p].borda, stride * level_bursts[c].dt).dH
+            for p, c in pairs
+        ])                                                  # (P, D, N_l)
+        dh[~valid] = 0.0
+        dh_points = dh.transpose(1, 0, 2).reshape(config.D, -1)
+        r_points = np.concatenate([states[c].borda.R for _, c in pairs], axis=1)
+        roots_all = solve_roots(r_points, dh_points, config)
+        kappa_all = curvature_tensor(dh_points, roots_all)  # (P * N_l, 2**D, D)
 
-        def _state(b: DataBurst) -> FrameLevelState:
-            key = (b.burst_index, li)
-            st = state_cache.get(key)
-            if st is None:
-                st = frame_level_state(b, config)
-                state_cache[key] = st
-            return st
-
-        st_prev = _state(prev_level)
-        st_cur = _state(cur_level)
-        if li == 0:
-            first_states = (st_prev, st_cur)
-        valid = ~(st_prev.unfittable | st_cur.unfittable)
-        dt_span = config.stride_n * cur_level.dt
-        dh = delta_borda(st_cur.borda, st_prev.borda, dt_span).dH
-        dh[~valid, :] = 0.0
-
-        if roots_by_level is not None:
-            roots = roots_by_level[li]
-        else:
-            roots = solve_roots(st_cur.borda.R, dh, config)
-        thresholds = update_thresholds(roots, histories.get(li))
-        histories[li] = thresholds.history
-        kappa = curvature_tensor(dh, roots)
-        defined = thresholds.defined & valid[None, :]
-        levels.append(
-            _summarize_level(
-                kappa, thresholds, defined, valid, n_l, float(config.aggregation_factor ** li)
+        history: ThresholdHistory | None = None
+        for pi, (_, c) in enumerate(pairs):
+            roots = roots_all.slice_points(pi * n_l, (pi + 1) * n_l)
+            kappa = kappa_all[pi * n_l:(pi + 1) * n_l]
+            thresholds = update_thresholds(roots, history)
+            history = thresholds.history
+            defined = thresholds.defined & valid[pi][None, :]
+            levels[pi].append(
+                _summarize_level(
+                    kappa, thresholds, defined, valid[pi], n_l,
+                    float(config.aggregation_factor ** li),
+                )
             )
+            fallback_vectors[pi] += int(np.sum(roots.convergence == 2))
+            total_vectors[pi] += roots.convergence.size
+            if li == 0:
+                current_states.append(states[c])
+                finest.append(
+                    FinestFrameData(
+                        dh=dh[pi],
+                        roots=roots,
+                        kappa_median=np.median(kappa, axis=1),
+                        kappa_short=thresholds.kappa_short,
+                        kappa_long=thresholds.kappa_long,
+                        defined=defined,
+                    )
+                )
+
+    # kappa_all and valid now belong to the coarsest level
+    return [
+        ZoomOutcome(
+            profile=ZoomProfile(
+                levels=levels[pi],
+                coarsest_kappa=kappa_all[pi * counts[-1]:(pi + 1) * counts[-1]],
+                coarsest_valid=valid[pi],
+                finest_points=counts[0],
+            ),
+            finest=finest[pi],
+            fallback_fraction=fallback_vectors[pi] / total_vectors[pi],
+            current_state=current_states[pi],
         )
-        fallback_vectors += int(np.sum(roots.convergence == 2))
-        total_vectors += roots.convergence.size
-
-        if li == 0:
-            finest = FinestFrameData(
-                dh=dh,
-                roots=roots,
-                kappa=kappa,
-                kappa_median=np.median(kappa, axis=1),
-                kappa_short=thresholds.kappa_short,
-                kappa_long=thresholds.kappa_long,
-                defined=defined,
-                valid_dims=valid,
-            )
-        if li == len(counts) - 1:
-            coarsest_kappa = kappa
-            coarsest_valid = valid
-
-    return ZoomOutcome(
-        profile=ZoomProfile(
-            levels=levels,
-            coarsest_kappa=coarsest_kappa,
-            coarsest_valid=coarsest_valid,
-            finest_points=counts[0],
-        ),
-        finest=finest,
-        histories=histories,
-        fallback_fraction=fallback_vectors / total_vectors if total_vectors else 0.0,
-        current_state=first_states[1],
-        previous_state=first_states[0],
-    )
+        for pi in range(len(pairs))
+    ]
 
 
 @dataclass

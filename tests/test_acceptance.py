@@ -105,7 +105,7 @@ def test_04_null_signal_fixed_point():
         # direct check of the Borda change on the first pair
         b0, _ = prescale_burst(bursts[0])
         b1, _ = prescale_burst(bursts[1])
-        out = zoom_profile(b0, b1, cfg)
+        out = zoom_profile([b0, b1], cfg)[0]
         assert np.all(out.finest.dh == 0.0)
 
         rep = analyze_dataset(ds, cfg).subjects[0]
@@ -225,9 +225,8 @@ def test_09_oracle_equivalence():
                 np.testing.assert_allclose(g[0], e[0], rtol=1e-10, atol=1e-12)
 
 
-def test_10_determinism_and_performance(monkeypatch):
+def test_10_determinism_and_performance():
     with criterion(10, "100 subjects under 60 s, byte-identical reruns"):
-        monkeypatch.delenv("DDP_MAX_PARALLEL_SUBJECTS", raising=False)
         cfg = PipelineConfig(seed=7)
         ds = synthesize("stable", cfg, n_bursts=10, n_subjects=100)
         assert len(ds.bursts) == 1000

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -13,10 +12,8 @@ from ddp import (
     solve_roots,
     synthesize,
 )
-import ddp.pipeline
 import ddp.zoomout
 from ddp.cli import main
-from ddp.report import report_json
 
 from oracles import refine_roots_oracle
 
@@ -72,15 +69,6 @@ def test_energy_amplitudes_when_com_present():
     rep = analyze_dataset(ds, cfg).subjects[0]
     assert set(rep.energy_exchange_amplitudes) == {1, 2}
     assert all(v >= 0.0 for v in rep.energy_exchange_amplitudes.values())
-
-
-def test_parallel_env_matches_serial(monkeypatch):
-    cfg = PipelineConfig(seed=17, N=27)
-    ds = synthesize("stable", cfg, n_bursts=3, n_subjects=4)
-    serial = report_json(analyze_dataset(ds, cfg).subjects, None, cfg)
-    monkeypatch.setenv("DDP_MAX_PARALLEL_SUBJECTS", "3")
-    parallel = report_json(analyze_dataset(ds, cfg).subjects, None, cfg)
-    assert serial == parallel
 
 
 def test_dump_tables_shapes():
@@ -148,7 +136,6 @@ def _analyze_with(solver, monkeypatch, ds, cfg):
         labels.append(out.convergence.ravel())
         return out
 
-    monkeypatch.setattr(ddp.pipeline, "solve_roots", counting)
     monkeypatch.setattr(ddp.zoomout, "solve_roots", counting)
     return analyze_dataset(ds, cfg).subjects, np.concatenate(labels)
 
@@ -228,6 +215,22 @@ def test_cli_synth_burst_writes_injections(tmp_path):
 def test_cli_analyze_missing_input(tmp_path, capsys):
     assert main(["analyze", "--input", str(tmp_path / "nope.xyzm")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"subjects": [', "[1, 2]"])
+def test_cli_stats_rejects_malformed_report(text, tmp_path, capsys):
+    (tmp_path / "broken.json").write_text(text, encoding="utf-8")
+    assert main(["stats", "--reports", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed report") and "broken.json" in err
+
+
+def test_cli_stats_rejects_subject_without_id(tmp_path, capsys):
+    doc = {"subjects": [{"group_label": "control", "rc_values_per_dim": [[0.5]]}]}
+    (tmp_path / "noid.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["stats", "--reports", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "noid.json" in err and "subject_id" in err
 
 
 def test_cli_synth_deterministic(tmp_path):

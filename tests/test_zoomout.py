@@ -61,14 +61,14 @@ def test_zoom_ladder_point_counts():
     ds = synthesize("stable", cfg, n_bursts=2)
     b0, _ = prescale_burst(ds.bursts[0])
     b1, _ = prescale_burst(ds.bursts[1])
-    out = zoom_profile(b0, b1, cfg)
+    out = zoom_profile([b0, b1], cfg)[0]
     assert [lv.point_count for lv in out.profile.levels] == [81, 27, 9]
     assert [lv.x_coordinate for lv in out.profile.levels] == [1.0, 3.0, 9.0]
 
 
 def test_zoom_identical_pair_zero_curvature():
     values = np.random.default_rng(2).uniform(1, 2, (81, 4))
-    out = zoom_profile(_burst(values, 0), _burst(values.copy(), 1), CFG)
+    out = zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], CFG)[0]
     for lv in out.profile.levels:
         assert lv.kappa_combined == 0.0
         assert np.all(lv.kappa_per_dim == 0.0)
@@ -79,19 +79,19 @@ def test_zoom_stable_profile_decreases_toward_coarse():
     ds = synthesize("stable", cfg, n_bursts=2)
     b0, _ = prescale_burst(ds.bursts[0])
     b1, _ = prescale_burst(ds.bursts[1])
-    out = zoom_profile(b0, b1, cfg)
+    out = zoom_profile([b0, b1], cfg)[0]
     kappas = [lv.kappa_combined for lv in out.profile.levels]
     assert kappas[0] > kappas[1] > kappas[2]
 
 
 def test_zoom_rejects_shape_mismatch():
     with pytest.raises(ContractViolation):
-        zoom_profile(_burst(np.ones((81, 4))), _burst(np.ones((81, 3)), 1), CFG)
+        zoom_profile([_burst(np.ones((81, 4))), _burst(np.ones((81, 3)), 1)], CFG)
 
 
 def test_residual_curvature_constant_is_zero():
     values = np.full((81, 4), 2.0)
-    out = zoom_profile(_burst(values, 0), _burst(values.copy(), 1), CFG)
+    out = zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], CFG)[0]
     rc = residual_curvature(out.profile)
     assert np.all(rc.rc == 0.0)
     assert rc.rc_combined == 0.0
@@ -103,7 +103,7 @@ def test_residual_curvature_shape_and_sign():
     ds = synthesize("stable", cfg, n_bursts=2)
     b0, _ = prescale_burst(ds.bursts[0])
     b1, _ = prescale_burst(ds.bursts[1])
-    out = zoom_profile(b0, b1, cfg)
+    out = zoom_profile([b0, b1], cfg)[0]
     rc = residual_curvature(out.profile)
     assert rc.rc.shape == (4, 16)
     assert np.all(rc.rc >= 0.0)
