@@ -23,7 +23,6 @@ from .curvature import (
 from .errors import (
     ConfigError,
     ContractViolation,
-    DatumUnfittable,
     DdpError,
     GroupUnavailable,
     ParseError,
@@ -36,7 +35,6 @@ from .ingest import (
     Injection,
     SubjectMeta,
     emit_xyzm,
-    frame_pairs,
     parse_xyzm,
     parse_xyzm_file,
     prescale_burst,
@@ -55,12 +53,11 @@ from .normalization import (
     NormalizedField,
     PairStatus,
     build_field,
-    fit_datum,
-    normalize_pairs,
     pair_constant,
+    pair_margins,
 )
 from .pipeline import AnalysisResult, analyze_dataset, analyze_subject
-from .ranking import BordaState, DeltaBorda, borda_counts, borda_state, delta_borda, objective_ranks
+from .ranking import BordaState, borda_state, delta_borda, objective_ranks
 from .report import (
     BoxplotStats,
     FrameResult,

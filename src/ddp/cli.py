@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import PipelineConfig
-from .errors import DdpError, ParseError
+from .errors import ConfigError, DdpError, ParseError
 from .ingest import (
     GROUP_LABELS,
     SYNTH_PROFILES,
@@ -181,19 +182,9 @@ def _cmd_stats(args) -> int:
                 raise ValueError("the top level is not a JSON object")
             if config is None and "config" in doc:
                 cfg = doc["config"]
-                config = PipelineConfig(
-                    D=cfg["D"], N=cfg["N"], stride_n=cfg["stride_n"],
-                    aggregation_factor=cfg["aggregation_factor"],
-                    drop_threshold=cfg["drop_threshold"],
-                    rc_threshold_multiplier=cfg["rc_threshold_multiplier"],
-                    bin_edges=tuple(cfg["bin_edges"]),
-                    epsilon_denominator=cfg["epsilon_denominator"],
-                    refinement_max_iter=cfg["refinement_max_iter"],
-                    refinement_tol=cfg["refinement_tol"],
-                    seed=cfg["seed"],
-                )
+                config = PipelineConfig(**{f.name: cfg[f.name] for f in fields(PipelineConfig)})
             file_pools = subject_pools_from_json(doc)
-        except ValueError as exc:
+        except (TypeError, ValueError, ConfigError) as exc:
             raise ParseError(f"malformed report {f}: {exc}") from None
         except KeyError as exc:
             raise ParseError(f"malformed report {f}: missing field {exc}") from None

@@ -31,13 +31,5 @@ class ContractViolation(DdpError):
     """Two in-process objects disagree on shape or pairing."""
 
 
-class DatumUnfittable(DdpError):
-    """No admissible pair constant exists in a dimension, so no datum can be fit."""
-
-    def __init__(self, dimension: int):
-        super().__init__(f"no admissible pair constants in dimension {dimension}")
-        self.dimension = dimension
-
-
 class GroupUnavailable(DdpError):
     """A requested subject group has no usable values."""

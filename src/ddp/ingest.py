@@ -1,4 +1,4 @@
-"""Data-burst ingestion: xyzm parsing, frame pairing and synthetic corpora.
+"""Data-burst ingestion: xyzm parsing, prescaling and synthetic corpora.
 
 The xyzm format is plain text, one observation point per line, D
 whitespace-separated decimal reals (default order: knee extension moment,
@@ -45,7 +45,6 @@ class DataBurst:
     burst_index: int = 0
     subject_id: str = DEFAULT_SUBJECT
     group_label: str = "unlabeled"
-    time_indices: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -62,12 +61,6 @@ class DataBurst:
             raise ValidationError("burst_index must be non-negative")
         if self.group_label not in GROUP_LABELS:
             raise ValidationError(f"unknown group label {self.group_label!r}")
-        if self.time_indices is None:
-            self.time_indices = np.arange(n)
-        else:
-            self.time_indices = np.asarray(self.time_indices, dtype=int)
-            if self.time_indices.shape != (n,) or np.any(np.diff(self.time_indices) <= 0):
-                raise ValidationError("time indices must be strictly increasing")
 
     @property
     def n_points(self) -> int:
@@ -306,31 +299,6 @@ def emit_xyzm(dataset: Dataset) -> str:
     return "\n".join(out) + "\n"
 
 
-def frame_pairs(
-    dataset: Dataset, stride_n: int
-) -> dict[str, list[tuple[DataBurst, DataBurst]]]:
-    """Pairs (burst[t-n], burst[t]) per subject, in order.
-
-    Subjects with fewer than n+1 bursts get an empty list (logged, not fatal).
-    """
-    if stride_n < 1:
-        raise ValidationError("stride must be a positive integer")
-    pairs: dict[str, list[tuple[DataBurst, DataBurst]]] = {}
-    for sid in dataset.subjects():
-        bursts = dataset.bursts_for(sid)
-        if len(bursts) <= stride_n:
-            log.warning(
-                "subject %s has %d bursts, need at least %d for stride %d",
-                sid, len(bursts), stride_n + 1, stride_n,
-            )
-            pairs[sid] = []
-            continue
-        pairs[sid] = [
-            (bursts[t - stride_n], bursts[t]) for t in range(stride_n, len(bursts))
-        ]
-    return pairs
-
-
 def prescale_burst(burst: DataBurst) -> tuple[DataBurst, np.ndarray]:
     """Divide each dimension by its in-burst max absolute value.
 
@@ -339,8 +307,7 @@ def prescale_burst(burst: DataBurst) -> tuple[DataBurst, np.ndarray]:
     """
     divisors = np.max(np.abs(burst.values), axis=0)
     divisors = np.where(divisors == 0.0, 1.0, divisors)
-    scaled = replace(burst, values=burst.values / divisors,
-                     time_indices=burst.time_indices.copy())
+    scaled = replace(burst, values=burst.values / divisors)
     return scaled, divisors
 
 

@@ -123,11 +123,6 @@ class LengthScaleRoots:
             convergence=self.convergence[start:stop],
         )
 
-    def fallback_fraction(self) -> float:
-        if self.convergence.size == 0:
-            return 0.0
-        return float(np.mean(self.convergence == Convergence.FALLBACK))
-
 
 def _coupled_root(c_signed, finite):
     """Closed-form fixed point x* of the coupled balance, f >= 3 finite dims.

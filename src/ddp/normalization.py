@@ -25,12 +25,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-from .errors import DatumUnfittable
-from .ingest import DataBurst
 
 DEFAULT_EPSILON = 1e-9
 
@@ -41,45 +37,40 @@ class PairStatus(enum.Enum):
     DEGENERATE = "degenerate"
 
 
-class DatumFit(NamedTuple):
-    m_bar: float
-    excluded: frozenset[tuple[int, int]]
-    residual: float
-
-
 @dataclass
 class NormalizedField:
-    """Normalized margin matrices plus the fitted datum, one entry per dimension.
+    """Borda counts plus the fitted datum of one frame, one entry per dimension.
 
-    margins        (D, N, N) antisymmetric margin matrices
-    datum          (D,) fitted shared constant, NaN where unfittable
-    datum_residual (D,) RMS deviation of pair constants from the datum
-    fit_excluded   (D, N, N) pairs dropped from the datum fit (upper triangle)
-    margin_zeroed  (D, N, N) pairs zeroed because the shared-datum denominator
-                   fell inside the guard band
-    unfittable     (D,) dimensions with no admissible pair at all
+    borda                 (D, N) row sums of the antisymmetric margin matrices
+    datum                 (D,) fitted shared constant, NaN where unfittable
+    datum_residual        (D,) RMS deviation of pair constants from the datum
+    fit_excluded_fraction (D,) share of pairs A < B dropped from the datum fit
+    margin_zeroed         (D, N, N) symmetric mask of pairs zeroed because the
+                          shared-datum denominator fell inside the guard band
+    unfittable            (D,) dimensions with no admissible pair at all
     """
 
-    margins: np.ndarray
+    borda: np.ndarray
     datum: np.ndarray
     datum_residual: np.ndarray
-    fit_excluded: np.ndarray
+    fit_excluded_fraction: np.ndarray
     margin_zeroed: np.ndarray
     unfittable: np.ndarray
 
     @property
     def n_dims(self) -> int:
-        return self.margins.shape[0]
+        return self.borda.shape[0]
 
     @property
     def n_points(self) -> int:
-        return self.margins.shape[1]
+        return self.borda.shape[1]
 
-    def excluded_pairs(self, dimension: int) -> frozenset[tuple[int, int]]:
-        """Pairs (A < B) excluded anywhere: from the fit or by a zeroed margin."""
-        mask = self.fit_excluded[dimension] | self.margin_zeroed[dimension]
-        a_idx, b_idx = np.nonzero(np.triu(mask, k=1))
-        return frozenset(zip(a_idx.tolist(), b_idx.tolist()))
+    @property
+    def margin_zeroed_fraction(self) -> np.ndarray:
+        """(D,) share of pairs A < B whose margin was zeroed."""
+        n = self.n_points
+        zeroed_pairs = np.count_nonzero(self.margin_zeroed, axis=(1, 2)) // 2
+        return zeroed_pairs / max(n * (n - 1) // 2, 1)
 
 
 def pair_constant(
@@ -111,16 +102,16 @@ def pair_constant(
     return best, PairStatus.OK
 
 
-def pair_constant_grid(u: np.ndarray, epsilon: float = DEFAULT_EPSILON):
-    """Vectorized pair constants for every (A, B) combination.
+def pair_constants(u_a, u_b, epsilon: float = DEFAULT_EPSILON):
+    """Vectorized pair_constant over broadcast arrays of ordered pairs.
 
-    Returns (m, admissible, real): (N, N) arrays where m is NaN for
+    Returns (m, admissible) of the broadcast shape, where m is NaN for
     excluded pairs.  Agrees elementwise with pair_constant.
     """
-    u = np.asarray(u, dtype=float)
-    du = u[:, None] - u[None, :]
-    su = u[:, None] + u[None, :]
-    disc = 1.0 - 4.0 * du
+    u_a = np.asarray(u_a, dtype=float)
+    u_b = np.asarray(u_b, dtype=float)
+    su = u_a + u_b
+    disc = 1.0 - 4.0 * (u_a - u_b)
     real = disc >= 0.0
     sq = np.sqrt(np.where(real, disc, 0.0))
     s1 = 0.5 * (1.0 + sq)
@@ -136,58 +127,16 @@ def pair_constant_grid(u: np.ndarray, epsilon: float = DEFAULT_EPSILON):
     )
     m = np.where(take2, m2, m1)
     admissible = adm1 | adm2
-    return np.where(admissible, m, np.nan), admissible, real
+    return np.where(admissible, m, np.nan), admissible
 
 
-def _values_vector(burst_or_values, dimension: int | None) -> np.ndarray:
-    if isinstance(burst_or_values, DataBurst):
-        if dimension is None:
-            raise ValueError("dimension index required with a DataBurst")
-        return burst_or_values.values[:, dimension]
-    v = np.asarray(burst_or_values, dtype=float)
-    if v.ndim == 2:
-        if dimension is None:
-            raise ValueError("dimension index required with a 2-d array")
-        return v[:, dimension]
-    return v
+def pair_margins(u: np.ndarray, m_bar: float, epsilon: float = DEFAULT_EPSILON):
+    """(N, N) antisymmetric margin matrix of one dimension and its zeroed mask.
 
-
-def _fit_dimension(u: np.ndarray, epsilon: float, iu):
-    """Datum, RMS residual and upper-triangle admissibility of one dimension.
-
-    iu are the upper-triangle indices (A < B) of the frame.  The datum is
-    NaN, with residual 0, when no pair is admissible.
+    Pairs whose shared-datum denominator magnitude falls at or below the
+    guard get margin 0 and are marked in the mask (diagonal excluded).
     """
-    m, admissible, _ = pair_constant_grid(u, epsilon)
-    ok = admissible[iu]
-    good = m[iu][ok]
-    if good.size == 0:
-        return math.nan, 0.0, ok
-    m_bar = np.mean(good)
-    return m_bar, np.sqrt(np.mean((good - m_bar) ** 2)), ok
-
-
-def fit_datum(
-    burst_or_values,
-    dimension: int | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> DatumFit:
-    """Least-squares datum for one dimension: the mean admissible pair constant.
-
-    Raises DatumUnfittable when every pair A < B is excluded.
-    """
-    u = _values_vector(burst_or_values, dimension)
-    iu = np.triu_indices(len(u), k=1)
-    m_bar, residual, ok = _fit_dimension(u, epsilon, iu)
-    if not ok.any():
-        raise DatumUnfittable(dimension if dimension is not None else 0)
-    excluded = frozenset(
-        (int(a), int(b)) for a, b in zip(iu[0][~ok], iu[1][~ok])
-    )
-    return DatumFit(m_bar=float(m_bar), excluded=excluded, residual=float(residual))
-
-
-def _margins_for_dimension(u: np.ndarray, m_bar: float, epsilon: float):
+    u = np.asarray(u, dtype=float)
     du = u[:, None] - u[None, :]
     den = u[:, None] + u[None, :] + 2.0 * m_bar
     zeroed = np.abs(den) <= epsilon
@@ -196,64 +145,38 @@ def _margins_for_dimension(u: np.ndarray, m_bar: float, epsilon: float):
     return margins, zeroed
 
 
-def normalize_pairs(
-    burst_or_values,
-    m_bar,
-    epsilon: float = DEFAULT_EPSILON,
-) -> NormalizedField:
-    """Fill the margin matrices for every dimension given fitted datums.
+def build_field(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> NormalizedField:
+    """Fit the datum and sum the margins of every dimension of an (N, D) frame.
 
-    Pairs whose shared-datum denominator magnitude falls at or below the
-    guard get margin 0 and are recorded in margin_zeroed.
+    Dimensions where no pair is admissible are marked unfittable, with a
+    NaN datum and zero Borda counts; downstream stages skip them.
     """
-    if isinstance(burst_or_values, DataBurst):
-        values = burst_or_values.values
-    else:
-        values = np.asarray(burst_or_values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
+    values = np.asarray(values, dtype=float)
     n, d = values.shape
-    m_bar = np.broadcast_to(np.asarray(m_bar, dtype=float).ravel(), (d,))
-    margins = np.zeros((d, n, n))
-    zeroed = np.zeros((d, n, n), dtype=bool)
-    unfittable = ~np.isfinite(m_bar)
-    for dim in range(d):
-        if unfittable[dim]:
-            continue
-        margins[dim], zeroed[dim] = _margins_for_dimension(
-            values[:, dim], float(m_bar[dim]), epsilon
-        )
-    return NormalizedField(
-        margins=margins,
-        datum=np.array(m_bar, dtype=float),
-        datum_residual=np.zeros(d),
-        fit_excluded=np.zeros((d, n, n), dtype=bool),
-        margin_zeroed=zeroed,
-        unfittable=unfittable,
-    )
-
-
-def build_field(burst_or_values, epsilon: float = DEFAULT_EPSILON) -> NormalizedField:
-    """Fit the datum in every dimension and fill the margin matrices.
-
-    Dimensions where no pair is admissible are marked unfittable and get a
-    zero margin matrix; downstream stages skip them.
-    """
-    if isinstance(burst_or_values, DataBurst):
-        values = burst_or_values.values
-    else:
-        values = np.asarray(burst_or_values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-    n, d = values.shape
+    a, b = np.triu_indices(n, k=1)
+    n_pairs = max(a.size, 1)
+    borda = np.zeros((d, n))
     datum = np.full(d, np.nan)
     residual = np.zeros(d)
-    fit_excluded = np.zeros((d, n, n), dtype=bool)
-    iu = np.triu_indices(n, k=1)
+    fit_excluded = np.zeros(d)
+    zeroed = np.zeros((d, n, n), dtype=bool)
     for dim in range(d):
-        datum[dim], residual[dim], ok = _fit_dimension(values[:, dim], epsilon, iu)
-        fit_excluded[dim][iu] = ~ok
-    field = normalize_pairs(values, datum, epsilon)
-    field.datum_residual = residual
-    field.fit_excluded = fit_excluded
-    return field
+        u = values[:, dim]
+        m, ok = pair_constants(u[a], u[b], epsilon)
+        fit_excluded[dim] = np.count_nonzero(~ok) / n_pairs
+        good = m[ok]
+        if good.size:
+            datum[dim] = np.mean(good)
+            residual[dim] = np.sqrt(np.mean((good - datum[dim]) ** 2))
+        if not np.isfinite(datum[dim]):
+            continue
+        margins, zeroed[dim] = pair_margins(u, float(datum[dim]), epsilon)
+        borda[dim] = margins.sum(axis=1)
+    return NormalizedField(
+        borda=borda,
+        datum=datum,
+        datum_residual=residual,
+        fit_excluded_fraction=fit_excluded,
+        margin_zeroed=zeroed,
+        unfittable=~np.isfinite(datum),
+    )

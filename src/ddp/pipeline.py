@@ -63,12 +63,10 @@ def analyze_subject(
         scaled.append(sb)
         factors.append(div)
 
-    stride = config.stride_n
     frames: list[FrameResult] = []
     rc_records = []
-    outcomes = zoom_profile(scaled, config)
-    for t, outcome in zip(range(stride, len(scaled)), outcomes, strict=True):
-        previous, current = scaled[t - stride], scaled[t]
+    for outcome in zoom_profile(scaled, config):
+        previous, current = (scaled[i] for i in outcome.positions)
         fin = outcome.finest
         cls = classify_frame(
             fin.kappa_median, fin.kappa_short, fin.kappa_long, fin.defined, fin.dh.T
@@ -91,7 +89,7 @@ def analyze_subject(
             FrameResult(
                 previous_burst_index=previous.burst_index,
                 current_burst_index=current.burst_index,
-                dt_span=stride * current.dt,
+                dt_span=config.stride_n * current.dt,
                 datum=outcome.current_state.datum,
                 datum_residual=outcome.current_state.datum_residual,
                 rc=rc,

@@ -25,17 +25,6 @@ class BordaState:
     frame_ref: int = 0
 
 
-@dataclass
-class DeltaBorda:
-    dH: np.ndarray  # (D, N)
-    dt_span: float
-
-
-def borda_counts(field: NormalizedField) -> np.ndarray:
-    """Per-dimension Borda counts: row sums of the margin matrices, (D, N)."""
-    return field.margins.sum(axis=2)
-
-
 def objective_ranks(h: np.ndarray) -> np.ndarray:
     """Ascending fractional ranks of finite Borda counts along the last axis.
 
@@ -58,16 +47,13 @@ def objective_ranks(h: np.ndarray) -> np.ndarray:
 
 
 def borda_state(field: NormalizedField, frame_ref: int = 0) -> BordaState:
-    h = borda_counts(field)
-    return BordaState(H=h, R=objective_ranks(h), frame_ref=frame_ref)
+    return BordaState(H=field.borda, R=objective_ranks(field.borda), frame_ref=frame_ref)
 
 
-def delta_borda(current: BordaState, previous: BordaState, dt_span: float) -> DeltaBorda:
-    """Elementwise Borda change between two frames matched by point index."""
+def delta_borda(current: BordaState, previous: BordaState) -> np.ndarray:
+    """(D, N) elementwise Borda change between two frames matched by point index."""
     if current.H.shape != previous.H.shape:
         raise ContractViolation(
             f"frame shape mismatch: {current.H.shape} vs {previous.H.shape}"
         )
-    if dt_span <= 0.0:
-        raise ContractViolation("dt_span must be positive")
-    return DeltaBorda(dH=current.H - previous.H, dt_span=dt_span)
+    return current.H - previous.H

@@ -101,7 +101,7 @@ def dim_stats(values, threshold: float, bin_edges) -> DimStats:
     counts.append(int(np.sum(v > edges[-1])))
     return DimStats(
         n=int(v.size),
-        median=float(np.median(v)),
+        median=float(np.median(v, overwrite_input=True)),  # v is a filtered copy
         percent_above=float(np.sum(v > threshold) / v.size * 100.0),
         bin_counts=tuple(counts),
     )
@@ -157,17 +157,22 @@ def group_stats(
             slot[d].append(vals[np.isfinite(vals)])
         subject_counts[label] = subject_counts.get(label, 0) + 1
 
+    # Each stage frees the copies it no longer needs: a study pools many
+    # subjects, and the pooled values are copied several times below.
     merged: dict[str, list[np.ndarray]] = {
         label: [np.concatenate(cols) if cols else np.empty(0) for cols in slot]
         for label, slot in pools.items()
     }
+    pools.clear()
     everything = np.concatenate(
         [col for slot in merged.values() for col in slot] or [np.empty(0)]
     )
     if everything.size == 0:
         raise GroupUnavailable("no residual-curvature values in any group")
     if threshold is None:
-        threshold = config.rc_threshold_multiplier * float(np.median(everything))
+        median = np.median(everything, overwrite_input=True)
+        threshold = config.rc_threshold_multiplier * float(median)
+    del everything
 
     groups: dict[str, GroupSlice] = {}
     unavailable: list[str] = []
@@ -502,8 +507,13 @@ def emit(
 
 def subject_pools_from_json(doc: dict) -> list[SubjectPool]:
     """Rebuild the minimal per-subject pools a stats run needs."""
+    subjects = doc.get("subjects", [])
+    if not isinstance(subjects, list):
+        raise ValueError("subjects is not a list")
     pools = []
-    for sub in doc.get("subjects", []):
+    for sub in subjects:
+        if not isinstance(sub, dict):
+            raise ValueError("a subjects entry is not an object")
         values = [
             np.array([v for v in col if v is not None], dtype=float)
             for col in sub.get("rc_values_per_dim", [])

@@ -64,7 +64,7 @@ def aggregate(burst: DataBurst, factor: int) -> DataBurst:
     if n % factor:
         raise ContractViolation(f"{n} points are not divisible by factor {factor}")
     coarse = burst.values.reshape(n // factor, factor, burst.n_dims).mean(axis=1)
-    return replace(burst, values=coarse, dt=burst.dt * factor, time_indices=None)
+    return replace(burst, values=coarse, dt=burst.dt * factor)
 
 
 @dataclass
@@ -81,19 +81,12 @@ class FrameLevelState:
 
 def frame_level_state(burst: DataBurst, config: PipelineConfig) -> FrameLevelState:
     field = build_field(burst.values, config.epsilon_denominator)
-    n = field.n_points
-    iu = np.triu_indices(n, k=1)
-    n_pairs = max(len(iu[0]), 1)
-    fit_frac = np.array([field.fit_excluded[d][iu].mean() if n_pairs else 0.0
-                         for d in range(field.n_dims)])
-    zero_frac = np.array([field.margin_zeroed[d][iu].sum() / n_pairs
-                          for d in range(field.n_dims)])
     return FrameLevelState(
         borda=borda_state(field, frame_ref=burst.burst_index),
         datum=field.datum,
         datum_residual=field.datum_residual,
-        fit_excluded_fraction=fit_frac,
-        margin_zeroed_fraction=zero_frac,
+        fit_excluded_fraction=field.fit_excluded_fraction,
+        margin_zeroed_fraction=field.margin_zeroed_fraction,
         unfittable=field.unfittable,
     )
 
@@ -133,6 +126,7 @@ class FinestFrameData:
 
 @dataclass
 class ZoomOutcome:
+    positions: tuple[int, int]  # (previous, current) indices into the burst list
     profile: ZoomProfile
     finest: FinestFrameData
     fallback_fraction: float
@@ -211,8 +205,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
         states = [frame_level_state(b, config) for b in level_bursts]
         valid = np.array([~(states[p].unfittable | states[c].unfittable) for p, c in pairs])
         dh = np.stack([
-            delta_borda(states[c].borda, states[p].borda, stride * level_bursts[c].dt).dH
-            for p, c in pairs
+            delta_borda(states[c].borda, states[p].borda) for p, c in pairs
         ])                                                  # (P, D, N_l)
         dh[~valid] = 0.0
         dh_points = dh.transpose(1, 0, 2).reshape(config.D, -1)
@@ -251,6 +244,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
     # kappa_all and valid now belong to the coarsest level
     return [
         ZoomOutcome(
+            positions=pair,
             profile=ZoomProfile(
                 levels=levels[pi],
                 coarsest_kappa=kappa_all[pi * counts[-1]:(pi + 1) * counts[-1]],
@@ -261,7 +255,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
             fallback_fraction=fallback_vectors[pi] / total_vectors[pi],
             current_state=current_states[pi],
         )
-        for pi in range(len(pairs))
+        for pi, pair in enumerate(pairs)
     ]
 
 

@@ -11,7 +11,6 @@ from ddp import (
     TruncationError,
     ValidationError,
     emit_xyzm,
-    frame_pairs,
     parse_xyzm,
     prescale_burst,
     synthesize,
@@ -122,31 +121,6 @@ def test_round_trip_is_exact():
             assert np.array_equal(m1.com_displacement[k], m2.com_displacement[k])
 
 
-def test_frame_pairs_stride_one():
-    bursts = [DataBurst(values=np.ones((9, 4)) * (b + 1), burst_index=b) for b in range(3)]
-    ds = Dataset(bursts=bursts)
-    pairs = frame_pairs(ds, 1)["default"]
-    assert [(p[0].burst_index, p[1].burst_index) for p in pairs] == [(0, 1), (1, 2)]
-
-
-def test_frame_pairs_stride_two():
-    bursts = [DataBurst(values=np.ones((9, 4)) * (b + 1), burst_index=b) for b in range(3)]
-    pairs = frame_pairs(Dataset(bursts=bursts), 2)["default"]
-    assert [(p[0].burst_index, p[1].burst_index) for p in pairs] == [(0, 2)]
-
-
-def test_frame_pairs_insufficient_history_empty():
-    ds = Dataset(bursts=[DataBurst(values=np.ones((9, 4)))])
-    assert frame_pairs(ds, 1)["default"] == []
-
-
-@pytest.mark.parametrize("n_bursts,stride", [(1, 1), (4, 1), (7, 3), (2, 5)])
-def test_frame_pairs_count_law(n_bursts, stride):
-    bursts = [DataBurst(values=np.ones((9, 4)) + b, burst_index=b) for b in range(n_bursts)]
-    pairs = frame_pairs(Dataset(bursts=bursts), stride)["default"]
-    assert len(pairs) == max(0, n_bursts - stride)
-
-
 def test_synthesize_deterministic():
     cfg = PipelineConfig(seed=11, N=9)
     d1 = synthesize("stable", cfg, n_bursts=4)
@@ -204,8 +178,6 @@ def test_burst_invariants():
         DataBurst(values=np.ones((2, 4)))  # too few points
     with pytest.raises(ValidationError):
         DataBurst(values=np.full((9, 4), np.inf))
-    with pytest.raises(ValidationError):
-        DataBurst(values=np.ones((9, 4)), time_indices=np.zeros(9, dtype=int))
 
 
 def test_dataset_burst_index_monotonic():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddp import DatumUnfittable, PairStatus, build_field, fit_datum, normalize_pairs, pair_constant
-from ddp.normalization import pair_constant_grid
+from ddp import PairStatus, build_field, pair_constant, pair_margins
+from ddp.normalization import pair_constants
 
 from oracles import pair_constant_oracle
 
@@ -45,7 +45,7 @@ def test_pair_constant_degenerate_when_both_roots_guarded():
 @settings(max_examples=60, deadline=None)
 def test_grid_matches_scalar(us):
     u = np.array(us)
-    m_grid, adm, real = pair_constant_grid(u)
+    m_grid, adm = pair_constants(u[:, None], u[None, :])
     for a in range(len(u)):
         for b in range(len(u)):
             m, status = pair_constant(u[a], u[b])
@@ -68,23 +68,29 @@ def test_pair_constant_matches_independent_solver(ua, ub):
         assert m == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+def _field(u):
+    return build_field(np.asarray(u, dtype=float)[:, None])
+
+
 def test_fit_datum_singleton_pair():
-    fit = fit_datum(np.array([0.0, 0.0]))
-    assert fit.m_bar == pytest.approx(0.5)
-    assert fit.residual == 0.0
-    assert fit.excluded == frozenset()
+    field = _field([0.0, 0.0])
+    assert field.datum[0] == pytest.approx(0.5)
+    assert field.datum_residual[0] == 0.0
+    assert field.fit_excluded_fraction[0] == 0.0
 
 
 def test_fit_datum_all_equal_values():
-    fit = fit_datum(np.zeros(5))
-    assert fit.m_bar == pytest.approx(0.5)
-    assert fit.residual == 0.0
+    field = _field(np.zeros(5))
+    assert field.datum[0] == pytest.approx(0.5)
+    assert field.datum_residual[0] == 0.0
 
 
 def test_fit_datum_unfittable_when_all_pairs_rejected():
     # strictly decreasing with every gap above 0.25: no real root anywhere
-    with pytest.raises(DatumUnfittable):
-        fit_datum(np.array([0.9, 0.6, 0.3, 0.0]))
+    field = _field([0.9, 0.6, 0.3, 0.0])
+    assert field.unfittable[0] and np.isnan(field.datum[0])
+    assert field.fit_excluded_fraction[0] == 1.0
+    assert np.all(field.borda[0] == 0.0)
 
 
 @given(st.lists(finite_units, min_size=3, max_size=10))
@@ -98,36 +104,69 @@ def test_fit_datum_is_mean_of_admissible_constants(us):
             m, status = pair_constant(u[a], u[b])
             if status is PairStatus.OK:
                 constants.append(m)
+    field = _field(u)
+    n_pairs = n * (n - 1) // 2
+    assert field.fit_excluded_fraction[0] == (n_pairs - len(constants)) / n_pairs
     if not constants:
-        with pytest.raises(DatumUnfittable):
-            fit_datum(u)
+        assert field.unfittable[0] and np.isnan(field.datum[0])
         return
-    fit = fit_datum(u)
     mean = np.mean(constants)
-    assert fit.m_bar == pytest.approx(mean, rel=1e-12, abs=1e-15)
-    assert fit.residual == pytest.approx(
+    assert field.datum[0] == pytest.approx(mean, rel=1e-12, abs=1e-15)
+    assert field.datum_residual[0] == pytest.approx(
         np.sqrt(np.mean((np.array(constants) - mean) ** 2)), rel=1e-10, abs=1e-15
     )
-    assert len(fit.excluded) == n * (n - 1) // 2 - len(constants)
 
 
 def test_normalize_direct_substitution():
-    field = normalize_pairs(np.array([2.0, 1.0]), [0.0])
-    assert field.margins[0, 0, 1] == pytest.approx(1.0 / 3.0)
-    assert field.margins[0, 1, 0] == pytest.approx(-1.0 / 3.0)
+    margins, _ = pair_margins(np.array([2.0, 1.0]), 0.0)
+    assert margins[0, 1] == pytest.approx(1.0 / 3.0)
+    assert margins[1, 0] == pytest.approx(-1.0 / 3.0)
 
 
 def test_normalize_equal_values_zero_margin():
-    field = normalize_pairs(np.array([0.7, 0.7]), [0.1])
-    assert field.margins[0, 0, 1] == 0.0
+    margins, _ = pair_margins(np.array([0.7, 0.7]), 0.1)
+    assert margins[0, 1] == 0.0
 
 
 def test_normalize_records_degenerate_pairs():
     # denominator uA + uB + 2*m_bar = 0 exactly
-    field = normalize_pairs(np.array([1.0, -1.0]), [0.0])
-    assert field.margins[0, 0, 1] == 0.0
-    assert field.margin_zeroed[0, 0, 1]
-    assert (0, 1) in field.excluded_pairs(0)
+    margins, zeroed = pair_margins(np.array([1.0, -1.0]), 0.0)
+    assert margins[0, 1] == 0.0
+    assert zeroed[0, 1] and zeroed[1, 0]
+    assert not zeroed[0, 0]
+
+
+def test_build_field_counts_zeroed_pairs():
+    # the fitted datum is exactly 0, so the pair (-1, 1) has a zero denominator
+    field = _field([-1.0, 0.0, 1.0])
+    assert field.datum[0] == 0.0
+    assert field.margin_zeroed[0, 0, 2] and field.margin_zeroed[0, 2, 0]
+    assert np.count_nonzero(field.margin_zeroed) == 2
+    assert field.margin_zeroed_fraction[0] == 1.0 / 3.0
+    np.testing.assert_array_equal(field.borda[0], [1.0, -2.0, 1.0])
+
+
+def test_build_field_single_point_frame():
+    with np.errstate(all="raise"):
+        field = build_field(np.array([[0.5, 0.25]]))
+    assert field.n_points == 1 and field.n_dims == 2
+    assert np.all(field.unfittable)
+    np.testing.assert_array_equal(field.fit_excluded_fraction, [0.0, 0.0])
+    np.testing.assert_array_equal(field.margin_zeroed_fraction, [0.0, 0.0])
+
+
+@given(st.lists(st.lists(finite_units, min_size=3, max_size=3), min_size=3, max_size=10))
+@settings(max_examples=40, deadline=None)
+def test_build_field_matches_per_dimension_margins(rows):
+    values = np.array(rows)
+    field = build_field(values)
+    for d in range(values.shape[1]):
+        if field.unfittable[d]:
+            assert np.all(field.borda[d] == 0.0) and not field.margin_zeroed[d].any()
+            continue
+        margins, zeroed = pair_margins(values[:, d], field.datum[d])
+        np.testing.assert_array_equal(field.borda[d], margins.sum(axis=1))
+        np.testing.assert_array_equal(field.margin_zeroed[d], zeroed)
 
 
 @given(st.lists(finite_units, min_size=3, max_size=12), st.integers(0, 10_000))
@@ -137,7 +176,9 @@ def test_antisymmetry_exact(us, salt):
     u = np.array(us) + rng.normal(0, 0.01, len(us))
     u = np.clip(u, -1, 1)
     field = build_field(u[:, None])
-    a = field.margins[0]
+    if field.unfittable[0]:
+        return
+    a, _ = pair_margins(u, field.datum[0])
     assert np.array_equal(a, -a.T)
     assert np.all(np.diag(a) == 0.0)
 
@@ -149,7 +190,7 @@ def test_build_field_flags_unfittable_dimension():
     ])
     field = build_field(values)
     assert field.unfittable[0] and not field.unfittable[1]
-    assert np.all(field.margins[0] == 0.0)
+    assert np.all(field.borda[0] == 0.0)
     assert np.isnan(field.datum[0]) and np.isfinite(field.datum[1])
 
 

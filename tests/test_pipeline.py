@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def test_analyze_subject_without_history_reports_empty():
     assert rep.frames == []
     assert rep.pdi_histogram == {}
     assert np.all(np.isnan(rep.rc_median_per_dim))
+
+
+@pytest.mark.parametrize(
+    "n_bursts,stride", [(1, 1), (2, 2), (2, 5), (3, 1), (3, 2), (4, 1), (7, 3)]
+)
+def test_frame_count_law(n_bursts, stride):
+    # a subject with at most `stride` bursts yields no frame and no error
+    cfg = PipelineConfig(seed=4, N=9, stride_n=stride)
+    frames = analyze_dataset(synthesize("stable", cfg, n_bursts=n_bursts), cfg).subjects[0].frames
+    assert [(f.previous_burst_index, f.current_burst_index) for f in frames] == [
+        (t - stride, t) for t in range(stride, n_bursts)
+    ]
 
 
 def test_analyze_rejects_wrong_burst_size():
@@ -217,7 +230,14 @@ def test_cli_analyze_missing_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ['{"subjects": [', "[1, 2]"])
+@pytest.mark.parametrize("text", [
+    '{"subjects": [',
+    "[1, 2]",
+    '{"subjects": [1]}',
+    '{"subjects": 5}',
+    '{"subjects": [{"subject_id": "a", "group_label": "control", "rc_values_per_dim": 5}]}',
+    json.dumps({"config": {**asdict(PipelineConfig()), "D": "x"}, "subjects": []}),
+])
 def test_cli_stats_rejects_malformed_report(text, tmp_path, capsys):
     (tmp_path / "broken.json").write_text(text, encoding="utf-8")
     assert main(["stats", "--reports", str(tmp_path)]) == 2

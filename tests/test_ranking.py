@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from ddp import (
     BordaState,
     ContractViolation,
-    borda_counts,
     borda_state,
     build_field,
     delta_borda,
-    normalize_pairs,
     objective_ranks,
+    pair_margins,
 )
 
 from oracles import borda_oracle, rank_oracle
@@ -22,15 +21,14 @@ values_strategy = st.lists(
 
 
 def test_borda_counts_three_point_example():
-    field = normalize_pairs(np.array([1.0, 2.0, 4.0]), [0.0])
-    h = borda_counts(field)[0]
+    margins, _ = pair_margins(np.array([1.0, 2.0, 4.0]), 0.0)
+    h = margins.sum(axis=1)
     np.testing.assert_allclose(h, [-14.0 / 15.0, 0.0, 14.0 / 15.0], rtol=1e-12)
     np.testing.assert_allclose(h, borda_oracle([1.0, 2.0, 4.0], 0.0), rtol=1e-12)
 
 
 def test_borda_counts_equal_values_are_zero():
-    field = normalize_pairs(np.full(6, 0.4), [0.2])
-    assert np.all(borda_counts(field) == 0.0)
+    assert np.all(build_field(np.full((6, 2), 0.4)).borda == 0.0)
 
 
 @given(values_strategy)
@@ -39,7 +37,7 @@ def test_borda_zero_sum(us):
     field = build_field(np.array(us)[:, None])
     if field.unfittable[0]:
         return
-    h = borda_counts(field)[0]
+    h = field.borda[0]
     assert abs(h.sum()) < 1e-9
 
 
@@ -49,7 +47,7 @@ def test_borda_matches_loop_oracle(us):
     field = build_field(np.array(us)[:, None])
     if field.unfittable[0]:
         return
-    h = borda_counts(field)[0]
+    h = field.borda[0]
     expected = np.array(borda_oracle(us, field.datum[0]))
     # the oracle does not zero guarded denominators; skip if one appears
     if field.margin_zeroed[0].any():
@@ -97,13 +95,13 @@ def _state(h):
 
 def test_delta_borda_identity_is_zero():
     s = _state([[1.0, -1.0], [0.25, -0.25]])
-    assert np.all(delta_borda(s, s, 1.0).dH == 0.0)
+    assert np.all(delta_borda(s, s) == 0.0)
 
 
 def test_delta_borda_elementwise():
     cur = _state([[1.0, -1.0]])
     prev = _state([[0.5, -0.5]])
-    np.testing.assert_allclose(delta_borda(cur, prev, 1.0).dH, [[0.5, -0.5]])
+    np.testing.assert_allclose(delta_borda(cur, prev), [[0.5, -0.5]])
 
 
 def test_delta_borda_zero_sum_preserved():
@@ -112,18 +110,19 @@ def test_delta_borda_zero_sum_preserved():
     a -= a.mean(axis=1, keepdims=True)
     b = rng.normal(size=(3, 7))
     b -= b.mean(axis=1, keepdims=True)
-    dh = delta_borda(_state(a), _state(b), 2.0).dH
+    dh = delta_borda(_state(a), _state(b))
     np.testing.assert_allclose(dh.sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_delta_borda_shape_mismatch():
     with pytest.raises(ContractViolation):
-        delta_borda(_state([[1.0, 2.0]]), _state([[1.0, 2.0, 3.0]]), 1.0)
+        delta_borda(_state([[1.0, 2.0]]), _state([[1.0, 2.0, 3.0]]))
 
 
 def test_borda_state_rank_rows():
-    field = normalize_pairs(np.array([0.5, 0.6, 0.7]), [0.0])
+    field = build_field(np.array([[0.5], [0.6], [0.7]]))
     state = borda_state(field, frame_ref=3)
+    assert state.H is field.borda
     assert state.frame_ref == 3
     assert state.R.shape == state.H.shape
     assert sorted(state.R[0]) == [1.0, 2.0, 3.0]

@@ -120,6 +120,20 @@ def test_group_stats_empty_group_listed_unavailable():
     assert gs.percent_change_per_dim is None
 
 
+def test_group_stats_leaves_inputs_unchanged():
+    # the medians reorder scratch copies in place, never the caller's arrays
+    values = [[3.0, 1.0, np.nan, 2.0, 0.5], [0.25, 4.0, 1.5]]
+    pools = [_pool("control", values), _pool("post_aclr", values[::-1])]
+    before = [[v.copy() for v in p.rc_values_per_dim] for p in pools]
+    group_stats(pools, PipelineConfig(D=2))
+    finite = np.array(values[1])
+    dim_stats(finite, threshold=1.0, bin_edges=(0.3,))
+    for p, b in zip(pools, before):
+        for v, w in zip(p.rc_values_per_dim, b):
+            np.testing.assert_array_equal(v, w)
+    np.testing.assert_array_equal(finite, values[1])
+
+
 def test_group_stats_nothing_to_pool():
     with pytest.raises(GroupUnavailable):
         group_stats([_pool("control", [[]])], PipelineConfig(D=1))
