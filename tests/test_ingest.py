@@ -10,6 +10,7 @@ from ddp import (
     PipelineConfig,
     TruncationError,
     ValidationError,
+    analyze_dataset,
     emit_xyzm,
     parse_xyzm,
     prescale_burst,
@@ -119,6 +120,31 @@ def test_round_trip_is_exact():
         assert set(m1.com_displacement) == set(m2.com_displacement)
         for k in m1.com_displacement:
             assert np.array_equal(m1.com_displacement[k], m2.com_displacement[k])
+
+
+def _frame_pairs(n_bursts, stride):
+    cfg = PipelineConfig(seed=4, N=9, stride_n=stride)
+    frames = analyze_dataset(synthesize("stable", cfg, n_bursts=n_bursts), cfg).subjects[0].frames
+    return [(f.previous_burst_index, f.current_burst_index) for f in frames]
+
+
+def test_frame_pairs_stride_one():
+    assert _frame_pairs(3, 1) == [(0, 1), (1, 2)]
+
+
+def test_frame_pairs_stride_two():
+    assert _frame_pairs(3, 2) == [(0, 2)]
+
+
+def test_frame_pairs_insufficient_history_empty():
+    # a subject with at most `stride` bursts yields no frame and no error
+    assert _frame_pairs(1, 1) == []
+    assert _frame_pairs(2, 2) == []
+
+
+@pytest.mark.parametrize("n_bursts,stride", [(1, 1), (4, 1), (7, 3), (2, 5)])
+def test_frame_pairs_count_law(n_bursts, stride):
+    assert _frame_pairs(n_bursts, stride) == [(t - stride, t) for t in range(stride, n_bursts)]
 
 
 def test_synthesize_deterministic():

@@ -48,18 +48,6 @@ def test_analyze_subject_without_history_reports_empty():
     assert np.all(np.isnan(rep.rc_median_per_dim))
 
 
-@pytest.mark.parametrize(
-    "n_bursts,stride", [(1, 1), (2, 2), (2, 5), (3, 1), (3, 2), (4, 1), (7, 3)]
-)
-def test_frame_count_law(n_bursts, stride):
-    # a subject with at most `stride` bursts yields no frame and no error
-    cfg = PipelineConfig(seed=4, N=9, stride_n=stride)
-    frames = analyze_dataset(synthesize("stable", cfg, n_bursts=n_bursts), cfg).subjects[0].frames
-    assert [(f.previous_burst_index, f.current_burst_index) for f in frames] == [
-        (t - stride, t) for t in range(stride, n_bursts)
-    ]
-
-
 def test_analyze_rejects_wrong_burst_size():
     cfg = PipelineConfig(N=81)
     ds = Dataset(bursts=[DataBurst(values=np.ones((27, 4)), burst_index=b) for b in range(2)])
