@@ -12,9 +12,7 @@ collapse of the energy exchange rate.
 from .config import DIMENSION_NAMES_4D, PipelineConfig
 from .curvature import (
     Chain,
-    PdiRecord,
     ThresholdHistory,
-    classify_pdi,
     detect_chains,
     escalate_chain_categories,
     local_curvature,
@@ -51,9 +49,7 @@ from .lengthscale import (
 )
 from .normalization import (
     NormalizedField,
-    PairStatus,
     build_field,
-    pair_constant,
     pair_margins,
 )
 from .pipeline import AnalysisResult, analyze_dataset, analyze_subject

@@ -129,17 +129,6 @@ def update_thresholds(
 
 
 @dataclass
-class PdiRecord:
-    """Point-level classification with per-dimension breakdown flags."""
-
-    category: int
-    short_unstable: np.ndarray  # (D,) bool
-    long_unstable: np.ndarray   # (D,) bool
-    mode_mixity_controllable: bool = False
-    mixed_disjoint: bool = False
-
-
-@dataclass
 class FrameClassification:
     categories: np.ndarray       # (N,) int, point-level values in 1..7
     short_unstable: np.ndarray   # (N, D) bool
@@ -203,34 +192,6 @@ def classify_frame(
         jointly_unstable=joint,
         mode_mixity=mode_mixity,
         mixed_disjoint=mixed,
-    )
-
-
-def classify_pdi(kappa_per_dim, thresholds, dh_vector) -> PdiRecord:
-    """Classify one point.
-
-    kappa_per_dim: (D,) per-dimension curvature (median across roots).
-    thresholds: (kappa_short, kappa_long) arrays of shape (D,); NaN entries
-    mark undefined thresholds and exclude that dimension.
-    dh_vector: (D,) Borda change of the point.
-    """
-    kappa_short, kappa_long = (np.atleast_1d(np.asarray(t, dtype=float)) for t in thresholds)
-    kappa_per_dim = np.atleast_1d(np.asarray(kappa_per_dim, dtype=float))
-    dh_vector = np.atleast_1d(np.asarray(dh_vector, dtype=float))
-    defined = np.isfinite(kappa_short) & np.isfinite(kappa_long)
-    cls = classify_frame(
-        kappa_per_dim[None, :],
-        kappa_short[None, :],
-        kappa_long[None, :],
-        defined[None, :],
-        dh_vector[None, :],
-    )
-    return PdiRecord(
-        category=int(cls.categories[0]),
-        short_unstable=cls.short_unstable[0],
-        long_unstable=cls.long_unstable[0],
-        mode_mixity_controllable=bool(cls.mode_mixity[0]),
-        mixed_disjoint=bool(cls.mixed_disjoint[0]),
     )
 
 

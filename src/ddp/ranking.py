@@ -22,7 +22,6 @@ from .normalization import NormalizedField
 class BordaState:
     H: np.ndarray  # (D, N) Borda counts
     R: np.ndarray  # (D, N) objective ranks in [1, N]
-    frame_ref: int = 0
 
 
 def objective_ranks(h: np.ndarray) -> np.ndarray:
@@ -46,8 +45,8 @@ def objective_ranks(h: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def borda_state(field: NormalizedField, frame_ref: int = 0) -> BordaState:
-    return BordaState(H=field.borda, R=objective_ranks(field.borda), frame_ref=frame_ref)
+def borda_state(field: NormalizedField) -> BordaState:
+    return BordaState(H=field.borda, R=objective_ranks(field.borda))
 
 
 def delta_borda(current: BordaState, previous: BordaState) -> np.ndarray:

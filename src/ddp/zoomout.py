@@ -82,7 +82,7 @@ class FrameLevelState:
 def frame_level_state(burst: DataBurst, config: PipelineConfig) -> FrameLevelState:
     field = build_field(burst.values, config.epsilon_denominator)
     return FrameLevelState(
-        borda=borda_state(field, frame_ref=burst.burst_index),
+        borda=borda_state(field),
         datum=field.datum,
         datum_residual=field.datum_residual,
         fit_excluded_fraction=field.fit_excluded_fraction,

@@ -2,17 +2,20 @@
 
 Each oracle recomputes a quantity along a deliberately different route
 from the package code (explicit loops, np.roots, parametric segment
-intersection, the damped iteration in place of the closed-form root) so
-that agreement is meaningful evidence, not tautology.
+intersection, the damped iteration in place of the closed-form root, one
+unblocked dimension at a time in place of row blocks) so that agreement is
+meaningful evidence, not tautology.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 
 import numpy as np
 
 from ddp.lengthscale import SENTINEL_THRESHOLD, Convergence, LengthScaleRoots
+from ddp.normalization import DEFAULT_EPSILON, NormalizedField
 
 _MAG_HIGH = 1e150
 _MAG_LOW = 1e-150
@@ -74,6 +77,113 @@ def pair_constant_oracle(u_a: float, u_b: float, epsilon: float = 1e-9):
         return None
     candidates.sort(key=lambda m: (abs(m), -m))
     return candidates[0]
+
+
+class PairStatus(enum.Enum):
+    OK = "ok"
+    NO_REAL_ROOT = "no_real_root"
+    DEGENERATE = "degenerate"
+
+
+def pair_constant(
+    u_a: float, u_b: float, epsilon: float = DEFAULT_EPSILON
+) -> tuple[float | None, PairStatus]:
+    """Solve the gradient-match quadratic for one ordered pair.
+
+    Returns (m, OK) for an admissible root, (None, NO_REAL_ROOT) when the
+    discriminant is negative, and (None, DEGENERATE) when both roots sit
+    inside the denominator guard band.
+    """
+    diff = u_a - u_b
+    disc = 1.0 - 4.0 * diff
+    if disc < 0.0:
+        return None, PairStatus.NO_REAL_ROOT
+    sq = math.sqrt(disc)
+    total = u_a + u_b
+    best: float | None = None
+    for s in (0.5 * (1.0 + sq), 0.5 * (1.0 - sq)):
+        if abs(s) <= epsilon:
+            continue
+        m = 0.5 * (s - total)
+        if best is None:
+            best = m
+        elif abs(m) < abs(best) or (abs(m) == abs(best) and m > best):
+            best = m
+    if best is None:
+        return None, PairStatus.DEGENERATE
+    return best, PairStatus.OK
+
+
+def _pair_constants_oracle(u_a, u_b, epsilon: float = DEFAULT_EPSILON):
+    """Pair constants of broadcast pairs by full-length temporaries, no in-place steps."""
+    u_a = np.asarray(u_a, dtype=float)
+    u_b = np.asarray(u_b, dtype=float)
+    su = u_a + u_b
+    disc = 1.0 - 4.0 * (u_a - u_b)
+    real = disc >= 0.0
+    sq = np.sqrt(np.where(real, disc, 0.0))
+    s1 = 0.5 * (1.0 + sq)
+    s2 = 0.5 * (1.0 - sq)
+    m1 = 0.5 * (s1 - su)
+    m2 = 0.5 * (s2 - su)
+    adm1 = real & (np.abs(s1) > epsilon)
+    adm2 = real & (np.abs(s2) > epsilon)
+    take2 = adm2 & (
+        ~adm1
+        | (np.abs(m2) < np.abs(m1))
+        | ((np.abs(m2) == np.abs(m1)) & (m2 > m1))
+    )
+    m = np.where(take2, m2, m1)
+    admissible = adm1 | adm2
+    return np.where(admissible, m, np.nan), admissible
+
+
+def _pair_margins_oracle(u: np.ndarray, m_bar: float, epsilon: float = DEFAULT_EPSILON):
+    """(N, N) margin matrix of one dimension and its zeroed mask, diagonal excluded."""
+    u = np.asarray(u, dtype=float)
+    du = u[:, None] - u[None, :]
+    den = u[:, None] + u[None, :] + 2.0 * m_bar
+    zeroed = np.abs(den) <= epsilon
+    margins = np.where(zeroed, 0.0, du / np.where(zeroed, 1.0, den))
+    np.fill_diagonal(zeroed, False)
+    return margins, zeroed
+
+
+def build_field_oracle(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> NormalizedField:
+    """``build_field`` one dimension at a time over ``triu_indices`` and full (N, N) matrices.
+
+    The unblocked reference the row-blocked kernel must match bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    n, d = values.shape
+    a, b = np.triu_indices(n, k=1)
+    n_pairs = max(a.size, 1)
+    borda = np.zeros((d, n))
+    datum = np.full(d, np.nan)
+    residual = np.zeros(d)
+    fit_excluded = np.zeros(d)
+    zeroed = np.zeros((d, n, n), dtype=bool)
+    for dim in range(d):
+        u = values[:, dim]
+        m, ok = _pair_constants_oracle(u[a], u[b], epsilon)
+        fit_excluded[dim] = np.count_nonzero(~ok) / n_pairs
+        good = m[ok]
+        if good.size:
+            datum[dim] = np.mean(good)
+            residual[dim] = np.sqrt(np.mean((good - datum[dim]) ** 2))
+        if not np.isfinite(datum[dim]):
+            continue
+        margins, zeroed[dim] = _pair_margins_oracle(u, float(datum[dim]), epsilon)
+        borda[dim] = margins.sum(axis=1)
+    return NormalizedField(
+        borda=borda,
+        datum=datum,
+        datum_residual=residual,
+        fit_excluded_fraction=fit_excluded,
+        margin_zeroed=zeroed,
+        margin_zeroed_fraction=(np.count_nonzero(zeroed, axis=(1, 2)) // 2) / n_pairs,
+        unfittable=~np.isfinite(datum),
+    )
 
 
 def chains_oracle(categories) -> list[tuple[int, int]]:

@@ -87,7 +87,8 @@ def test_03_antisymmetry_exact():
             values = rng.uniform(0.3, 1.0, size=(81, 4))
             field = build_field(values)
             for d in range(4):
-                a, _ = pair_margins(values[:, d], field.datum[d])
+                u = values[:, d]
+                a, _ = pair_margins(u[:, None], u[None, :], field.datum[d])
                 assert np.array_equal(a, -a.T)
                 assert np.all(np.diag(a) == 0.0)
 

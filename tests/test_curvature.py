@@ -1,11 +1,11 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from ddp import (
     Chain,
-    classify_pdi,
     detect_chains,
     escalate_chain_categories,
     local_curvature,
@@ -15,6 +15,45 @@ from ddp.curvature import classify_frame, curvature_tensor
 from ddp.lengthscale import LengthScaleRoots
 
 from oracles import chains_oracle
+
+
+@dataclass
+class PdiRecord:
+    """Point-level classification with per-dimension breakdown flags."""
+
+    category: int
+    short_unstable: np.ndarray  # (D,) bool
+    long_unstable: np.ndarray   # (D,) bool
+    mode_mixity_controllable: bool = False
+    mixed_disjoint: bool = False
+
+
+def classify_pdi(kappa_per_dim, thresholds, dh_vector) -> PdiRecord:
+    """Classify one point through ``classify_frame``.
+
+    kappa_per_dim: (D,) per-dimension curvature (median across roots).
+    thresholds: (kappa_short, kappa_long) arrays of shape (D,); NaN entries
+    mark undefined thresholds and exclude that dimension.
+    dh_vector: (D,) Borda change of the point.
+    """
+    kappa_short, kappa_long = (np.atleast_1d(np.asarray(t, dtype=float)) for t in thresholds)
+    kappa_per_dim = np.atleast_1d(np.asarray(kappa_per_dim, dtype=float))
+    dh_vector = np.atleast_1d(np.asarray(dh_vector, dtype=float))
+    defined = np.isfinite(kappa_short) & np.isfinite(kappa_long)
+    cls = classify_frame(
+        kappa_per_dim[None, :],
+        kappa_short[None, :],
+        kappa_long[None, :],
+        defined[None, :],
+        dh_vector[None, :],
+    )
+    return PdiRecord(
+        category=int(cls.categories[0]),
+        short_unstable=cls.short_unstable[0],
+        long_unstable=cls.long_unstable[0],
+        mode_mixity_controllable=bool(cls.mode_mixity[0]),
+        mixed_disjoint=bool(cls.mixed_disjoint[0]),
+    )
 
 
 def _uniform_roots(n, d, magnitude):

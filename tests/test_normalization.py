@@ -1,44 +1,55 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddp import PairStatus, build_field, pair_constant, pair_margins
+import ddp.normalization as normalization
+from ddp import NormalizedField, build_field, pair_margins
 from ddp.normalization import pair_constants
 
-from oracles import pair_constant_oracle
+from oracles import PairStatus, build_field_oracle, pair_constant, pair_constant_oracle
+from test_properties import VALUE_KINDS
 
 finite_units = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
+def _one_pair(u_a, u_b, epsilon=1e-9):
+    m, ok = pair_constants(np.array([u_a]), np.array([u_b]), epsilon)
+    return m[0], ok[0]
+
+
 def test_pair_constant_zero_pair_picks_admissible_root():
-    m, status = pair_constant(0.0, 0.0)
-    assert status is PairStatus.OK
+    m, ok = _one_pair(0.0, 0.0)
+    assert ok
     assert m == pytest.approx(0.5, abs=0)
 
 
 def test_pair_constant_both_admissible_prefers_small_magnitude():
-    m, status = pair_constant(0.21, 0.25)
-    assert status is PairStatus.OK
+    m, ok = _one_pair(0.21, 0.25)
+    assert ok
     assert m == pytest.approx(-0.24925824035672518, rel=1e-12)
 
 
 def test_pair_constant_negative_discriminant():
-    m, status = pair_constant(0.5, 0.0)
-    assert m is None and status is PairStatus.NO_REAL_ROOT
+    # 1 - 4 * (uA - uB) = -1: no real root
+    m, ok = _one_pair(0.5, 0.0)
+    assert not ok and np.isnan(m)
 
 
 def test_pair_constant_magnitude_tie_prefers_positive():
     # uA + uB = 0.5 with an exact square discriminant: roots +/- 0.75
-    m, status = pair_constant(-0.75, 1.25)
-    assert status is PairStatus.OK
+    m, ok = _one_pair(-0.75, 1.25)
+    assert ok
     assert m == 0.75
 
 
 def test_pair_constant_degenerate_when_both_roots_guarded():
     # uA = uB = 0 has roots s in {0, 1}; a huge guard swallows both
-    m, status = pair_constant(0.0, 0.0, epsilon=2.0)
-    assert m is None and status is PairStatus.DEGENERATE
+    m, ok = _one_pair(0.0, 0.0, epsilon=2.0)
+    assert not ok and np.isnan(m)
 
 
 @given(st.lists(finite_units, min_size=2, max_size=12))
@@ -60,11 +71,11 @@ def test_grid_matches_scalar(us):
 @settings(max_examples=100, deadline=None)
 def test_pair_constant_matches_independent_solver(ua, ub):
     expected = pair_constant_oracle(ua, ub)
-    m, status = pair_constant(ua, ub)
+    m, ok = _one_pair(ua, ub)
     if expected is None:
-        assert status is not PairStatus.OK
+        assert not ok
     else:
-        assert status is PairStatus.OK
+        assert ok
         assert m == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
@@ -117,20 +128,25 @@ def test_fit_datum_is_mean_of_admissible_constants(us):
     )
 
 
+def _margin_matrix(u, m_bar):
+    u = np.asarray(u, dtype=float)
+    return pair_margins(u[:, None], u[None, :], m_bar)
+
+
 def test_normalize_direct_substitution():
-    margins, _ = pair_margins(np.array([2.0, 1.0]), 0.0)
+    margins, _ = _margin_matrix([2.0, 1.0], 0.0)
     assert margins[0, 1] == pytest.approx(1.0 / 3.0)
     assert margins[1, 0] == pytest.approx(-1.0 / 3.0)
 
 
 def test_normalize_equal_values_zero_margin():
-    margins, _ = pair_margins(np.array([0.7, 0.7]), 0.1)
+    margins, _ = _margin_matrix([0.7, 0.7], 0.1)
     assert margins[0, 1] == 0.0
 
 
 def test_normalize_records_degenerate_pairs():
     # denominator uA + uB + 2*m_bar = 0 exactly
-    margins, zeroed = pair_margins(np.array([1.0, -1.0]), 0.0)
+    margins, zeroed = _margin_matrix([1.0, -1.0], 0.0)
     assert margins[0, 1] == 0.0
     assert zeroed[0, 1] and zeroed[1, 0]
     assert not zeroed[0, 0]
@@ -164,7 +180,8 @@ def test_build_field_matches_per_dimension_margins(rows):
         if field.unfittable[d]:
             assert np.all(field.borda[d] == 0.0) and not field.margin_zeroed[d].any()
             continue
-        margins, zeroed = pair_margins(values[:, d], field.datum[d])
+        margins, zeroed = _margin_matrix(values[:, d], field.datum[d])
+        np.fill_diagonal(zeroed, False)
         np.testing.assert_array_equal(field.borda[d], margins.sum(axis=1))
         np.testing.assert_array_equal(field.margin_zeroed[d], zeroed)
 
@@ -178,7 +195,7 @@ def test_antisymmetry_exact(us, salt):
     field = build_field(u[:, None])
     if field.unfittable[0]:
         return
-    a, _ = pair_margins(u, field.datum[0])
+    a, _ = _margin_matrix(u, field.datum[0])
     assert np.array_equal(a, -a.T)
     assert np.all(np.diag(a) == 0.0)
 
@@ -200,3 +217,38 @@ def test_datum_residual_reported_per_dimension():
     field = build_field(values)
     assert field.datum_residual.shape == (4,)
     assert np.all(field.datum_residual >= 0.0)
+
+
+@given(
+    n=st.sampled_from([1, 2, 3, 9, 28, 81, 100]),
+    d=st.integers(1, 5),
+    epsilon=st.sampled_from([1e-9, 0.3, 0.6, 2.0]),
+    kind=st.sampled_from(sorted(VALUE_KINDS)),
+    seed=st.integers(0, 2**32 - 1),
+    one_row_blocks=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_build_field_matches_unblocked_oracle_bitwise(n, d, epsilon, kind, seed, one_row_blocks):
+    values = VALUE_KINDS[kind](np.random.default_rng(seed), n, d)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        if one_row_blocks:
+            mp.setattr(normalization, "_BLOCK_CELLS", 1)
+        field = build_field(values, epsilon)
+        expected = build_field_oracle(values, epsilon)
+    for f in dataclasses.fields(NormalizedField):
+        got, want = getattr(field, f.name), getattr(expected, f.name)
+        assert got.dtype == want.dtype and got.shape == want.shape, f.name
+        assert got.tobytes() == want.tobytes(), f.name
+
+
+def test_build_field_working_set_is_bounded():
+    # the unblocked kernel peaks near 40 MB here: a dozen float temporaries
+    # over all N(N-1)/2 pairs plus the full-triangle index arrays
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(729, 4))
+    tracemalloc.start()
+    try:
+        build_field(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

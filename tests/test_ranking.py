@@ -21,7 +21,8 @@ values_strategy = st.lists(
 
 
 def test_borda_counts_three_point_example():
-    margins, _ = pair_margins(np.array([1.0, 2.0, 4.0]), 0.0)
+    u = np.array([1.0, 2.0, 4.0])
+    margins, _ = pair_margins(u[:, None], u[None, :], 0.0)
     h = margins.sum(axis=1)
     np.testing.assert_allclose(h, [-14.0 / 15.0, 0.0, 14.0 / 15.0], rtol=1e-12)
     np.testing.assert_allclose(h, borda_oracle([1.0, 2.0, 4.0], 0.0), rtol=1e-12)
@@ -121,8 +122,7 @@ def test_delta_borda_shape_mismatch():
 
 def test_borda_state_rank_rows():
     field = build_field(np.array([[0.5], [0.6], [0.7]]))
-    state = borda_state(field, frame_ref=3)
+    state = borda_state(field)
     assert state.H is field.borda
-    assert state.frame_ref == 3
     assert state.R.shape == state.H.shape
     assert sorted(state.R[0]) == [1.0, 2.0, 3.0]
