@@ -15,7 +15,6 @@ from .curvature import (
     ThresholdHistory,
     detect_chains,
     escalate_chain_categories,
-    local_curvature,
     update_thresholds,
 )
 from .errors import (
@@ -40,11 +39,7 @@ from .ingest import (
 )
 from .lengthscale import (
     Convergence,
-    DiagonalRoot,
     LengthScaleRoots,
-    PointRoots,
-    diagonal_roots,
-    enumerate_roots,
     solve_roots,
 )
 from .normalization import (

@@ -29,24 +29,17 @@ critical length, 9: longer than the long-term one).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ContractViolation
 from .lengthscale import LengthScaleRoots
 
 # Escalated categories assigned at frame level.
 CHAIN_SHORT_CATEGORY = 8
 CHAIN_LONG_CATEGORY = 9
 UNSTABLE_MIN_CATEGORY = 5
-
-
-def local_curvature(dh_value: float, x_value: float) -> float:
-    """kappa = |dH| / x**2 for a finite root, 0 for the +inf sentinel."""
-    if math.isinf(x_value):
-        return 0.0
-    return abs(dh_value) / (x_value * x_value)
 
 
 def curvature_tensor(dh_matrix, roots: LengthScaleRoots) -> np.ndarray:
@@ -84,46 +77,56 @@ class ThresholdHistory:
 
 @dataclass
 class ThresholdUpdate:
-    kappa_short: np.ndarray  # (N, D), NaN where undefined
-    kappa_long: np.ndarray   # (N, D), NaN where undefined
-    defined: np.ndarray      # (N, D) bool
-    history: ThresholdHistory
+    kappa_short: np.ndarray  # (P, N, D), NaN where undefined
+    kappa_long: np.ndarray   # (P, N, D), NaN where undefined
+    defined: np.ndarray      # (P, N, D) bool, both thresholds defined
+    history: ThresholdHistory  # after the last pair
 
 
 def update_thresholds(
-    roots: LengthScaleRoots, history: ThresholdHistory | None
+    roots: LengthScaleRoots, history: ThresholdHistory | None = None, frames: int = 1
 ) -> ThresholdUpdate:
-    """Short- and long-term curvature thresholds plus the advanced history.
+    """Short- and long-term curvature thresholds of consecutive frame pairs.
 
-    The per-point magnitude statistic is the median of |x| across the 2**D
-    roots.  Sentinel dimensions contribute nothing: thresholds stay
-    undefined there and the history entry is not advanced.
+    `roots` holds `frames` frame pairs of equal length, point-major and in
+    time order.  The per-point magnitude statistic is the median of |x|
+    across the 2**D roots, taken for all pairs in one call; the running
+    mean then advances pair by pair, so a pair's long-term threshold sees
+    only the pairs up to and including it.  Sentinel dimensions contribute
+    nothing: thresholds stay undefined there and the history entry is not
+    advanced.
     """
-    n, d = roots.sentinel.shape
+    total, d = roots.sentinel.shape
+    if frames < 1 or total % frames:
+        raise ContractViolation(f"{total} points do not split into {frames} frame pairs")
+    n = total // frames
     if history is None:
         history = ThresholdHistory.empty(n, d)
     if history.count.shape != (n, d):
-        raise ValueError("history shape does not match the frame")
+        raise ContractViolation("history shape does not match the frame")
 
-    magnitude = np.median(np.abs(roots.roots), axis=1)  # (N, D); inf on sentinels
+    magnitude = np.median(np.abs(roots.roots), axis=1).reshape(frames, n, d)  # inf on sentinels
     defined = np.isfinite(magnitude)
 
     count = history.count.copy()
     mean = history.mean.copy()
-    count[defined] += 1
-    # incremental mean only where a new defined magnitude arrived
-    step = np.where(defined & (count > 0), (magnitude - mean), 0.0)
-    denom = np.where(count > 0, count, 1)
-    mean = np.where(defined, mean + step / denom, mean)
+    means = np.empty_like(magnitude)
+    long_defined = np.empty_like(defined)
+    for k in range(frames):
+        # incremental mean only where a new defined magnitude arrived
+        new = defined[k]
+        count[new] += 1
+        mean[new] += (magnitude[k][new] - mean[new]) / count[new]
+        means[k] = mean
+        long_defined[k] = count > 0
 
     with np.errstate(divide="ignore"):
         kappa_short = np.where(defined, 1.0 / magnitude, np.nan)
-        long_defined = count > 0
-        kappa_long = np.where(long_defined, 1.0 / np.where(long_defined, mean, 1.0), np.nan)
+        kappa_long = np.where(long_defined, 1.0 / np.where(long_defined, means, 1.0), np.nan)
     return ThresholdUpdate(
         kappa_short=kappa_short,
         kappa_long=kappa_long,
-        defined=defined & long_defined,
+        defined=defined,  # a defined magnitude also defines the running mean
         history=ThresholdHistory(count=count, mean=mean),
     )
 

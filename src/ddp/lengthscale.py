@@ -42,12 +42,12 @@ refinement_max_iter steps until the relative step is below refinement_tol.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig
+from .errors import ContractViolation
 
 # |dH| below this has no measurable rank movement: unbounded length scale.
 SENTINEL_THRESHOLD = 1e-12
@@ -60,34 +60,6 @@ class Convergence(enum.IntEnum):
     CLOSED_FORM = 0  # coupling not applicable; diagonal root used directly
     REFINED = 1      # coupled root found: x* when f >= 3, converged iteration otherwise
     FALLBACK = 2     # x* out of range or iteration diverged; diagonal root restored
-
-
-@dataclass(frozen=True)
-class DiagonalRoot:
-    magnitude: float  # +inf for the sentinel
-    negative_ratio: bool
-
-    @property
-    def sentinel(self) -> bool:
-        return math.isinf(self.magnitude)
-
-
-def diagonal_roots(r_value: float, dh_value: float) -> DiagonalRoot:
-    """Closed-form per-dimension root magnitude with singularity flags."""
-    if abs(dh_value) < SENTINEL_THRESHOLD:
-        return DiagonalRoot(magnitude=math.inf, negative_ratio=False)
-    ratio = r_value / dh_value
-    return DiagonalRoot(magnitude=math.sqrt(abs(ratio)), negative_ratio=ratio < 0.0)
-
-
-@dataclass
-class PointRoots:
-    """All 2**D root vectors of one observation point."""
-
-    vectors: np.ndarray        # (2**D, D); +inf on sentinel dimensions
-    sentinel: np.ndarray       # (D,) bool
-    negative_ratio: np.ndarray # (D,) bool
-    convergence: np.ndarray    # (2**D,) Convergence values
 
 
 @dataclass
@@ -106,14 +78,6 @@ class LengthScaleRoots:
     @property
     def n_dims(self) -> int:
         return self.roots.shape[2]
-
-    def point(self, index: int) -> PointRoots:
-        return PointRoots(
-            vectors=self.roots[index],
-            sentinel=self.sentinel[index],
-            negative_ratio=self.negative_ratio[index],
-            convergence=self.convergence[index],
-        )
 
     def slice_points(self, start: int, stop: int) -> "LengthScaleRoots":
         return LengthScaleRoots(
@@ -193,7 +157,7 @@ def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots
     r_pts = np.asarray(r_matrix, dtype=float).T   # (N, D)
     dh_pts = np.asarray(dh_matrix, dtype=float).T
     if r_pts.shape != dh_pts.shape:
-        raise ValueError("rank and Borda-change matrices must share a shape")
+        raise ContractViolation("rank and Borda-change matrices must share a shape")
     n, d = r_pts.shape
     nroots = 2 ** d
 
@@ -262,10 +226,3 @@ def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots
         convergence=convergence,
     )
 
-
-def enumerate_roots(r_vector, dh_vector, config: PipelineConfig) -> PointRoots:
-    """All 2**D root vectors of a single observation point."""
-    r_vector = np.atleast_1d(np.asarray(r_vector, dtype=float))
-    dh_vector = np.atleast_1d(np.asarray(dh_vector, dtype=float))
-    batch = solve_roots(r_vector[:, None], dh_vector[:, None], config)
-    return batch.point(0)

@@ -2,9 +2,9 @@
 
 Per subject the flow is: prescale each burst per dimension, run the
 zoom-out kernel once over all of the subject's bursts (one outcome per
-frame pair, see `zoomout.zoom_profile`), then walk the outcomes in order
-for classification, chains, critical lengths, residual curvature and the
-GTI, which needs the residual-curvature history of earlier pairs.
+frame pair with its residual curvature, see `zoomout.zoom_profile`), then
+walk the outcomes in order for classification, chains, critical lengths
+and the GTI, which needs the residual-curvature history of earlier pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .report import (
     boxplot_stats,
     energy_exchange_amplitude,
 )
-from .zoomout import critical_chain_lengths, gti, residual_curvature, zoom_profile
+from .zoomout import critical_chain_lengths, gti, zoom_profile
 
 DUMP_KINDS = ("borda", "roots", "pdi", "zoom")
 _CONV_NAMES = {int(c): c.name.lower() for c in Convergence}
@@ -73,8 +73,7 @@ def analyze_subject(
         )
         chains = detect_chains(cls.categories, cls.jointly_unstable)
         criticals = critical_chain_lengths(outcome.profile, config)
-        rc = residual_curvature(outcome.profile)
-        rc_records.append(rc)
+        rc_records.append(outcome.rc)
         gti_record = gti(rc_records, chains, criticals, config.drop_threshold)
         final_categories = escalate_chain_categories(cls.categories, chains, *criticals)
 
@@ -92,7 +91,7 @@ def analyze_subject(
                 dt_span=config.stride_n * current.dt,
                 datum=outcome.current_state.datum,
                 datum_residual=outcome.current_state.datum_residual,
-                rc=rc,
+                rc=outcome.rc,
                 critical_short=criticals[0],
                 critical_long=criticals[1],
                 gti=gti_record,

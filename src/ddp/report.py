@@ -52,16 +52,26 @@ def boxplot_stats(values) -> BoxplotStats:
     v = v[np.isfinite(v)]
     if v.size == 0:
         raise ValueError("boxplot_stats needs at least one finite value")
-    q25, q75 = np.percentile(v, [25.0, 75.0])
-    mu = float(np.mean(v))
-    sigma = float(np.std(v))
+    return boxplot_rows(v[None, :])[0]
+
+
+def boxplot_rows(rows: np.ndarray) -> list[BoxplotStats]:
+    """boxplot_stats of every row of a (K, M) array of finite values, in one pass."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    q25, q75 = np.percentile(rows, [25.0, 75.0], axis=-1)
+    mu = np.mean(rows, axis=-1)
+    sigma = np.std(rows, axis=-1)
     lo, hi = mu - 2.7 * sigma, mu + 2.7 * sigma
-    outliers = tuple(float(x) for x in np.sort(v[(v < lo) | (v > hi)]))
-    return BoxplotStats(
-        q25=float(q25), q75=float(q75),
-        whisker_low=lo, whisker_high=hi,
-        outliers=outliers,
-    )
+    outside = (rows < lo[:, None]) | (rows > hi[:, None])
+    outliers = [()] * len(rows)
+    for k in np.nonzero(outside.any(axis=1))[0]:
+        outliers[k] = tuple(np.sort(rows[k][outside[k]]).tolist())
+    return [
+        BoxplotStats(q25=a, q75=b, whisker_low=low, whisker_high=high, outliers=out)
+        for a, b, low, high, out in zip(
+            q25.tolist(), q75.tolist(), lo.tolist(), hi.tolist(), outliers
+        )
+    ]
 
 
 def percent_change(reference: float, value: float) -> float:
@@ -94,6 +104,11 @@ def dim_stats(values, threshold: float, bin_edges) -> DimStats:
     v = v[np.isfinite(v)]
     if v.size == 0:
         raise GroupUnavailable("no finite values to summarize")
+    return _finite_stats(v, threshold, bin_edges)  # v is a filtered copy
+
+
+def _finite_stats(v: np.ndarray, threshold: float, bin_edges) -> DimStats:
+    """dim_stats of a non-empty array of finite values; reorders v in place."""
     edges = list(bin_edges)
     counts = [int(np.sum(v <= edges[0]))]
     for lo, hi in zip(edges, edges[1:]):
@@ -101,10 +116,30 @@ def dim_stats(values, threshold: float, bin_edges) -> DimStats:
     counts.append(int(np.sum(v > edges[-1])))
     return DimStats(
         n=int(v.size),
-        median=float(np.median(v, overwrite_input=True)),  # v is a filtered copy
+        median=float(np.median(v, overwrite_input=True)),
         percent_above=float(np.sum(v > threshold) / v.size * 100.0),
         bin_counts=tuple(counts),
     )
+
+
+def _pool_finite(segments: list[list[np.ndarray]]) -> tuple[np.ndarray, list[int]]:
+    """The finite values of every segment's columns in one buffer, in order.
+
+    Returns the buffer and the segment bounds (len(segments) + 1 offsets).
+    Only one column's finiteness mask exists at a time.
+    """
+    bounds = [0]
+    for cols in segments:
+        bounds.append(bounds[-1] + sum(int(np.count_nonzero(np.isfinite(c))) for c in cols))
+    pooled = np.empty(bounds[-1])
+    pos = 0
+    for cols in segments:
+        for col in cols:
+            mask = np.isfinite(col)
+            k = int(np.count_nonzero(mask))
+            np.compress(mask, col, out=pooled[pos:pos + k])
+            pos += k
+    return pooled, bounds
 
 
 class SubjectPool(NamedTuple):
@@ -146,27 +181,20 @@ def group_stats(
     both groups are present.  Raises GroupUnavailable when nothing at all
     can be pooled; groups that are merely empty are listed as unavailable.
     """
-    pools: dict[str, list[list[np.ndarray]]] = {}
+    # A study pools many subjects, so the values are streamed from the
+    # callers' arrays into one buffer at a time: first every value, for the
+    # default threshold, then one group's values, dimension-major.
+    columns: dict[str, list[list[np.ndarray]]] = {}
     subject_counts: dict[str, int] = {}
     for rep in reports:
         label = rep.group_label
-        per_dim = [np.asarray(v, dtype=float) for v in rep.rc_values_per_dim]
-        slot = pools.setdefault(label, [[] for _ in range(config.D)])
+        per_dim = rep.rc_values_per_dim
+        slot = columns.setdefault(label, [[] for _ in range(config.D)])
         for d in range(config.D):
-            vals = per_dim[d] if d < len(per_dim) else np.empty(0)
-            slot[d].append(vals[np.isfinite(vals)])
+            slot[d].append(np.asarray(per_dim[d], dtype=float) if d < len(per_dim) else np.empty(0))
         subject_counts[label] = subject_counts.get(label, 0) + 1
 
-    # Each stage frees the copies it no longer needs: a study pools many
-    # subjects, and the pooled values are copied several times below.
-    merged: dict[str, list[np.ndarray]] = {
-        label: [np.concatenate(cols) if cols else np.empty(0) for cols in slot]
-        for label, slot in pools.items()
-    }
-    pools.clear()
-    everything = np.concatenate(
-        [col for slot in merged.values() for col in slot] or [np.empty(0)]
-    )
+    everything, _ = _pool_finite([[c for slot in columns.values() for cols in slot for c in cols]])
     if everything.size == 0:
         raise GroupUnavailable("no residual-curvature values in any group")
     if threshold is None:
@@ -177,21 +205,22 @@ def group_stats(
     groups: dict[str, GroupSlice] = {}
     unavailable: list[str] = []
     for label in GROUP_LABELS:
-        if label not in merged:
+        if label not in columns:
             continue
-        slot = merged[label]
-        pooled = np.concatenate(slot)
+        pooled, bounds = _pool_finite(columns[label])
         if pooled.size == 0:
             unavailable.append(label)
             continue
-        per_dim: list[DimStats | None] = []
-        for col in slot:
-            per_dim.append(dim_stats(col, threshold, config.bin_edges) if col.size else None)
+        per_dim_stats: list[DimStats | None] = [
+            dim_stats(pooled[a:b], threshold, config.bin_edges) if b > a else None
+            for a, b in zip(bounds, bounds[1:])
+        ]
         groups[label] = GroupSlice(
-            per_dim=per_dim,
-            combined=dim_stats(pooled, threshold, config.bin_edges),
+            per_dim=per_dim_stats,
+            combined=_finite_stats(pooled, threshold, config.bin_edges),
             n_subjects=subject_counts[label],
         )
+        del pooled  # before the next group's buffer is filled
 
     pc_per_dim: list[float | None] | None = None
     pc_combined: float | None = None

@@ -9,19 +9,25 @@ curvature, a magnitude-only measure of the energy exchange rate of the
 frame as a whole.
 
 `zoom_profile` walks this hierarchy once per subject, level by level: each
-burst is aggregated and normalized once per level, the Borda changes of
-all frame pairs at that level go through one root solve and one curvature
-evaluation, and the running threshold history is threaded through the
-pairs in time order.  Points never interact across pairs, so a pair's
-outcome does not depend on the bursts that follow it.
+burst is aggregated and normalized once per level, and the Borda changes
+of all frame pairs at that level go through one root solve and one
+curvature evaluation.  The tail is array-shaped across pairs too: one
+`update_thresholds` call per level takes the root-magnitude medians of
+every pair at once and then advances the running mean pair by pair in
+time order, each level statistic is one median over the `(P, ..., D)`
+stack, and `residual_curvature` takes the medians and boxplots of every
+pair in one call on the coarsest level.  Points never interact across
+pairs and the running mean only looks back, so a pair's outcome does not
+depend on the bursts that follow it.
 
 Critical chain lengths come from an intersection construction on the
 per-level statistics.  With x the aggregation level (finest = 1) and a log
 x axis, the curvature polyline is mirrored about log x = 0, the two
 threshold lines (inverse instantaneous and inverse long-run length scale)
-are fit by least squares across levels and extended backwards, and each
-line's intersection with the mirrored curvature polyline is converted back
-from log x to a fraction of the frame, then scaled by the frame length.
+are fit by least squares across levels (closed-form slope and intercept)
+and extended backwards, and each line's intersection with the mirrored
+curvature polyline is converted back from log x to a fraction of the
+frame, then scaled by the frame length.
 When several intersections exist, the process zone jumps to a farther
 candidate whenever the curvature there is lower.  The inverse
 instantaneous line yields the long-term critical chain length and the
@@ -44,16 +50,16 @@ import numpy as np
 from .config import PipelineConfig
 from .curvature import (
     LengthScaleRoots,
-    ThresholdHistory,
     ThresholdUpdate,
     curvature_tensor,
     update_thresholds,
 )
 from .errors import ContractViolation
 from .ingest import DataBurst
-from .lengthscale import solve_roots
+from .lengthscale import Convergence, solve_roots
 from .normalization import build_field
 from .ranking import BordaState, borda_state, delta_borda
+from .report import boxplot_rows, boxplot_stats
 
 
 def aggregate(burst: DataBurst, factor: int) -> DataBurst:
@@ -107,8 +113,6 @@ class ZoomLevel:
 @dataclass
 class ZoomProfile:
     levels: list[ZoomLevel]
-    coarsest_kappa: np.ndarray    # (9, 2**D, D)
-    coarsest_valid: np.ndarray    # (D,) bool
     finest_points: int
 
 
@@ -125,17 +129,39 @@ class FinestFrameData:
 
 
 @dataclass
+class ResidualCurvatureRecord:
+    """Curvature left at the coarsest level, per dimension and per root."""
+
+    rc: np.ndarray          # (D, 2**D), NaN rows for partial dimensions
+    rc_per_dim: np.ndarray  # (D,)
+    rc_combined: float
+    modulation: list        # BoxplotStats | None per dimension
+
+
+@dataclass
 class ZoomOutcome:
     positions: tuple[int, int]  # (previous, current) indices into the burst list
     profile: ZoomProfile
     finest: FinestFrameData
+    rc: ResidualCurvatureRecord
     fallback_fraction: float
     current_state: FrameLevelState
 
 
-def _nanmedian(values: np.ndarray) -> float:
-    finite = values[np.isfinite(values)]
-    return float(np.median(finite)) if finite.size else float("nan")
+def _median_where(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
+    """np.median of the entries under `mask` along `axis`, NaN where there are none.
+
+    A median is one order statistic or the mean of two, so sorting the
+    masked-out entries to the end (as NaN) and picking the middle of the
+    first `count` entries gives np.median's bits lane by lane.  Entries
+    under the mask must not be NaN.
+    """
+    ordered = np.sort(np.where(mask, values, np.nan), axis=axis)
+    count = np.count_nonzero(mask, axis=axis, keepdims=True)
+    lo = np.take_along_axis(ordered, np.maximum(count - 1, 0) // 2, axis=axis)
+    hi = np.take_along_axis(ordered, count // 2, axis=axis)
+    median = np.where(count % 2 == 1, lo, (lo + hi) / 2)
+    return np.where(count > 0, median, np.nan).squeeze(axis)
 
 
 def _summarize_level(
@@ -145,30 +171,31 @@ def _summarize_level(
     valid: np.ndarray,
     point_count: int,
     x_coordinate: float,
-) -> ZoomLevel:
-    d = valid.size
-    kappa_pd = np.full(d, np.nan)
-    ltilde_pd = np.full(d, np.nan)
-    long_pd = np.full(d, np.nan)
-    for dim in range(d):
-        if not valid[dim]:
-            continue
-        kappa_pd[dim] = np.median(kappa[:, :, dim])
-        mask = defined[:, dim]
-        if mask.any():
-            ltilde_pd[dim] = np.median(thresholds.kappa_short[mask, dim])
-            long_pd[dim] = np.median(thresholds.kappa_long[mask, dim])
-    return ZoomLevel(
-        point_count=point_count,
-        x_coordinate=x_coordinate,
-        valid_dims=valid,
-        kappa_per_dim=kappa_pd,
-        kappa_combined=_nanmedian(kappa_pd),
-        inv_ltilde_per_dim=ltilde_pd,
-        inv_ltilde_combined=_nanmedian(ltilde_pd),
-        inv_l_per_dim=long_pd,
-        inv_l_combined=_nanmedian(long_pd),
+) -> list[ZoomLevel]:
+    """One level's statistics for every pair, each median taken for all pairs at once.
+
+    kappa: (P, N, 2**D, D); thresholds and defined: (P, N, D); valid: (P, D).
+    """
+    kappa_pd = np.where(valid, np.median(kappa, axis=(1, 2)), np.nan)
+    ltilde_pd = _median_where(thresholds.kappa_short, defined, axis=1)
+    long_pd = _median_where(thresholds.kappa_long, defined, axis=1)
+    kappa_c, ltilde_c, long_c = (
+        _median_where(v, np.isfinite(v), axis=1).tolist() for v in (kappa_pd, ltilde_pd, long_pd)
     )
+    return [
+        ZoomLevel(
+            point_count=point_count,
+            x_coordinate=x_coordinate,
+            valid_dims=valid[p],
+            kappa_per_dim=kappa_pd[p],
+            kappa_combined=kappa_c[p],
+            inv_ltilde_per_dim=ltilde_pd[p],
+            inv_ltilde_combined=ltilde_c[p],
+            inv_l_per_dim=long_pd[p],
+            inv_l_combined=long_c[p],
+        )
+        for p in range(len(valid))
+    ]
 
 
 def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOutcome]:
@@ -177,8 +204,10 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
     Returns one outcome per pair (t - stride, t), in order.  Levels form
     the outer loop: each burst is aggregated and normalized once per level,
     the Borda changes of all pairs are stacked into one root solve and one
-    curvature evaluation, and the per-level threshold history is threaded
-    through the pairs in order, so a pair never sees a later burst.
+    curvature evaluation, and the thresholds and level statistics of all
+    pairs come from one batched call each.  The running threshold mean
+    advances pair by pair, so a pair never sees a later burst.  The
+    residual curvature of every pair is taken from the coarsest level.
     """
     counts = config.zoom_point_counts()
     for b in bursts:
@@ -191,12 +220,10 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
     pairs = [(t - stride, t) for t in range(stride, len(bursts))]
     if not pairs:
         return []
+    n_pairs, d = len(pairs), config.D
 
     levels: list[list[ZoomLevel]] = [[] for _ in pairs]
-    finest: list[FinestFrameData] = []
-    current_states: list[FrameLevelState] = []
-    fallback_vectors = [0] * len(pairs)
-    total_vectors = [0] * len(pairs)
+    fallback_vectors = np.zeros(n_pairs, dtype=np.int64)
     level_bursts = list(bursts)
 
     for li, n_l in enumerate(counts):
@@ -208,90 +235,76 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
             delta_borda(states[c].borda, states[p].borda) for p, c in pairs
         ])                                                  # (P, D, N_l)
         dh[~valid] = 0.0
-        dh_points = dh.transpose(1, 0, 2).reshape(config.D, -1)
+        dh_points = dh.transpose(1, 0, 2).reshape(d, -1)
         r_points = np.concatenate([states[c].borda.R for _, c in pairs], axis=1)
         roots_all = solve_roots(r_points, dh_points, config)
         kappa_all = curvature_tensor(dh_points, roots_all)  # (P * N_l, 2**D, D)
+        kappa = kappa_all.reshape(n_pairs, n_l, -1, d)
 
-        history: ThresholdHistory | None = None
-        for pi, (_, c) in enumerate(pairs):
-            roots = roots_all.slice_points(pi * n_l, (pi + 1) * n_l)
-            kappa = kappa_all[pi * n_l:(pi + 1) * n_l]
-            thresholds = update_thresholds(roots, history)
-            history = thresholds.history
-            defined = thresholds.defined & valid[pi][None, :]
-            levels[pi].append(
-                _summarize_level(
-                    kappa, thresholds, defined, valid[pi], n_l,
-                    float(config.aggregation_factor ** li),
+        thresholds = update_thresholds(roots_all, frames=n_pairs)
+        defined = thresholds.defined & valid[:, None, :]
+        for pi, level in enumerate(_summarize_level(
+            kappa, thresholds, defined, valid, n_l, float(config.aggregation_factor ** li)
+        )):
+            levels[pi].append(level)
+        fallback_vectors += np.count_nonzero(
+            roots_all.convergence.reshape(n_pairs, -1) == Convergence.FALLBACK, axis=1
+        )
+        if li == 0:
+            current_states = [states[c] for _, c in pairs]
+            kappa_median = np.median(kappa, axis=2)         # (P, N, D)
+            finest = [
+                FinestFrameData(
+                    dh=dh[pi],
+                    roots=roots_all.slice_points(pi * n_l, (pi + 1) * n_l),
+                    kappa_median=kappa_median[pi],
+                    kappa_short=thresholds.kappa_short[pi],
+                    kappa_long=thresholds.kappa_long[pi],
+                    defined=defined[pi],
                 )
-            )
-            fallback_vectors[pi] += int(np.sum(roots.convergence == 2))
-            total_vectors[pi] += roots.convergence.size
-            if li == 0:
-                current_states.append(states[c])
-                finest.append(
-                    FinestFrameData(
-                        dh=dh[pi],
-                        roots=roots,
-                        kappa_median=np.median(kappa, axis=1),
-                        kappa_short=thresholds.kappa_short,
-                        kappa_long=thresholds.kappa_long,
-                        defined=defined,
-                    )
-                )
+                for pi in range(n_pairs)
+            ]
 
-    # kappa_all and valid now belong to the coarsest level
+    # kappa and valid now belong to the coarsest level
+    rcs = residual_curvature(kappa, valid)
+    total_vectors = sum(counts) * 2 ** d
     return [
         ZoomOutcome(
             positions=pair,
-            profile=ZoomProfile(
-                levels=levels[pi],
-                coarsest_kappa=kappa_all[pi * counts[-1]:(pi + 1) * counts[-1]],
-                coarsest_valid=valid[pi],
-                finest_points=counts[0],
-            ),
+            profile=ZoomProfile(levels=levels[pi], finest_points=counts[0]),
             finest=finest[pi],
-            fallback_fraction=fallback_vectors[pi] / total_vectors[pi],
+            rc=rcs[pi],
+            fallback_fraction=fallback / total_vectors,
             current_state=current_states[pi],
         )
-        for pi, pair in enumerate(pairs)
+        for pi, (pair, fallback) in enumerate(zip(pairs, fallback_vectors.tolist()))
     ]
 
 
-@dataclass
-class ResidualCurvatureRecord:
-    """Curvature left at the coarsest level, per dimension and per root."""
+def residual_curvature(kappa: np.ndarray, valid: np.ndarray) -> list[ResidualCurvatureRecord]:
+    """Residual curvature of every frame pair from its coarsest zoom level.
 
-    rc: np.ndarray          # (D, 2**D), NaN rows for partial dimensions
-    rc_per_dim: np.ndarray  # (D,)
-    rc_combined: float
-    modulation: list        # BoxplotStats | None per dimension
-
-
-def residual_curvature(profile: ZoomProfile) -> ResidualCurvatureRecord:
-    """Residual curvature of a frame pair from its coarsest zoom level."""
-    from .report import boxplot_stats
-
-    if profile.levels[-1].point_count != 9:
+    kappa: (P, 9, 2**D, D) curvature of P pairs at the 9-point level;
+    valid: (P, D).  The medians and the boxplots of all pairs are taken in
+    one call each.
+    """
+    if kappa.shape[1] != 9:
         raise ContractViolation("zoom profile did not reach the 9-point level")
-    kappa = profile.coarsest_kappa     # (9, 2**D, D)
-    valid = profile.coarsest_valid
-    d = valid.size
-    rc = np.median(kappa, axis=0).T    # (D, 2**D)
-    rc[~valid, :] = np.nan
-    rc_per_dim = np.full(d, np.nan)
-    modulation: list = [None] * d
-    for dim in range(d):
-        if valid[dim]:
-            rc_per_dim[dim] = np.median(rc[dim])
-            modulation[dim] = boxplot_stats(rc[dim])
-    return ResidualCurvatureRecord(
-        rc=rc,
-        rc_per_dim=rc_per_dim,
-        rc_combined=_nanmedian(rc_per_dim),
-        modulation=modulation,
-    )
+    rc = np.ascontiguousarray(np.median(kappa, axis=1).transpose(0, 2, 1))  # (P, D, 2**D)
+    rc_per_dim = np.where(valid, np.median(rc, axis=-1), np.nan)
+    rc[~valid] = np.nan
+    rc_combined = _median_where(rc_per_dim, np.isfinite(rc_per_dim), axis=1).tolist()
+    clean = valid & np.isfinite(rc).all(axis=-1)
+    boxes = iter(boxplot_rows(rc[clean]))
+    records = []
+    for p in range(len(rc)):
+        modulation: list = [None] * valid.shape[1]
+        for dim in np.nonzero(valid[p])[0]:
+            modulation[dim] = next(boxes) if clean[p, dim] else boxplot_stats(rc[p, dim])
+        records.append(ResidualCurvatureRecord(
+            rc=rc[p], rc_per_dim=rc_per_dim[p], rc_combined=rc_combined[p], modulation=modulation,
+        ))
+    return records
 
 
 def line_polyline_intersections(
@@ -302,8 +315,8 @@ def line_polyline_intersections(
     Returns (t, y) pairs sorted by t descending (nearest the origin first).
     Parallel overlaps contribute no isolated intersection.
     """
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    ts = np.asarray(ts, dtype=float).tolist()
+    ys = np.asarray(ys, dtype=float).tolist()
     found: list[tuple[float, float]] = []
     for i in range(len(ts) - 1):
         t0, t1 = ts[i], ts[i + 1]
@@ -324,15 +337,6 @@ def line_polyline_intersections(
         if not deduped or abs(cand[0] - deduped[-1][0]) > 1e-12:
             deduped.append(cand)
     return deduped
-
-
-def _resolve_process_zone(candidates: list[tuple[float, float]]) -> tuple[float, float]:
-    """Walk from the nearest intersection to farther ones with lower curvature."""
-    current = candidates[0]
-    for cand in candidates[1:]:
-        if cand[1] < current[1]:
-            current = cand
-    return current
 
 
 def critical_chain_lengths(
@@ -356,22 +360,29 @@ def critical_chain_lengths(
     if len(usable) < 2:
         return sentinel, sentinel
 
-    t = np.log([lv.x_coordinate for lv in usable])
-    kappa = np.array([lv.kappa_combined for lv in usable])
+    t = np.log([lv.x_coordinate for lv in usable]).tolist()
     # mirror the curvature polyline about log x = 0
-    ts_mirror = -t[::-1]
-    ys_mirror = kappa[::-1]
+    ts_mirror = [-v for v in reversed(t)]
+    ys_mirror = [lv.kappa_combined for lv in reversed(usable)]
+    t_mean = sum(t) / len(t)
+    t_dev = [v - t_mean for v in t]
+    t_ss = sum(v * v for v in t_dev)
 
-    def _critical_for(values: np.ndarray) -> float:
-        slope, intercept = np.polyfit(t, values, 1)
+    def _critical_for(values: list[float]) -> float:
+        # closed-form least-squares line through (t, values)
+        v_mean = sum(values) / len(values)
+        slope = sum(a * (v - v_mean) for a, v in zip(t_dev, values)) / t_ss
+        intercept = v_mean - slope * t_mean
         candidates = line_polyline_intersections(ts_mirror, ys_mirror, intercept, slope)
         if not candidates:
             return sentinel
-        t_star, _ = _resolve_process_zone(candidates)
+        # from the nearest intersection, the process zone jumps to each
+        # farther one with lower curvature: the first of the lowest
+        t_star, _ = min(candidates, key=lambda cand: cand[1])
         return float(math.exp(t_star) * n)
 
-    long_critical = _critical_for(np.array([lv.inv_ltilde_combined for lv in usable]))
-    short_critical = _critical_for(np.array([lv.inv_l_combined for lv in usable]))
+    long_critical = _critical_for([lv.inv_ltilde_combined for lv in usable])
+    short_critical = _critical_for([lv.inv_l_combined for lv in usable])
     return short_critical, long_critical
 
 

@@ -3,19 +3,38 @@
 Each oracle recomputes a quantity along a deliberately different route
 from the package code (explicit loops, np.roots, parametric segment
 intersection, the damped iteration in place of the closed-form root, one
-unblocked dimension at a time in place of row blocks) so that agreement is
-meaningful evidence, not tautology.
+unblocked dimension at a time in place of row blocks, one frame pair at a
+time in place of the batched zoom-out tail) so that agreement is
+meaningful evidence, not tautology.  The scalar twins of the array kernels
+(one point, one root, one curvature value) live here too.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ddp.lengthscale import SENTINEL_THRESHOLD, Convergence, LengthScaleRoots
+from ddp.config import PipelineConfig
+from ddp.curvature import ThresholdHistory, ThresholdUpdate, curvature_tensor
+from ddp.errors import ContractViolation, GroupUnavailable
+from ddp.lengthscale import SENTINEL_THRESHOLD, Convergence, LengthScaleRoots, solve_roots
 from ddp.normalization import DEFAULT_EPSILON, NormalizedField
+from ddp.ranking import delta_borda
+from ddp.ingest import GROUP_LABELS
+from ddp.report import BoxplotStats, GroupSlice, GroupStats, dim_stats, percent_change
+from ddp.zoomout import (
+    FinestFrameData,
+    ResidualCurvatureRecord,
+    ZoomLevel,
+    ZoomOutcome,
+    ZoomProfile,
+    aggregate,
+    frame_level_state,
+    line_polyline_intersections,
+)
 
 _MAG_HIGH = 1e150
 _MAG_LOW = 1e-150
@@ -352,4 +371,306 @@ def refine_roots_oracle(r_matrix, dh_matrix, config) -> LengthScaleRoots:
         sentinel=sentinel,
         negative_ratio=negative,
         convergence=convergence,
+    )
+
+
+# ---------------------------------------------------------------------------
+# scalar twins: one point, one root, one curvature value
+
+
+def local_curvature(dh_value: float, x_value: float) -> float:
+    """kappa = |dH| / x**2 for a finite root, 0 for the +inf sentinel."""
+    if math.isinf(x_value):
+        return 0.0
+    return abs(dh_value) / (x_value * x_value)
+
+
+@dataclass(frozen=True)
+class DiagonalRoot:
+    magnitude: float  # +inf for the sentinel
+    negative_ratio: bool
+
+    @property
+    def sentinel(self) -> bool:
+        return math.isinf(self.magnitude)
+
+
+def diagonal_roots(r_value: float, dh_value: float) -> DiagonalRoot:
+    """Closed-form per-dimension root magnitude with singularity flags."""
+    if abs(dh_value) < SENTINEL_THRESHOLD:
+        return DiagonalRoot(magnitude=math.inf, negative_ratio=False)
+    ratio = r_value / dh_value
+    return DiagonalRoot(magnitude=math.sqrt(abs(ratio)), negative_ratio=ratio < 0.0)
+
+
+@dataclass
+class PointRoots:
+    """All 2**D root vectors of one observation point."""
+
+    vectors: np.ndarray        # (2**D, D); +inf on sentinel dimensions
+    sentinel: np.ndarray       # (D,) bool
+    negative_ratio: np.ndarray # (D,) bool
+    convergence: np.ndarray    # (2**D,) Convergence values
+
+
+def enumerate_roots(r_vector, dh_vector, config: PipelineConfig) -> PointRoots:
+    """All 2**D root vectors of a single observation point, through solve_roots."""
+    r_vector = np.atleast_1d(np.asarray(r_vector, dtype=float))
+    dh_vector = np.atleast_1d(np.asarray(dh_vector, dtype=float))
+    batch = solve_roots(r_vector[:, None], dh_vector[:, None], config)
+    return PointRoots(
+        vectors=batch.roots[0],
+        sentinel=batch.sentinel[0],
+        negative_ratio=batch.negative_ratio[0],
+        convergence=batch.convergence[0],
+    )
+
+
+# ---------------------------------------------------------------------------
+# the zoom-out tail one frame pair at a time: per-pair thresholds, a level
+# summary looping over dimensions, per-pair residual curvature and the
+# np.polyfit line fits of the critical chain lengths
+
+
+def update_thresholds_oracle(roots: LengthScaleRoots, history: ThresholdHistory | None):
+    """Thresholds of one frame pair; fields are (N, D) instead of (1, N, D)."""
+    n, d = roots.sentinel.shape
+    if history is None:
+        history = ThresholdHistory.empty(n, d)
+    if history.count.shape != (n, d):
+        raise ValueError("history shape does not match the frame")
+
+    magnitude = np.median(np.abs(roots.roots), axis=1)  # (N, D); inf on sentinels
+    defined = np.isfinite(magnitude)
+
+    count = history.count.copy()
+    mean = history.mean.copy()
+    count[defined] += 1
+    step = np.where(defined & (count > 0), (magnitude - mean), 0.0)
+    denom = np.where(count > 0, count, 1)
+    mean = np.where(defined, mean + step / denom, mean)
+
+    with np.errstate(divide="ignore"):
+        kappa_short = np.where(defined, 1.0 / magnitude, np.nan)
+        long_defined = count > 0
+        kappa_long = np.where(long_defined, 1.0 / np.where(long_defined, mean, 1.0), np.nan)
+    return ThresholdUpdate(
+        kappa_short=kappa_short,
+        kappa_long=kappa_long,
+        defined=defined & long_defined,
+        history=ThresholdHistory(count=count, mean=mean),
+    )
+
+
+def _nanmedian_oracle(values: np.ndarray) -> float:
+    finite = values[np.isfinite(values)]
+    return float(np.median(finite)) if finite.size else float("nan")
+
+
+def summarize_level_oracle(kappa, thresholds, defined, valid, point_count, x_coordinate):
+    """One pair's level statistics, one dimension at a time.  kappa: (N, 2**D, D)."""
+    d = valid.size
+    kappa_pd = np.full(d, np.nan)
+    ltilde_pd = np.full(d, np.nan)
+    long_pd = np.full(d, np.nan)
+    for dim in range(d):
+        if not valid[dim]:
+            continue
+        kappa_pd[dim] = np.median(kappa[:, :, dim])
+        mask = defined[:, dim]
+        if mask.any():
+            ltilde_pd[dim] = np.median(thresholds.kappa_short[mask, dim])
+            long_pd[dim] = np.median(thresholds.kappa_long[mask, dim])
+    return ZoomLevel(
+        point_count=point_count,
+        x_coordinate=x_coordinate,
+        valid_dims=valid,
+        kappa_per_dim=kappa_pd,
+        kappa_combined=_nanmedian_oracle(kappa_pd),
+        inv_ltilde_per_dim=ltilde_pd,
+        inv_ltilde_combined=_nanmedian_oracle(ltilde_pd),
+        inv_l_per_dim=long_pd,
+        inv_l_combined=_nanmedian_oracle(long_pd),
+    )
+
+
+def residual_curvature_oracle(kappa: np.ndarray, valid: np.ndarray) -> ResidualCurvatureRecord:
+    """One pair's residual curvature.  kappa: (9, 2**D, D); valid: (D,)."""
+    d = valid.size
+    rc = np.median(kappa, axis=0).T    # (D, 2**D)
+    rc[~valid, :] = np.nan
+    rc_per_dim = np.full(d, np.nan)
+    modulation: list = [None] * d
+    for dim in range(d):
+        if valid[dim]:
+            rc_per_dim[dim] = np.median(rc[dim])
+            modulation[dim] = boxplot_stats_oracle(rc[dim])
+    return ResidualCurvatureRecord(
+        rc=rc,
+        rc_per_dim=rc_per_dim,
+        rc_combined=_nanmedian_oracle(rc_per_dim),
+        modulation=modulation,
+    )
+
+
+def boxplot_stats_oracle(values):
+    """Box, whiskers and outliers of one value collection, on its own."""
+    v = np.asarray(values, dtype=float).ravel()
+    v = v[np.isfinite(v)]
+    if v.size == 0:
+        raise ValueError("boxplot_stats needs at least one finite value")
+    q25, q75 = np.percentile(v, [25.0, 75.0])
+    mu = float(np.mean(v))
+    sigma = float(np.std(v))
+    lo, hi = mu - 2.7 * sigma, mu + 2.7 * sigma
+    outliers = tuple(float(x) for x in np.sort(v[(v < lo) | (v > hi)]))
+    return BoxplotStats(
+        q25=float(q25), q75=float(q75), whisker_low=lo, whisker_high=hi, outliers=outliers,
+    )
+
+
+def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[ZoomOutcome]:
+    """zoom_profile with the tail run one frame pair at a time, history threaded in order."""
+    counts = config.zoom_point_counts()
+    for b in bursts:
+        if b.n_points != counts[0] or b.n_dims != config.D:
+            raise ContractViolation(f"burst {b.burst_index} has the wrong shape")
+    stride = config.stride_n
+    pairs = [(t - stride, t) for t in range(stride, len(bursts))]
+    if not pairs:
+        return []
+
+    levels = [[] for _ in pairs]
+    finest, current_states = [], []
+    fallback_vectors = [0] * len(pairs)
+    total_vectors = [0] * len(pairs)
+    level_bursts = list(bursts)
+    for li, n_l in enumerate(counts):
+        if li > 0:
+            level_bursts = [aggregate(b, config.aggregation_factor) for b in level_bursts]
+        states = [frame_level_state(b, config) for b in level_bursts]
+        valid = np.array([~(states[p].unfittable | states[c].unfittable) for p, c in pairs])
+        dh = np.stack([delta_borda(states[c].borda, states[p].borda) for p, c in pairs])
+        dh[~valid] = 0.0
+        dh_points = dh.transpose(1, 0, 2).reshape(config.D, -1)
+        r_points = np.concatenate([states[c].borda.R for _, c in pairs], axis=1)
+        roots_all = solve_roots(r_points, dh_points, config)
+        kappa_all = curvature_tensor(dh_points, roots_all)
+
+        history = None
+        for pi, (_, c) in enumerate(pairs):
+            roots = roots_all.slice_points(pi * n_l, (pi + 1) * n_l)
+            kappa = kappa_all[pi * n_l:(pi + 1) * n_l]
+            thresholds = update_thresholds_oracle(roots, history)
+            history = thresholds.history
+            defined = thresholds.defined & valid[pi][None, :]
+            levels[pi].append(summarize_level_oracle(
+                kappa, thresholds, defined, valid[pi], n_l, float(config.aggregation_factor ** li)
+            ))
+            fallback_vectors[pi] += int(np.sum(roots.convergence == 2))
+            total_vectors[pi] += roots.convergence.size
+            if li == 0:
+                current_states.append(states[c])
+                finest.append(FinestFrameData(
+                    dh=dh[pi],
+                    roots=roots,
+                    kappa_median=np.median(kappa, axis=1),
+                    kappa_short=thresholds.kappa_short,
+                    kappa_long=thresholds.kappa_long,
+                    defined=defined,
+                ))
+
+    return [
+        ZoomOutcome(
+            positions=pair,
+            profile=ZoomProfile(levels=levels[pi], finest_points=counts[0]),
+            finest=finest[pi],
+            rc=residual_curvature_oracle(kappa_all[pi * 9:(pi + 1) * 9], valid[pi]),
+            fallback_fraction=fallback_vectors[pi] / total_vectors[pi],
+            current_state=current_states[pi],
+        )
+        for pi, pair in enumerate(pairs)
+    ]
+
+
+def critical_chain_lengths_oracle(profile: ZoomProfile, config: PipelineConfig):
+    """(short, long) critical chain lengths with np.polyfit line fits."""
+    n = profile.finest_points
+    sentinel = float(n + 1)
+    usable = [
+        lv for lv in profile.levels
+        if math.isfinite(lv.kappa_combined)
+        and math.isfinite(lv.inv_ltilde_combined)
+        and math.isfinite(lv.inv_l_combined)
+    ]
+    if len(usable) < 2:
+        return sentinel, sentinel
+    t = np.log([lv.x_coordinate for lv in usable])
+    kappa = np.array([lv.kappa_combined for lv in usable])
+    ts_mirror = -t[::-1]
+    ys_mirror = kappa[::-1]
+
+    def _critical_for(values):
+        slope, intercept = np.polyfit(t, values, 1)
+        candidates = line_polyline_intersections(ts_mirror, ys_mirror, intercept, slope)
+        if not candidates:
+            return sentinel
+        current = candidates[0]
+        for cand in candidates[1:]:
+            if cand[1] < current[1]:
+                current = cand
+        return float(math.exp(current[0]) * n)
+
+    long_critical = _critical_for(np.array([lv.inv_ltilde_combined for lv in usable]))
+    short_critical = _critical_for(np.array([lv.inv_l_combined for lv in usable]))
+    return short_critical, long_critical
+
+
+def group_stats_oracle(reports, config: PipelineConfig, threshold: float | None = None) -> GroupStats:
+    """group_stats by concatenating every group's pools, without streaming."""
+    pools: dict[str, list[list[np.ndarray]]] = {}
+    subject_counts: dict[str, int] = {}
+    for rep in reports:
+        per_dim = [np.asarray(v, dtype=float) for v in rep.rc_values_per_dim]
+        slot = pools.setdefault(rep.group_label, [[] for _ in range(config.D)])
+        for d in range(config.D):
+            vals = per_dim[d] if d < len(per_dim) else np.empty(0)
+            slot[d].append(vals[np.isfinite(vals)])
+        subject_counts[rep.group_label] = subject_counts.get(rep.group_label, 0) + 1
+    merged = {label: [np.concatenate(cols) for cols in slot] for label, slot in pools.items()}
+    everything = np.concatenate([col for slot in merged.values() for col in slot])
+    if everything.size == 0:
+        raise GroupUnavailable("no residual-curvature values in any group")
+    if threshold is None:
+        threshold = config.rc_threshold_multiplier * float(np.median(everything))
+    groups, unavailable = {}, []
+    for label in GROUP_LABELS:
+        if label not in merged:
+            continue
+        pooled = np.concatenate(merged[label])
+        if pooled.size == 0:
+            unavailable.append(label)
+            continue
+        groups[label] = GroupSlice(
+            per_dim=[dim_stats(c, threshold, config.bin_edges) if c.size else None
+                     for c in merged[label]],
+            combined=dim_stats(pooled, threshold, config.bin_edges),
+            n_subjects=subject_counts[label],
+        )
+    pc_per_dim, pc_combined = None, None
+    if "control" in groups and "post_aclr" in groups:
+        ctrl, post = groups["control"], groups["post_aclr"]
+        pc_per_dim = [
+            None if c is None or p is None or c.median == 0.0 else percent_change(c.median, p.median)
+            for c, p in zip(ctrl.per_dim, post.per_dim)
+        ]
+        if ctrl.combined.median != 0.0:
+            pc_combined = percent_change(ctrl.combined.median, post.combined.median)
+    return GroupStats(
+        threshold=float(threshold),
+        bin_edges=tuple(config.bin_edges),
+        groups=groups,
+        unavailable=unavailable,
+        percent_change_per_dim=pc_per_dim,
+        percent_change_combined=pc_combined,
     )

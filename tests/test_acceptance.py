@@ -19,9 +19,7 @@ from ddp import (
     PipelineConfig,
     analyze_dataset,
     build_field,
-    diagonal_roots,
     detect_chains,
-    enumerate_roots,
     gti,
     objective_ranks,
     pair_margins,
@@ -38,6 +36,8 @@ from oracles import (
     borda_oracle,
     chains_oracle,
     diagonal_root_oracle,
+    diagonal_roots,
+    enumerate_roots,
     rank_oracle,
     segment_line_intersections_oracle,
 )

@@ -6,15 +6,16 @@ import pytest
 
 from ddp import (
     Chain,
+    ContractViolation,
+    ThresholdHistory,
     detect_chains,
     escalate_chain_categories,
-    local_curvature,
     update_thresholds,
 )
 from ddp.curvature import classify_frame, curvature_tensor
 from ddp.lengthscale import LengthScaleRoots
 
-from oracles import chains_oracle
+from oracles import chains_oracle, local_curvature, update_thresholds_oracle
 
 
 @dataclass
@@ -94,6 +95,7 @@ def test_curvature_tensor_zero_on_sentinel():
 
 def test_thresholds_first_frame_coincide():
     upd = update_thresholds(_uniform_roots(3, 2, 2.0), None)
+    assert upd.kappa_short.shape == (1, 3, 2)
     np.testing.assert_allclose(upd.kappa_short, 0.5)
     np.testing.assert_allclose(upd.kappa_long, 0.5)
     assert np.all(upd.defined)
@@ -102,8 +104,14 @@ def test_thresholds_first_frame_coincide():
 def test_thresholds_running_mean():
     upd1 = update_thresholds(_uniform_roots(1, 1, 2.0), None)
     upd2 = update_thresholds(_uniform_roots(1, 1, 4.0), upd1.history)
-    assert upd2.kappa_short[0, 0] == pytest.approx(0.25)
-    assert upd2.kappa_long[0, 0] == pytest.approx(1.0 / 3.0)
+    assert upd2.kappa_short[0, 0, 0] == pytest.approx(0.25)
+    assert upd2.kappa_long[0, 0, 0] == pytest.approx(1.0 / 3.0)
+    # the same two frames in one call: the history advances between them
+    both = _uniform_roots(2, 1, 2.0)
+    both.roots[1] *= 2.0
+    batched = update_thresholds(both, None, frames=2)
+    assert batched.kappa_short[:, 0, 0].tolist() == [0.5, 0.25]
+    assert batched.kappa_long[:, 0, 0].tolist() == [0.5, upd2.kappa_long[0, 0, 0]]
 
 
 def test_thresholds_history_is_functional():
@@ -120,7 +128,7 @@ def test_thresholds_long_lags_short():
         upd = update_thresholds(_uniform_roots(1, 1, mag), hist)
         hist = upd.history
     # increasing magnitudes: the running mean trails the newest value
-    assert upd.kappa_long[0, 0] > upd.kappa_short[0, 0]
+    assert upd.kappa_long[0, 0, 0] > upd.kappa_short[0, 0, 0]
 
 
 def test_thresholds_undefined_on_sentinel():
@@ -128,9 +136,45 @@ def test_thresholds_undefined_on_sentinel():
     roots.sentinel[0, 1] = True
     roots.roots[0, :, 1] = np.inf
     upd = update_thresholds(roots, None)
-    assert upd.defined[0, 0] and not upd.defined[0, 1]
-    assert np.isnan(upd.kappa_short[0, 1])
+    assert upd.defined[0, 0, 0] and not upd.defined[0, 0, 1]
+    assert np.isnan(upd.kappa_short[0, 0, 1])
     assert upd.history.count[0, 1] == 0  # sentinel frames do not advance history
+
+
+def test_thresholds_batched_frames_match_per_pair_oracle():
+    # frames of one call must equal the per-pair update threaded in order,
+    # bit for bit, including sentinel entries that skip the history
+    rng = np.random.default_rng(11)
+    for d, n, frames in ((1, 9, 3), (3, 27, 5), (4, 9, 9)):
+        roots = _uniform_roots(n * frames, d, 1.0)
+        roots.roots *= rng.uniform(0.01, 100.0, (n * frames, 1, d)) ** rng.integers(1, 3)
+        sentinel = rng.uniform(size=(n * frames, d)) < 0.3
+        roots.sentinel[:] = sentinel
+        roots.roots[np.broadcast_to(sentinel[:, None, :], roots.roots.shape)] = np.inf
+        start = ThresholdHistory(
+            count=rng.integers(0, 3, (n, d)), mean=rng.uniform(0.1, 2.0, (n, d))
+        )
+        before = start.mean.copy()
+        got = update_thresholds(roots, start, frames=frames)
+        assert start.mean.tobytes() == before.tobytes()  # the history is not mutated
+        history = start
+        for k in range(frames):
+            want = update_thresholds_oracle(roots.slice_points(k * n, (k + 1) * n), history)
+            history = want.history
+            for name in ("kappa_short", "kappa_long", "defined"):
+                assert getattr(got, name)[k].tobytes() == getattr(want, name).tobytes(), name
+        assert got.history.count.tobytes() == history.count.tobytes()
+        assert got.history.mean.tobytes() == history.mean.tobytes()
+
+
+def test_thresholds_history_shape_mismatch_is_contract_violation():
+    upd = update_thresholds(_uniform_roots(3, 2, 2.0), None)
+    with pytest.raises(ContractViolation, match="history shape"):
+        update_thresholds(_uniform_roots(4, 2, 2.0), upd.history)
+    with pytest.raises(ContractViolation, match="do not split"):
+        update_thresholds(_uniform_roots(7, 2, 2.0), None, frames=2)
+    with pytest.raises(ContractViolation, match="do not split"):
+        update_thresholds(_uniform_roots(7, 2, 2.0), None, frames=0)
 
 
 def test_classify_full_stability():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ddp import Convergence, PipelineConfig, diagonal_roots, enumerate_roots, solve_roots
+from ddp import Convergence, ContractViolation, PipelineConfig, solve_roots
 
-from oracles import diagonal_root_oracle, refine_roots_oracle
+from oracles import diagonal_root_oracle, diagonal_roots, enumerate_roots, refine_roots_oracle
 
 CFG = PipelineConfig()
 
@@ -199,3 +199,8 @@ def test_fallback_restores_diagonal():
     if fallback.any():
         mags = np.abs(point.vectors[fallback, 0])
         np.testing.assert_allclose(mags, 2.0, rtol=1e-12)
+
+
+def test_solve_roots_shape_mismatch_is_contract_violation():
+    with pytest.raises(ContractViolation, match="share a shape"):
+        solve_roots(np.ones((4, 9)), np.ones((4, 8)), CFG)

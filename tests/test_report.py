@@ -17,9 +17,9 @@ from ddp import (
     percent_change,
     synthesize,
 )
-from ddp.report import SubjectPool, dim_stats, report_json, roots_table_csv
+from ddp.report import SubjectPool, boxplot_rows, dim_stats, report_json, roots_table_csv
 
-from oracles import quantile_oracle
+from oracles import boxplot_stats_oracle, group_stats_oracle, quantile_oracle
 
 CFG = PipelineConfig()
 
@@ -54,6 +54,27 @@ def test_boxplot_whisker_width_and_outliers(values):
     outside = sorted(v[(v < b.whisker_low) | (v > b.whisker_high)])
     assert list(b.outliers) == [pytest.approx(x) for x in outside]
     assert b.q25 <= b.q75
+
+
+def _same_boxplot(got, want):
+    fields = ("q25", "q75", "whisker_low", "whisker_high")
+    assert [np.float64(getattr(got, f)).tobytes() for f in fields] == [
+        np.float64(getattr(want, f)).tobytes() for f in fields
+    ]
+    assert np.array(got.outliers).tobytes() == np.array(want.outliers).tobytes()
+
+
+def test_boxplot_rows_match_per_row_oracle():
+    # one pass over many rows gives each row's own statistics, bit for bit
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 8, 16, 17, 32, 129, 1000):
+        rows = rng.lognormal(0.0, 2.0, (20, m))
+        rows[::4, 0] *= 1e6  # far outliers in some rows
+        rows[1] = rows[1, 0]  # a constant row
+        for got, row in zip(boxplot_rows(rows), rows):
+            _same_boxplot(got, boxplot_stats_oracle(row))
+        ragged = np.concatenate([rows[0], [np.nan, np.inf]])
+        _same_boxplot(boxplot_stats(ragged), boxplot_stats_oracle(ragged))
 
 
 def test_dim_stats_worked_example():
@@ -132,6 +153,31 @@ def test_group_stats_leaves_inputs_unchanged():
         for v, w in zip(p.rc_values_per_dim, b):
             np.testing.assert_array_equal(v, w)
     np.testing.assert_array_equal(finite, values[1])
+
+
+def test_group_stats_matches_concatenated_reference():
+    # streaming through one buffer at a time gives the statistics of the
+    # concatenated pools, with NaN, empty and missing dimensions and an
+    # unknown label that only feeds the threshold
+    rng = np.random.default_rng(9)
+    cfg = PipelineConfig(D=3)
+    for trial in range(30):
+        pools = []
+        for s_ in range(int(rng.integers(1, 8))):
+            label = ("control", "post_aclr", "unlabeled", "other")[int(rng.integers(4))]
+            dims = int(rng.integers(1, 4))
+            values = [rng.lognormal(-1.0, 1.5, int(rng.integers(0, 40))) for _ in range(dims)]
+            for v in values:
+                v[rng.uniform(size=v.size) < 0.1] = np.nan
+            pools.append(SubjectPool(f"S{s_}", label, values))
+        for threshold in (None, 0.5):
+            try:
+                want = group_stats_oracle(pools, cfg, threshold)
+            except GroupUnavailable:  # nothing to pool at all
+                with pytest.raises(GroupUnavailable):
+                    group_stats(pools, cfg, threshold)
+                continue
+            assert group_stats(pools, cfg, threshold) == want
 
 
 def test_group_stats_nothing_to_pool():

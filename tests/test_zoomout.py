@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddp import (
     ContractViolation,
     DataBurst,
+    DdpError,
     PipelineConfig,
     aggregate,
     critical_chain_lengths,
+    detect_chains,
+    escalate_chain_categories,
     gti,
     synthesize,
     zoom_profile,
 )
+from ddp.curvature import classify_frame
 from ddp.ingest import prescale_burst
 from ddp.zoomout import (
     ResidualCurvatureRecord,
@@ -22,7 +28,13 @@ from ddp.zoomout import (
     residual_curvature,
 )
 
-from oracles import segment_line_intersections_oracle
+from oracles import (
+    critical_chain_lengths_oracle,
+    segment_line_intersections_oracle,
+    zoom_profile_oracle,
+)
+from test_golden import _same_bits
+from test_properties import VALUE_KINDS
 
 CFG = PipelineConfig()
 
@@ -92,7 +104,7 @@ def test_zoom_rejects_shape_mismatch():
 def test_residual_curvature_constant_is_zero():
     values = np.full((81, 4), 2.0)
     out = zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], CFG)[0]
-    rc = residual_curvature(out.profile)
+    rc = out.rc
     assert np.all(rc.rc == 0.0)
     assert rc.rc_combined == 0.0
     assert np.all(rc.rc_per_dim == 0.0)
@@ -104,11 +116,87 @@ def test_residual_curvature_shape_and_sign():
     b0, _ = prescale_burst(ds.bursts[0])
     b1, _ = prescale_burst(ds.bursts[1])
     out = zoom_profile([b0, b1], cfg)[0]
-    rc = residual_curvature(out.profile)
+    rc = out.rc
     assert rc.rc.shape == (4, 16)
     assert np.all(rc.rc >= 0.0)
     assert rc.rc_combined >= 0.0
     assert all(rc.modulation[d] is not None for d in range(4))
+
+
+def test_residual_curvature_requires_nine_points():
+    with pytest.raises(ContractViolation, match="9-point"):
+        residual_curvature(np.zeros((2, 27, 2, 1)), np.ones((2, 1), dtype=bool))
+
+
+def _descending_column(rng, n, d):
+    # every pair of a strictly descending column with steps >= 1 lacks an
+    # admissible pair constant, so unprescaled, the dimension is unfittable
+    values = rng.normal(0.0, 1.0, (n, d))
+    values[:, rng.integers(d)] = -np.arange(n) * rng.uniform(1.0, 3.0)
+    return values
+
+
+TAIL_KINDS = {**VALUE_KINDS, "descending_column": _descending_column}
+
+
+@given(
+    d=st.integers(1, 5),
+    n=st.sampled_from([9, 27, 81]),
+    kinds=st.lists(st.sampled_from(sorted(TAIL_KINDS)), min_size=2, max_size=5),
+    stride=st.integers(1, 2),
+    prescale=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_tail_matches_per_pair_oracle(d, n, kinds, stride, prescale, seed):
+    """The batched zoom-out tail equals the per-pair tail it replaced.
+
+    Level statistics, thresholds, RC records and boxplots are compared bit
+    for bit; critical lengths, whose line fit changed from np.polyfit to the
+    closed form, at rtol 1e-8 with identical sentinel decisions; categories,
+    chains and GTI decisions exactly.  Unprescaled descending columns reach
+    the unfittable-dimension masks.
+    """
+    cfg = PipelineConfig(D=d, N=n, stride_n=stride)
+    rng = np.random.default_rng(seed)
+    bursts = [
+        DataBurst(values=np.array(TAIL_KINDS[kind](rng, n, d)), burst_index=b, subject_id="T")
+        for b, kind in enumerate(kinds)
+    ]
+    if prescale:
+        bursts = [prescale_burst(b)[0] for b in bursts]
+    with np.errstate(all="ignore"):
+        try:
+            want = zoom_profile_oracle(bursts, cfg)
+        except DdpError as exc:
+            with pytest.raises(type(exc)):
+                zoom_profile(bursts, cfg)
+            return
+        got = zoom_profile(bursts, cfg)
+    assert len(got) == len(want)
+    sentinel = float(n + 1)
+    rc_got, rc_want = [], []
+    for k, (g, w) in enumerate(zip(got, want)):
+        _same_bits(g, w, f"pair {k}")
+        crit_g = critical_chain_lengths(g.profile, cfg)
+        crit_w = critical_chain_lengths_oracle(w.profile, cfg)
+        for cg, cw in zip(crit_g, crit_w):
+            assert (cg == sentinel) == (cw == sentinel)
+            assert math.isclose(cg, cw, rel_tol=1e-8, abs_tol=0.0), (cg, cw)
+        fin = g.finest
+        cls = classify_frame(fin.kappa_median, fin.kappa_short, fin.kappa_long, fin.defined, fin.dh.T)
+        chains = detect_chains(cls.categories, cls.jointly_unstable)
+        assert np.array_equal(
+            escalate_chain_categories(cls.categories, chains, *crit_g),
+            escalate_chain_categories(cls.categories, chains, *crit_w),
+        )
+        rc_got.append(g.rc)
+        rc_want.append(w.rc)
+        gti_g = gti(rc_got, chains, crit_g, cfg.drop_threshold)
+        gti_w = gti(rc_want, chains, crit_w, cfg.drop_threshold)
+        assert (gti_g.chain_max_length, gti_g.energy_drop_fraction, gti_g.triggered, gti_g.imminent) == (
+            gti_w.chain_max_length, gti_w.energy_drop_fraction, gti_w.triggered, gti_w.imminent
+        )
 
 
 def _profile(kappas, ltildes, ls, n=81):
@@ -127,12 +215,7 @@ def _profile(kappas, ltildes, ls, n=81):
                 inv_l_combined=ll,
             )
         )
-    return ZoomProfile(
-        levels=levels,
-        coarsest_kappa=np.zeros((9, 2, 1)),
-        coarsest_valid=np.array([True]),
-        finest_points=n,
-    )
+    return ZoomProfile(levels=levels, finest_points=n)
 
 
 def test_critical_lengths_no_intersection_sentinel():
