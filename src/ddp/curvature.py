@@ -5,10 +5,10 @@ change of a point over the squared length scale associated with it.  A
 sentinel (unbounded) length scale means no exchange, kappa = 0.
 
 Two thresholds gate each point and dimension.  The short-term threshold is
-the inverse of the current frame pair's root magnitude (median across the
-2**D roots); the long-term threshold is the inverse of the running mean of
-those magnitudes over all frame pairs seen so far.  On the first analyzed
-pair the two coincide.
+the inverse of the current frame pair's root magnitude (median of |x|
+across the root branches); the long-term threshold is the inverse of the
+running mean of those magnitudes over all frame pairs seen so far.  On the
+first analyzed pair the two coincide.
 
 Point categories:
 
@@ -42,11 +42,31 @@ CHAIN_LONG_CATEGORY = 9
 UNSTABLE_MIN_CATEGORY = 5
 
 
-def curvature_tensor(dh_matrix, roots: LengthScaleRoots) -> np.ndarray:
-    """kappa per (point, root, dimension) for a whole frame pair.
+def median(values: np.ndarray, axis: int, mask: np.ndarray | None = None) -> np.ndarray:
+    """np.median along `axis`, bit for bit, by sorting each lane and picking its middle.
 
-    dh_matrix: (D, N).  Returns (N, 2**D, D) with exact zeros on sentinel
-    dimensions and wherever dH is exactly zero.
+    A median is one order statistic or the mean of the two middle ones.  A
+    lane holding a NaN gives NaN, as in np.median (sorting puts NaN last).
+    With a `mask`, only the entries under it count: the others sort to the
+    end as NaN, and a lane with no entry under the mask gives NaN.
+    """
+    lanes = np.moveaxis(values if mask is None else np.where(mask, values, np.nan), axis, -1)
+    shape, n = lanes.shape[:-1], lanes.shape[-1]
+    ordered = np.sort(lanes.reshape(-1, n), axis=1)   # one lane per row
+    count = np.full(len(ordered), n)
+    if mask is not None:
+        count = np.count_nonzero(mask, axis=axis).ravel()
+    rows, last = np.arange(len(ordered)), np.maximum(count - 1, 0)
+    lo, hi = ordered[rows, last // 2], ordered[rows, count // 2]
+    mid = np.where(count % 2 == 1, lo, (lo + hi) / 2)
+    return np.where(np.isnan(ordered[rows, last]), np.nan, mid).reshape(shape)
+
+
+def curvature_tensor(dh_matrix, roots: LengthScaleRoots) -> np.ndarray:
+    """kappa per (point, stored root branch, dimension) for a whole frame pair.
+
+    dh_matrix: (D, N).  Returns (N, 2**(D-1), D), which is also each
+    anti-branch's kappa, with exact zeros on sentinels and where dH is zero.
     """
     dh_pts = np.abs(np.asarray(dh_matrix, dtype=float).T)  # (N, D)
     x2 = np.square(roots.roots)
@@ -90,11 +110,11 @@ def update_thresholds(
 
     `roots` holds `frames` frame pairs of equal length, point-major and in
     time order.  The per-point magnitude statistic is the median of |x|
-    across the 2**D roots, taken for all pairs in one call; the running
-    mean then advances pair by pair, so a pair's long-term threshold sees
-    only the pairs up to and including it.  Sentinel dimensions contribute
-    nothing: thresholds stay undefined there and the history entry is not
-    advanced.
+    across the stored branches (equal to that across all 2**D), taken for
+    all pairs in one call; the running mean then advances pair by pair, so
+    a pair's long-term threshold sees only the pairs up to and including
+    it.  Sentinel dimensions contribute nothing: thresholds stay undefined
+    there and the history entry is not advanced.
     """
     total, d = roots.sentinel.shape
     if frames < 1 or total % frames:
@@ -105,7 +125,7 @@ def update_thresholds(
     if history.count.shape != (n, d):
         raise ContractViolation("history shape does not match the frame")
 
-    magnitude = np.median(np.abs(roots.roots), axis=1).reshape(frames, n, d)  # inf on sentinels
+    magnitude = median(np.abs(roots.roots), axis=1).reshape(frames, n, d)  # inf on sentinels
     defined = np.isfinite(magnitude)
 
     count = history.count.copy()

@@ -1,7 +1,15 @@
 """Dimensionless length-scale roots of the symmetrized conservation balance.
 
-Each observation point gets 2**D root vectors, one per sign pattern over
-the D dimensions.  The guaranteed base is the diagonal closed form
+Each observation point has 2**D root vectors, one per sign pattern over
+the D dimensions: index i has sigma_d = +1 where bit d of i is 0.  The
+balance is quadratic, so roots come in +/- pairs: the anti-branch
+i ^ (2**D - 1) of branch i holds exactly its negation.  LengthScaleRoots
+therefore stores only the 2**(D-1) branches with sigma_0 = +1, in index
+order, and `expand()` rebuilds the signed (N, 2**D, D) array.  This module
+alone knows that layout (`branch_layout`); curvature, thresholds and RC
+medians read only |x| and work on the stored half.
+
+The guaranteed base is the diagonal closed form
 
     |x_d| = sqrt(|R_d / dH_d|)
 
@@ -26,16 +34,14 @@ that is, with L = sum_k log|c_k|,
 
     log|x_d| = ((f - 1) * log|c_d| - L / 2) / (f - 2).
 
-Every sign branch therefore carries the same vector up to a global sign:
-the 2**(D-1) branches with a positive first dimension hold x* and their
-negations hold -x*, which keeps the root set closed under a global sign
-flip (the balance is quadratic, so roots come in +/- pairs).  A point
-whose x* leaves [1e-150, 1e150] in magnitude, or is not finite, falls
-back to the signed diagonal closed form and is labeled as such.
+Every stored branch of such a point therefore holds x* and every
+anti-branch -x*.  A point whose x* leaves [1e-150, 1e150] in magnitude,
+or is not finite, falls back to the signed diagonal closed form and is
+labeled as such.
 
 With f <= 2 the log-space system is singular (f = 2) or the fixed point
 z|z| = c is reached through rounding (f = 1), so those points keep the
-damped iteration x <- x/2 + c/(2 g), run per sign branch up to
+damped iteration x <- x/2 + c/(2 g), run per stored branch up to
 refinement_max_iter steps until the relative step is below refinement_tol.
 """
 
@@ -62,11 +68,25 @@ class Convergence(enum.IntEnum):
     FALLBACK = 2     # x* out of range or iteration diverged; diagonal root restored
 
 
+def branch_layout(d: int):
+    """The stored half of the 2**D sign branches and where each branch lives in it.
+
+    Returns sigma (2**(D-1), D), the sign patterns of the stored branches
+    (sigma_0 = +1, in index order), and for each of the 2**D indices the
+    stored branch it reads, (2**D,), and the sign to apply to it, (2**D,):
+    +1 for a stored branch, -1 for the anti-branch i ^ (2**D - 1).
+    """
+    idx = np.arange(2 ** d)
+    flip = idx & 1
+    sigma = 1.0 - 2.0 * ((idx[::2, None] >> np.arange(d)[None, :]) & 1)
+    return sigma, (idx ^ flip * (2 ** d - 1)) >> 1, 1.0 - 2.0 * flip
+
+
 @dataclass
 class LengthScaleRoots:
-    """Root vectors for a whole frame pair, point-major."""
+    """Root vectors for a whole frame pair, point-major: the stored half, all 2**D labels."""
 
-    roots: np.ndarray          # (N, 2**D, D)
+    roots: np.ndarray          # (N, 2**(D-1), D), +inf on sentinel dimensions
     sentinel: np.ndarray       # (N, D) bool
     negative_ratio: np.ndarray # (N, D) bool
     convergence: np.ndarray    # (N, 2**D) uint8
@@ -75,10 +95,6 @@ class LengthScaleRoots:
     def n_points(self) -> int:
         return self.roots.shape[0]
 
-    @property
-    def n_dims(self) -> int:
-        return self.roots.shape[2]
-
     def slice_points(self, start: int, stop: int) -> "LengthScaleRoots":
         return LengthScaleRoots(
             roots=self.roots[start:stop],
@@ -86,6 +102,12 @@ class LengthScaleRoots:
             negative_ratio=self.negative_ratio[start:stop],
             convergence=self.convergence[start:stop],
         )
+
+    def expand(self) -> np.ndarray:
+        """All 2**D signed root vectors, (N, 2**D, D), +inf on sentinel dimensions."""
+        _, branch, sign = branch_layout(self.sentinel.shape[1])
+        signed = self.roots.take(branch, axis=1) * sign[None, :, None]
+        return np.where(self.sentinel[:, None, :], np.inf, signed)
 
 
 def _coupled_root(c_signed, finite):
@@ -142,15 +164,8 @@ def _refine_branches(c_signed, z0, finite, max_iter, tol):
     return z, converged
 
 
-def _sign_table(d: int):
-    """Sign patterns per root index: sigma_d = +1 when bit d of the index is 0."""
-    idx = np.arange(2 ** d)
-    bits = (idx[:, None] >> np.arange(d)[None, :]) & 1
-    return idx, 1.0 - 2.0 * bits
-
-
 def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots:
-    """Enumerate and couple the 2**D root vectors of every point in a frame.
+    """Enumerate and couple the root vectors of every point in a frame.
 
     r_matrix, dh_matrix: (D, N) rank and Borda-change matrices.
     """
@@ -158,8 +173,7 @@ def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots
     dh_pts = np.asarray(dh_matrix, dtype=float).T
     if r_pts.shape != dh_pts.shape:
         raise ContractViolation("rank and Borda-change matrices must share a shape")
-    n, d = r_pts.shape
-    nroots = 2 ** d
+    d = r_pts.shape[1]
 
     sentinel = np.abs(dh_pts) < SENTINEL_THRESHOLD
     safe_dh = np.where(sentinel, 1.0, dh_pts)
@@ -168,14 +182,9 @@ def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots
     negative = ~sentinel & (ratio < 0.0)
     finite = ~sentinel
 
-    idx, sigma_all = _sign_table(d)
-    rep_idx = idx[(idx & 1) == 0]           # branches with sigma_0 = +1
-    anti_idx = rep_idx ^ (nroots - 1)
-    sigma_rep = sigma_all[rep_idx]
-    n_rep = rep_idx.size
-
-    roots = sigma_all[None, :, :] * magnitude[:, None, :]
-    convergence = np.full((n, nroots), int(Convergence.CLOSED_FORM), dtype=np.uint8)
+    sigma, branch, _ = branch_layout(d)
+    roots = sigma[None, :, :] * magnitude[:, None, :]            # (N, 2**(D-1), D)
+    labels = np.full(roots.shape[:2], int(Convergence.CLOSED_FORM), dtype=np.uint8)
 
     dh_sum = (4.0 / d) * dh_pts.sum(axis=1)
     refinable = (np.abs(dh_sum) >= SENTINEL_THRESHOLD) & finite.any(axis=1)
@@ -185,37 +194,21 @@ def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots
 
     if closed.any():
         x, ok = _coupled_root(coeff[closed], finite[pts[closed]])
-        good = pts[closed][ok]
-        # representative branches (sigma_0 = +1) hold x*, their negations -x*
-        roots[good] = sigma_all[None, :, :1] * x[ok][:, None, :]
-        convergence[good] = Convergence.REFINED
-        convergence[pts[closed][~ok]] = Convergence.FALLBACK
+        roots[pts[closed][ok]] = x[ok][:, None, :]
+        labels[pts[closed]] = np.where(ok, Convergence.REFINED, Convergence.FALLBACK)[:, None]
 
     pts, coeff = pts[~closed], coeff[~closed]
     if pts.size:
-        n_p = pts.size
-        z0 = (sigma_rep[None, :, :] * magnitude[pts][:, None, :]).reshape(n_p * n_rep, d)
-        fin = np.broadcast_to(
-            finite[pts][:, None, :], (n_p, n_rep, d)
-        ).reshape(n_p * n_rep, d)
-        c_rows = np.broadcast_to(
-            coeff[:, None, :], (n_p, n_rep, d)
-        ).reshape(n_p * n_rep, d)
+        z0 = roots[pts]                                           # (P, 2**(D-1), D)
         z, conv = _refine_branches(
-            c_rows, z0, fin, config.refinement_max_iter, config.refinement_tol
+            np.broadcast_to(coeff[:, None, :], z0.shape).reshape(-1, d),
+            z0.reshape(-1, d),
+            np.broadcast_to(finite[pts][:, None, :], z0.shape).reshape(-1, d),
+            config.refinement_max_iter, config.refinement_tol,
         )
-        z = z.reshape(n_p, n_rep, d)
-        conv = conv.reshape(n_p, n_rep)
-        for b in range(n_rep):
-            ri, ai = int(rep_idx[b]), int(anti_idx[b])
-            good = pts[conv[:, b]]
-            roots[good, ri] = z[conv[:, b], b]
-            roots[good, ai] = -z[conv[:, b], b]
-            convergence[good, ri] = Convergence.REFINED
-            convergence[good, ai] = Convergence.REFINED
-            failed = pts[~conv[:, b]]
-            convergence[failed, ri] = Convergence.FALLBACK
-            convergence[failed, ai] = Convergence.FALLBACK
+        conv = conv.reshape(z0.shape[:2])
+        roots[pts] = np.where(conv[:, :, None], z.reshape(z0.shape), z0)
+        labels[pts] = np.where(conv, Convergence.REFINED, Convergence.FALLBACK)
 
     # sentinel dimensions carry a sign-free +inf in every vector
     roots = np.where(sentinel[:, None, :], np.inf, roots)
@@ -223,6 +216,5 @@ def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots
         roots=roots,
         sentinel=sentinel,
         negative_ratio=negative,
-        convergence=convergence,
+        convergence=labels[:, branch],
     )
-

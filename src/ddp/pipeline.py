@@ -22,6 +22,7 @@ from .report import (
     FrameResult,
     SubjectReport,
     boxplot_stats,
+    csv_num,
     energy_exchange_amplitude,
 )
 from .zoomout import critical_chain_lengths, gti, zoom_profile
@@ -34,11 +35,6 @@ _CONV_NAMES = {int(c): c.name.lower() for c in Convergence}
 class AnalysisResult:
     subjects: list[SubjectReport]
     dumps: dict[str, str] = field(default_factory=dict)
-
-
-def _num(x) -> str:
-    v = float(x)
-    return repr(v) if np.isfinite(v) else "nan"
 
 
 def analyze_subject(
@@ -122,13 +118,13 @@ def _collect_dumps(rows, subject_id, burst_index, outcome, cls, categories, conf
             for a in range(st.borda.H.shape[1]):
                 rows["borda"].append(
                     f"{subject_id},{burst_index},{d},{a},"
-                    f"{_num(st.borda.H[d, a])},{_num(st.borda.R[d, a])},{_num(fin.dh[d, a])}"
+                    f"{csv_num(st.borda.H[d, a])},{csv_num(st.borda.R[d, a])},"
+                    f"{csv_num(fin.dh[d, a])}"
                 )
     if "roots" in rows:
-        n, nroots, _ = fin.roots.roots.shape
-        for a in range(n):
-            for ri in range(nroots):
-                vec = ",".join(_num(v) for v in fin.roots.roots[a, ri])
+        for a, point in enumerate(fin.roots.expand()):
+            for ri, vector in enumerate(point):
+                vec = ",".join(csv_num(v) for v in vector)
                 conv = _CONV_NAMES[int(fin.roots.convergence[a, ri])]
                 rows["roots"].append(f"{subject_id},{burst_index},{a},{ri},{vec},{conv}")
     if "pdi" in rows:
@@ -141,11 +137,11 @@ def _collect_dumps(rows, subject_id, burst_index, outcome, cls, categories, conf
             )
     if "zoom" in rows:
         for li, lv in enumerate(outcome.profile.levels):
-            per_dim = ",".join(_num(v) for v in lv.kappa_per_dim)
+            per_dim = ",".join(csv_num(v) for v in lv.kappa_per_dim)
             rows["zoom"].append(
                 f"{subject_id},{burst_index},{li},{lv.point_count},"
-                f"{_num(lv.x_coordinate)},{_num(lv.kappa_combined)},"
-                f"{_num(lv.inv_ltilde_combined)},{_num(lv.inv_l_combined)},{per_dim}"
+                f"{csv_num(lv.x_coordinate)},{csv_num(lv.kappa_combined)},"
+                f"{csv_num(lv.inv_ltilde_combined)},{csv_num(lv.inv_l_combined)},{per_dim}"
             )
 
 

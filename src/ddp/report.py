@@ -450,7 +450,8 @@ def report_json(
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_num(x) -> str:
+def csv_num(x) -> str:
+    """A number as CSV text: its float repr, or nan when not finite."""
     v = float(x)
     return repr(v) if math.isfinite(v) else "nan"
 
@@ -465,7 +466,7 @@ def roots_table_csv(reports: list[SubjectReport]) -> str:
                 for ri in range(nroots):
                     lines.append(
                         f"{rep.subject_id},{rep.group_label},{fr.current_burst_index},"
-                        f"{dim},{ri},{_csv_num(fr.rc.rc[dim, ri])}"
+                        f"{dim},{ri},{csv_num(fr.rc.rc[dim, ri])}"
                     )
     return "\n".join(lines) + "\n"
 
@@ -484,16 +485,16 @@ def group_stats_csv(gs: GroupStats, config: PipelineConfig) -> str:
                 lines.append(f"{label},{name},0,nan,nan," + ",".join("0" for _ in bin_headers))
             else:
                 lines.append(
-                    f"{label},{name},{st.n},{_csv_num(st.median)},"
-                    f"{_csv_num(st.percent_above)},"
+                    f"{label},{name},{st.n},{csv_num(st.median)},"
+                    f"{csv_num(st.percent_above)},"
                     + ",".join(str(c) for c in st.bin_counts)
                 )
     if gs.percent_change_per_dim is not None:
         for name, pc in zip(names, gs.percent_change_per_dim):
-            val = "nan" if pc is None else _csv_num(pc)
+            val = "nan" if pc is None else csv_num(pc)
             lines.append(f"percent_change,{name},,{val},,{','.join('' for _ in bin_headers)}")
         pc = gs.percent_change_combined
-        val = "nan" if pc is None else _csv_num(pc)
+        val = "nan" if pc is None else csv_num(pc)
         lines.append(f"percent_change,combined,,{val},,{','.join('' for _ in bin_headers)}")
     return "\n".join(lines) + "\n"
 

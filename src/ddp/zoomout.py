@@ -52,11 +52,12 @@ from .curvature import (
     LengthScaleRoots,
     ThresholdUpdate,
     curvature_tensor,
+    median,
     update_thresholds,
 )
 from .errors import ContractViolation
 from .ingest import DataBurst
-from .lengthscale import Convergence, solve_roots
+from .lengthscale import Convergence, branch_layout, solve_roots
 from .normalization import build_field
 from .ranking import BordaState, borda_state, delta_borda
 from .report import boxplot_rows, boxplot_stats
@@ -148,22 +149,6 @@ class ZoomOutcome:
     current_state: FrameLevelState
 
 
-def _median_where(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
-    """np.median of the entries under `mask` along `axis`, NaN where there are none.
-
-    A median is one order statistic or the mean of two, so sorting the
-    masked-out entries to the end (as NaN) and picking the middle of the
-    first `count` entries gives np.median's bits lane by lane.  Entries
-    under the mask must not be NaN.
-    """
-    ordered = np.sort(np.where(mask, values, np.nan), axis=axis)
-    count = np.count_nonzero(mask, axis=axis, keepdims=True)
-    lo = np.take_along_axis(ordered, np.maximum(count - 1, 0) // 2, axis=axis)
-    hi = np.take_along_axis(ordered, count // 2, axis=axis)
-    median = np.where(count % 2 == 1, lo, (lo + hi) / 2)
-    return np.where(count > 0, median, np.nan).squeeze(axis)
-
-
 def _summarize_level(
     kappa: np.ndarray,
     thresholds: ThresholdUpdate,
@@ -174,13 +159,15 @@ def _summarize_level(
 ) -> list[ZoomLevel]:
     """One level's statistics for every pair, each median taken for all pairs at once.
 
-    kappa: (P, N, 2**D, D); thresholds and defined: (P, N, D); valid: (P, D).
+    kappa: (P, N, 2**(D-1), D); thresholds and defined: (P, N, D); valid: (P, D).
+    The kappa median over the stored branches is the one over all 2**D.
     """
-    kappa_pd = np.where(valid, np.median(kappa, axis=(1, 2)), np.nan)
-    ltilde_pd = _median_where(thresholds.kappa_short, defined, axis=1)
-    long_pd = _median_where(thresholds.kappa_long, defined, axis=1)
+    n_pairs, _, _, d = kappa.shape
+    kappa_pd = np.where(valid, median(kappa.reshape(n_pairs, -1, d), axis=1), np.nan)
+    ltilde_pd = median(thresholds.kappa_short, axis=1, mask=defined)
+    long_pd = median(thresholds.kappa_long, axis=1, mask=defined)
     kappa_c, ltilde_c, long_c = (
-        _median_where(v, np.isfinite(v), axis=1).tolist() for v in (kappa_pd, ltilde_pd, long_pd)
+        median(v, axis=1, mask=np.isfinite(v)).tolist() for v in (kappa_pd, ltilde_pd, long_pd)
     )
     return [
         ZoomLevel(
@@ -238,7 +225,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
         dh_points = dh.transpose(1, 0, 2).reshape(d, -1)
         r_points = np.concatenate([states[c].borda.R for _, c in pairs], axis=1)
         roots_all = solve_roots(r_points, dh_points, config)
-        kappa_all = curvature_tensor(dh_points, roots_all)  # (P * N_l, 2**D, D)
+        kappa_all = curvature_tensor(dh_points, roots_all)  # (P * N_l, 2**(D-1), D)
         kappa = kappa_all.reshape(n_pairs, n_l, -1, d)
 
         thresholds = update_thresholds(roots_all, frames=n_pairs)
@@ -252,7 +239,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
         )
         if li == 0:
             current_states = [states[c] for _, c in pairs]
-            kappa_median = np.median(kappa, axis=2)         # (P, N, D)
+            kappa_median = median(kappa, axis=2)            # (P, N, D)
             finest = [
                 FinestFrameData(
                     dh=dh[pi],
@@ -284,16 +271,18 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
 def residual_curvature(kappa: np.ndarray, valid: np.ndarray) -> list[ResidualCurvatureRecord]:
     """Residual curvature of every frame pair from its coarsest zoom level.
 
-    kappa: (P, 9, 2**D, D) curvature of P pairs at the 9-point level;
-    valid: (P, D).  The medians and the boxplots of all pairs are taken in
-    one call each.
+    kappa: (P, 9, 2**(D-1), D) curvature of P pairs at the 9-point level,
+    one entry per stored root branch; valid: (P, D).  The medians and the
+    boxplots of all pairs are taken in one call each.  The boxplots run on
+    all 2**D columns of `rc`, each the median of its stored branch.
     """
     if kappa.shape[1] != 9:
         raise ContractViolation("zoom profile did not reach the 9-point level")
-    rc = np.ascontiguousarray(np.median(kappa, axis=1).transpose(0, 2, 1))  # (P, D, 2**D)
-    rc_per_dim = np.where(valid, np.median(rc, axis=-1), np.nan)
+    half = median(kappa, axis=1).transpose(0, 2, 1)              # (P, D, 2**(D-1))
+    rc_per_dim = np.where(valid, median(half, axis=-1), np.nan)
+    rc = half.take(branch_layout(valid.shape[1])[1], axis=-1)     # (P, D, 2**D)
     rc[~valid] = np.nan
-    rc_combined = _median_where(rc_per_dim, np.isfinite(rc_per_dim), axis=1).tolist()
+    rc_combined = median(rc_per_dim, axis=1, mask=np.isfinite(rc_per_dim)).tolist()
     clean = valid & np.isfinite(rc).all(axis=-1)
     boxes = iter(boxplot_rows(rc[clean]))
     records = []

@@ -2,25 +2,33 @@
 
 Each oracle recomputes a quantity along a deliberately different route
 from the package code (explicit loops, np.roots, parametric segment
-intersection, the damped iteration in place of the closed-form root, one
-unblocked dimension at a time in place of row blocks, one frame pair at a
-time in place of the batched zoom-out tail) so that agreement is
-meaningful evidence, not tautology.  The scalar twins of the array kernels
-(one point, one root, one curvature value) live here too.
+intersection, the damped iteration in place of the closed-form root, all
+2**D signed root vectors in place of the stored half, one unblocked
+dimension at a time in place of row blocks, one frame pair at a time in
+place of the batched zoom-out tail) so that agreement is meaningful
+evidence, not tautology.  The scalar twins of the array kernels (one
+point, one root, one curvature value) live here too.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ddp.config import PipelineConfig
 from ddp.curvature import ThresholdHistory, ThresholdUpdate, curvature_tensor
 from ddp.errors import ContractViolation, GroupUnavailable
-from ddp.lengthscale import SENTINEL_THRESHOLD, Convergence, LengthScaleRoots, solve_roots
+from ddp.lengthscale import (
+    SENTINEL_THRESHOLD,
+    Convergence,
+    LengthScaleRoots,
+    _coupled_root,
+    _refine_branches,
+    solve_roots,
+)
 from ddp.normalization import DEFAULT_EPSILON, NormalizedField
 from ddp.ranking import delta_borda
 from ddp.ingest import GROUP_LABELS
@@ -308,7 +316,8 @@ def refine_roots_oracle(r_matrix, dh_matrix, config) -> LengthScaleRoots:
 
     A drop-in for ``solve_roots``: the coupled balance is iterated per sign
     branch at every refinable point, whatever its count f of finite
-    dimensions, instead of being solved in closed form where f >= 3.
+    dimensions, instead of being solved in closed form where f >= 3.  Like
+    ``solve_roots`` it returns the branches with sigma_0 = +1 in `roots`.
 
     r_matrix, dh_matrix: (D, N) rank and Borda-change matrices.
     """
@@ -349,6 +358,88 @@ def refine_roots_oracle(r_matrix, dh_matrix, config) -> LengthScaleRoots:
             coeff[:, None, :], (n_p, n_rep, d)
         ).reshape(n_p * n_rep, d)
         z, conv = _refine_branches_oracle(
+            c_rows, z0, fin, config.refinement_max_iter, config.refinement_tol
+        )
+        z = z.reshape(n_p, n_rep, d)
+        conv = conv.reshape(n_p, n_rep)
+        for b in range(n_rep):
+            ri, ai = int(rep_idx[b]), int(anti_idx[b])
+            good = pts[conv[:, b]]
+            roots[good, ri] = z[conv[:, b], b]
+            roots[good, ai] = -z[conv[:, b], b]
+            convergence[good, ri] = Convergence.REFINED
+            convergence[good, ai] = Convergence.REFINED
+            failed = pts[~conv[:, b]]
+            convergence[failed, ri] = Convergence.FALLBACK
+            convergence[failed, ai] = Convergence.FALLBACK
+
+    # sentinel dimensions carry a sign-free +inf in every vector
+    roots = np.where(sentinel[:, None, :], np.inf, roots)
+    return LengthScaleRoots(
+        roots=roots[:, rep_idx],
+        sentinel=sentinel,
+        negative_ratio=negative,
+        convergence=convergence,
+    )
+
+
+def solve_roots_full_oracle(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots:
+    """Enumerate and couple the 2**D root vectors of every point in a frame.
+
+    The full-layout solver that the half-layout ``solve_roots`` replaced,
+    verbatim: every rep/anti branch pair is written by hand, and `roots`
+    holds all (N, 2**D, D) signed vectors.
+
+    r_matrix, dh_matrix: (D, N) rank and Borda-change matrices.
+    """
+    r_pts = np.asarray(r_matrix, dtype=float).T   # (N, D)
+    dh_pts = np.asarray(dh_matrix, dtype=float).T
+    if r_pts.shape != dh_pts.shape:
+        raise ContractViolation("rank and Borda-change matrices must share a shape")
+    n, d = r_pts.shape
+    nroots = 2 ** d
+
+    sentinel = np.abs(dh_pts) < SENTINEL_THRESHOLD
+    safe_dh = np.where(sentinel, 1.0, dh_pts)
+    ratio = r_pts / safe_dh
+    magnitude = np.where(sentinel, np.inf, np.sqrt(np.abs(ratio)))
+    negative = ~sentinel & (ratio < 0.0)
+    finite = ~sentinel
+
+    idx, sigma_all = _sign_table_oracle(d)
+    rep_idx = idx[(idx & 1) == 0]           # branches with sigma_0 = +1
+    anti_idx = rep_idx ^ (nroots - 1)
+    sigma_rep = sigma_all[rep_idx]
+    n_rep = rep_idx.size
+
+    roots = sigma_all[None, :, :] * magnitude[:, None, :]
+    convergence = np.full((n, nroots), int(Convergence.CLOSED_FORM), dtype=np.uint8)
+
+    dh_sum = (4.0 / d) * dh_pts.sum(axis=1)
+    refinable = (np.abs(dh_sum) >= SENTINEL_THRESHOLD) & finite.any(axis=1)
+    pts = np.nonzero(refinable)[0]
+    coeff = 4.0 * r_pts[pts] / dh_sum[pts][:, None]               # (P, D) signed
+    closed = finite[pts].sum(axis=1) >= 3
+
+    if closed.any():
+        x, ok = _coupled_root(coeff[closed], finite[pts[closed]])
+        good = pts[closed][ok]
+        # representative branches (sigma_0 = +1) hold x*, their negations -x*
+        roots[good] = sigma_all[None, :, :1] * x[ok][:, None, :]
+        convergence[good] = Convergence.REFINED
+        convergence[pts[closed][~ok]] = Convergence.FALLBACK
+
+    pts, coeff = pts[~closed], coeff[~closed]
+    if pts.size:
+        n_p = pts.size
+        z0 = (sigma_rep[None, :, :] * magnitude[pts][:, None, :]).reshape(n_p * n_rep, d)
+        fin = np.broadcast_to(
+            finite[pts][:, None, :], (n_p, n_rep, d)
+        ).reshape(n_p * n_rep, d)
+        c_rows = np.broadcast_to(
+            coeff[:, None, :], (n_p, n_rep, d)
+        ).reshape(n_p * n_rep, d)
+        z, conv = _refine_branches(
             c_rows, z0, fin, config.refinement_max_iter, config.refinement_tol
         )
         z = z.reshape(n_p, n_rep, d)
@@ -419,7 +510,7 @@ def enumerate_roots(r_vector, dh_vector, config: PipelineConfig) -> PointRoots:
     dh_vector = np.atleast_1d(np.asarray(dh_vector, dtype=float))
     batch = solve_roots(r_vector[:, None], dh_vector[:, None], config)
     return PointRoots(
-        vectors=batch.roots[0],
+        vectors=batch.expand()[0],
         sentinel=batch.sentinel[0],
         negative_ratio=batch.negative_ratio[0],
         convergence=batch.convergence[0],
@@ -530,7 +621,11 @@ def boxplot_stats_oracle(values):
 
 
 def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[ZoomOutcome]:
-    """zoom_profile with the tail run one frame pair at a time, history threaded in order."""
+    """zoom_profile with the tail run one frame pair at a time, history threaded in order.
+
+    Curvature, thresholds and RC are taken over all 2**D signed root
+    branches (``expand()``), not over the stored half.
+    """
     counts = config.zoom_point_counts()
     for b in bursts:
         if b.n_points != counts[0] or b.n_dims != config.D:
@@ -555,13 +650,15 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[ZoomOutcome]:
         dh_points = dh.transpose(1, 0, 2).reshape(config.D, -1)
         r_points = np.concatenate([states[c].borda.R for _, c in pairs], axis=1)
         roots_all = solve_roots(r_points, dh_points, config)
-        kappa_all = curvature_tensor(dh_points, roots_all)
+        full = replace(roots_all, roots=roots_all.expand())   # all 2**D signed branches
+        kappa_all = curvature_tensor(dh_points, full)
 
         history = None
         for pi, (_, c) in enumerate(pairs):
-            roots = roots_all.slice_points(pi * n_l, (pi + 1) * n_l)
-            kappa = kappa_all[pi * n_l:(pi + 1) * n_l]
-            thresholds = update_thresholds_oracle(roots, history)
+            lo, hi = pi * n_l, (pi + 1) * n_l
+            roots = roots_all.slice_points(lo, hi)
+            kappa = kappa_all[lo:hi]
+            thresholds = update_thresholds_oracle(full.slice_points(lo, hi), history)
             history = thresholds.history
             defined = thresholds.defined & valid[pi][None, :]
             levels[pi].append(summarize_level_oracle(

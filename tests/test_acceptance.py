@@ -62,13 +62,14 @@ def test_01_root_count_law():
             dh = rng.normal(0.0, 1.0, size=(d, 1000))
             dh[rng.random(size=dh.shape) < 0.05] = 0.0  # sprinkle sentinels
             batch = solve_roots(r, dh, cfg)
-            assert batch.roots.shape == (1000, 2 ** d, d)
+            vectors = batch.expand()
+            assert vectors.shape == (1000, 2 ** d, d)
             assert batch.convergence.shape == (1000, 2 ** d)
             # spot-check the per-point operation against the batch
             for a in range(0, 1000, 97):
                 point = enumerate_roots(r[:, a], dh[:, a], cfg)
                 assert point.vectors.shape == (2 ** d, d)
-                np.testing.assert_array_equal(point.vectors, batch.roots[a])
+                np.testing.assert_array_equal(point.vectors, vectors[a])
 
 
 def test_02_borda_zero_sum():

@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddp import (
     Chain,
@@ -12,8 +14,8 @@ from ddp import (
     escalate_chain_categories,
     update_thresholds,
 )
-from ddp.curvature import classify_frame, curvature_tensor
-from ddp.lengthscale import LengthScaleRoots
+from ddp.curvature import classify_frame, curvature_tensor, median
+from ddp.lengthscale import LengthScaleRoots, branch_layout
 
 from oracles import chains_oracle, local_curvature, update_thresholds_oracle
 
@@ -59,16 +61,13 @@ def classify_pdi(kappa_per_dim, thresholds, dh_vector) -> PdiRecord:
 
 def _uniform_roots(n, d, magnitude):
     """A LengthScaleRoots stand-in where every root has the same |x|."""
-    nroots = 2 ** d
-    idx = np.arange(nroots)
-    bits = (idx[:, None] >> np.arange(d)[None, :]) & 1
-    sigma = 1.0 - 2.0 * bits
-    roots = np.broadcast_to(sigma[None, :, :] * magnitude, (n, nroots, d)).copy()
+    sigma = branch_layout(d)[0]
+    roots = np.broadcast_to(sigma[None, :, :] * magnitude, (n,) + sigma.shape).copy()
     return LengthScaleRoots(
         roots=roots,
         sentinel=np.zeros((n, d), dtype=bool),
         negative_ratio=np.zeros((n, d), dtype=bool),
-        convergence=np.zeros((n, nroots), dtype=np.uint8),
+        convergence=np.zeros((n, 2 ** d), dtype=np.uint8),
     )
 
 
@@ -91,6 +90,39 @@ def test_curvature_tensor_zero_on_sentinel():
     kappa = curvature_tensor(np.array([[0.5, 0.5], [1.0, 1.0]]).T, roots)
     assert np.all(kappa[0, :, 1] == 0.0)
     assert kappa[0, 0, 0] == pytest.approx(0.125)
+
+
+def _assert_same_medians(got, want):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@given(
+    shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    nan_rate=st.sampled_from([0.0, 0.1]),
+    mask_rate=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_median_matches_np_median(shape, seed, nan_rate, mask_rate):
+    """Sort-and-pick gives np.median's bits lane by lane, NaN lanes included."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([1.0, 2.0, 3.0, np.inf], shape) * rng.uniform(0.0, 2.0, shape)
+    values[rng.random(shape) < nan_rate] = np.nan
+    mask = rng.random(shape) >= mask_rate
+    for axis in range(len(shape)):
+        with np.errstate(invalid="ignore"):
+            _assert_same_medians(median(values, axis=axis), np.median(values, axis=axis))
+        # masked: np.median of the entries under the mask, NaN where there are none
+        clean = np.where(np.isnan(values), 1.0, values)
+        lanes = np.moveaxis(clean, axis, -1)
+        under = np.moveaxis(mask, axis, -1)
+        want = np.array([
+            np.median(lane[m]) if m.any() else np.nan
+            for lane, m in zip(lanes.reshape(-1, shape[axis]), under.reshape(-1, shape[axis]))
+        ]).reshape(lanes.shape[:-1])
+        _assert_same_medians(median(clean, axis=axis, mask=mask), want)
 
 
 def test_thresholds_first_frame_coincide():

@@ -1,11 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddp import Convergence, ContractViolation, PipelineConfig, solve_roots
+from ddp.curvature import curvature_tensor, median
+from ddp.lengthscale import branch_layout
 
-from oracles import diagonal_root_oracle, diagonal_roots, enumerate_roots, refine_roots_oracle
+from oracles import (
+    _sign_table_oracle,
+    diagonal_root_oracle,
+    diagonal_roots,
+    enumerate_roots,
+    refine_roots_oracle,
+    solve_roots_full_oracle,
+)
 
 CFG = PipelineConfig()
 
@@ -98,7 +110,7 @@ def test_convergence_labels_are_paired():
     r = rng.uniform(1, 81, (4, 30))
     dh = rng.normal(0, 1, (4, 30))
     batch = solve_roots(r, dh, CFG)
-    n_roots = batch.roots.shape[1]
+    n_roots = batch.convergence.shape[1]
     for i in range(n_roots):
         j = i ^ (n_roots - 1)
         np.testing.assert_array_equal(batch.convergence[:, i], batch.convergence[:, j])
@@ -113,7 +125,7 @@ def test_batch_and_per_point_agree():
     batch = solve_roots(r, dh, cfg)
     for a in range(8):
         point = enumerate_roots(r[:, a], dh[:, a], cfg)
-        np.testing.assert_array_equal(point.vectors, batch.roots[a])
+        np.testing.assert_array_equal(point.vectors, batch.expand()[a])
         np.testing.assert_array_equal(point.convergence, batch.convergence[a])
 
 
@@ -128,13 +140,14 @@ def test_refined_branches_are_plus_minus_oracle_root():
         dh = rng.normal(0.0, 1.0, (d, 400))
         batch = solve_roots(r, dh, cfg)
         oracle = refine_roots_oracle(r, dh, cfg)
+        vectors = batch.expand()
         refined = batch.convergence == Convergence.REFINED
         assert refined.any()
         first_sign = np.where(np.arange(2 ** d) % 2 == 0, 1.0, -1.0)
-        plus_minus = first_sign[None, :, None] * batch.roots[:, :1, :]
-        np.testing.assert_array_equal(batch.roots[refined], plus_minus[refined])
+        plus_minus = first_sign[None, :, None] * vectors[:, :1, :]
+        np.testing.assert_array_equal(vectors[refined], plus_minus[refined])
         assert np.all(oracle.convergence[refined] == Convergence.REFINED)
-        np.testing.assert_allclose(batch.roots[refined], oracle.roots[refined], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(vectors[refined], oracle.expand()[refined], rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -150,7 +163,7 @@ def test_labels_match_oracle_with_sentinels(d):
     assert set(np.unique(batch.convergence)) == {0, 1, 2}
     # closed-form and fallback roots are the signed diagonal on both routes
     not_refined = batch.convergence != Convergence.REFINED
-    np.testing.assert_array_equal(batch.roots[not_refined], oracle.roots[not_refined])
+    np.testing.assert_array_equal(batch.expand()[not_refined], oracle.expand()[not_refined])
 
 
 def test_ill_conditioned_labels_match_oracle():
@@ -204,3 +217,55 @@ def test_fallback_restores_diagonal():
 def test_solve_roots_shape_mismatch_is_contract_violation():
     with pytest.raises(ContractViolation, match="share a shape"):
         solve_roots(np.ones((4, 9)), np.ones((4, 8)), CFG)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_branch_layout_pairs_each_index_with_its_negation(d):
+    sigma, branch, sign = branch_layout(d)
+    idx, sigma_all = _sign_table_oracle(d)
+    np.testing.assert_array_equal(sigma, sigma_all[idx % 2 == 0])
+    np.testing.assert_array_equal(sign[:, None] * sigma[branch], sigma_all)
+    np.testing.assert_array_equal(branch, branch[idx ^ (2 ** d - 1)])
+    np.testing.assert_array_equal(sign, -sign[idx ^ (2 ** d - 1)])
+
+
+@given(
+    d=st.integers(1, 5),
+    n=st.integers(1, 60),
+    sentinel_rate=st.sampled_from([0.0, 0.3, 0.7]),
+    decades=st.integers(0, 14),
+    r_spread=st.sampled_from([0.0, 300.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_half_layout_matches_full_layout_oracle(d, n, sentinel_rate, decades, r_spread, seed):
+    """The stored half rebuilds the parent's full layout bit for bit.
+
+    Sentinels leave points with f <= 2 finite dimensions (the iterated
+    path) at every D, signed dH gives negative ratios, and R and dH spread
+    over many decades reach fallbacks on both paths.  Medians of |x| and
+    kappa over the stored half equal those over all 2**D branches.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = PipelineConfig(D=d)
+    r = rng.uniform(1.0, 81.0, (d, n)) * 10.0 ** rng.uniform(-r_spread, r_spread, (d, n))
+    dh = rng.normal(0.0, 1.0, (d, n)) * 10.0 ** rng.uniform(-decades, 0.0, (d, n))
+    dh[rng.random((d, n)) < sentinel_rate] = 0.0
+    with np.errstate(all="ignore"):
+        got = solve_roots(r, dh, cfg)
+        want = solve_roots_full_oracle(r, dh, cfg)
+    assert got.roots.shape == (n, 2 ** (d - 1), d)
+    assert got.convergence.tobytes() == want.convergence.tobytes()
+    assert got.expand().tobytes() == want.roots.tobytes()
+    for name in ("sentinel", "negative_ratio"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    magnitude = median(np.abs(got.roots), axis=1)
+    assert magnitude.tobytes() == np.median(np.abs(want.roots), axis=1).tobytes()
+    with np.errstate(all="ignore"):
+        kappa_half = curvature_tensor(dh, got)
+        kappa_full = curvature_tensor(dh, replace(got, roots=got.expand()))
+    assert kappa_full.tobytes() == curvature_tensor(dh, want).tobytes()
+    assert median(kappa_half, axis=1).tobytes() == np.median(kappa_full, axis=1).tobytes()
+    pooled = median(kappa_half.reshape(-1, d), axis=0)
+    assert pooled.tobytes() == np.median(kappa_full, axis=(0, 1)).tobytes()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from ddp import (
     synthesize,
     zoom_profile,
 )
-from ddp.curvature import classify_frame
+from ddp.curvature import classify_frame, curvature_tensor
 from ddp.ingest import prescale_burst
+from ddp.lengthscale import LengthScaleRoots, branch_layout
 from ddp.zoomout import (
     ResidualCurvatureRecord,
     ZoomLevel,
@@ -30,6 +32,7 @@ from ddp.zoomout import (
 
 from oracles import (
     critical_chain_lengths_oracle,
+    residual_curvature_oracle,
     segment_line_intersections_oracle,
     zoom_profile_oracle,
 )
@@ -126,6 +129,31 @@ def test_residual_curvature_shape_and_sign():
 def test_residual_curvature_requires_nine_points():
     with pytest.raises(ContractViolation, match="9-point"):
         residual_curvature(np.zeros((2, 27, 2, 1)), np.ones((2, 1), dtype=bool))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_residual_curvature_half_matches_full_layout_oracle(d):
+    # every stored branch has its own magnitude, so each of the 2**D rc
+    # columns must read the median of its own branch, and the boxplots must
+    # see all 2**D columns
+    rng = np.random.default_rng(60 + d)
+    n_pairs = 3
+    half = rng.uniform(0.1, 10.0, (n_pairs * 9, 2 ** (d - 1), d)) * branch_layout(d)[0]
+    sentinel = rng.random((n_pairs * 9, d)) < 0.1
+    roots = LengthScaleRoots(
+        roots=np.where(sentinel[:, None, :], np.inf, half),
+        sentinel=sentinel,
+        negative_ratio=np.zeros((n_pairs * 9, d), dtype=bool),
+        convergence=np.zeros((n_pairs * 9, 2 ** d), dtype=np.uint8),
+    )
+    dh = rng.normal(0.0, 1.0, (d, n_pairs * 9))
+    valid = rng.random((n_pairs, d)) < 0.8
+    kappa = curvature_tensor(dh, roots).reshape(n_pairs, 9, -1, d)
+    full = curvature_tensor(dh, replace(roots, roots=roots.expand()))
+    got = residual_curvature(kappa, valid)
+    for p in range(n_pairs):
+        want = residual_curvature_oracle(full[p * 9:(p + 1) * 9], valid[p])
+        _same_bits(got[p], want, f"pair {p}")
 
 
 def _descending_column(rng, n, d):
