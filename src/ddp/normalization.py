@@ -19,13 +19,16 @@ constant over all admissible pair values, i.e. their arithmetic mean, and
 the RMS spread of the pair constants around it measures how far the
 single shared datum is from the exact per-pair solution.
 
-``build_field`` never holds an (N, N) float matrix.  Both of its passes run
-the dimensions through row blocks of about ``_BLOCK_CELLS`` cells: the
-datum pass over the upper-triangle part of each block, the margin pass over
-full rows of all dimensions at once.  Its working set is these blocks, the
-admissible pair constants whose mean is the datum (of one dimension at a
-time once a dimension's triangle outgrows a block) and the boolean zeroed
-mask it returns.
+``build_field`` takes one (N, D) frame or a (B, N, D) stack of frames of
+one zoom level and treats each (frame, dimension) lane alike, so a level is
+normalized in one call.  It never holds an (N, N) float matrix.  Lanes go
+through both passes in groups: together while their whole triangles fit one
+block of about ``_BLOCK_CELLS`` cells, one at a time beyond that.  The datum
+pass runs over the upper-triangle part of each block, the margin pass over
+full rows.  Its working set is these blocks, one pool of the admissible pair
+constants whose means are the data (of a single lane once a triangle
+outgrows a block) and the boolean zeroed mask it returns, whose pages are
+touched only where a margin was zeroed.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ContractViolation
+
 DEFAULT_EPSILON = 1e-9
 
-# Cells (dimensions x rows x columns) of one row block; small enough that a
+# Cells (lanes x rows x columns) of one row block; small enough that a
 # block's float temporaries stay in cache, large enough to amortize numpy's
 # per-call overhead.
 _BLOCK_CELLS = 1 << 16
@@ -44,16 +49,19 @@ _BLOCK_CELLS = 1 << 16
 
 @dataclass
 class NormalizedField:
-    """Borda counts plus the fitted datum of one frame, one entry per dimension.
+    """Borda counts plus the fitted datum of each lane of a frame or a stack.
 
-    borda                  (D, N) row sums of the antisymmetric margin matrices
-    datum                  (D,) fitted shared constant, NaN where unfittable
-    datum_residual         (D,) RMS deviation of pair constants from the datum
-    fit_excluded_fraction  (D,) share of pairs A < B dropped from the datum fit
-    margin_zeroed          (D, N, N) symmetric mask of pairs zeroed because the
+    L is the lane count, frames x dimensions, frame-major; for one frame
+    the lanes are its dimensions and L = D.
+
+    borda                  (L, N) row sums of the antisymmetric margin matrices
+    datum                  (L,) fitted shared constant, NaN where unfittable
+    datum_residual         (L,) RMS deviation of pair constants from the datum
+    fit_excluded_fraction  (L,) share of pairs A < B dropped from the datum fit
+    margin_zeroed          (L, N, N) symmetric mask of pairs zeroed because the
                            shared-datum denominator fell inside the guard band
-    margin_zeroed_fraction (D,) share of pairs A < B whose margin was zeroed
-    unfittable             (D,) dimensions with no admissible pair at all
+    margin_zeroed_fraction (L,) share of pairs A < B whose margin was zeroed
+    unfittable             (L,) lanes with no admissible pair at all
     """
 
     borda: np.ndarray
@@ -66,6 +74,7 @@ class NormalizedField:
 
     @property
     def n_dims(self) -> int:
+        """Lane count L: the dimensions of a single frame."""
         return self.borda.shape[0]
 
     @property
@@ -129,76 +138,108 @@ def pair_margins(u_a, u_b, m_bar, epsilon: float = DEFAULT_EPSILON):
     return margins, zeroed
 
 
-def _fit_datum(u: np.ndarray, epsilon: float):
-    """Datum, residual and admitted pair count of each row of a (G, N) array.
+def _fit_datum(u: np.ndarray, pool: np.ndarray, epsilon: float):
+    """Datum, residual and admitted pair count of each lane of a (G, N) group.
 
     Row blocks [i0, i1) meet columns (i0, N).  The pairs j > i of a block,
-    taken row by row, continue the upper triangle in row-major order, so
-    each row's admissible constants are averaged in ``triu_indices`` order.
+    taken row by row, continue the upper triangle in row-major order.  A
+    group of several lanes is one block, and a group of several blocks is
+    one lane, so the admissible constants land in ``pool`` lane after lane,
+    each lane's in ``triu_indices`` order.
     """
     g, n = u.shape
-    parts = [[] for _ in range(g)]
+    admitted = np.zeros(g, dtype=np.int64)
+    fill = 0
     i0 = 0
     while i0 < n - 1:
         i1 = min(n - 1, i0 + max(1, _BLOCK_CELLS // (g * (n - i0 - 1))))
         m, ok = pair_constants(u[:, i0:i1, None], u[:, None, i0 + 1:], epsilon)
         ok &= np.arange(i0 + 1, n) > np.arange(i0, i1)[:, None]
-        for k in range(g):
-            parts[k].append(m[k][ok[k]])
+        counts = np.count_nonzero(ok.reshape(g, -1), axis=1)
+        end = fill + int(counts.sum())
+        pool[fill:end] = m[ok]
+        admitted += counts
+        fill = end
         i0 = i1
+
+    # One row-wise mean per distinct admitted count; a row's mean has the
+    # bits of the 1-D mean over the same values.
     datum = np.full(g, np.nan)
     residual = np.zeros(g)
-    admitted = np.zeros(g, dtype=np.int64)
-    for k in range(g):
-        good = np.concatenate(parts[k]) if parts[k] else np.empty(0)
-        admitted[k] = good.size
-        if good.size:
-            datum[k] = np.mean(good)
-            good -= datum[k]
-            good *= good
-            residual[k] = np.sqrt(np.mean(good))
+    starts = np.cumsum(admitted) - admitted
+    for k in np.unique(admitted[admitted > 0]).tolist():
+        rows = np.flatnonzero(admitted == k)
+        if rows[-1] - rows[0] == rows.size - 1:   # consecutive lanes: a view of the pool
+            good = pool[starts[rows[0]]:starts[rows[0]] + rows.size * k].reshape(-1, k)
+        else:
+            good = pool[starts[rows, None] + np.arange(k)]
+        datum[rows] = np.mean(good, axis=1)
+        good -= datum[rows, None]
+        good *= good
+        residual[rows] = np.sqrt(np.mean(good, axis=1))
     return datum, residual, admitted
 
 
-def build_field(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> NormalizedField:
-    """Fit the datum and sum the margins of every dimension of an (N, D) frame.
+def _sum_margins(u, datum, epsilon, borda, zeroed, zeroed_cells):
+    """Borda counts of the lanes of a (G, N) group with a finite datum, in blocks of full rows.
 
-    Dimensions where no pair is admissible are marked unfittable, with a
-    NaN datum and zero Borda counts; downstream stages skip them.
+    Writes into the group's views of ``borda``, ``zeroed`` and
+    ``zeroed_cells``.  The mask is written only by a block that zeroed a
+    margin, so the pages of an all-False mask are never touched.
     """
-    values = np.asarray(values, dtype=float)
-    n, d = values.shape
-    u = np.ascontiguousarray(values.T)   # (D, N)
-    n_pairs = n * (n - 1) // 2
-
-    # Pass 1 fits dimensions together while a whole triangle fits one block
-    # and one at a time beyond that, so a wide frame holds the admissible
-    # constants of a single dimension.
-    group = max(1, _BLOCK_CELLS // max((n - 1) ** 2, 1))
-    datum = np.empty(d)
-    residual = np.empty(d)
-    admitted = np.empty(d, dtype=np.int64)
-    for d0 in range(0, d, group):
-        part = slice(d0, d0 + group)
-        datum[part], residual[part], admitted[part] = _fit_datum(u[part], epsilon)
-
-    # Pass 2: full rows of every dimension with a finite datum.
-    borda = np.zeros((d, n))
-    zeroed = np.zeros((d, n, n), dtype=bool)
-    zeroed_cells = np.zeros(d, dtype=np.int64)
-    dims = np.flatnonzero(np.isfinite(datum))
-    fit_u = u[dims]
-    step = max(1, _BLOCK_CELLS // max(dims.size * n, 1))
+    fit = np.flatnonzero(np.isfinite(datum))
+    if not fit.size:
+        return
+    n = u.shape[1]
+    fit_u = u[fit]
+    m_bar = datum[fit, None, None]
+    step = max(1, _BLOCK_CELLS // (fit.size * n))
     for i0 in range(0, n, step):
         rows = np.arange(i0, min(n, i0 + step))
-        margins, block = pair_margins(
-            fit_u[:, i0:i0 + step, None], fit_u[:, None, :], datum[dims, None, None], epsilon
-        )
+        margins, block = pair_margins(fit_u[:, i0:i0 + step, None], fit_u[:, None, :], m_bar, epsilon)
         block[:, rows - i0, rows] = False   # the zero diagonal is structural
-        borda[dims, i0:i0 + step] = margins.sum(axis=-1)
-        zeroed[dims, i0:i0 + step] = block
+        borda[fit, i0:i0 + step] = margins.sum(axis=-1)
         if block.any():   # zeroed margins are rare, and any() is cheaper than the count
-            zeroed_cells[dims] += np.count_nonzero(block, axis=(1, 2))
+            zeroed[fit, i0:i0 + step] = block
+            zeroed_cells[fit] += np.count_nonzero(block, axis=(1, 2))
+
+
+def build_field(values, epsilon: float = DEFAULT_EPSILON) -> NormalizedField:
+    """Fit the datum and sum the margins of every lane of an (N, D) frame or a (B, N, D) stack.
+
+    A lane is one dimension of one frame; lanes are frame-major, so lane
+    b * D + d is dimension d of frame b, and a single frame's lanes are its
+    dimensions.  Lanes where no pair is admissible are marked unfittable,
+    with a NaN datum and zero Borda counts; downstream stages skip them.
+    """
+    try:
+        values = np.asarray(values, dtype=float)
+    except ValueError as exc:
+        raise ContractViolation(f"frames of unequal shape cannot be stacked: {exc}") from None
+    if values.ndim not in (2, 3):
+        raise ContractViolation(
+            f"build_field takes an (N, D) frame or a (B, N, D) stack, not shape {values.shape}"
+        )
+    n, d = values.shape[-2:]
+    u = values.reshape(-1, n, d).transpose(0, 2, 1).reshape(-1, n)   # (L, N), frame-major
+    lanes = u.shape[0]
+    n_pairs = n * (n - 1) // 2
+
+    # Lanes go together while their whole triangles fit one block and one
+    # at a time beyond that, so a wide frame holds the admissible constants
+    # of a single lane.  Every group fills the same pool.
+    group = max(1, _BLOCK_CELLS // max((n - 1) ** 2, 1))
+    pool = np.empty(min(group, lanes) * n_pairs)
+    datum = np.empty(lanes)
+    residual = np.empty(lanes)
+    admitted = np.empty(lanes, dtype=np.int64)
+    borda = np.zeros((lanes, n))
+    zeroed = np.zeros((lanes, n, n), dtype=bool)
+    zeroed_cells = np.zeros(lanes, dtype=np.int64)
+    for l0 in range(0, lanes, group):
+        part = slice(l0, l0 + group)
+        datum[part], residual[part], admitted[part] = _fit_datum(u[part], pool, epsilon)
+        _sum_margins(u[part], datum[part], epsilon, borda[part], zeroed[part], zeroed_cells[part])
 
     return NormalizedField(
         borda=borda,

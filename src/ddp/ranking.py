@@ -20,8 +20,14 @@ from .normalization import NormalizedField
 
 @dataclass
 class BordaState:
-    H: np.ndarray  # (D, N) Borda counts
-    R: np.ndarray  # (D, N) objective ranks in [1, N]
+    """Counts and ranks of one frame, or of a stack with the frames in front."""
+
+    H: np.ndarray  # (D, N) Borda counts, (B, D, N) for a stack
+    R: np.ndarray  # (D, N) objective ranks in [1, N], (B, D, N) for a stack
+
+    def __getitem__(self, index) -> BordaState:
+        """The frames of a stack selected by ``index``."""
+        return BordaState(H=self.H[index], R=self.R[index])
 
 
 def objective_ranks(h: np.ndarray) -> np.ndarray:
@@ -46,11 +52,16 @@ def objective_ranks(h: np.ndarray) -> np.ndarray:
 
 
 def borda_state(field: NormalizedField) -> BordaState:
+    """Counts and ranks of every lane of a field, ranked in one call."""
     return BordaState(H=field.borda, R=objective_ranks(field.borda))
 
 
 def delta_borda(current: BordaState, previous: BordaState) -> np.ndarray:
-    """(D, N) elementwise Borda change between two frames matched by point index."""
+    """Elementwise Borda change between frames matched by point index.
+
+    Takes two frames, (D, N), or two stacks of frames paired in order,
+    (P, D, N).
+    """
     if current.H.shape != previous.H.shape:
         raise ContractViolation(
             f"frame shape mismatch: {current.H.shape} vs {previous.H.shape}"

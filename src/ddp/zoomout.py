@@ -8,10 +8,13 @@ curvature remaining at the coarsest (9-point) level is the residual
 curvature, a magnitude-only measure of the energy exchange rate of the
 frame as a whole.
 
-`zoom_profile` walks this hierarchy once per subject, level by level: each
-burst is aggregated and normalized once per level, and the Borda changes
-of all frame pairs at that level go through one root solve and one
-curvature evaluation.  The tail is array-shaped across pairs too: one
+`zoom_profile` walks this hierarchy once per subject, level by level.  It
+keeps the subject's bursts as one `(B, N_l, D)` stack per level, coarsens
+the stack with one reshape-mean and normalizes and ranks it with one
+`build_field` and one `borda_state` call; each frame pair takes its Borda
+change and ranks by indexing the stacked results.  The Borda changes of
+all frame pairs at a level go through one root solve and one curvature
+evaluation.  The tail is array-shaped across pairs too: one
 `update_thresholds` call per level takes the root-magnitude medians of
 every pair at once and then advances the running mean pair by pair in
 time order, each level statistic is one median over the `(P, ..., D)`
@@ -43,7 +46,7 @@ curvature dropped by at least the drop threshold within one step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,38 +66,56 @@ from .ranking import BordaState, borda_state, delta_borda
 from .report import boxplot_rows, boxplot_stats
 
 
-def aggregate(burst: DataBurst, factor: int) -> DataBurst:
-    """Coarsen a burst by replacing groups of `factor` points by their mean."""
-    n = burst.n_points
+def _coarsen(values: np.ndarray, factor: int) -> np.ndarray:
+    """Means of consecutive groups of `factor` points of (N, D) or (B, N, D) values."""
+    *lead, n, d = values.shape
     if factor < 2:
         raise ContractViolation("aggregation factor must be at least 2")
     if n % factor:
         raise ContractViolation(f"{n} points are not divisible by factor {factor}")
-    coarse = burst.values.reshape(n // factor, factor, burst.n_dims).mean(axis=1)
-    return replace(burst, values=coarse, dt=burst.dt * factor)
+    return values.reshape(*lead, n // factor, factor, d).mean(axis=-2)
+
+
+def aggregate(burst: DataBurst, factor: int) -> DataBurst:
+    """Coarsen a burst by replacing groups of `factor` points by their mean."""
+    return replace(burst, values=_coarsen(burst.values, factor), dt=burst.dt * factor)
 
 
 @dataclass
 class FrameLevelState:
-    """Per-burst, per-level normalization and ranking results."""
+    """Normalization and ranking results of one burst at one level, or of a stack.
 
-    borda: BordaState
+    Shapes are those of one burst; a stack of B bursts puts B in front.
+    """
+
+    borda: BordaState            # H, R (D, N)
     datum: np.ndarray            # (D,)
     datum_residual: np.ndarray   # (D,)
     fit_excluded_fraction: np.ndarray   # (D,)
     margin_zeroed_fraction: np.ndarray  # (D,)
     unfittable: np.ndarray       # (D,) bool
 
+    def __getitem__(self, index) -> FrameLevelState:
+        """The bursts of a stack selected by ``index``."""
+        return FrameLevelState(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
-def frame_level_state(burst: DataBurst, config: PipelineConfig) -> FrameLevelState:
-    field = build_field(burst.values, config.epsilon_denominator)
+
+def frame_level_state(values: np.ndarray, config: PipelineConfig) -> FrameLevelState:
+    """Normalize and rank an (N, D) frame or a (B, N, D) stack, one call of each stage."""
+    field = build_field(values, config.epsilon_denominator)
+    state = borda_state(field)
+    shape = values.shape[:-2] + values.shape[-1:]   # (D,) or (B, D): the lanes
+
+    def lanes(a: np.ndarray) -> np.ndarray:
+        return a.reshape(shape + a.shape[1:])
+
     return FrameLevelState(
-        borda=borda_state(field),
-        datum=field.datum,
-        datum_residual=field.datum_residual,
-        fit_excluded_fraction=field.fit_excluded_fraction,
-        margin_zeroed_fraction=field.margin_zeroed_fraction,
-        unfittable=field.unfittable,
+        borda=BordaState(H=lanes(state.H), R=lanes(state.R)),
+        datum=lanes(field.datum),
+        datum_residual=lanes(field.datum_residual),
+        fit_excluded_fraction=lanes(field.fit_excluded_fraction),
+        margin_zeroed_fraction=lanes(field.margin_zeroed_fraction),
+        unfittable=lanes(field.unfittable),
     )
 
 
@@ -189,12 +210,13 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
     """Run the full per-level analysis for every frame pair of one subject.
 
     Returns one outcome per pair (t - stride, t), in order.  Levels form
-    the outer loop: each burst is aggregated and normalized once per level,
-    the Borda changes of all pairs are stacked into one root solve and one
-    curvature evaluation, and the thresholds and level statistics of all
-    pairs come from one batched call each.  The running threshold mean
-    advances pair by pair, so a pair never sees a later burst.  The
-    residual curvature of every pair is taken from the coarsest level.
+    the outer loop: the stack of all bursts is coarsened, normalized and
+    ranked once per level, the Borda changes of all pairs go through one
+    root solve and one curvature evaluation, and the thresholds and level
+    statistics of all pairs come from one batched call each.  The running
+    threshold mean advances pair by pair, so a pair never sees a later
+    burst.  The residual curvature of every pair is taken from the
+    coarsest level.
     """
     counts = config.zoom_point_counts()
     for b in bursts:
@@ -211,19 +233,19 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
 
     levels: list[list[ZoomLevel]] = [[] for _ in pairs]
     fallback_vectors = np.zeros(n_pairs, dtype=np.int64)
-    level_bursts = list(bursts)
+    prev = np.array([p for p, _ in pairs])
+    cur = prev + stride
+    stack = np.stack([b.values for b in bursts])            # (B, N, D)
 
     for li, n_l in enumerate(counts):
         if li > 0:
-            level_bursts = [aggregate(b, config.aggregation_factor) for b in level_bursts]
-        states = [frame_level_state(b, config) for b in level_bursts]
-        valid = np.array([~(states[p].unfittable | states[c].unfittable) for p, c in pairs])
-        dh = np.stack([
-            delta_borda(states[c].borda, states[p].borda) for p, c in pairs
-        ])                                                  # (P, D, N_l)
+            stack = _coarsen(stack, config.aggregation_factor)
+        state = frame_level_state(stack, config)            # (B, D, N_l) counts and ranks
+        valid = ~(state.unfittable[prev] | state.unfittable[cur])   # (P, D)
+        dh = delta_borda(state.borda[cur], state.borda[prev])       # (P, D, N_l)
         dh[~valid] = 0.0
         dh_points = dh.transpose(1, 0, 2).reshape(d, -1)
-        r_points = np.concatenate([states[c].borda.R for _, c in pairs], axis=1)
+        r_points = state.borda.R[cur].transpose(1, 0, 2).reshape(d, -1)
         roots_all = solve_roots(r_points, dh_points, config)
         kappa_all = curvature_tensor(dh_points, roots_all)  # (P * N_l, 2**(D-1), D)
         kappa = kappa_all.reshape(n_pairs, n_l, -1, d)
@@ -238,7 +260,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
             roots_all.convergence.reshape(n_pairs, -1) == Convergence.FALLBACK, axis=1
         )
         if li == 0:
-            current_states = [states[c] for _, c in pairs]
+            current_states = [state[c] for _, c in pairs]
             kappa_median = median(kappa, axis=2)            # (P, N, D)
             finest = [
                 FinestFrameData(

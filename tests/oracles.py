@@ -4,8 +4,9 @@ Each oracle recomputes a quantity along a deliberately different route
 from the package code (explicit loops, np.roots, parametric segment
 intersection, the damped iteration in place of the closed-form root, all
 2**D signed root vectors in place of the stored half, one unblocked
-dimension at a time in place of row blocks, one frame pair at a time in
-place of the batched zoom-out tail) so that agreement is meaningful
+dimension at a time in place of row blocks, one burst at a time in place
+of the stacked levels, one frame pair at a time in place of the batched
+zoom-out tail) so that agreement is meaningful
 evidence, not tautology.  The scalar twins of the array kernels (one
 point, one root, one curvature value) live here too.
 """
@@ -29,18 +30,18 @@ from ddp.lengthscale import (
     _refine_branches,
     solve_roots,
 )
-from ddp.normalization import DEFAULT_EPSILON, NormalizedField
-from ddp.ranking import delta_borda
+from ddp.normalization import DEFAULT_EPSILON, NormalizedField, build_field
+from ddp.ranking import borda_state, delta_borda
 from ddp.ingest import GROUP_LABELS
 from ddp.report import BoxplotStats, GroupSlice, GroupStats, dim_stats, percent_change
 from ddp.zoomout import (
     FinestFrameData,
+    FrameLevelState,
     ResidualCurvatureRecord,
     ZoomLevel,
     ZoomOutcome,
     ZoomProfile,
     aggregate,
-    frame_level_state,
     line_polyline_intersections,
 )
 
@@ -620,10 +621,24 @@ def boxplot_stats_oracle(values):
     )
 
 
+def frame_level_state_oracle(burst, config: PipelineConfig) -> FrameLevelState:
+    """One burst's level state from its own ``build_field`` and ``borda_state`` calls."""
+    field = build_field(burst.values, config.epsilon_denominator)
+    return FrameLevelState(
+        borda=borda_state(field),
+        datum=field.datum,
+        datum_residual=field.datum_residual,
+        fit_excluded_fraction=field.fit_excluded_fraction,
+        margin_zeroed_fraction=field.margin_zeroed_fraction,
+        unfittable=field.unfittable,
+    )
+
+
 def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[ZoomOutcome]:
     """zoom_profile with the tail run one frame pair at a time, history threaded in order.
 
-    Curvature, thresholds and RC are taken over all 2**D signed root
+    Each burst is aggregated, normalized and ranked on its own at every
+    level, not as one stack per level.  Curvature, thresholds and RC are taken over all 2**D signed root
     branches (``expand()``), not over the stored half.
     """
     counts = config.zoom_point_counts()
@@ -643,7 +658,7 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[ZoomOutcome]:
     for li, n_l in enumerate(counts):
         if li > 0:
             level_bursts = [aggregate(b, config.aggregation_factor) for b in level_bursts]
-        states = [frame_level_state(b, config) for b in level_bursts]
+        states = [frame_level_state_oracle(b, config) for b in level_bursts]
         valid = np.array([~(states[p].unfittable | states[c].unfittable) for p, c in pairs])
         dh = np.stack([delta_borda(states[c].borda, states[p].borda) for p, c in pairs])
         dh[~valid] = 0.0

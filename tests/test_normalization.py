@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddp.normalization as normalization
-from ddp import NormalizedField, build_field, pair_margins
+from ddp import ContractViolation, DdpError, NormalizedField, build_field, pair_margins
 from ddp.normalization import pair_constants
 
 from oracles import PairStatus, build_field_oracle, pair_constant, pair_constant_oracle
 from test_properties import VALUE_KINDS
+from test_zoomout import TAIL_KINDS, _descending_column
 
 finite_units = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -239,6 +240,75 @@ def test_build_field_matches_unblocked_oracle_bitwise(n, d, epsilon, kind, seed,
         got, want = getattr(field, f.name), getattr(expected, f.name)
         assert got.dtype == want.dtype and got.shape == want.shape, f.name
         assert got.tobytes() == want.tobytes(), f.name
+
+
+def _assert_stack_matches_per_frame_oracle(stack, epsilon, block_cells):
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(normalization, "_BLOCK_CELLS", block_cells)
+        field = build_field(stack, epsilon)
+        frames = [build_field_oracle(frame, epsilon) for frame in stack]
+    for f in dataclasses.fields(NormalizedField):
+        got = getattr(field, f.name)
+        want = np.concatenate([getattr(frame, f.name) for frame in frames])
+        assert got.dtype == want.dtype and got.shape == want.shape, f.name
+        assert got.tobytes() == want.tobytes(), f.name
+    return field
+
+
+@given(
+    n=st.sampled_from([1, 2, 3, 9, 28, 40]),
+    d=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(sorted(TAIL_KINDS)), min_size=1, max_size=6),
+    epsilon=st.sampled_from([1e-9, 0.3, 0.6, 2.0]),
+    block_cells=st.sampled_from([1, 40, 729, 2048, 1 << 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_build_field_stack_matches_per_frame_oracle_bitwise(n, d, kinds, epsilon, block_cells, seed):
+    """A (B, N, D) stack gives the lanes of its frames' oracle fields, frame-major.
+
+    Small blocks send lanes one at a time through several row blocks; large
+    ones put several whole triangles in one block.
+    """
+    rng = np.random.default_rng(seed)
+    stack = np.stack([TAIL_KINDS[kind](rng, n, d) for kind in kinds])
+    _assert_stack_matches_per_frame_oracle(stack, epsilon, block_cells)
+
+
+@pytest.mark.parametrize("block_cells", [1, 512, 4096, 1 << 16])
+def test_build_field_stack_covers_ragged_unfittable_and_zeroed_lanes(block_cells):
+    rng = np.random.default_rng(11)
+    stack = np.stack([
+        _descending_column(rng, 28, 3),
+        rng.normal(0.0, 1.0, (28, 3)),
+        rng.uniform(-0.2, 0.2, (28, 3)),
+        rng.integers(-2, 3, (28, 3)).astype(float),
+    ])
+    field = _assert_stack_matches_per_frame_oracle(stack, 0.3, block_cells)
+    fittable = ~field.unfittable
+    assert field.unfittable.any() and fittable.any()
+    assert np.unique(field.fit_excluded_fraction[fittable]).size > 1   # ragged admitted counts
+    assert field.margin_zeroed.any()
+
+
+def test_build_field_frame_gives_its_dimensions_as_lanes():
+    values = np.random.default_rng(4).uniform(-1.0, 1.0, size=(27, 4))
+    field = build_field(values)
+    stacked = build_field(values[None])
+    expected = build_field_oracle(values)
+    assert field.borda.shape == (4, 27) and field.margin_zeroed.shape == (4, 27, 27)
+    for f in dataclasses.fields(NormalizedField):
+        got = getattr(field, f.name)
+        assert got.tobytes() == getattr(stacked, f.name).tobytes(), f.name
+        assert got.tobytes() == getattr(expected, f.name).tobytes(), f.name
+
+
+def test_build_field_rejects_unequal_frames():
+    with pytest.raises(ContractViolation) as info:
+        build_field([np.zeros((9, 2)), np.zeros((27, 2))])
+    assert isinstance(info.value, DdpError)
+    with pytest.raises(ContractViolation):
+        build_field(np.zeros(9))
 
 
 def test_build_field_working_set_is_bounded():

@@ -26,6 +26,7 @@ from ddp.zoomout import (
     ResidualCurvatureRecord,
     ZoomLevel,
     ZoomProfile,
+    _coarsen,
     line_polyline_intersections,
     residual_curvature,
 )
@@ -64,6 +65,13 @@ def test_aggregate_preserves_grand_mean():
     np.testing.assert_allclose(
         coarse.values.mean(axis=0), burst.values.mean(axis=0), rtol=1e-13
     )
+
+
+def test_aggregate_matches_stack_coarsening_bitwise():
+    stack = np.random.default_rng(2).normal(0.0, 1.0, (5, 81, 4))
+    coarse = _coarsen(stack, 3)
+    for b in range(5):
+        assert aggregate(_burst(stack[b]), 3).values.tobytes() == coarse[b].tobytes()
 
 
 def test_aggregate_rejects_indivisible():
