@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .config import PipelineConfig
@@ -33,6 +33,7 @@ from .report import (
     group_stats,
     group_stats_csv,
     _group_stats_json,
+    json_text,
     subject_pools_from_json,
 )
 
@@ -151,15 +152,10 @@ def _cmd_synth(args) -> int:
         print(path)
         inj = dataset.metadata[sid].injection
         if inj is not None:
-            injections[sid] = {
-                "burst_index": inj.burst_index,
-                "time_index": inj.time_index,
-                "dimension": inj.dimension,
-                "drop_fraction": inj.drop_fraction,
-            }
+            injections[sid] = asdict(inj)
     if injections:
         inj_path = out_dir / "injections.json"
-        inj_path.write_text(json.dumps(injections, indent=2) + "\n", encoding="utf-8")
+        inj_path.write_text(json_text(injections) + "\n", encoding="utf-8")
         print(inj_path)
     return 0
 
@@ -197,7 +193,7 @@ def _cmd_stats(args) -> int:
     if args.format == "csv":
         text = group_stats_csv(stats, config)
     else:
-        text = json.dumps(_group_stats_json(stats), indent=2, allow_nan=False) + "\n"
+        text = json_text(_group_stats_json(stats)) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(args.out)

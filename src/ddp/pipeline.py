@@ -17,12 +17,13 @@ from .config import PipelineConfig
 from .curvature import classify_frame, detect_chains, escalate_chain_categories
 from .errors import ValidationError
 from .ingest import DataBurst, Dataset, SubjectMeta, prescale_burst
-from .lengthscale import Convergence
+from .lengthscale import Convergence, branch_layout
 from .report import (
     FrameResult,
     SubjectReport,
     boxplot_stats,
-    csv_num,
+    csv_field,
+    csv_nums,
     energy_exchange_amplitude,
 )
 from .zoomout import critical_chain_lengths, gti, zoom_profile
@@ -51,6 +52,7 @@ def analyze_subject(
                 f"{b.n_points}x{b.n_dims}, config expects {config.N}x{config.D}"
             )
     dump_rows: dict[str, list[str]] = {k: [] for k in dumps}
+    subject_field = csv_field(subject_id)
 
     scaled: list[DataBurst] = []
     factors: list[np.ndarray] = []
@@ -104,45 +106,85 @@ def analyze_subject(
             )
         )
         _collect_dumps(
-            dump_rows, subject_id, current.burst_index, outcome, cls, final_categories, config
+            dump_rows, subject_field, current.burst_index, outcome, cls, final_categories
         )
 
     return _assemble_report(subject_id, bursts, meta, factors, frames, config), dump_rows
 
 
-def _collect_dumps(rows, subject_id, burst_index, outcome, cls, categories, config):
+def _collect_dumps(rows, subject_field, burst_index, outcome, cls, categories):
+    """Append one frame pair's dump rows; subject_field is the CSV-quoted subject id."""
     fin = outcome.finest
+    head = f"{subject_field},{burst_index},"
     if "borda" in rows:
         st = outcome.current_state
-        for d in range(config.D):
-            for a in range(st.borda.H.shape[1]):
-                rows["borda"].append(
-                    f"{subject_id},{burst_index},{d},{a},"
-                    f"{csv_num(st.borda.H[d, a])},{csv_num(st.borda.R[d, a])},"
-                    f"{csv_num(fin.dh[d, a])}"
-                )
+        columns = zip(st.borda.H.tolist(), st.borda.R.tolist(), fin.dh.tolist())
+        for d, (h, r, dh) in enumerate(columns):
+            prefix = f"{head}{d},"
+            rows["borda"].extend([
+                f"{prefix}{a},{x},{y},{z}"
+                for a, (x, y, z) in enumerate(zip(csv_nums(h), csv_nums(r), csv_nums(dh)))
+            ])
     if "roots" in rows:
-        for a, point in enumerate(fin.roots.expand()):
-            for ri, vector in enumerate(point):
-                vec = ",".join(csv_num(v) for v in vector)
-                conv = _CONV_NAMES[int(fin.roots.convergence[a, ri])]
-                rows["roots"].append(f"{subject_id},{burst_index},{a},{ri},{vec},{conv}")
+        rows["roots"].extend(_roots_rows(head, fin.roots))
     if "pdi" in rows:
-        for a in range(categories.shape[0]):
-            short = ";".join(map(str, np.nonzero(cls.short_unstable[a])[0].tolist()))
-            long_ = ";".join(map(str, np.nonzero(cls.long_unstable[a])[0].tolist()))
+        flags = zip(
+            categories.tolist(), cls.short_unstable.tolist(), cls.long_unstable.tolist(),
+            cls.mode_mixity.tolist(), cls.mixed_disjoint.tolist(),
+        )
+        for a, (cat, short, long_, mixity, disjoint) in enumerate(flags):
+            short = ";".join([str(d) for d, f in enumerate(short) if f])
+            long_ = ";".join([str(d) for d, f in enumerate(long_) if f])
             rows["pdi"].append(
-                f"{subject_id},{burst_index},{a},{categories[a]},{short},{long_},"
-                f"{int(cls.mode_mixity[a])},{int(cls.mixed_disjoint[a])}"
+                f"{head}{a},{cat},{short},{long_},{int(mixity)},{int(disjoint)}"
             )
     if "zoom" in rows:
         for li, lv in enumerate(outcome.profile.levels):
-            per_dim = ",".join(csv_num(v) for v in lv.kappa_per_dim)
-            rows["zoom"].append(
-                f"{subject_id},{burst_index},{li},{lv.point_count},"
-                f"{csv_num(lv.x_coordinate)},{csv_num(lv.kappa_combined)},"
-                f"{csv_num(lv.inv_ltilde_combined)},{csv_num(lv.inv_l_combined)},{per_dim}"
+            x, kappa, inv_ltilde, inv_l = csv_nums(
+                [lv.x_coordinate, lv.kappa_combined, lv.inv_ltilde_combined, lv.inv_l_combined]
             )
+            per_dim = ",".join(csv_nums(lv.kappa_per_dim.tolist()))
+            rows["zoom"].append(
+                f"{head}{li},{lv.point_count},{x},{kappa},{inv_ltilde},{inv_l},{per_dim}"
+            )
+
+
+def _roots_rows(head: str, roots) -> list[str]:
+    """The roots dump rows of one frame pair, all 2**D branches of every point.
+
+    Each stored magnitude is formatted once, and only once per point when
+    all its stored branches hold the same bits (the closed-form case).  The
+    anti-branch text is the same text with the sign character flipped,
+    which is the repr of the negated float (nan stays nan, 0.0 and -0.0
+    swap).
+    """
+    _, branch, sign = branch_layout(roots.sentinel.shape[1])
+    layout = list(zip(branch.tolist(), (sign < 0).tolist()))
+    stored = np.where(roots.sentinel[:, None, :], np.inf, roots.roots)
+    bits = stored.view(np.uint64)
+    uniform = (bits == bits[:, :1]).all(axis=(1, 2)).tolist()
+    half = stored.shape[1]
+    lines = []
+    for a, (point, labels, same) in enumerate(
+        zip(stored.tolist(), roots.convergence.tolist(), uniform)
+    ):
+        texts = [csv_nums(vector) for vector in (point[:1] if same else point)]
+        plus = [",".join(t) for t in texts]
+        minus = [",".join([_negated(v) for v in t]) for t in texts]
+        if same:
+            plus, minus = plus * half, minus * half
+        lines.extend([
+            f"{head}{a},{ri},{minus[b] if flipped else plus[b]},{_CONV_NAMES[label]}"
+            for ri, ((b, flipped), label) in enumerate(zip(layout, labels))
+        ])
+    return lines
+
+
+def _negated(text: str) -> str:
+    """The CSV text of -v given the CSV text of v."""
+    if text[0] == "-":
+        return text[1:]
+    return text if text == "nan" else "-" + text
 
 
 def _assemble_report(subject_id, bursts, meta, factors, frames, config):

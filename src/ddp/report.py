@@ -10,13 +10,23 @@ Conventions, stated once so outputs are reproducible:
 * group medians pool every residual-curvature root value of the group;
   the combined entry pools across dimensions as well
 * undefined statistics are emitted as null, never as zero
+
+Output format:
+
+* JSON is indented by 2 spaces, one item per line, with ": " after keys;
+  strings and keys are ASCII-escaped, and non-finite floats are written
+  as null; the text is the same bytes as ``json.dumps(value, indent=2)``
+  of the same values read as Python numbers (see ``json_text``)
+* CSV numbers are float reprs, nan when not finite; a text field holding a
+  comma, a double quote, CR or LF is quoted as the csv module quotes it
+  (``csv_field``), so every row has its header's width
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
+from math import isfinite
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -31,6 +41,9 @@ if TYPE_CHECKING:
     from .zoomout import GtiRecord, ResidualCurvatureRecord, ZoomLevel
 
 SCHEMA_VERSION = "1.0"
+
+_float_repr = float.__repr__
+_int_repr = int.__repr__
 
 
 @dataclass(frozen=True)
@@ -298,31 +311,88 @@ class SubjectReport:
 # serialization
 
 
-def _clean(x):
-    """Floats become JSON-safe: non-finite maps to None."""
-    if isinstance(x, (np.floating, float)):
-        v = float(x)
-        return v if math.isfinite(v) else None
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_clean(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_clean(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _clean(v) for k, v in x.items()}
-    return x
+def json_text(value) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, with no trailing newline.
+
+    numpy arrays are read through ``.tolist()`` and numpy scalars as the
+    Python number they hold; non-finite floats are written as null.  Keys
+    must be str.  Every other type json.dumps rejects raises TypeError.
+    """
+    chunks: list[str] = []
+    _write(value, "\n", chunks)
+    return "".join(chunks)
+
+
+def _write(v, nl: str, out: list[str]) -> None:
+    """Append the JSON text of v to out; nl is a newline plus the current indent."""
+    if isinstance(v, str):
+        out.append(_encode_str(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(_int_repr(v))
+    elif isinstance(v, float):  # np.float64 included
+        out.append(_float_repr(v) if isfinite(v) else "null")
+    elif isinstance(v, (list, tuple)):
+        _write_list(v, nl, out)
+    elif isinstance(v, np.ndarray):
+        _write(v.tolist(), nl, out)
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in v.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(v, np.floating):
+        _write(float(v), nl, out)
+    elif isinstance(v, np.integer):
+        out.append(_int_repr(int(v)))
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _write_list(items, nl: str, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    if isinstance(items[0], float):
+        try:
+            text = ("," + inner).join(map(_float_repr, items))
+        except TypeError:  # an item that is not a float
+            pass
+        else:
+            if "n" not in text:  # finite reprs hold no nan or inf
+                out.append("[" + inner + text + nl + "]")
+                return
+    sep = "[" + inner
+    for item in items:
+        out.append(sep)
+        _write(item, inner, out)
+        sep = "," + inner
+    out.append(nl + "]")
 
 
 def _boxplot_json(b: BoxplotStats | None):
     if b is None:
         return None
     return {
-        "q25": _clean(b.q25),
-        "q75": _clean(b.q75),
-        "whisker_low": _clean(b.whisker_low),
-        "whisker_high": _clean(b.whisker_high),
-        "outliers": _clean(b.outliers),
+        "q25": b.q25,
+        "q75": b.q75,
+        "whisker_low": b.whisker_low,
+        "whisker_high": b.whisker_high,
+        "outliers": b.outliers,
     }
 
 
@@ -330,43 +400,43 @@ def _frame_json(fr: FrameResult) -> dict:
     return {
         "previous_burst_index": fr.previous_burst_index,
         "current_burst_index": fr.current_burst_index,
-        "dt_span": _clean(fr.dt_span),
-        "datum": _clean(fr.datum),
-        "datum_residual": _clean(fr.datum_residual),
-        "rc_per_dim": _clean(fr.rc.rc_per_dim),
-        "rc_combined": _clean(fr.rc.rc_combined),
-        "rc_roots": _clean(fr.rc.rc),
-        "critical_short": _clean(fr.critical_short),
-        "critical_long": _clean(fr.critical_long),
+        "dt_span": fr.dt_span,
+        "datum": fr.datum,
+        "datum_residual": fr.datum_residual,
+        "rc_per_dim": fr.rc.rc_per_dim,
+        "rc_combined": fr.rc.rc_combined,
+        "rc_roots": fr.rc.rc,
+        "critical_short": fr.critical_short,
+        "critical_long": fr.critical_long,
         "gti": {
             "chain_max_length": fr.gti.chain_max_length,
-            "critical_short": _clean(fr.gti.critical_short),
-            "critical_long": _clean(fr.gti.critical_long),
-            "energy_drop_fraction": _clean(fr.gti.energy_drop_fraction),
+            "critical_short": fr.gti.critical_short,
+            "critical_long": fr.gti.critical_long,
+            "energy_drop_fraction": fr.gti.energy_drop_fraction,
             "triggered": fr.gti.triggered,
             "imminent": fr.gti.imminent,
         },
         "pdi_counts": {str(k): v for k, v in sorted(fr.pdi_counts.items())},
         "chains": [
             {"start_index": c.start_index, "length": c.length,
-             "dimensions": list(c.dimensions)}
+             "dimensions": c.dimensions}
             for c in fr.chains
         ],
-        "mixed_disjoint_points": list(fr.mixed_disjoint_points),
-        "fallback_fraction": _clean(fr.fallback_fraction),
-        "fit_excluded_fraction": _clean(fr.fit_excluded_fraction),
-        "margin_zeroed_fraction": _clean(fr.margin_zeroed_fraction),
-        "partial_dims": list(fr.partial_dims),
+        "mixed_disjoint_points": fr.mixed_disjoint_points,
+        "fallback_fraction": fr.fallback_fraction,
+        "fit_excluded_fraction": fr.fit_excluded_fraction,
+        "margin_zeroed_fraction": fr.margin_zeroed_fraction,
+        "partial_dims": fr.partial_dims,
         "levels": [
             {
                 "point_count": lv.point_count,
-                "x_coordinate": _clean(lv.x_coordinate),
-                "kappa_per_dim": _clean(lv.kappa_per_dim),
-                "kappa_combined": _clean(lv.kappa_combined),
-                "inv_ltilde_per_dim": _clean(lv.inv_ltilde_per_dim),
-                "inv_ltilde_combined": _clean(lv.inv_ltilde_combined),
-                "inv_l_per_dim": _clean(lv.inv_l_per_dim),
-                "inv_l_combined": _clean(lv.inv_l_combined),
+                "x_coordinate": lv.x_coordinate,
+                "kappa_per_dim": lv.kappa_per_dim,
+                "kappa_combined": lv.kappa_combined,
+                "inv_ltilde_per_dim": lv.inv_ltilde_per_dim,
+                "inv_ltilde_combined": lv.inv_ltilde_combined,
+                "inv_l_per_dim": lv.inv_l_per_dim,
+                "inv_l_combined": lv.inv_l_combined,
             }
             for lv in fr.levels
         ],
@@ -377,28 +447,23 @@ def subject_json(rep: SubjectReport) -> dict:
     doc = {
         "subject_id": rep.subject_id,
         "group_label": rep.group_label,
-        "mass": _clean(rep.mass),
+        "mass": rep.mass,
         "mass_defaulted": rep.mass_defaulted,
         "n_bursts": rep.n_bursts,
-        "prescale_factors": _clean(rep.prescale_factors),
-        "rc_median_per_dim": _clean(rep.rc_median_per_dim),
-        "rc_combined_median": _clean(rep.rc_combined_median),
-        "rc_values_per_dim": _clean(rep.rc_values_per_dim),
+        "prescale_factors": rep.prescale_factors,
+        "rc_median_per_dim": rep.rc_median_per_dim,
+        "rc_combined_median": rep.rc_combined_median,
+        "rc_values_per_dim": rep.rc_values_per_dim,
         "pdi_histogram": {str(k): v for k, v in sorted(rep.pdi_histogram.items())},
         "boxplot_per_dim": [_boxplot_json(b) for b in rep.boxplot_per_dim],
-        "modulation_iqr_per_dim": _clean(rep.modulation_iqr_per_dim),
+        "modulation_iqr_per_dim": rep.modulation_iqr_per_dim,
         "energy_exchange_amplitudes": {
-            str(k): _clean(v) for k, v in sorted(rep.energy_exchange_amplitudes.items())
+            str(k): v for k, v in sorted(rep.energy_exchange_amplitudes.items())
         },
         "frames": [_frame_json(fr) for fr in rep.frames],
     }
     if rep.injection is not None:
-        doc["injection"] = {
-            "burst_index": rep.injection.burst_index,
-            "time_index": rep.injection.time_index,
-            "dimension": rep.injection.dimension,
-            "drop_fraction": _clean(rep.injection.drop_fraction),
-        }
+        doc["injection"] = asdict(rep.injection)
     return doc
 
 
@@ -406,32 +471,28 @@ def _group_stats_json(gs: GroupStats | None):
     if gs is None:
         return None
     return {
-        "threshold": _clean(gs.threshold),
-        "bin_edges": _clean(gs.bin_edges),
+        "threshold": gs.threshold,
+        "bin_edges": gs.bin_edges,
         "unavailable": gs.unavailable,
         "groups": {
             label: {
                 "n_subjects": sl.n_subjects,
-                "per_dim": [
-                    None if d is None else {
-                        "n": d.n,
-                        "median": _clean(d.median),
-                        "percent_above": _clean(d.percent_above),
-                        "bin_counts": list(d.bin_counts),
-                    }
-                    for d in sl.per_dim
-                ],
-                "combined": {
-                    "n": sl.combined.n,
-                    "median": _clean(sl.combined.median),
-                    "percent_above": _clean(sl.combined.percent_above),
-                    "bin_counts": list(sl.combined.bin_counts),
-                },
+                "per_dim": [None if d is None else _dim_stats_json(d) for d in sl.per_dim],
+                "combined": _dim_stats_json(sl.combined),
             }
             for label, sl in gs.groups.items()
         },
-        "percent_change_per_dim": _clean(gs.percent_change_per_dim),
-        "percent_change_combined": _clean(gs.percent_change_combined),
+        "percent_change_per_dim": gs.percent_change_per_dim,
+        "percent_change_combined": gs.percent_change_combined,
+    }
+
+
+def _dim_stats_json(d: DimStats) -> dict:
+    return {
+        "n": d.n,
+        "median": d.median,
+        "percent_above": d.percent_above,
+        "bin_counts": d.bin_counts,
     }
 
 
@@ -442,32 +503,46 @@ def report_json(
 ) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": _clean(asdict(config)),
-        "dimension_names": list(config.dimension_names()),
+        "config": asdict(config),
+        "dimension_names": config.dimension_names(),
         "subjects": [subject_json(r) for r in reports],
         "group_stats": _group_stats_json(stats),
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return json_text(doc) + "\n"
 
 
 def csv_num(x) -> str:
     """A number as CSV text: its float repr, or nan when not finite."""
     v = float(x)
-    return repr(v) if math.isfinite(v) else "nan"
+    return _float_repr(v) if isfinite(v) else "nan"
+
+
+def csv_nums(values: list[float]) -> list[str]:
+    """csv_num of every item of a list of Python floats (an array's ``.tolist()``)."""
+    return [_float_repr(v) if isfinite(v) else "nan" for v in values]
+
+
+def csv_field(text: str) -> str:
+    """text as one CSV field, quoted as the csv module's default dialect quotes it.
+
+    A field holding a comma, a double quote, CR or LF is wrapped in double
+    quotes with each inner quote doubled; any other text is written as is.
+    """
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def roots_table_csv(reports: list[SubjectReport]) -> str:
     """One row per (subject, burst, dimension, root) with its rc value."""
     lines = ["subject_id,group_label,burst_index,dimension,root_index,rc"]
     for rep in reports:
+        subject = f"{csv_field(rep.subject_id)},{csv_field(rep.group_label)},"
         for fr in rep.frames:
-            d, nroots = fr.rc.rc.shape
-            for dim in range(d):
-                for ri in range(nroots):
-                    lines.append(
-                        f"{rep.subject_id},{rep.group_label},{fr.current_burst_index},"
-                        f"{dim},{ri},{csv_num(fr.rc.rc[dim, ri])}"
-                    )
+            frame = f"{subject}{fr.current_burst_index},"
+            for dim, row in enumerate(fr.rc.rc.tolist()):
+                head = f"{frame}{dim},"
+                lines.extend([f"{head}{ri},{text}" for ri, text in enumerate(csv_nums(row))])
     return "\n".join(lines) + "\n"
 
 

@@ -6,7 +6,9 @@ intersection, the damped iteration in place of the closed-form root, all
 2**D signed root vectors in place of the stored half, one unblocked
 dimension at a time in place of row blocks, one burst at a time in place
 of the stacked levels, one frame pair at a time in place of the batched
-zoom-out tail) so that agreement is meaningful
+zoom-out tail, values cleaned into Python types and passed to json.dumps
+in place of the array-reading JSON writer, one numpy scalar per CSV field
+in place of row lists) so that agreement is meaningful
 evidence, not tautology.  The scalar twins of the array kernels (one
 point, one root, one curvature value) live here too.
 """
@@ -14,8 +16,9 @@ point, one root, one curvature value) live here too.
 from __future__ import annotations
 
 import enum
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,7 +36,14 @@ from ddp.lengthscale import (
 from ddp.normalization import DEFAULT_EPSILON, NormalizedField, build_field
 from ddp.ranking import borda_state, delta_borda
 from ddp.ingest import GROUP_LABELS
-from ddp.report import BoxplotStats, GroupSlice, GroupStats, dim_stats, percent_change
+from ddp.report import (
+    SCHEMA_VERSION,
+    BoxplotStats,
+    GroupSlice,
+    GroupStats,
+    dim_stats,
+    percent_change,
+)
 from ddp.zoomout import (
     FinestFrameData,
     FrameLevelState,
@@ -786,3 +796,237 @@ def group_stats_oracle(reports, config: PipelineConfig, threshold: float | None 
         percent_change_per_dim=pc_per_dim,
         percent_change_combined=pc_combined,
     )
+
+
+# ---------------------------------------------------------------------------
+# emitters: every value cleaned into Python types, then json.dumps; CSV rows
+# one numpy scalar at a time
+
+
+def _clean(x):
+    """Floats become JSON-safe: non-finite maps to None."""
+    if isinstance(x, (np.floating, float)):
+        v = float(x)
+        return v if math.isfinite(v) else None
+    if isinstance(x, (np.integer, int)):
+        return int(x)
+    if isinstance(x, np.ndarray):
+        return [_clean(v) for v in x.tolist()]
+    if isinstance(x, (list, tuple)):
+        return [_clean(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _clean(v) for k, v in x.items()}
+    return x
+
+
+def json_text_oracle(value) -> str:
+    """The JSON text of a cleaned value through the stdlib encoder."""
+    return json.dumps(_clean(value), indent=2, allow_nan=False)
+
+
+def _boxplot_json_oracle(b):
+    if b is None:
+        return None
+    return {
+        "q25": _clean(b.q25),
+        "q75": _clean(b.q75),
+        "whisker_low": _clean(b.whisker_low),
+        "whisker_high": _clean(b.whisker_high),
+        "outliers": _clean(b.outliers),
+    }
+
+
+def _frame_json_oracle(fr) -> dict:
+    return {
+        "previous_burst_index": fr.previous_burst_index,
+        "current_burst_index": fr.current_burst_index,
+        "dt_span": _clean(fr.dt_span),
+        "datum": _clean(fr.datum),
+        "datum_residual": _clean(fr.datum_residual),
+        "rc_per_dim": _clean(fr.rc.rc_per_dim),
+        "rc_combined": _clean(fr.rc.rc_combined),
+        "rc_roots": _clean(fr.rc.rc),
+        "critical_short": _clean(fr.critical_short),
+        "critical_long": _clean(fr.critical_long),
+        "gti": {
+            "chain_max_length": fr.gti.chain_max_length,
+            "critical_short": _clean(fr.gti.critical_short),
+            "critical_long": _clean(fr.gti.critical_long),
+            "energy_drop_fraction": _clean(fr.gti.energy_drop_fraction),
+            "triggered": fr.gti.triggered,
+            "imminent": fr.gti.imminent,
+        },
+        "pdi_counts": {str(k): v for k, v in sorted(fr.pdi_counts.items())},
+        "chains": [
+            {"start_index": c.start_index, "length": c.length,
+             "dimensions": list(c.dimensions)}
+            for c in fr.chains
+        ],
+        "mixed_disjoint_points": list(fr.mixed_disjoint_points),
+        "fallback_fraction": _clean(fr.fallback_fraction),
+        "fit_excluded_fraction": _clean(fr.fit_excluded_fraction),
+        "margin_zeroed_fraction": _clean(fr.margin_zeroed_fraction),
+        "partial_dims": list(fr.partial_dims),
+        "levels": [
+            {
+                "point_count": lv.point_count,
+                "x_coordinate": _clean(lv.x_coordinate),
+                "kappa_per_dim": _clean(lv.kappa_per_dim),
+                "kappa_combined": _clean(lv.kappa_combined),
+                "inv_ltilde_per_dim": _clean(lv.inv_ltilde_per_dim),
+                "inv_ltilde_combined": _clean(lv.inv_ltilde_combined),
+                "inv_l_per_dim": _clean(lv.inv_l_per_dim),
+                "inv_l_combined": _clean(lv.inv_l_combined),
+            }
+            for lv in fr.levels
+        ],
+    }
+
+
+def _subject_json_oracle(rep) -> dict:
+    doc = {
+        "subject_id": rep.subject_id,
+        "group_label": rep.group_label,
+        "mass": _clean(rep.mass),
+        "mass_defaulted": rep.mass_defaulted,
+        "n_bursts": rep.n_bursts,
+        "prescale_factors": _clean(rep.prescale_factors),
+        "rc_median_per_dim": _clean(rep.rc_median_per_dim),
+        "rc_combined_median": _clean(rep.rc_combined_median),
+        "rc_values_per_dim": _clean(rep.rc_values_per_dim),
+        "pdi_histogram": {str(k): v for k, v in sorted(rep.pdi_histogram.items())},
+        "boxplot_per_dim": [_boxplot_json_oracle(b) for b in rep.boxplot_per_dim],
+        "modulation_iqr_per_dim": _clean(rep.modulation_iqr_per_dim),
+        "energy_exchange_amplitudes": {
+            str(k): _clean(v) for k, v in sorted(rep.energy_exchange_amplitudes.items())
+        },
+        "frames": [_frame_json_oracle(fr) for fr in rep.frames],
+    }
+    if rep.injection is not None:
+        doc["injection"] = {
+            "burst_index": rep.injection.burst_index,
+            "time_index": rep.injection.time_index,
+            "dimension": rep.injection.dimension,
+            "drop_fraction": _clean(rep.injection.drop_fraction),
+        }
+    return doc
+
+
+def _group_stats_json_oracle(gs):
+    if gs is None:
+        return None
+    return {
+        "threshold": _clean(gs.threshold),
+        "bin_edges": _clean(gs.bin_edges),
+        "unavailable": gs.unavailable,
+        "groups": {
+            label: {
+                "n_subjects": sl.n_subjects,
+                "per_dim": [
+                    None if d is None else {
+                        "n": d.n,
+                        "median": _clean(d.median),
+                        "percent_above": _clean(d.percent_above),
+                        "bin_counts": list(d.bin_counts),
+                    }
+                    for d in sl.per_dim
+                ],
+                "combined": {
+                    "n": sl.combined.n,
+                    "median": _clean(sl.combined.median),
+                    "percent_above": _clean(sl.combined.percent_above),
+                    "bin_counts": list(sl.combined.bin_counts),
+                },
+            }
+            for label, sl in gs.groups.items()
+        },
+        "percent_change_per_dim": _clean(gs.percent_change_per_dim),
+        "percent_change_combined": _clean(gs.percent_change_combined),
+    }
+
+
+def group_stats_json_oracle(gs) -> str:
+    """The text of ``ddp stats --format json``."""
+    return json.dumps(_group_stats_json_oracle(gs), indent=2, allow_nan=False) + "\n"
+
+
+def report_json_oracle(reports, stats, config: PipelineConfig) -> str:
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "config": _clean(asdict(config)),
+        "dimension_names": list(config.dimension_names()),
+        "subjects": [_subject_json_oracle(r) for r in reports],
+        "group_stats": _group_stats_json_oracle(stats),
+    }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _csv_num_oracle(x) -> str:
+    v = float(x)
+    return repr(v) if math.isfinite(v) else "nan"
+
+
+def roots_table_csv_oracle(reports) -> str:
+    """One row per (subject, burst, dimension, root), each rc value read as a numpy scalar."""
+    lines = ["subject_id,group_label,burst_index,dimension,root_index,rc"]
+    for rep in reports:
+        for fr in rep.frames:
+            d, nroots = fr.rc.rc.shape
+            for dim in range(d):
+                for ri in range(nroots):
+                    lines.append(
+                        f"{rep.subject_id},{rep.group_label},{fr.current_burst_index},"
+                        f"{dim},{ri},{_csv_num_oracle(fr.rc.rc[dim, ri])}"
+                    )
+    return "\n".join(lines) + "\n"
+
+
+_CONV_NAMES_ORACLE = {int(c): c.name.lower() for c in Convergence}
+
+
+def roots_dump_rows_oracle(head: str, roots: LengthScaleRoots) -> list[str]:
+    """The roots dump rows of one frame pair from all 2**D expanded vectors."""
+    rows = []
+    for a, point in enumerate(roots.expand()):
+        for ri, vector in enumerate(point):
+            vec = ",".join(_csv_num_oracle(v) for v in vector)
+            conv = _CONV_NAMES_ORACLE[int(roots.convergence[a, ri])]
+            rows.append(f"{head}{a},{ri},{vec},{conv}")
+    return rows
+
+
+def collect_dumps_oracle(rows, subject_id, burst_index, outcome, cls, categories):
+    """The dump rows of one frame pair, one numpy scalar at a time.
+
+    Takes the arguments of ``pipeline._collect_dumps``, so a test can swap
+    it in and compare the dump tables.
+    """
+    fin = outcome.finest
+    if "borda" in rows:
+        st = outcome.current_state
+        for d in range(st.borda.H.shape[0]):
+            for a in range(st.borda.H.shape[1]):
+                rows["borda"].append(
+                    f"{subject_id},{burst_index},{d},{a},"
+                    f"{_csv_num_oracle(st.borda.H[d, a])},{_csv_num_oracle(st.borda.R[d, a])},"
+                    f"{_csv_num_oracle(fin.dh[d, a])}"
+                )
+    if "roots" in rows:
+        rows["roots"].extend(roots_dump_rows_oracle(f"{subject_id},{burst_index},", fin.roots))
+    if "pdi" in rows:
+        for a in range(categories.shape[0]):
+            short = ";".join(map(str, np.nonzero(cls.short_unstable[a])[0].tolist()))
+            long_ = ";".join(map(str, np.nonzero(cls.long_unstable[a])[0].tolist()))
+            rows["pdi"].append(
+                f"{subject_id},{burst_index},{a},{categories[a]},{short},{long_},"
+                f"{int(cls.mode_mixity[a])},{int(cls.mixed_disjoint[a])}"
+            )
+    if "zoom" in rows:
+        for li, lv in enumerate(outcome.profile.levels):
+            per_dim = ",".join(_csv_num_oracle(v) for v in lv.kappa_per_dim)
+            rows["zoom"].append(
+                f"{subject_id},{burst_index},{li},{lv.point_count},"
+                f"{_csv_num_oracle(lv.x_coordinate)},{_csv_num_oracle(lv.kappa_combined)},"
+                f"{_csv_num_oracle(lv.inv_ltilde_combined)},{_csv_num_oracle(lv.inv_l_combined)},"
+                f"{per_dim}"
+            )

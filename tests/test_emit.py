@@ -1,0 +1,232 @@
+"""Report emission: the JSON writer, the CSV fields and the dump rows.
+
+Every text the package writes is compared byte for byte with the oracle
+emitters of tests/oracles.py, which clean each value into Python types and
+pass it to json.dumps, or format one numpy scalar per CSV field.
+"""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ddp.pipeline
+from ddp import Dataset, PipelineConfig, analyze_dataset, emit_xyzm, parse_xyzm, synthesize
+from ddp.cli import main
+from ddp.lengthscale import LengthScaleRoots
+from ddp.pipeline import _roots_rows
+from ddp.report import (
+    _group_stats_json,
+    csv_field,
+    group_stats,
+    group_stats_csv,
+    json_text,
+    report_json,
+    roots_table_csv,
+)
+
+from oracles import (
+    collect_dumps_oracle,
+    group_stats_json_oracle,
+    json_text_oracle,
+    report_json_oracle,
+    roots_dump_rows_oracle,
+    roots_table_csv_oracle,
+)
+
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    math.nan, math.inf, -math.inf, 0.1, 1e16, 1e-7,
+)
+
+_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+_scalars = st.one_of(
+    st.none(),
+    _floats,
+    st.integers(),
+    _floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.text(),
+)
+_arrays = st.one_of(
+    st.lists(_floats, max_size=12).map(lambda v: np.array(v, dtype=float)),
+    st.lists(_floats, min_size=2, max_size=12).map(lambda v: np.array(v[:len(v) // 2 * 2]).reshape(2, -1)),
+    st.lists(st.integers(-2**31, 2**31), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+)
+_values = st.recursive(
+    st.one_of(_scalars, _arrays),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_floats, max_size=8),
+        st.dictionaries(st.text(), inner, max_size=5),
+    ),
+    max_leaves=16,
+)
+
+
+@given(_values)
+@settings(max_examples=150, deadline=None)
+def test_json_text_matches_json_dumps_of_cleaned_values(value):
+    assert json_text(value) == json_text_oracle(value)
+
+
+@pytest.mark.parametrize("x", SPECIAL_FLOATS)
+def test_json_text_special_floats(x):
+    for value in (x, [x], [x, 1.5], [1.5, x], np.array([x, 2.0]), {"k": (x,)}):
+        assert json_text(value) == json_text_oracle(value)
+
+
+def test_json_text_strings_and_bools():
+    text = 'é "q" \\ \x00\x1f  \U0001f600'
+    value = {text: [text, True, False, None], "b": (True, 1, 1.0)}
+    assert json_text(value) == json.dumps(value, indent=2)
+    assert json_text([]) == "[]" and json_text({}) == "{}" and json_text(()) == "[]"
+    assert json_text([[], {}, [[]]]) == json.dumps([[], {}, [[]]], indent=2)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.bool_(True), {1, 2}, object(), 1j, b"x"],
+    ids=["np.bool_", "set", "object", "complex", "bytes"],
+)
+def test_json_text_rejects_what_json_dumps_rejects(bad):
+    for value in (bad, [bad], [1.5, bad], {"k": bad}, (2.5, 3.5, bad)):
+        with pytest.raises(TypeError):
+            json_text_oracle(value)
+        with pytest.raises(TypeError):
+            json_text(value)
+
+
+def test_json_text_rejects_non_str_keys():
+    with pytest.raises(TypeError):
+        json_text({(1, 2): 0.5})
+
+
+def _corpus(D, N, seed):
+    """Two control and two post_aclr subjects with #com, through xyzm text."""
+    cfg = PipelineConfig(D=D, N=N, seed=seed)
+    parts = [
+        synthesize("burst", cfg, n_bursts=3, n_subjects=2, group_label="control",
+                   include_com=True, subject_prefix="CTL"),
+        synthesize("stable", PipelineConfig(D=D, N=N, seed=seed + 1), n_bursts=3,
+                   n_subjects=2, group_label="post_aclr", include_com=True, subject_prefix="ACL"),
+    ]
+    merged = Dataset(
+        bursts=[b for ds in parts for b in ds.bursts],
+        metadata={k: v for ds in parts for k, v in ds.metadata.items()},
+    )
+    return cfg, merged
+
+
+@pytest.mark.parametrize("D,N,seed", [(3, 27, 4), (4, 27, 7)])
+def test_outputs_match_oracle_emitters(D, N, seed, tmp_path, monkeypatch, capsys):
+    cfg, ds = _corpus(D, N, seed)
+    kinds = ddp.pipeline.DUMP_KINDS
+    result = analyze_dataset(ds, cfg, dumps=kinds)
+    stats = group_stats(result.subjects, cfg)
+    report = report_json(result.subjects, stats, cfg)
+    assert report == report_json_oracle(result.subjects, stats, cfg)
+    assert roots_table_csv(result.subjects) == roots_table_csv_oracle(result.subjects)
+    for pinned in (None, 0.5):
+        gs = group_stats(result.subjects, cfg, threshold=pinned)
+        assert json_text(_group_stats_json(gs)) + "\n" == group_stats_json_oracle(gs)
+
+    monkeypatch.setattr(ddp.pipeline, "_collect_dumps", collect_dumps_oracle)
+    want = analyze_dataset(ds, cfg, dumps=kinds)
+    for kind in kinds:
+        assert result.dumps[kind] == want.dumps[kind], kind
+    monkeypatch.undo()
+
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    (reports / "r.json").write_text(report)
+    for fmt, expected in (
+        ("json", group_stats_json_oracle(stats)),
+        ("csv", group_stats_csv(stats, cfg)),
+    ):
+        assert main(["stats", "--reports", str(reports), "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_synth_injections_json(tmp_path, capsys):
+    assert main(["synth", "--profile", "burst", "--seed", "3", "--subjects", "2",
+                 "--bursts", "3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    ds = synthesize("burst", PipelineConfig(seed=3), n_bursts=3, n_subjects=2)
+    want = {
+        sid: {
+            "burst_index": m.injection.burst_index,
+            "time_index": m.injection.time_index,
+            "dimension": m.injection.dimension,
+            "drop_fraction": m.injection.drop_fraction,
+        }
+        for sid, m in ds.metadata.items()
+    }
+    assert (tmp_path / "injections.json").read_text() == json.dumps(want, indent=2) + "\n"
+
+
+def test_roots_table_with_distinct_roots_matches_oracle():
+    # served frames give one rc value per dimension; this one varies per root
+    cfg = PipelineConfig(D=3, N=27, seed=5)
+    rep = analyze_dataset(synthesize("burst", cfg, n_bursts=3), cfg).subjects[0]
+    rng = np.random.default_rng(0)
+    for fr in rep.frames:
+        fr.rc.rc = rng.standard_normal(fr.rc.rc.shape)
+        fr.rc.rc.flat[rng.integers(0, fr.rc.rc.size, 6)] = rng.choice(np.array(SPECIAL_FLOATS), 6)
+    assert roots_table_csv([rep]) == roots_table_csv_oracle([rep])
+
+
+@given(st.text(alphabet='ab ,"\r\n\té;', max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_csv_field_quotes_as_csv_writer(text):
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    assert buf.getvalue() == csv_field(text) + ",\r\n"
+
+
+def test_csv_rows_keep_header_width_with_awkward_subject_id():
+    sid = 'knee,left "A"'
+    cfg = PipelineConfig(N=27, seed=2)
+    text = emit_xyzm(synthesize("burst", cfg, n_bursts=3, include_com=True))
+    text = text.replace("#subject SYN000", f"#subject {sid}")
+    result = analyze_dataset(parse_xyzm(text, cfg), cfg, dumps=ddp.pipeline.DUMP_KINDS)
+    assert result.subjects[0].subject_id == sid
+    tables = dict(result.dumps, rc_roots=roots_table_csv(result.subjects))
+    for name, table in tables.items():
+        header, *rows = csv.reader(io.StringIO(table))
+        assert rows, name
+        for row in rows:
+            assert len(row) == len(header), (name, row)
+            assert row[0] == sid, name
+    plain = analyze_dataset(parse_xyzm(text.replace(sid, "knee left A"), cfg), cfg)
+    assert roots_table_csv(plain.subjects) == roots_table_csv_oracle(plain.subjects)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_roots_rows_match_expanded_vectors(D):
+    # stored magnitudes of either sign, -0.0, subnormals, extremes, nan and
+    # inf, with sentinel dimensions and every convergence label; the first
+    # half of the points hold one vector in every stored branch, as the
+    # closed form gives, and one of them differs only in the sign of a zero
+    rng = np.random.default_rng(D)
+    n, half = 24, 2 ** (D - 1)
+    roots = rng.standard_normal((n, half, D)) * 10.0 ** rng.integers(-300, 300, (n, half, D))
+    special = np.array(SPECIAL_FLOATS)
+    pick = rng.uniform(size=roots.shape) < 0.4
+    roots[pick] = rng.choice(special, size=int(pick.sum()))
+    roots[: n // 2] = roots[: n // 2, :1]
+    roots[0, :, 0] = 0.0
+    roots[0, -1, 0] = -0.0
+    sentinel = rng.uniform(size=(n, D)) < 0.15
+    convergence = rng.integers(0, 3, (n, 2 ** D)).astype(np.uint8)
+    lsr = LengthScaleRoots(roots=roots, sentinel=sentinel,
+                           negative_ratio=np.zeros((n, D), bool), convergence=convergence)
+    head = '"a,b",7,'
+    assert _roots_rows(head, lsr) == roots_dump_rows_oracle(head, lsr)
