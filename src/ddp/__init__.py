@@ -12,7 +12,6 @@ collapse of the energy exchange rate.
 from .config import DIMENSION_NAMES_4D, PipelineConfig
 from .curvature import (
     Chain,
-    ThresholdHistory,
     detect_chains,
     escalate_chain_categories,
     update_thresholds,
@@ -63,6 +62,7 @@ from .report import (
 from .zoomout import (
     GtiRecord,
     ResidualCurvatureRecord,
+    SubjectZoom,
     ZoomProfile,
     aggregate,
     critical_chain_lengths,

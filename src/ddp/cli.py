@@ -90,14 +90,15 @@ def _load_inputs(path_str: str, config: PipelineConfig) -> Dataset:
     for f in files:
         ds = parse_xyzm_file(f, config)
         for sid in ds.subjects():
-            base = next_index.get(sid)
+            # a subject continuing across files: shift its burst indices and the
+            # keys of its #com entries alike, so both keep increasing
+            shift = next_index.get(sid, 0)
             for burst in ds.bursts_for(sid):
-                if base is not None:
-                    # subject continues across files: shift indices to stay increasing
-                    burst.burst_index = base + burst.burst_index + 1
+                burst.burst_index += shift
                 merged_bursts.append(burst)
-            next_index[sid] = merged_bursts[-1].burst_index
+            next_index[sid] = merged_bursts[-1].burst_index + 1
             meta = ds.metadata[sid]
+            meta.com_displacement = {k + shift: v for k, v in meta.com_displacement.items()}
             if sid in merged_meta:
                 old = merged_meta[sid]
                 old.com_displacement.update(meta.com_displacement)

@@ -77,59 +77,33 @@ def curvature_tensor(dh_matrix, roots: LengthScaleRoots) -> np.ndarray:
 
 
 @dataclass
-class ThresholdHistory:
-    """Running per-point, per-dimension mean of root magnitudes.
-
-    Entries with no defined observation yet have count 0.  The update is
-    functional: update_thresholds returns a new history object.
-    """
-
-    count: np.ndarray  # (N, D) int64
-    mean: np.ndarray   # (N, D)
-
-    @classmethod
-    def empty(cls, n_points: int, n_dims: int) -> "ThresholdHistory":
-        return cls(
-            count=np.zeros((n_points, n_dims), dtype=np.int64),
-            mean=np.zeros((n_points, n_dims)),
-        )
-
-
-@dataclass
 class ThresholdUpdate:
     kappa_short: np.ndarray  # (P, N, D), NaN where undefined
     kappa_long: np.ndarray   # (P, N, D), NaN where undefined
     defined: np.ndarray      # (P, N, D) bool, both thresholds defined
-    history: ThresholdHistory  # after the last pair
 
 
-def update_thresholds(
-    roots: LengthScaleRoots, history: ThresholdHistory | None = None, frames: int = 1
-) -> ThresholdUpdate:
+def update_thresholds(roots: LengthScaleRoots, frames: int = 1) -> ThresholdUpdate:
     """Short- and long-term curvature thresholds of consecutive frame pairs.
 
     `roots` holds `frames` frame pairs of equal length, point-major and in
     time order.  The per-point magnitude statistic is the median of |x|
     across the stored branches (equal to that across all 2**D), taken for
-    all pairs in one call; the running mean then advances pair by pair, so
-    a pair's long-term threshold sees only the pairs up to and including
-    it.  Sentinel dimensions contribute nothing: thresholds stay undefined
-    there and the history entry is not advanced.
+    all pairs in one call; the running mean starts empty and then advances
+    pair by pair, so a pair's long-term threshold sees only the pairs up to
+    and including it.  Sentinel dimensions contribute nothing: thresholds
+    stay undefined there and the running mean is not advanced.
     """
     total, d = roots.sentinel.shape
     if frames < 1 or total % frames:
         raise ContractViolation(f"{total} points do not split into {frames} frame pairs")
     n = total // frames
-    if history is None:
-        history = ThresholdHistory.empty(n, d)
-    if history.count.shape != (n, d):
-        raise ContractViolation("history shape does not match the frame")
 
     magnitude = median(np.abs(roots.roots), axis=1).reshape(frames, n, d)  # inf on sentinels
     defined = np.isfinite(magnitude)
 
-    count = history.count.copy()
-    mean = history.mean.copy()
+    count = np.zeros((n, d), dtype=np.int64)
+    mean = np.zeros((n, d))
     means = np.empty_like(magnitude)
     long_defined = np.empty_like(defined)
     for k in range(frames):
@@ -147,12 +121,13 @@ def update_thresholds(
         kappa_short=kappa_short,
         kappa_long=kappa_long,
         defined=defined,  # a defined magnitude also defines the running mean
-        history=ThresholdHistory(count=count, mean=mean),
     )
 
 
 @dataclass
 class FrameClassification:
+    """Point classification; the shapes are those of one pair, or a stack of P pairs in front."""
+
     categories: np.ndarray       # (N,) int, point-level values in 1..7
     short_unstable: np.ndarray   # (N, D) bool
     long_unstable: np.ndarray    # (N, D) bool
@@ -168,12 +143,14 @@ def classify_frame(
     defined: np.ndarray,
     dh_points: np.ndarray,
 ) -> FrameClassification:
-    """Vectorized point classification for one frame pair.
+    """Vectorized point classification of one frame pair or a stack of pairs.
 
-    kappa_median, kappa_short, kappa_long, defined, dh_points: (N, D).
-    Dimensions with undefined thresholds are excluded from every ratio.
+    kappa_median, kappa_short, kappa_long, defined, dh_points: (N, D) for
+    one pair or (P, N, D) for P pairs; every reduction runs over the last
+    axis, so each point is classified on its own.  Dimensions with
+    undefined thresholds are excluded from every ratio.
     """
-    n, d = kappa_median.shape
+    points = kappa_median.shape[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         short_ratio = np.where(defined, kappa_median / kappa_short, 0.0)
         long_ratio = np.where(defined, kappa_median / kappa_long, 0.0)
@@ -181,11 +158,11 @@ def classify_frame(
     long_flag = defined & (long_ratio > 1.0)
     joint = short_flag & long_flag
 
-    any_short = short_flag.any(axis=1)
-    any_long = long_flag.any(axis=1)
-    n_joint = joint.sum(axis=1)
+    any_short = short_flag.any(axis=-1)
+    any_long = long_flag.any(axis=-1)
+    n_joint = joint.sum(axis=-1)
 
-    categories = np.ones(n, dtype=int)
+    categories = np.ones(points, dtype=int)
     categories[any_short & ~any_long] = 2
     categories[any_long & ~any_short] = 3
     mixed = any_short & any_long & (n_joint == 0)
@@ -196,16 +173,16 @@ def classify_frame(
 
     # Mode-mixity check: remove the dilatational (mean) part of the Borda
     # change and see whether the jointly unstable dimensions calm down.
-    mode_mixity = np.zeros(n, dtype=bool)
+    mode_mixity = np.zeros(points, dtype=bool)
     candidates = n_joint > 0
     if candidates.any():
-        dil = dh_points.mean(axis=1, keepdims=True)
+        dil = dh_points.mean(axis=-1, keepdims=True)
         deviatoric = np.abs(dh_points - dil)
         abs_dh = np.abs(dh_points)
         scale = np.where(abs_dh > 0.0, deviatoric / np.where(abs_dh > 0.0, abs_dh, 1.0), 0.0)
         kappa_dev = kappa_median * scale
         calm = (kappa_dev < kappa_short) & (kappa_dev < kappa_long)
-        mode_mixity = candidates & np.all(np.where(joint, calm, True), axis=1)
+        mode_mixity = candidates & np.all(np.where(joint, calm, True), axis=-1)
         categories[mode_mixity] = 4
 
     return FrameClassification(

@@ -1,10 +1,13 @@
 """End-to-end analysis: subjects in, subject reports and dump tables out.
 
 Per subject the flow is: prescale each burst per dimension, run the
-zoom-out kernel once over all of the subject's bursts (one outcome per
-frame pair with its residual curvature, see `zoomout.zoom_profile`), then
-walk the outcomes in order for classification, chains, critical lengths
-and the GTI, which needs the residual-curvature history of earlier pairs.
+zoom-out kernel once over all of the subject's bursts (one `SubjectZoom`
+holding every frame pair, see `zoomout.zoom_profile`) and classify the
+points of all pairs in one `classify_frame` call on its `(P, N, D)`
+stacks.  What is left is assembly: one pass over the pairs in order
+finds the chains, critical lengths and GTI of each (the GTI reads the
+residual curvature of the pairs before it) and builds its `FrameResult`
+and dump rows.
 """
 
 from __future__ import annotations
@@ -61,64 +64,53 @@ def analyze_subject(
         scaled.append(sb)
         factors.append(div)
 
+    zoom = zoom_profile(scaled, config)
     frames: list[FrameResult] = []
-    rc_records = []
-    for outcome in zoom_profile(scaled, config):
-        previous, current = (scaled[i] for i in outcome.positions)
-        fin = outcome.finest
-        cls = classify_frame(
-            fin.kappa_median, fin.kappa_short, fin.kappa_long, fin.defined, fin.dh.T
-        )
-        chains = detect_chains(cls.categories, cls.jointly_unstable)
-        criticals = critical_chain_lengths(outcome.profile, config)
-        rc_records.append(outcome.rc)
-        gti_record = gti(rc_records, chains, criticals, config.drop_threshold)
-        final_categories = escalate_chain_categories(cls.categories, chains, *criticals)
-
-        partial = sorted(
-            {
-                d
-                for lv in outcome.profile.levels
-                for d in np.nonzero(~lv.valid_dims)[0].tolist()
-            }
-        )
+    if not zoom.pairs:
+        return _assemble_report(subject_id, bursts, meta, factors, frames, config), dump_rows
+    th = zoom.thresholds
+    cls = classify_frame(
+        zoom.kappa_median, th.kappa_short, th.kappa_long, th.defined, zoom.dh.swapaxes(1, 2)
+    )
+    for p, pair in enumerate(zoom.pairs):
+        previous, current = (scaled[i] for i in pair)
+        chains = detect_chains(cls.categories[p], cls.jointly_unstable[p])
+        criticals = critical_chain_lengths(zoom.profiles[p], config)
+        gti_record = gti(zoom.rc[:p + 1], chains, criticals, config.drop_threshold)
+        final_categories = escalate_chain_categories(cls.categories[p], chains, *criticals)
         frames.append(
             FrameResult(
                 previous_burst_index=previous.burst_index,
                 current_burst_index=current.burst_index,
                 dt_span=config.stride_n * current.dt,
-                datum=outcome.current_state.datum,
-                datum_residual=outcome.current_state.datum_residual,
-                rc=outcome.rc,
+                datum=zoom.current_state.datum[p],
+                datum_residual=zoom.current_state.datum_residual[p],
+                rc=zoom.rc[p],
                 critical_short=criticals[0],
                 critical_long=criticals[1],
                 gti=gti_record,
                 categories=final_categories,
                 chains=chains,
-                mixed_disjoint_points=np.nonzero(cls.mixed_disjoint)[0].tolist(),
-                fallback_fraction=outcome.fallback_fraction,
-                fit_excluded_fraction=outcome.current_state.fit_excluded_fraction,
-                margin_zeroed_fraction=outcome.current_state.margin_zeroed_fraction,
-                partial_dims=partial,
-                levels=outcome.profile.levels,
-                short_unstable=cls.short_unstable,
-                long_unstable=cls.long_unstable,
+                mixed_disjoint_points=np.nonzero(cls.mixed_disjoint[p])[0].tolist(),
+                fallback_fraction=zoom.fallback_fraction[p],
+                fit_excluded_fraction=zoom.current_state.fit_excluded_fraction[p],
+                margin_zeroed_fraction=zoom.current_state.margin_zeroed_fraction[p],
+                levels=zoom.profiles[p].levels,
             )
         )
         _collect_dumps(
-            dump_rows, subject_field, current.burst_index, outcome, cls, final_categories
+            dump_rows, subject_field, current.burst_index, zoom, p, cls, final_categories
         )
 
     return _assemble_report(subject_id, bursts, meta, factors, frames, config), dump_rows
 
 
-def _collect_dumps(rows, subject_field, burst_index, outcome, cls, categories):
-    """Append one frame pair's dump rows; subject_field is the CSV-quoted subject id."""
-    fin = outcome.finest
+def _collect_dumps(rows, subject_field, burst_index, zoom, p, cls, categories):
+    """Append the dump rows of frame pair p; subject_field is the CSV-quoted subject id."""
     head = f"{subject_field},{burst_index},"
     if "borda" in rows:
-        st = outcome.current_state
-        columns = zip(st.borda.H.tolist(), st.borda.R.tolist(), fin.dh.tolist())
+        borda = zoom.current_state.borda
+        columns = zip(borda.H[p].tolist(), borda.R[p].tolist(), zoom.dh[p].tolist())
         for d, (h, r, dh) in enumerate(columns):
             prefix = f"{head}{d},"
             rows["borda"].extend([
@@ -126,11 +118,12 @@ def _collect_dumps(rows, subject_field, burst_index, outcome, cls, categories):
                 for a, (x, y, z) in enumerate(zip(csv_nums(h), csv_nums(r), csv_nums(dh)))
             ])
     if "roots" in rows:
-        rows["roots"].extend(_roots_rows(head, fin.roots))
+        n = zoom.dh.shape[2]
+        rows["roots"].extend(_roots_rows(head, zoom.roots.slice_points(p * n, (p + 1) * n)))
     if "pdi" in rows:
         flags = zip(
-            categories.tolist(), cls.short_unstable.tolist(), cls.long_unstable.tolist(),
-            cls.mode_mixity.tolist(), cls.mixed_disjoint.tolist(),
+            categories.tolist(), cls.short_unstable[p].tolist(), cls.long_unstable[p].tolist(),
+            cls.mode_mixity[p].tolist(), cls.mixed_disjoint[p].tolist(),
         )
         for a, (cat, short, long_, mixity, disjoint) in enumerate(flags):
             short = ";".join([str(d) for d, f in enumerate(short) if f])
@@ -139,7 +132,7 @@ def _collect_dumps(rows, subject_field, burst_index, outcome, cls, categories):
                 f"{head}{a},{cat},{short},{long_},{int(mixity)},{int(disjoint)}"
             )
     if "zoom" in rows:
-        for li, lv in enumerate(outcome.profile.levels):
+        for li, lv in enumerate(zoom.profiles[p].levels):
             x, kappa, inv_ltilde, inv_l = csv_nums(
                 [lv.x_coordinate, lv.kappa_combined, lv.inv_ltilde_combined, lv.inv_l_combined]
             )

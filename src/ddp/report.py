@@ -277,10 +277,7 @@ class FrameResult:
     fallback_fraction: float
     fit_excluded_fraction: np.ndarray
     margin_zeroed_fraction: np.ndarray
-    partial_dims: list[int]
     levels: list["ZoomLevel"]
-    short_unstable: np.ndarray      # (N, D) bool
-    long_unstable: np.ndarray       # (N, D) bool
 
     @property
     def pdi_counts(self) -> dict[int, int]:
@@ -426,7 +423,7 @@ def _frame_json(fr: FrameResult) -> dict:
         "fallback_fraction": fr.fallback_fraction,
         "fit_excluded_fraction": fr.fit_excluded_fraction,
         "margin_zeroed_fraction": fr.margin_zeroed_fraction,
-        "partial_dims": fr.partial_dims,
+        "partial_dims": [],   # prescaled frames have no unfittable dimension
         "levels": [
             {
                 "point_count": lv.point_count,

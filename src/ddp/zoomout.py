@@ -20,8 +20,17 @@ every pair at once and then advances the running mean pair by pair in
 time order, each level statistic is one median over the `(P, ..., D)`
 stack, and `residual_curvature` takes the medians and boxplots of every
 pair in one call on the coarsest level.  Points never interact across
-pairs and the running mean only looks back, so a pair's outcome does not
+pairs and the running mean only looks back, so a pair's results do not
 depend on the bursts that follow it.
+
+The result is one `SubjectZoom` per subject: per-pair level profiles and
+residual curvature, and the finest level's Borda changes, roots,
+curvature medians and thresholds as `(P, ...)` stacks, which the
+pipeline classifies in one call.  Bursts must be prescaled: prescaling
+puts every value in [-1, 1], so each frame of at least 9 points has two
+values within 0.25 of each other, whose pair constant is real and (for
+an `epsilon_denominator` below 0.5) admissible, and no dimension is ever
+unfittable.  Unprescaled bursts that break this raise `ContractViolation`.
 
 Critical chain lengths come from an intersection construction on the
 per-level statistics.  With x the aggregation level (finest = 1) and a log
@@ -123,8 +132,7 @@ def frame_level_state(values: np.ndarray, config: PipelineConfig) -> FrameLevelS
 class ZoomLevel:
     point_count: int
     x_coordinate: float
-    valid_dims: np.ndarray        # (D,) bool
-    kappa_per_dim: np.ndarray     # (D,) NaN where invalid
+    kappa_per_dim: np.ndarray     # (D,)
     kappa_combined: float
     inv_ltilde_per_dim: np.ndarray
     inv_ltilde_combined: float
@@ -139,54 +147,50 @@ class ZoomProfile:
 
 
 @dataclass
-class FinestFrameData:
-    """Finest-level arrays a caller needs for point classification."""
-
-    dh: np.ndarray            # (D, N)
-    roots: LengthScaleRoots
-    kappa_median: np.ndarray  # (N, D)
-    kappa_short: np.ndarray   # (N, D)
-    kappa_long: np.ndarray    # (N, D)
-    defined: np.ndarray       # (N, D)
-
-
-@dataclass
 class ResidualCurvatureRecord:
     """Curvature left at the coarsest level, per dimension and per root."""
 
-    rc: np.ndarray          # (D, 2**D), NaN rows for partial dimensions
+    rc: np.ndarray          # (D, 2**D)
     rc_per_dim: np.ndarray  # (D,)
     rc_combined: float
-    modulation: list        # BoxplotStats | None per dimension
+    modulation: list        # BoxplotStats per dimension
 
 
 @dataclass
-class ZoomOutcome:
-    positions: tuple[int, int]  # (previous, current) indices into the burst list
-    profile: ZoomProfile
-    finest: FinestFrameData
-    rc: ResidualCurvatureRecord
-    fallback_fraction: float
-    current_state: FrameLevelState
+class SubjectZoom:
+    """The zoom-out analysis of every frame pair (t - stride, t) of one subject.
+
+    Per-pair results are lists in pair order.  The finest-level arrays a
+    caller needs for point classification are stacks with the P pairs in
+    front; they are None when the subject has no frame pair.
+    """
+
+    pairs: list[tuple[int, int]]         # (previous, current) indices into the burst list
+    profiles: list[ZoomProfile]
+    rc: list[ResidualCurvatureRecord]
+    fallback_fraction: list[float]
+    current_state: FrameLevelState | None   # the current bursts, (P, D, N) counts and ranks
+    dh: np.ndarray | None                   # (P, D, N)
+    roots: LengthScaleRoots | None          # P * N points, pair-major
+    kappa_median: np.ndarray | None         # (P, N, D)
+    thresholds: ThresholdUpdate | None      # (P, N, D)
 
 
 def _summarize_level(
     kappa: np.ndarray,
     thresholds: ThresholdUpdate,
-    defined: np.ndarray,
-    valid: np.ndarray,
     point_count: int,
     x_coordinate: float,
 ) -> list[ZoomLevel]:
     """One level's statistics for every pair, each median taken for all pairs at once.
 
-    kappa: (P, N, 2**(D-1), D); thresholds and defined: (P, N, D); valid: (P, D).
-    The kappa median over the stored branches is the one over all 2**D.
+    kappa: (P, N, 2**(D-1), D); thresholds: (P, N, D).  The kappa median
+    over the stored branches is the one over all 2**D.
     """
     n_pairs, _, _, d = kappa.shape
-    kappa_pd = np.where(valid, median(kappa.reshape(n_pairs, -1, d), axis=1), np.nan)
-    ltilde_pd = median(thresholds.kappa_short, axis=1, mask=defined)
-    long_pd = median(thresholds.kappa_long, axis=1, mask=defined)
+    kappa_pd = median(kappa.reshape(n_pairs, -1, d), axis=1)
+    ltilde_pd = median(thresholds.kappa_short, axis=1, mask=thresholds.defined)
+    long_pd = median(thresholds.kappa_long, axis=1, mask=thresholds.defined)
     kappa_c, ltilde_c, long_c = (
         median(v, axis=1, mask=np.isfinite(v)).tolist() for v in (kappa_pd, ltilde_pd, long_pd)
     )
@@ -194,7 +198,6 @@ def _summarize_level(
         ZoomLevel(
             point_count=point_count,
             x_coordinate=x_coordinate,
-            valid_dims=valid[p],
             kappa_per_dim=kappa_pd[p],
             kappa_combined=kappa_c[p],
             inv_ltilde_per_dim=ltilde_pd[p],
@@ -202,21 +205,23 @@ def _summarize_level(
             inv_l_per_dim=long_pd[p],
             inv_l_combined=long_c[p],
         )
-        for p in range(len(valid))
+        for p in range(n_pairs)
     ]
 
 
-def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOutcome]:
+def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom:
     """Run the full per-level analysis for every frame pair of one subject.
 
-    Returns one outcome per pair (t - stride, t), in order.  Levels form
-    the outer loop: the stack of all bursts is coarsened, normalized and
-    ranked once per level, the Borda changes of all pairs go through one
-    root solve and one curvature evaluation, and the thresholds and level
-    statistics of all pairs come from one batched call each.  The running
-    threshold mean advances pair by pair, so a pair never sees a later
-    burst.  The residual curvature of every pair is taken from the
-    coarsest level.
+    The pairs are (t - stride, t), in order.  Levels form the outer loop:
+    the stack of all bursts is coarsened, normalized and ranked once per
+    level, the Borda changes of all pairs go through one root solve and one
+    curvature evaluation, and the thresholds and level statistics of all
+    pairs come from one batched call each.  The running threshold mean
+    advances pair by pair, so a pair never sees a later burst.  The
+    residual curvature of every pair is taken from the coarsest level.
+
+    The bursts must be prescaled (`prescale_burst`): a dimension with no
+    admissible pair constant at some level raises ContractViolation.
     """
     counts = config.zoom_point_counts()
     for b in bursts:
@@ -228,7 +233,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
     stride = config.stride_n
     pairs = [(t - stride, t) for t in range(stride, len(bursts))]
     if not pairs:
-        return []
+        return SubjectZoom(pairs, [], [], [], None, None, None, None, None)
     n_pairs, d = len(pairs), config.D
 
     levels: list[list[ZoomLevel]] = [[] for _ in pairs]
@@ -241,9 +246,13 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
         if li > 0:
             stack = _coarsen(stack, config.aggregation_factor)
         state = frame_level_state(stack, config)            # (B, D, N_l) counts and ranks
-        valid = ~(state.unfittable[prev] | state.unfittable[cur])   # (P, D)
+        if state.unfittable.any():
+            b, dim = np.argwhere(state.unfittable)[0].tolist()
+            raise ContractViolation(
+                f"dimension {dim} of burst {bursts[b].burst_index} has no admissible pair "
+                f"constant at the {n_l}-point level; zoom_profile needs prescaled bursts"
+            )
         dh = delta_borda(state.borda[cur], state.borda[prev])       # (P, D, N_l)
-        dh[~valid] = 0.0
         dh_points = dh.transpose(1, 0, 2).reshape(d, -1)
         r_points = state.borda.R[cur].transpose(1, 0, 2).reshape(d, -1)
         roots_all = solve_roots(r_points, dh_points, config)
@@ -251,71 +260,57 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> list[ZoomOu
         kappa = kappa_all.reshape(n_pairs, n_l, -1, d)
 
         thresholds = update_thresholds(roots_all, frames=n_pairs)
-        defined = thresholds.defined & valid[:, None, :]
         for pi, level in enumerate(_summarize_level(
-            kappa, thresholds, defined, valid, n_l, float(config.aggregation_factor ** li)
+            kappa, thresholds, n_l, float(config.aggregation_factor ** li)
         )):
             levels[pi].append(level)
         fallback_vectors += np.count_nonzero(
             roots_all.convergence.reshape(n_pairs, -1) == Convergence.FALLBACK, axis=1
         )
         if li == 0:
-            current_states = [state[c] for _, c in pairs]
-            kappa_median = median(kappa, axis=2)            # (P, N, D)
-            finest = [
-                FinestFrameData(
-                    dh=dh[pi],
-                    roots=roots_all.slice_points(pi * n_l, (pi + 1) * n_l),
-                    kappa_median=kappa_median[pi],
-                    kappa_short=thresholds.kappa_short[pi],
-                    kappa_long=thresholds.kappa_long[pi],
-                    defined=defined[pi],
-                )
-                for pi in range(n_pairs)
-            ]
+            finest = dict(
+                current_state=state[cur],
+                dh=dh,
+                roots=roots_all,
+                kappa_median=median(kappa, axis=2),         # (P, N, D)
+                thresholds=thresholds,
+            )
 
-    # kappa and valid now belong to the coarsest level
-    rcs = residual_curvature(kappa, valid)
-    total_vectors = sum(counts) * 2 ** d
-    return [
-        ZoomOutcome(
-            positions=pair,
-            profile=ZoomProfile(levels=levels[pi], finest_points=counts[0]),
-            finest=finest[pi],
-            rc=rcs[pi],
-            fallback_fraction=fallback / total_vectors,
-            current_state=current_states[pi],
-        )
-        for pi, (pair, fallback) in enumerate(zip(pairs, fallback_vectors.tolist()))
-    ]
+    # kappa now belongs to the coarsest level
+    return SubjectZoom(
+        pairs=pairs,
+        profiles=[ZoomProfile(levels=lv, finest_points=counts[0]) for lv in levels],
+        rc=residual_curvature(kappa),
+        fallback_fraction=(fallback_vectors / (sum(counts) * 2 ** d)).tolist(),
+        **finest,
+    )
 
 
-def residual_curvature(kappa: np.ndarray, valid: np.ndarray) -> list[ResidualCurvatureRecord]:
+def residual_curvature(kappa: np.ndarray) -> list[ResidualCurvatureRecord]:
     """Residual curvature of every frame pair from its coarsest zoom level.
 
     kappa: (P, 9, 2**(D-1), D) curvature of P pairs at the 9-point level,
-    one entry per stored root branch; valid: (P, D).  The medians and the
-    boxplots of all pairs are taken in one call each.  The boxplots run on
-    all 2**D columns of `rc`, each the median of its stored branch.
+    one entry per stored root branch.  The medians and the boxplots of all
+    pairs are taken in one call each.  The boxplots run on all 2**D columns
+    of `rc`, each the median of its stored branch.
     """
     if kappa.shape[1] != 9:
         raise ContractViolation("zoom profile did not reach the 9-point level")
     half = median(kappa, axis=1).transpose(0, 2, 1)              # (P, D, 2**(D-1))
-    rc_per_dim = np.where(valid, median(half, axis=-1), np.nan)
-    rc = half.take(branch_layout(valid.shape[1])[1], axis=-1)     # (P, D, 2**D)
-    rc[~valid] = np.nan
+    rc_per_dim = median(half, axis=-1)
+    rc = half.take(branch_layout(kappa.shape[-1])[1], axis=-1)    # (P, D, 2**D)
     rc_combined = median(rc_per_dim, axis=1, mask=np.isfinite(rc_per_dim)).tolist()
-    clean = valid & np.isfinite(rc).all(axis=-1)
+    clean = np.isfinite(rc).all(axis=-1)
     boxes = iter(boxplot_rows(rc[clean]))
-    records = []
-    for p in range(len(rc)):
-        modulation: list = [None] * valid.shape[1]
-        for dim in np.nonzero(valid[p])[0]:
-            modulation[dim] = next(boxes) if clean[p, dim] else boxplot_stats(rc[p, dim])
-        records.append(ResidualCurvatureRecord(
-            rc=rc[p], rc_per_dim=rc_per_dim[p], rc_combined=rc_combined[p], modulation=modulation,
-        ))
-    return records
+    return [
+        ResidualCurvatureRecord(
+            rc=rc[p],
+            rc_per_dim=rc_per_dim[p],
+            rc_combined=rc_combined[p],
+            modulation=[next(boxes) if ok else boxplot_stats(r) for ok, r in zip(clean[p], rc[p])],
+        )
+        for p in range(len(rc))
+    ]
 
 
 def line_polyline_intersections(

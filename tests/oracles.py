@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ddp.config import PipelineConfig
-from ddp.curvature import ThresholdHistory, ThresholdUpdate, curvature_tensor
+from ddp.curvature import ThresholdUpdate, curvature_tensor
 from ddp.errors import ContractViolation, GroupUnavailable
 from ddp.lengthscale import (
     SENTINEL_THRESHOLD,
@@ -45,11 +45,10 @@ from ddp.report import (
     percent_change,
 )
 from ddp.zoomout import (
-    FinestFrameData,
     FrameLevelState,
     ResidualCurvatureRecord,
+    SubjectZoom,
     ZoomLevel,
-    ZoomOutcome,
     ZoomProfile,
     aggregate,
     line_polyline_intersections,
@@ -534,8 +533,30 @@ def enumerate_roots(r_vector, dh_vector, config: PipelineConfig) -> PointRoots:
 # np.polyfit line fits of the critical chain lengths
 
 
+@dataclass
+class ThresholdHistory:
+    """Running per-point, per-dimension mean of root magnitudes.
+
+    Entries with no defined observation yet have count 0.
+    """
+
+    count: np.ndarray  # (N, D) int64
+    mean: np.ndarray   # (N, D)
+
+    @classmethod
+    def empty(cls, n_points: int, n_dims: int) -> "ThresholdHistory":
+        return cls(
+            count=np.zeros((n_points, n_dims), dtype=np.int64),
+            mean=np.zeros((n_points, n_dims)),
+        )
+
+
 def update_thresholds_oracle(roots: LengthScaleRoots, history: ThresholdHistory | None):
-    """Thresholds of one frame pair; fields are (N, D) instead of (1, N, D)."""
+    """Thresholds of one frame pair and the history after it.
+
+    The thresholds' fields are (N, D) instead of (1, N, D); the history
+    passed in is not changed.
+    """
     n, d = roots.sentinel.shape
     if history is None:
         history = ThresholdHistory.empty(n, d)
@@ -556,12 +577,10 @@ def update_thresholds_oracle(roots: LengthScaleRoots, history: ThresholdHistory 
         kappa_short = np.where(defined, 1.0 / magnitude, np.nan)
         long_defined = count > 0
         kappa_long = np.where(long_defined, 1.0 / np.where(long_defined, mean, 1.0), np.nan)
-    return ThresholdUpdate(
-        kappa_short=kappa_short,
-        kappa_long=kappa_long,
-        defined=defined & long_defined,
-        history=ThresholdHistory(count=count, mean=mean),
+    thresholds = ThresholdUpdate(
+        kappa_short=kappa_short, kappa_long=kappa_long, defined=defined & long_defined
     )
+    return thresholds, ThresholdHistory(count=count, mean=mean)
 
 
 def _nanmedian_oracle(values: np.ndarray) -> float:
@@ -569,24 +588,21 @@ def _nanmedian_oracle(values: np.ndarray) -> float:
     return float(np.median(finite)) if finite.size else float("nan")
 
 
-def summarize_level_oracle(kappa, thresholds, defined, valid, point_count, x_coordinate):
+def summarize_level_oracle(kappa, thresholds, point_count, x_coordinate):
     """One pair's level statistics, one dimension at a time.  kappa: (N, 2**D, D)."""
-    d = valid.size
+    d = kappa.shape[-1]
     kappa_pd = np.full(d, np.nan)
     ltilde_pd = np.full(d, np.nan)
     long_pd = np.full(d, np.nan)
     for dim in range(d):
-        if not valid[dim]:
-            continue
         kappa_pd[dim] = np.median(kappa[:, :, dim])
-        mask = defined[:, dim]
+        mask = thresholds.defined[:, dim]
         if mask.any():
             ltilde_pd[dim] = np.median(thresholds.kappa_short[mask, dim])
             long_pd[dim] = np.median(thresholds.kappa_long[mask, dim])
     return ZoomLevel(
         point_count=point_count,
         x_coordinate=x_coordinate,
-        valid_dims=valid,
         kappa_per_dim=kappa_pd,
         kappa_combined=_nanmedian_oracle(kappa_pd),
         inv_ltilde_per_dim=ltilde_pd,
@@ -596,17 +612,15 @@ def summarize_level_oracle(kappa, thresholds, defined, valid, point_count, x_coo
     )
 
 
-def residual_curvature_oracle(kappa: np.ndarray, valid: np.ndarray) -> ResidualCurvatureRecord:
-    """One pair's residual curvature.  kappa: (9, 2**D, D); valid: (D,)."""
-    d = valid.size
+def residual_curvature_oracle(kappa: np.ndarray) -> ResidualCurvatureRecord:
+    """One pair's residual curvature.  kappa: (9, 2**D, D)."""
+    d = kappa.shape[-1]
     rc = np.median(kappa, axis=0).T    # (D, 2**D)
-    rc[~valid, :] = np.nan
     rc_per_dim = np.full(d, np.nan)
     modulation: list = [None] * d
     for dim in range(d):
-        if valid[dim]:
-            rc_per_dim[dim] = np.median(rc[dim])
-            modulation[dim] = boxplot_stats_oracle(rc[dim])
+        rc_per_dim[dim] = np.median(rc[dim])
+        modulation[dim] = boxplot_stats_oracle(rc[dim])
     return ResidualCurvatureRecord(
         rc=rc,
         rc_per_dim=rc_per_dim,
@@ -644,12 +658,50 @@ def frame_level_state_oracle(burst, config: PipelineConfig) -> FrameLevelState:
     )
 
 
-def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[ZoomOutcome]:
+@dataclass
+class PairZoom:
+    """One frame pair's share of a ``SubjectZoom``, so pair k compares against pair k."""
+
+    positions: tuple[int, int]
+    profile: ZoomProfile
+    rc: ResidualCurvatureRecord
+    fallback_fraction: float
+    current_state: FrameLevelState
+    dh: np.ndarray            # (D, N)
+    roots: LengthScaleRoots
+    kappa_median: np.ndarray  # (N, D)
+    kappa_short: np.ndarray   # (N, D)
+    kappa_long: np.ndarray    # (N, D)
+    defined: np.ndarray       # (N, D)
+
+
+def pair_zoom(zoom: SubjectZoom, k: int) -> PairZoom:
+    """Pair k of a subject's zoom result, its stacks indexed at k."""
+    n = zoom.dh.shape[2]
+    th = zoom.thresholds
+    return PairZoom(
+        positions=zoom.pairs[k],
+        profile=zoom.profiles[k],
+        rc=zoom.rc[k],
+        fallback_fraction=zoom.fallback_fraction[k],
+        current_state=zoom.current_state[k],
+        dh=zoom.dh[k],
+        roots=zoom.roots.slice_points(k * n, (k + 1) * n),
+        kappa_median=zoom.kappa_median[k],
+        kappa_short=th.kappa_short[k],
+        kappa_long=th.kappa_long[k],
+        defined=th.defined[k],
+    )
+
+
+def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
     """zoom_profile with the tail run one frame pair at a time, history threaded in order.
 
     Each burst is aggregated, normalized and ranked on its own at every
-    level, not as one stack per level.  Curvature, thresholds and RC are taken over all 2**D signed root
-    branches (``expand()``), not over the stored half.
+    level, not as one stack per level.  Curvature, thresholds and RC are
+    taken over all 2**D signed root branches (``expand()``), not over the
+    stored half.  A burst with an unfittable dimension at any level raises
+    ContractViolation.
     """
     counts = config.zoom_point_counts()
     for b in bursts:
@@ -669,9 +721,10 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[ZoomOutcome]:
         if li > 0:
             level_bursts = [aggregate(b, config.aggregation_factor) for b in level_bursts]
         states = [frame_level_state_oracle(b, config) for b in level_bursts]
-        valid = np.array([~(states[p].unfittable | states[c].unfittable) for p, c in pairs])
+        for b, st in zip(level_bursts, states):
+            if st.unfittable.any():
+                raise ContractViolation(f"burst {b.burst_index} has an unfittable dimension")
         dh = np.stack([delta_borda(states[c].borda, states[p].borda) for p, c in pairs])
-        dh[~valid] = 0.0
         dh_points = dh.transpose(1, 0, 2).reshape(config.D, -1)
         r_points = np.concatenate([states[c].borda.R for _, c in pairs], axis=1)
         roots_all = solve_roots(r_points, dh_points, config)
@@ -683,35 +736,31 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[ZoomOutcome]:
             lo, hi = pi * n_l, (pi + 1) * n_l
             roots = roots_all.slice_points(lo, hi)
             kappa = kappa_all[lo:hi]
-            thresholds = update_thresholds_oracle(full.slice_points(lo, hi), history)
-            history = thresholds.history
-            defined = thresholds.defined & valid[pi][None, :]
+            thresholds, history = update_thresholds_oracle(full.slice_points(lo, hi), history)
             levels[pi].append(summarize_level_oracle(
-                kappa, thresholds, defined, valid[pi], n_l, float(config.aggregation_factor ** li)
+                kappa, thresholds, n_l, float(config.aggregation_factor ** li)
             ))
             fallback_vectors[pi] += int(np.sum(roots.convergence == 2))
             total_vectors[pi] += roots.convergence.size
             if li == 0:
                 current_states.append(states[c])
-                finest.append(FinestFrameData(
-                    dh=dh[pi],
-                    roots=roots,
-                    kappa_median=np.median(kappa, axis=1),
-                    kappa_short=thresholds.kappa_short,
-                    kappa_long=thresholds.kappa_long,
-                    defined=defined,
-                ))
+                finest.append((dh[pi], roots, np.median(kappa, axis=1), thresholds))
 
     return [
-        ZoomOutcome(
+        PairZoom(
             positions=pair,
             profile=ZoomProfile(levels=levels[pi], finest_points=counts[0]),
-            finest=finest[pi],
-            rc=residual_curvature_oracle(kappa_all[pi * 9:(pi + 1) * 9], valid[pi]),
+            rc=residual_curvature_oracle(kappa_all[pi * 9:(pi + 1) * 9]),
             fallback_fraction=fallback_vectors[pi] / total_vectors[pi],
             current_state=current_states[pi],
+            dh=dh_pi,
+            roots=roots,
+            kappa_median=kappa_median,
+            kappa_short=thresholds.kappa_short,
+            kappa_long=thresholds.kappa_long,
+            defined=thresholds.defined,
         )
-        for pi, pair in enumerate(pairs)
+        for pi, (pair, (dh_pi, roots, kappa_median, thresholds)) in enumerate(zip(pairs, finest))
     ]
 
 
@@ -866,7 +915,7 @@ def _frame_json_oracle(fr) -> dict:
         "fallback_fraction": _clean(fr.fallback_fraction),
         "fit_excluded_fraction": _clean(fr.fit_excluded_fraction),
         "margin_zeroed_fraction": _clean(fr.margin_zeroed_fraction),
-        "partial_dims": list(fr.partial_dims),
+        "partial_dims": [],
         "levels": [
             {
                 "point_count": lv.point_count,
@@ -995,34 +1044,34 @@ def roots_dump_rows_oracle(head: str, roots: LengthScaleRoots) -> list[str]:
     return rows
 
 
-def collect_dumps_oracle(rows, subject_id, burst_index, outcome, cls, categories):
-    """The dump rows of one frame pair, one numpy scalar at a time.
+def collect_dumps_oracle(rows, subject_id, burst_index, zoom, p, cls, categories):
+    """The dump rows of frame pair p, one numpy scalar at a time.
 
     Takes the arguments of ``pipeline._collect_dumps``, so a test can swap
     it in and compare the dump tables.
     """
-    fin = outcome.finest
+    pz = pair_zoom(zoom, p)
     if "borda" in rows:
-        st = outcome.current_state
+        st = pz.current_state
         for d in range(st.borda.H.shape[0]):
             for a in range(st.borda.H.shape[1]):
                 rows["borda"].append(
                     f"{subject_id},{burst_index},{d},{a},"
                     f"{_csv_num_oracle(st.borda.H[d, a])},{_csv_num_oracle(st.borda.R[d, a])},"
-                    f"{_csv_num_oracle(fin.dh[d, a])}"
+                    f"{_csv_num_oracle(pz.dh[d, a])}"
                 )
     if "roots" in rows:
-        rows["roots"].extend(roots_dump_rows_oracle(f"{subject_id},{burst_index},", fin.roots))
+        rows["roots"].extend(roots_dump_rows_oracle(f"{subject_id},{burst_index},", pz.roots))
     if "pdi" in rows:
         for a in range(categories.shape[0]):
-            short = ";".join(map(str, np.nonzero(cls.short_unstable[a])[0].tolist()))
-            long_ = ";".join(map(str, np.nonzero(cls.long_unstable[a])[0].tolist()))
+            short = ";".join(map(str, np.nonzero(cls.short_unstable[p, a])[0].tolist()))
+            long_ = ";".join(map(str, np.nonzero(cls.long_unstable[p, a])[0].tolist()))
             rows["pdi"].append(
                 f"{subject_id},{burst_index},{a},{categories[a]},{short},{long_},"
-                f"{int(cls.mode_mixity[a])},{int(cls.mixed_disjoint[a])}"
+                f"{int(cls.mode_mixity[p, a])},{int(cls.mixed_disjoint[p, a])}"
             )
     if "zoom" in rows:
-        for li, lv in enumerate(outcome.profile.levels):
+        for li, lv in enumerate(pz.profile.levels):
             per_dim = ",".join(_csv_num_oracle(v) for v in lv.kappa_per_dim)
             rows["zoom"].append(
                 f"{subject_id},{burst_index},{li},{lv.point_count},"

@@ -106,8 +106,7 @@ def test_04_null_signal_fixed_point():
         # direct check of the Borda change on the first pair
         b0, _ = prescale_burst(bursts[0])
         b1, _ = prescale_burst(bursts[1])
-        out = zoom_profile([b0, b1], cfg)[0]
-        assert np.all(out.finest.dh == 0.0)
+        assert np.all(zoom_profile([b0, b1], cfg).dh == 0.0)
 
         rep = analyze_dataset(ds, cfg).subjects[0]
         for fr in rep.frames:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ddp import (
     Chain,
     ContractViolation,
-    ThresholdHistory,
     detect_chains,
     escalate_chain_categories,
     update_thresholds,
@@ -17,7 +16,7 @@ from ddp import (
 from ddp.curvature import classify_frame, curvature_tensor, median
 from ddp.lengthscale import LengthScaleRoots, branch_layout
 
-from oracles import chains_oracle, local_curvature, update_thresholds_oracle
+from oracles import ThresholdHistory, chains_oracle, local_curvature, update_thresholds_oracle
 
 
 @dataclass
@@ -126,7 +125,7 @@ def test_median_matches_np_median(shape, seed, nan_rate, mask_rate):
 
 
 def test_thresholds_first_frame_coincide():
-    upd = update_thresholds(_uniform_roots(3, 2, 2.0), None)
+    upd = update_thresholds(_uniform_roots(3, 2, 2.0))
     assert upd.kappa_short.shape == (1, 3, 2)
     np.testing.assert_allclose(upd.kappa_short, 0.5)
     np.testing.assert_allclose(upd.kappa_long, 0.5)
@@ -134,43 +133,35 @@ def test_thresholds_first_frame_coincide():
 
 
 def test_thresholds_running_mean():
-    upd1 = update_thresholds(_uniform_roots(1, 1, 2.0), None)
-    upd2 = update_thresholds(_uniform_roots(1, 1, 4.0), upd1.history)
-    assert upd2.kappa_short[0, 0, 0] == pytest.approx(0.25)
-    assert upd2.kappa_long[0, 0, 0] == pytest.approx(1.0 / 3.0)
-    # the same two frames in one call: the history advances between them
+    # two frames in one call: the running mean advances between them
     both = _uniform_roots(2, 1, 2.0)
     both.roots[1] *= 2.0
-    batched = update_thresholds(both, None, frames=2)
+    batched = update_thresholds(both, frames=2)
     assert batched.kappa_short[:, 0, 0].tolist() == [0.5, 0.25]
-    assert batched.kappa_long[:, 0, 0].tolist() == [0.5, upd2.kappa_long[0, 0, 0]]
-
-
-def test_thresholds_history_is_functional():
-    h0 = None
-    upd1 = update_thresholds(_uniform_roots(1, 1, 2.0), h0)
-    before = upd1.history.mean.copy()
-    update_thresholds(_uniform_roots(1, 1, 10.0), upd1.history)
-    np.testing.assert_array_equal(upd1.history.mean, before)
+    assert batched.kappa_long[0, 0, 0] == 0.5
+    assert batched.kappa_long[1, 0, 0] == pytest.approx(1.0 / 3.0)
 
 
 def test_thresholds_long_lags_short():
-    hist = None
-    for mag in (1.0, 2.0, 3.0):
-        upd = update_thresholds(_uniform_roots(1, 1, mag), hist)
-        hist = upd.history
+    roots = _uniform_roots(3, 1, 1.0)
+    roots.roots *= np.array([1.0, 2.0, 3.0])[:, None, None]
+    upd = update_thresholds(roots, frames=3)
     # increasing magnitudes: the running mean trails the newest value
-    assert upd.kappa_long[0, 0, 0] > upd.kappa_short[0, 0, 0]
+    assert upd.kappa_long[2, 0, 0] > upd.kappa_short[2, 0, 0]
 
 
 def test_thresholds_undefined_on_sentinel():
-    roots = _uniform_roots(1, 2, 2.0)
+    roots = _uniform_roots(2, 2, 2.0)
     roots.sentinel[0, 1] = True
     roots.roots[0, :, 1] = np.inf
-    upd = update_thresholds(roots, None)
+    roots.roots[1] *= 2.0
+    upd = update_thresholds(roots, frames=2)
     assert upd.defined[0, 0, 0] and not upd.defined[0, 0, 1]
     assert np.isnan(upd.kappa_short[0, 0, 1])
-    assert upd.history.count[0, 1] == 0  # sentinel frames do not advance history
+    # the sentinel frame did not advance the running mean: the second
+    # frame's long-term threshold sees its own magnitude alone in dim 1
+    assert upd.kappa_long[1, 0, 1] == 0.25
+    assert upd.kappa_long[1, 0, 0] == pytest.approx(1.0 / 3.0)
 
 
 def test_thresholds_batched_frames_match_per_pair_oracle():
@@ -183,30 +174,19 @@ def test_thresholds_batched_frames_match_per_pair_oracle():
         sentinel = rng.uniform(size=(n * frames, d)) < 0.3
         roots.sentinel[:] = sentinel
         roots.roots[np.broadcast_to(sentinel[:, None, :], roots.roots.shape)] = np.inf
-        start = ThresholdHistory(
-            count=rng.integers(0, 3, (n, d)), mean=rng.uniform(0.1, 2.0, (n, d))
-        )
-        before = start.mean.copy()
-        got = update_thresholds(roots, start, frames=frames)
-        assert start.mean.tobytes() == before.tobytes()  # the history is not mutated
-        history = start
+        got = update_thresholds(roots, frames=frames)
+        history = ThresholdHistory.empty(n, d)
         for k in range(frames):
-            want = update_thresholds_oracle(roots.slice_points(k * n, (k + 1) * n), history)
-            history = want.history
+            want, history = update_thresholds_oracle(roots.slice_points(k * n, (k + 1) * n), history)
             for name in ("kappa_short", "kappa_long", "defined"):
                 assert getattr(got, name)[k].tobytes() == getattr(want, name).tobytes(), name
-        assert got.history.count.tobytes() == history.count.tobytes()
-        assert got.history.mean.tobytes() == history.mean.tobytes()
 
 
-def test_thresholds_history_shape_mismatch_is_contract_violation():
-    upd = update_thresholds(_uniform_roots(3, 2, 2.0), None)
-    with pytest.raises(ContractViolation, match="history shape"):
-        update_thresholds(_uniform_roots(4, 2, 2.0), upd.history)
+def test_thresholds_frames_must_split_points():
     with pytest.raises(ContractViolation, match="do not split"):
-        update_thresholds(_uniform_roots(7, 2, 2.0), None, frames=2)
+        update_thresholds(_uniform_roots(7, 2, 2.0), frames=2)
     with pytest.raises(ContractViolation, match="do not split"):
-        update_thresholds(_uniform_roots(7, 2, 2.0), None, frames=0)
+        update_thresholds(_uniform_roots(7, 2, 2.0), frames=0)
 
 
 def test_classify_full_stability():
@@ -286,6 +266,30 @@ def test_classification_total_over_random_frames():
             rng.normal(0, 2, (n, d)),
         )
         assert np.all((cls.categories >= 1) & (cls.categories <= 7))
+
+
+@given(
+    p=st.integers(1, 5),
+    n=st.integers(1, 12),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_classify_stack_matches_per_pair_calls(p, n, d, seed):
+    """classify_frame on a (P, N, D) stack equals P single-pair calls bit for bit."""
+    rng = np.random.default_rng(seed)
+    kappa = np.abs(rng.normal(0.0, 1.0, (p, n, d)))
+    short, long_ = (np.abs(rng.normal(0.5, 0.3, (p, n, d))) for _ in range(2))
+    defined = rng.random((p, n, d)) < 0.8
+    # dH as the pipeline passes it: a transposed view of (P, D, N) changes,
+    # with zeros and equal entries to reach the mode-mixity branches
+    dh = rng.choice([-2.0, 0.0, 0.5, 1.0, 3.0], (p, d, n)) * rng.uniform(0.5, 1.5, (p, 1, n))
+    stacked = classify_frame(kappa, short, long_, defined, dh.swapaxes(1, 2))
+    for k in range(p):
+        single = classify_frame(kappa[k], short[k], long_[k], defined[k], dh[k].T)
+        for name, value in vars(single).items():
+            got = getattr(stacked, name)[k]
+            assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), (k, name)
 
 
 def test_detect_chains_run_example():

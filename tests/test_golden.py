@@ -28,6 +28,8 @@ from ddp import PipelineConfig, analyze_dataset, synthesize, zoom_profile
 from ddp.ingest import prescale_burst
 from ddp.report import report_json
 
+from oracles import pair_zoom
+
 GOLDEN = Path(__file__).with_name("golden") / "report_seed7.json"
 PROFILES = ("stable", "burst", "drift")
 FLOAT_RTOL = 1e-8
@@ -102,8 +104,8 @@ def test_golden_comparison_catches_changes(golden):
     assert len(_differences(changed, report)) == 2
 
 
-def _same_bits(a, b, path="outcome") -> None:
-    """Assert two zoom outcomes agree bit for bit, field by field."""
+def _same_bits(a, b, path="pair") -> None:
+    """Assert two zoom results agree bit for bit, field by field."""
     if isinstance(a, np.ndarray):
         assert a.dtype == b.dtype and a.shape == b.shape, path
         assert a.tobytes() == b.tobytes(), path
@@ -127,11 +129,12 @@ def test_pair_outcome_ignores_later_bursts(stride):
     ds = synthesize("burst", cfg, n_bursts=6)
     bursts = [prescale_burst(b)[0] for b in ds.bursts]
     full = zoom_profile(bursts, cfg)
-    assert len(full) == len(bursts) - stride
-    for k, outcome in enumerate(full):
+    assert len(full.pairs) == len(bursts) - stride
+    for k in range(len(full.pairs)):
         prefix = zoom_profile(bursts[:k + stride + 1], cfg)
-        assert len(prefix) == k + 1
-        _same_bits(prefix[k], outcome, f"pair {k}")
+        assert len(prefix.pairs) == k + 1
+        _same_bits(pair_zoom(prefix, k), pair_zoom(full, k), f"pair {k}")
+    assert zoom_profile(bursts[:stride], cfg).pairs == []
 
 
 def _freeze() -> None:

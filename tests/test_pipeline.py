@@ -10,6 +10,7 @@ from ddp import (
     PipelineConfig,
     ValidationError,
     analyze_dataset,
+    emit_xyzm,
     solve_roots,
     synthesize,
 )
@@ -250,3 +251,23 @@ def test_cli_synth_deterministic(tmp_path):
     fa = sorted(a.glob("*.xyzm"))[0]
     fb = sorted(b.glob("*.xyzm"))[0]
     assert fa.read_bytes() == fb.read_bytes()
+
+
+def test_cli_subject_split_across_files_keeps_com(tmp_path, capsys):
+    cfg = PipelineConfig(seed=9, N=27)
+    ds = synthesize("stable", cfg, n_bursts=4, include_com=True)
+    assert len(ds.metadata["SYN000"].com_displacement) == 4
+    (tmp_path / "whole.xyzm").write_text(emit_xyzm(ds))
+    split = tmp_path / "split"
+    split.mkdir()
+    for name, part in (("a", ds.bursts[:2]), ("b", ds.bursts[2:])):
+        (split / f"{name}.xyzm").write_text(emit_xyzm(Dataset(bursts=part, metadata=ds.metadata)))
+    reports = []
+    for source in (tmp_path / "whole.xyzm", split):
+        out = tmp_path / f"{source.stem}.json"
+        assert main(["analyze", "--input", str(source), "--burst-len", "27", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    amplitudes = json.loads(reports[0])["subjects"][0]["energy_exchange_amplitudes"]
+    assert list(amplitudes) == ["1", "2", "3"]

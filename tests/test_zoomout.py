@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -11,7 +12,9 @@ from ddp import (
     DataBurst,
     DdpError,
     PipelineConfig,
+    SubjectMeta,
     aggregate,
+    analyze_subject,
     critical_chain_lengths,
     detect_chains,
     escalate_chain_categories,
@@ -22,6 +25,7 @@ from ddp import (
 from ddp.curvature import classify_frame, curvature_tensor
 from ddp.ingest import prescale_burst
 from ddp.lengthscale import LengthScaleRoots, branch_layout
+from ddp.report import report_json
 from ddp.zoomout import (
     ResidualCurvatureRecord,
     ZoomLevel,
@@ -33,6 +37,7 @@ from ddp.zoomout import (
 
 from oracles import (
     critical_chain_lengths_oracle,
+    pair_zoom,
     residual_curvature_oracle,
     segment_line_intersections_oracle,
     zoom_profile_oracle,
@@ -84,15 +89,15 @@ def test_zoom_ladder_point_counts():
     ds = synthesize("stable", cfg, n_bursts=2)
     b0, _ = prescale_burst(ds.bursts[0])
     b1, _ = prescale_burst(ds.bursts[1])
-    out = zoom_profile([b0, b1], cfg)[0]
-    assert [lv.point_count for lv in out.profile.levels] == [81, 27, 9]
-    assert [lv.x_coordinate for lv in out.profile.levels] == [1.0, 3.0, 9.0]
+    profile = zoom_profile([b0, b1], cfg).profiles[0]
+    assert [lv.point_count for lv in profile.levels] == [81, 27, 9]
+    assert [lv.x_coordinate for lv in profile.levels] == [1.0, 3.0, 9.0]
 
 
 def test_zoom_identical_pair_zero_curvature():
     values = np.random.default_rng(2).uniform(1, 2, (81, 4))
-    out = zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], CFG)[0]
-    for lv in out.profile.levels:
+    profile = zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], CFG).profiles[0]
+    for lv in profile.levels:
         assert lv.kappa_combined == 0.0
         assert np.all(lv.kappa_per_dim == 0.0)
 
@@ -102,8 +107,8 @@ def test_zoom_stable_profile_decreases_toward_coarse():
     ds = synthesize("stable", cfg, n_bursts=2)
     b0, _ = prescale_burst(ds.bursts[0])
     b1, _ = prescale_burst(ds.bursts[1])
-    out = zoom_profile([b0, b1], cfg)[0]
-    kappas = [lv.kappa_combined for lv in out.profile.levels]
+    profile = zoom_profile([b0, b1], cfg).profiles[0]
+    kappas = [lv.kappa_combined for lv in profile.levels]
     assert kappas[0] > kappas[1] > kappas[2]
 
 
@@ -114,8 +119,7 @@ def test_zoom_rejects_shape_mismatch():
 
 def test_residual_curvature_constant_is_zero():
     values = np.full((81, 4), 2.0)
-    out = zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], CFG)[0]
-    rc = out.rc
+    rc = zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], CFG).rc[0]
     assert np.all(rc.rc == 0.0)
     assert rc.rc_combined == 0.0
     assert np.all(rc.rc_per_dim == 0.0)
@@ -126,8 +130,7 @@ def test_residual_curvature_shape_and_sign():
     ds = synthesize("stable", cfg, n_bursts=2)
     b0, _ = prescale_burst(ds.bursts[0])
     b1, _ = prescale_burst(ds.bursts[1])
-    out = zoom_profile([b0, b1], cfg)[0]
-    rc = out.rc
+    rc = zoom_profile([b0, b1], cfg).rc[0]
     assert rc.rc.shape == (4, 16)
     assert np.all(rc.rc >= 0.0)
     assert rc.rc_combined >= 0.0
@@ -136,7 +139,7 @@ def test_residual_curvature_shape_and_sign():
 
 def test_residual_curvature_requires_nine_points():
     with pytest.raises(ContractViolation, match="9-point"):
-        residual_curvature(np.zeros((2, 27, 2, 1)), np.ones((2, 1), dtype=bool))
+        residual_curvature(np.zeros((2, 27, 2, 1)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -155,12 +158,11 @@ def test_residual_curvature_half_matches_full_layout_oracle(d):
         convergence=np.zeros((n_pairs * 9, 2 ** d), dtype=np.uint8),
     )
     dh = rng.normal(0.0, 1.0, (d, n_pairs * 9))
-    valid = rng.random((n_pairs, d)) < 0.8
     kappa = curvature_tensor(dh, roots).reshape(n_pairs, 9, -1, d)
     full = curvature_tensor(dh, replace(roots, roots=roots.expand()))
-    got = residual_curvature(kappa, valid)
+    got = residual_curvature(kappa)
     for p in range(n_pairs):
-        want = residual_curvature_oracle(full[p * 9:(p + 1) * 9], valid[p])
+        want = residual_curvature_oracle(full[p * 9:(p + 1) * 9])
         _same_bits(got[p], want, f"pair {p}")
 
 
@@ -187,11 +189,12 @@ TAIL_KINDS = {**VALUE_KINDS, "descending_column": _descending_column}
 def test_batched_tail_matches_per_pair_oracle(d, n, kinds, stride, prescale, seed):
     """The batched zoom-out tail equals the per-pair tail it replaced.
 
-    Level statistics, thresholds, RC records and boxplots are compared bit
-    for bit; critical lengths, whose line fit changed from np.polyfit to the
-    closed form, at rtol 1e-8 with identical sentinel decisions; categories,
-    chains and GTI decisions exactly.  Unprescaled descending columns reach
-    the unfittable-dimension masks.
+    Pair k of the subject's result is compared with the oracle's pair k:
+    level statistics, thresholds, RC records and boxplots bit for bit;
+    critical lengths, whose line fit changed from np.polyfit to the closed
+    form, at rtol 1e-8 with identical sentinel decisions; categories,
+    chains and GTI decisions exactly.  An unprescaled descending column is
+    unfittable, and then both raise ContractViolation.
     """
     cfg = PipelineConfig(D=d, N=n, stride_n=stride)
     rng = np.random.default_rng(seed)
@@ -201,26 +204,29 @@ def test_batched_tail_matches_per_pair_oracle(d, n, kinds, stride, prescale, see
     ]
     if prescale:
         bursts = [prescale_burst(b)[0] for b in bursts]
+    unfittable = not prescale and "descending_column" in kinds and len(kinds) > stride
     with np.errstate(all="ignore"):
         try:
             want = zoom_profile_oracle(bursts, cfg)
         except DdpError as exc:
+            assert type(exc) is ContractViolation or not unfittable
             with pytest.raises(type(exc)):
                 zoom_profile(bursts, cfg)
             return
         got = zoom_profile(bursts, cfg)
-    assert len(got) == len(want)
+    assert not unfittable
+    assert len(got.pairs) == len(want)
     sentinel = float(n + 1)
     rc_got, rc_want = [], []
-    for k, (g, w) in enumerate(zip(got, want)):
+    for k, w in enumerate(want):
+        g = pair_zoom(got, k)
         _same_bits(g, w, f"pair {k}")
         crit_g = critical_chain_lengths(g.profile, cfg)
         crit_w = critical_chain_lengths_oracle(w.profile, cfg)
         for cg, cw in zip(crit_g, crit_w):
             assert (cg == sentinel) == (cw == sentinel)
             assert math.isclose(cg, cw, rel_tol=1e-8, abs_tol=0.0), (cg, cw)
-        fin = g.finest
-        cls = classify_frame(fin.kappa_median, fin.kappa_short, fin.kappa_long, fin.defined, fin.dh.T)
+        cls = classify_frame(g.kappa_median, g.kappa_short, g.kappa_long, g.defined, g.dh.T)
         chains = detect_chains(cls.categories, cls.jointly_unstable)
         assert np.array_equal(
             escalate_chain_categories(cls.categories, chains, *crit_g),
@@ -235,6 +241,21 @@ def test_batched_tail_matches_per_pair_oracle(d, n, kinds, stride, prescale, see
         )
 
 
+def test_unprescaled_unfittable_bursts_raise_but_analyze_prescales():
+    # burst 2's dimension 1 descends in steps of 2: no pair of it has a real
+    # pair constant, so unprescaled it is unfittable; prescaled, it is fine
+    cfg = PipelineConfig(N=27)
+    rng = np.random.default_rng(3)
+    bursts = [_burst(rng.normal(0.0, 1.0, (27, 4)), b) for b in range(3)]
+    bursts[2].values[:, 1] = -2.0 * np.arange(27)
+    with pytest.raises(ContractViolation, match=r"dimension 1 of burst 2 .*prescaled"):
+        zoom_profile(bursts, cfg)
+    report, _ = analyze_subject("Z", bursts, SubjectMeta(), cfg)
+    frames = json.loads(report_json([report], None, cfg))["subjects"][0]["frames"]
+    assert len(frames) == 2
+    assert all(fr["partial_dims"] == [] for fr in frames)
+
+
 def _profile(kappas, ltildes, ls, n=81):
     levels = []
     for x, k, lt, ll in zip((1.0, 3.0, 9.0), kappas, ltildes, ls):
@@ -242,7 +263,6 @@ def _profile(kappas, ltildes, ls, n=81):
             ZoomLevel(
                 point_count=int(n / x),
                 x_coordinate=x,
-                valid_dims=np.array([True]),
                 kappa_per_dim=np.array([k]),
                 kappa_combined=k,
                 inv_ltilde_per_dim=np.array([lt]),
