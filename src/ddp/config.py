@@ -4,7 +4,8 @@ A single frozen config object travels through the whole pipeline so that a
 run is reproducible from (input, config) alone.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -32,6 +33,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN and inf slip through the sign and range checks below
+        for name in ("drop_threshold", "rc_threshold_multiplier", "epsilon_denominator", "refinement_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, not {getattr(self, name)!r}")
+        if not all(math.isfinite(e) for e in self.bin_edges):
+            raise ConfigError(f"bin_edges must be finite, not {tuple(self.bin_edges)!r}")
         if self.D < 1:
             raise ConfigError("D must be a positive integer")
         if self.N < 3:

@@ -29,10 +29,23 @@ full rows.  Its working set is these blocks, one pool of the admissible pair
 constants whose means are the data (of a single lane once a triangle
 outgrows a block) and the boolean zeroed mask it returns, whose pages are
 touched only where a margin was zeroed.
+
+Lanes that go one at a time, when there are several and the process may
+run on two or more CPUs, overlap the passes: the calling thread fits lane
+k + 1's datum while one worker thread sums lane k's margins, which starts
+only once lane k's datum is final.  numpy releases the GIL inside each
+block, so the passes run in parallel.  Only the calling thread touches the
+pool; the worker writes only its lane's Borda counts and zeroed mask, and
+is joined before ``build_field`` returns or raises.  Otherwise, and always
+for lanes that go together, both passes run on the calling thread.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +217,54 @@ def _sum_margins(u, datum, epsilon, borda, zeroed, zeroed_cells):
             zeroed_cells[fit] += np.count_nonzero(block, axis=(1, 2))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on now; affinity can change while it runs."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _MarginsWorker(threading.Thread):
+    """A started thread that sums the margins of the lanes handed to it, in order.
+
+    It runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` applies.  Once a lane raises it skips the rest, and
+    ``close`` returns the exception.
+    """
+
+    def __init__(self):
+        super().__init__(name="ddp-margins")
+        self._context = contextvars.copy_context()
+        self._lanes = collections.deque()
+        self._ready = threading.Semaphore(0)
+        self._error = None
+        self.start()
+
+    def submit(self, margins):
+        """Queue one lane's ``_sum_margins`` arguments; None ends the thread."""
+        self._lanes.append(margins)
+        self._ready.release()
+
+    def run(self):
+        while True:
+            self._ready.acquire()
+            margins = self._lanes.popleft()
+            if margins is None:
+                return
+            if self._error is None:
+                try:
+                    self._context.run(_sum_margins, *margins)
+                except BaseException as exc:   # raised on the caller by build_field
+                    self._error = exc
+
+    def close(self):
+        """Join the thread once the queued lanes are done and return its exception."""
+        self.submit(None)
+        self.join()
+        return self._error
+
+
 def build_field(values, epsilon: float = DEFAULT_EPSILON) -> NormalizedField:
     """Fit the datum and sum the margins of every lane of an (N, D) frame or a (B, N, D) stack.
 
@@ -221,6 +282,10 @@ def build_field(values, epsilon: float = DEFAULT_EPSILON) -> NormalizedField:
             f"build_field takes an (N, D) frame or a (B, N, D) stack, not shape {values.shape}"
         )
     n, d = values.shape[-2:]
+    if n == 0 or d == 0:
+        raise ContractViolation(
+            f"build_field needs at least one point and one dimension per frame, not shape {values.shape}"
+        )
     u = values.reshape(-1, n, d).transpose(0, 2, 1).reshape(-1, n)   # (L, N), frame-major
     lanes = u.shape[0]
     n_pairs = n * (n - 1) // 2
@@ -236,10 +301,25 @@ def build_field(values, epsilon: float = DEFAULT_EPSILON) -> NormalizedField:
     borda = np.zeros((lanes, n))
     zeroed = np.zeros((lanes, n, n), dtype=bool)
     zeroed_cells = np.zeros(lanes, dtype=np.int64)
-    for l0 in range(0, lanes, group):
-        part = slice(l0, l0 + group)
-        datum[part], residual[part], admitted[part] = _fit_datum(u[part], pool, epsilon)
-        _sum_margins(u[part], datum[part], epsilon, borda[part], zeroed[part], zeroed_cells[part])
+    # One lane at a time and with a second CPU, lane k's margins run on a
+    # worker while this thread fits lane k + 1's datum into the pool.  On
+    # one CPU the two threads would only take turns.
+    worker = _MarginsWorker() if group == 1 and lanes > 1 and _usable_cpus() >= 2 else None
+    error = None
+    try:
+        for l0 in range(0, lanes, group):
+            part = slice(l0, l0 + group)
+            datum[part], residual[part], admitted[part] = _fit_datum(u[part], pool, epsilon)
+            margins = (u[part], datum[part], epsilon, borda[part], zeroed[part], zeroed_cells[part])
+            if worker is None:
+                _sum_margins(*margins)
+            else:
+                worker.submit(margins)
+    finally:
+        if worker is not None:
+            error = worker.close()
+    if error is not None:
+        raise error
 
     return NormalizedField(
         borda=borda,

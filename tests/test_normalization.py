@@ -1,5 +1,9 @@
 import dataclasses
+import re
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +293,133 @@ def test_build_field_stack_covers_ragged_unfittable_and_zeroed_lanes(block_cells
     assert field.unfittable.any() and fittable.any()
     assert np.unique(field.fit_excluded_fraction[fittable]).size > 1   # ragged admitted counts
     assert field.margin_zeroed.any()
+
+
+def _count_worker_lanes(mp):
+    handed = []
+
+    class Counting(normalization._MarginsWorker):
+        def submit(self, margins):
+            if margins is not None:
+                handed.append(margins)
+            super().submit(margins)
+
+    mp.setattr(normalization, "_MarginsWorker", Counting)
+    return handed
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n, block_cells", [(190, 1 << 16), (28, 512)])
+def test_build_field_margins_worker_matches_per_frame_oracle(cpus, n, block_cells):
+    """Lanes past one block go one at a time; with two CPUs a worker thread
+    sums each lane's margins while the next lane's datum is fitted."""
+    rng = np.random.default_rng(12)
+    stack = np.stack([
+        _descending_column(rng, n, 3),
+        rng.normal(0.0, 1.0, (n, 3)),
+        rng.integers(-2, 3, (n, 3)).astype(float),
+    ])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalization, "_usable_cpus", lambda: cpus)
+        handed = _count_worker_lanes(mp)
+        field = _assert_stack_matches_per_frame_oracle(stack, 0.3, block_cells)
+    assert len(handed) == (field.n_dims if cpus == 2 else 0)
+    assert field.unfittable.any() and field.margin_zeroed.any()
+
+
+def test_build_field_grouped_lanes_start_no_worker():
+    values = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 81, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalization, "_usable_cpus", lambda: 2)
+        handed = _count_worker_lanes(mp)
+        build_field(values)
+    assert handed == []
+
+
+def test_build_field_from_several_threads_at_once():
+    """Four callers, each with its own margins worker, under a short switch
+    interval give the fields of one caller with both passes inline."""
+    rng = np.random.default_rng(21)
+    stacks = [rng.normal(0.0, 1.0, (3, 28, 3)) for _ in range(4)]
+    got = [None] * len(stacks)
+
+    def call(i):
+        got[i] = build_field(stacks[i])
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalization, "_BLOCK_CELLS", 512)
+        mp.setattr(normalization, "_usable_cpus", lambda: 1)
+        want = [build_field(stack) for stack in stacks]
+        mp.setattr(normalization, "_usable_cpus", lambda: 2)
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(stacks))]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for field, expected in zip(got, want, strict=True):
+        for f in dataclasses.fields(NormalizedField):
+            assert getattr(field, f.name).tobytes() == getattr(expected, f.name).tobytes(), f.name
+
+
+class _Injected(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("target", ["_fit_datum", "_sum_margins"])
+@pytest.mark.parametrize("failing_call", [2, 4])
+def test_build_field_raises_a_pass_error_and_leaves_no_thread(cpus, target, failing_call):
+    stack = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 40, 2))   # 4 lanes
+    original = getattr(normalization, target)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == failing_call:
+            raise _Injected(target)
+        return original(*args)
+
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalization, "_BLOCK_CELLS", 512)
+        mp.setattr(normalization, "_usable_cpus", lambda: cpus)
+        mp.setattr(normalization, target, failing)
+        with pytest.raises(_Injected, match=target):
+            build_field(stack)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_build_field_errstate_applies_on_both_threads(cpus):
+    values = np.random.default_rng(8).uniform(-1.0, 1.0, (2, 40, 2))
+    values[0, :2, 1] = [np.inf, np.nan]   # lane 1: the margin pass meets inf - inf
+    values[1, 5, 0] = -np.inf              # lane 2: the datum pass does
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(normalization, "_BLOCK_CELLS", 512)
+        mp.setattr(normalization, "_usable_cpus", lambda: cpus)
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            field = build_field(values)
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            build_field(values[:1])   # lane 1's margins alone warn without errstate
+    assert np.isfinite(field.datum[1]) and not np.isfinite(field.datum[2])
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (9, 0), (3, 0, 4), (3, 9, 0)])
+def test_build_field_rejects_frames_without_points_or_dimensions(shape):
+    with pytest.raises(ContractViolation, match=re.escape(str(shape))):
+        build_field(np.zeros(shape))
+
+
+def test_build_field_empty_stack_gives_empty_field():
+    field = build_field(np.zeros((0, 9, 4)))
+    assert field.borda.shape == (0, 9) and field.datum.shape == (0,)
 
 
 def test_build_field_frame_gives_its_dimensions_as_lanes():
