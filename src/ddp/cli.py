@@ -167,6 +167,8 @@ def _cmd_stats(args) -> int:
         if g not in GROUP_LABELS:
             raise DdpError(f"unknown group {g!r}; choose from {GROUP_LABELS}")
     reports_dir = Path(args.reports)
+    if not reports_dir.exists():
+        raise DdpError(f"reports path {reports_dir} does not exist")
     files = sorted(reports_dir.glob("*.json")) if reports_dir.is_dir() else [reports_dir]
     if not files:
         raise DdpError(f"no report .json files in {reports_dir}")

@@ -258,7 +258,10 @@ def parse_xyzm(stream: TextIO | Iterable[str] | str, config: PipelineConfig) -> 
 
 def parse_xyzm_file(path, config: PipelineConfig) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_xyzm(fh, config)
+        try:
+            return parse_xyzm(fh, config)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _fmt(x: float) -> str:

@@ -1,7 +1,10 @@
+import collections
 import dataclasses
+import gc
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -295,50 +298,158 @@ def test_build_field_stack_covers_ragged_unfittable_and_zeroed_lanes(block_cells
     assert field.margin_zeroed.any()
 
 
-def _count_worker_lanes(mp):
-    handed = []
+_TASKS = ("_fit_datum", "_group_stats", "_sum_margins")
 
-    class Counting(normalization._MarginsWorker):
-        def submit(self, margins):
-            if margins is not None:
-                handed.append(margins)
-            super().submit(margins)
 
-    mp.setattr(normalization, "_MarginsWorker", Counting)
-    return handed
+def _record_tasks(mp, before=None):
+    """Wrap each task function; returns the (kind, thread) of every call, in call order.
+
+    ``before(kind)`` runs ahead of each call, on the thread making it.
+    """
+    calls = []
+    for kind in _TASKS:
+        original = getattr(normalization, kind)
+
+        def recorded(*args, kind=kind, original=original):
+            calls.append((kind, threading.current_thread()))
+            if before is not None:
+                before(kind)
+            return original(*args)
+
+        mp.setattr(normalization, kind, recorded)
+    return calls
+
+
+def _mixed_stack(rng, n):
+    """Three frames whose lanes are unfittable, excluded here and there, or zeroed."""
+    return np.stack([
+        _descending_column(rng, n, 3),
+        rng.normal(0.0, 1.0, (n, 3)),
+        rng.integers(-2, 3, (n, 3)).astype(float),
+    ])
+
+
+def _record_drains(mp):
+    """Wrap ``_Schedule.drain``; returns the thread of every call."""
+    threads = []
+    drain = normalization._Schedule.drain
+
+    def recorded(self):
+        threads.append(threading.current_thread())
+        drain(self)
+
+    mp.setattr(normalization._Schedule, "drain", recorded)
+    return threads
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("n, block_cells", [(190, 1 << 16), (28, 512)])
 def test_build_field_margins_worker_matches_per_frame_oracle(cpus, n, block_cells):
-    """Lanes past one block go one at a time; with two CPUs a worker thread
-    sums each lane's margins while the next lane's datum is fitted."""
-    rng = np.random.default_rng(12)
-    stack = np.stack([
-        _descending_column(rng, n, 3),
-        rng.normal(0.0, 1.0, (n, 3)),
-        rng.integers(-2, 3, (n, 3)).astype(float),
-    ])
+    """Lanes past one block go one at a time; with two CPUs one worker
+    thread shares the datum, stats and margin tasks with the caller."""
+    stack = _mixed_stack(np.random.default_rng(12), n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(normalization, "_usable_cpus", lambda: cpus)
-        handed = _count_worker_lanes(mp)
+        drains = _record_drains(mp)
+        calls = _record_tasks(mp)
         field = _assert_stack_matches_per_frame_oracle(stack, 0.3, block_cells)
-    assert len(handed) == (field.n_dims if cpus == 2 else 0)
+    assert threading.current_thread() in drains
+    assert len(set(drains)) == len(drains) == cpus
+    assert {t for _, t in calls} <= set(drains)
+    kinds = collections.Counter(k for k, _ in calls)
+    assert kinds["_group_stats"] == field.n_dims   # one lane per group
+    assert kinds["_fit_datum"] >= field.n_dims and kinds["_sum_margins"] >= field.n_dims
     assert field.unfittable.any() and field.margin_zeroed.any()
+
+
+def test_build_field_excluded_pairs_in_several_blocks_keep_pool_order():
+    """Small blocks split each lane's triangle, and the excluded pairs fall
+    into several of them, so a block appended out of turn would move the
+    admitted constants of the lanes and change their means."""
+    n, block_cells = 40, 512
+    stack = np.random.default_rng(13).uniform(-1.0, 1.0, (2, n, 3))
+    _, ok = pair_constants(stack[..., None, :], stack[..., None, :, :], 0.3)
+    rows = np.nonzero(~ok & np.triu(np.ones((n, n), dtype=bool), 1)[..., None])[1]
+    assert rows.min() < block_cells // (n - 1) <= n // 2 < rows.max()   # first block and a late one
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(normalization, "_usable_cpus", lambda: cpus)
+            _assert_stack_matches_per_frame_oracle(stack, 0.3, block_cells)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_field_random_task_delays_keep_the_fields(seed):
+    """Sleeps before datum and margin blocks on either thread reorder when
+    blocks finish; the pool still takes them in turn."""
+    rng = np.random.default_rng(seed)
+    stack = _mixed_stack(rng, 40)
+    delays = iter(rng.uniform(0.0, 2e-3, 10_000).tolist())
+
+    def sleep(kind):
+        if kind != "_group_stats":
+            time.sleep(next(delays))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalization, "_usable_cpus", lambda: 2)
+        calls = _record_tasks(mp, before=sleep)
+        _assert_stack_matches_per_frame_oracle(stack, 0.3, 512)
+    assert len({t for _, t in calls}) == 2
+
+
+def test_build_field_stalled_worker_leaves_every_task_to_the_caller():
+    stack = _mixed_stack(np.random.default_rng(14), 40)
+    caller = threading.current_thread()
+    caller_done = threading.Event()
+    drain = normalization._Schedule.drain
+
+    def stalled(self):
+        if threading.current_thread() is caller:
+            drain(self)
+            caller_done.set()
+        else:
+            assert caller_done.wait(timeout=60)
+            drain(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalization, "_usable_cpus", lambda: 2)
+        mp.setattr(normalization._Schedule, "drain", stalled)
+        calls = _record_tasks(mp)
+        _assert_stack_matches_per_frame_oracle(stack, 0.3, 512)
+    assert caller_done.is_set()
+    assert calls and {t for _, t in calls} == {caller}
 
 
 def test_build_field_grouped_lanes_start_no_worker():
     values = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 81, 4))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(normalization, "_usable_cpus", lambda: 2)
-        handed = _count_worker_lanes(mp)
+        drains = _record_drains(mp)
+        calls = _record_tasks(mp)
         build_field(values)
-    assert handed == []
+    assert drains == [threading.current_thread()]
+    assert {t for _, t in calls} == set(drains)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_build_field_leaves_no_reference_cycle(cpus):
+    """A cycle through the schedule would keep its pool of pair constants
+    (19 MB per wide lane) alive until the next garbage collection."""
+    values = np.random.default_rng(15).uniform(-1.0, 1.0, (2, 200, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalization, "_usable_cpus", lambda: cpus)
+        build_field(values)
+        gc.collect()
+        gc.disable()
+        try:
+            build_field(values)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_build_field_from_several_threads_at_once():
-    """Four callers, each with its own margins worker, under a short switch
-    interval give the fields of one caller with both passes inline."""
+    """Four callers, each sharing its tasks with its own worker, under a
+    short switch interval give the fields of one caller running them alone."""
     rng = np.random.default_rng(21)
     stacks = [rng.normal(0.0, 1.0, (3, 28, 3)) for _ in range(4)]
     got = [None] * len(stacks)
@@ -371,28 +482,86 @@ class _Injected(RuntimeError):
     pass
 
 
+def _call_with_timeout(fn, timeout=20):
+    """Run fn() on a fresh thread; fail if it has not returned or raised within timeout."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(("value", fn()))
+        except BaseException as exc:
+            outcome.append(("error", exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "build_field hung"
+    kind, value = outcome[0]
+    if kind == "error":
+        raise value
+    return value
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("target", ["_fit_datum", "_sum_margins"])
+@pytest.mark.parametrize("target", _TASKS)
 @pytest.mark.parametrize("failing_call", [2, 4])
 def test_build_field_raises_a_pass_error_and_leaves_no_thread(cpus, target, failing_call):
     stack = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 40, 2))   # 4 lanes
-    original = getattr(normalization, target)
     calls = []
 
-    def failing(*args):
-        calls.append(args)
-        if len(calls) == failing_call:
-            raise _Injected(target)
-        return original(*args)
+    def fail(kind):
+        if kind == target:
+            calls.append(kind)
+            if len(calls) == failing_call:
+                raise _Injected(target)
 
-    before = threading.active_count()
+    threads = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(normalization, "_BLOCK_CELLS", 512)
         mp.setattr(normalization, "_usable_cpus", lambda: cpus)
-        mp.setattr(normalization, target, failing)
+        _record_tasks(mp, before=fail)
         with pytest.raises(_Injected, match=target):
-            build_field(stack)
-    assert threading.active_count() == before
+            _call_with_timeout(lambda: build_field(stack))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("target", _TASKS)
+@pytest.mark.parametrize("on_worker", [False, True])
+def test_build_field_raises_a_task_error_from_either_thread_and_leaves_no_thread(target, on_worker):
+    """The first call of the target task on the chosen thread raises.
+
+    The other thread pauses before each task, so the chosen one takes most
+    of them.  A group's stats run on the thread that appends the last
+    block before them, so for the stats the chosen thread is the one that
+    pauses.  It raises only after a pause long enough for the other thread
+    to wait on the step it holds.  Each attempt must raise or finish, and
+    leave no thread.
+    """
+    stack = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 40, 2))   # 8 lanes
+    fired = []
+
+    def fail(kind):
+        chosen = (threading.current_thread().name == "ddp-normalize") == on_worker
+        if chosen and kind == target:
+            fired.append(kind)
+            time.sleep(0.05)
+            raise _Injected(target)
+        if chosen == (target == "_group_stats"):
+            time.sleep(2e-3)
+
+    threads = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalization, "_BLOCK_CELLS", 512)
+        mp.setattr(normalization, "_usable_cpus", lambda: 2)
+        _record_tasks(mp, before=fail)
+        for _ in range(20):
+            try:
+                _call_with_timeout(lambda: build_field(stack))
+            except _Injected:
+                break
+            finally:
+                assert threading.active_count() == threads
+    assert fired == [target]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -219,6 +219,22 @@ def test_cli_analyze_missing_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("as_dir", [False, True])
+def test_cli_analyze_rejects_file_that_is_not_utf8(as_dir, tmp_path, capsys):
+    bad = tmp_path / "latin1.xyzm"
+    bad.write_bytes("#subject Sé\n0 0 0 0\n".encode("latin-1"))
+    assert main(["analyze", "--input", str(tmp_path if as_dir else bad),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "latin1.xyzm" in err and "UTF-8" in err
+
+
+def test_cli_stats_missing_reports(tmp_path, capsys):
+    assert main(["stats", "--reports", str(tmp_path / "nope")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope" in err
+
+
 @pytest.mark.parametrize("text", [
     '{"subjects": [',
     "[1, 2]",
