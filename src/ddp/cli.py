@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_inputs(path_str: str, config: PipelineConfig) -> Dataset:
     path = Path(path_str)
     if path.is_dir():
-        files = sorted(path.glob("*.xyzm"))
+        files = sorted(f for f in path.glob("*.xyzm") if f.is_file())
         if not files:
             raise DdpError(f"no .xyzm files in {path}")
     else:
@@ -169,7 +169,10 @@ def _cmd_stats(args) -> int:
     reports_dir = Path(args.reports)
     if not reports_dir.exists():
         raise DdpError(f"reports path {reports_dir} does not exist")
-    files = sorted(reports_dir.glob("*.json")) if reports_dir.is_dir() else [reports_dir]
+    if reports_dir.is_dir():
+        files = sorted(f for f in reports_dir.glob("*.json") if f.is_file())
+    else:
+        files = [reports_dir]
     if not files:
         raise DdpError(f"no report .json files in {reports_dir}")
     pools = []

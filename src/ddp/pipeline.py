@@ -4,15 +4,17 @@ Per subject the flow is: prescale each burst per dimension, run the
 zoom-out kernel once over all of the subject's bursts (one `SubjectZoom`
 holding every frame pair, see `zoomout.zoom_profile`) and classify the
 points of all pairs in one `classify_frame` call on its `(P, N, D)`
-stacks.  What is left is assembly: one pass over the pairs in order
-finds the chains, critical lengths and GTI of each (the GTI reads the
-residual curvature of the pairs before it) and builds its `FrameResult`
-and dump rows.
+stacks.  Each pair's chains, critical lengths, GTI (which reads the
+residual curvature of the pairs before it) and escalated categories come
+from one call each.  The report keeps the subject's results as columns
+with the pairs in front (`report.FrameResult`), and the dump rows of all
+pairs are written from the same columns in one pass per table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -55,7 +57,6 @@ def analyze_subject(
                 f"{b.n_points}x{b.n_dims}, config expects {config.N}x{config.D}"
             )
     dump_rows: dict[str, list[str]] = {k: [] for k in dumps}
-    subject_field = csv_field(subject_id)
 
     scaled: list[DataBurst] = []
     factors: list[np.ndarray] = []
@@ -65,85 +66,92 @@ def analyze_subject(
         factors.append(div)
 
     zoom = zoom_profile(scaled, config)
-    frames: list[FrameResult] = []
     if not zoom.pairs:
-        return _assemble_report(subject_id, bursts, meta, factors, frames, config), dump_rows
+        return _assemble_report(subject_id, bursts, meta, factors, None, config), dump_rows
     th = zoom.thresholds
     cls = classify_frame(
         zoom.kappa_median, th.kappa_short, th.kappa_long, th.defined, zoom.dh.swapaxes(1, 2)
     )
-    for p, pair in enumerate(zoom.pairs):
-        previous, current = (scaled[i] for i in pair)
-        chains = detect_chains(cls.categories[p], cls.jointly_unstable[p])
-        criticals = critical_chain_lengths(zoom.profiles[p], config)
-        gti_record = gti(zoom.rc[:p + 1], chains, criticals, config.drop_threshold)
-        final_categories = escalate_chain_categories(cls.categories[p], chains, *criticals)
-        frames.append(
-            FrameResult(
-                previous_burst_index=previous.burst_index,
-                current_burst_index=current.burst_index,
-                dt_span=config.stride_n * current.dt,
-                datum=zoom.current_state.datum[p],
-                datum_residual=zoom.current_state.datum_residual[p],
-                rc=zoom.rc[p],
-                critical_short=criticals[0],
-                critical_long=criticals[1],
-                gti=gti_record,
-                categories=final_categories,
-                chains=chains,
-                mixed_disjoint_points=np.nonzero(cls.mixed_disjoint[p])[0].tolist(),
-                fallback_fraction=zoom.fallback_fraction[p],
-                fit_excluded_fraction=zoom.current_state.fit_excluded_fraction[p],
-                margin_zeroed_fraction=zoom.current_state.margin_zeroed_fraction[p],
-                levels=zoom.profiles[p].levels,
-            )
-        )
-        _collect_dumps(
-            dump_rows, subject_field, current.burst_index, zoom, p, cls, final_categories
-        )
+    # one call of each per pair: chains, critical lengths, GTI, escalation
+    rc_combined = zoom.rc.rc_combined.tolist()
+    decisions = []
+    for p in range(len(zoom.pairs)):
+        found = detect_chains(cls.categories[p], cls.jointly_unstable[p])
+        crit = critical_chain_lengths(zoom.profile[p], config)
+        decisions.append((
+            found, crit, gti(rc_combined[:p + 1], found, crit, config.drop_threshold),
+            escalate_chain_categories(cls.categories[p], found, *crit),
+        ))
+    chains, criticals, gtis, categories = zip(*decisions)
+    categories = np.array(categories)    # (P, N)
+    critical_short, critical_long = np.array(criticals).T
+    previous, current = np.array([[scaled[i].burst_index for i in pair] for pair in zoom.pairs]).T
+    table = FrameResult(
+        previous_burst_index=previous,
+        current_burst_index=current,
+        dt_span=np.array([config.stride_n * scaled[i].dt for _, i in zoom.pairs]),
+        datum=zoom.current_state.datum,
+        datum_residual=zoom.current_state.datum_residual,
+        rc=zoom.rc,
+        critical_short=critical_short,
+        critical_long=critical_long,
+        gti=list(gtis),
+        categories=categories,
+        chains=list(chains),
+        mixed_disjoint=cls.mixed_disjoint,
+        fallback_fraction=zoom.fallback_fraction,
+        fit_excluded_fraction=zoom.current_state.fit_excluded_fraction,
+        margin_zeroed_fraction=zoom.current_state.margin_zeroed_fraction,
+        profile=zoom.profile,
+    )
+    if dumps:
+        _write_dumps(dump_rows, csv_field(subject_id), current, zoom, cls, categories)
+    return _assemble_report(subject_id, bursts, meta, factors, table, config), dump_rows
 
-    return _assemble_report(subject_id, bursts, meta, factors, frames, config), dump_rows
 
+def _write_dumps(rows, subject_field, bursts, zoom, cls, categories):
+    """Append the dump rows of every frame pair of one subject, in pair order.
 
-def _collect_dumps(rows, subject_field, burst_index, zoom, p, cls, categories):
-    """Append the dump rows of frame pair p; subject_field is the CSV-quoted subject id."""
-    head = f"{subject_field},{burst_index},"
+    subject_field is the CSV-quoted subject id and bursts the (P,) current
+    burst indices.  Each table is formatted from its (P, ...) columns.
+    """
+    heads = [f"{subject_field},{b}," for b in bursts.tolist()]
+    _, d, n = zoom.dh.shape
     if "borda" in rows:
         borda = zoom.current_state.borda
-        columns = zip(borda.H[p].tolist(), borda.R[p].tolist(), zoom.dh[p].tolist())
-        for d, (h, r, dh) in enumerate(columns):
-            prefix = f"{head}{d},"
-            rows["borda"].extend([
-                f"{prefix}{a},{x},{y},{z}"
-                for a, (x, y, z) in enumerate(zip(csv_nums(h), csv_nums(r), csv_nums(dh)))
-            ])
+        lanes = [f"{head}{dim}," for head in heads for dim in range(d)]
+        rows["borda"].extend([
+            f"{lane}{a},{h},{r},{dh}" for (lane, a), h, r, dh in zip(
+                product(lanes, range(n)),
+                *(csv_nums(v.ravel().tolist()) for v in (borda.H, borda.R, zoom.dh)),
+            )
+        ])
     if "roots" in rows:
-        n = zoom.dh.shape[2]
-        rows["roots"].extend(_roots_rows(head, zoom.roots.slice_points(p * n, (p + 1) * n)))
+        points = [f"{head}{a}," for head, a in product(heads, range(n))]
+        rows["roots"].extend(_roots_rows(points, zoom.roots))
     if "pdi" in rows:
         flags = zip(
-            categories.tolist(), cls.short_unstable[p].tolist(), cls.long_unstable[p].tolist(),
-            cls.mode_mixity[p].tolist(), cls.mixed_disjoint[p].tolist(),
+            product(heads, range(n)), categories.ravel().tolist(),
+            cls.short_unstable.reshape(-1, d).tolist(), cls.long_unstable.reshape(-1, d).tolist(),
+            cls.mode_mixity.ravel().tolist(), cls.mixed_disjoint.ravel().tolist(),
         )
-        for a, (cat, short, long_, mixity, disjoint) in enumerate(flags):
-            short = ";".join([str(d) for d, f in enumerate(short) if f])
-            long_ = ";".join([str(d) for d, f in enumerate(long_) if f])
-            rows["pdi"].append(
-                f"{head}{a},{cat},{short},{long_},{int(mixity)},{int(disjoint)}"
-            )
+        for (head, a), cat, short, long_, mixity, disjoint in flags:
+            short = ";".join([str(k) for k, f in enumerate(short) if f])
+            long_ = ";".join([str(k) for k, f in enumerate(long_) if f])
+            rows["pdi"].append(f"{head}{a},{cat},{short},{long_},{int(mixity)},{int(disjoint)}")
     if "zoom" in rows:
-        for li, lv in enumerate(zoom.profiles[p].levels):
-            x, kappa, inv_ltilde, inv_l = csv_nums(
-                [lv.x_coordinate, lv.kappa_combined, lv.inv_ltilde_combined, lv.inv_l_combined]
-            )
-            per_dim = ",".join(csv_nums(lv.kappa_per_dim.tolist()))
-            rows["zoom"].append(
-                f"{head}{li},{lv.point_count},{x},{kappa},{inv_ltilde},{inv_l},{per_dim}"
-            )
+        pr = zoom.profile
+        ladder = list(enumerate(zip(pr.point_count.tolist(), pr.x_coordinate.tolist())))
+        columns = (pr.kappa_combined, pr.inv_ltilde_combined, pr.inv_l_combined, pr.kappa_per_dim)
+        for head, *stats in zip(heads, *(v.tolist() for v in columns)):
+            rows["zoom"].extend([
+                f"{head}{li},{count},{','.join(csv_nums([x, kappa, ltilde, inv_l, *per_dim]))}"
+                for (li, (count, x)), kappa, ltilde, inv_l, per_dim in zip(ladder, *stats)
+            ])
 
 
-def _roots_rows(head: str, roots) -> list[str]:
-    """The roots dump rows of one frame pair, all 2**D branches of every point.
+def _roots_rows(heads: list[str], roots) -> list[str]:
+    """The roots dump rows of every point, all 2**D branches; heads[i] starts point i's rows.
 
     Each stored magnitude is formatted once, and only once per point when
     all its stored branches hold the same bits (the closed-form case).  The
@@ -158,8 +166,8 @@ def _roots_rows(head: str, roots) -> list[str]:
     uniform = (bits == bits[:, :1]).all(axis=(1, 2)).tolist()
     half = stored.shape[1]
     lines = []
-    for a, (point, labels, same) in enumerate(
-        zip(stored.tolist(), roots.convergence.tolist(), uniform)
+    for head, point, labels, same in zip(
+        heads, stored.tolist(), roots.convergence.tolist(), uniform
     ):
         texts = [csv_nums(vector) for vector in (point[:1] if same else point)]
         plus = [",".join(t) for t in texts]
@@ -167,7 +175,7 @@ def _roots_rows(head: str, roots) -> list[str]:
         if same:
             plus, minus = plus * half, minus * half
         lines.extend([
-            f"{head}{a},{ri},{minus[b] if flipped else plus[b]},{_CONV_NAMES[label]}"
+            f"{head}{ri},{minus[b] if flipped else plus[b]},{_CONV_NAMES[label]}"
             for ri, ((b, flipped), label) in enumerate(zip(layout, labels))
         ])
     return lines
@@ -180,24 +188,19 @@ def _negated(text: str) -> str:
     return text if text == "nan" else "-" + text
 
 
-def _assemble_report(subject_id, bursts, meta, factors, frames, config):
-    d = config.D
-    per_dim_values: list[list[float]] = [[] for _ in range(d)]
-    for fr in frames:
-        for dim in range(d):
-            vals = fr.rc.rc[dim]
-            per_dim_values[dim].extend(vals[np.isfinite(vals)].tolist())
-    rc_values_per_dim = [np.array(v) for v in per_dim_values]
+def _assemble_report(subject_id, bursts, meta, factors, table, config):
+    if table is None:
+        rc_values_per_dim = [np.empty(0) for _ in range(config.D)]
+        histogram: dict[int, int] = {}
+    else:
+        # each dimension's finite rc values, pair-major; boolean indexing copies them
+        rc_values_per_dim = [col[np.isfinite(col)] for col in table.rc.rc.swapaxes(0, 1)]
+        histogram = table.pdi_counts
     rc_median_per_dim = np.array(
         [float(np.median(v)) if v.size else float("nan") for v in rc_values_per_dim]
     )
     pooled = np.concatenate(rc_values_per_dim) if rc_values_per_dim else np.empty(0)
     rc_combined_median = float(np.median(pooled)) if pooled.size else float("nan")
-
-    histogram: dict[int, int] = {}
-    for fr in frames:
-        for cat, count in fr.pdi_counts.items():
-            histogram[cat] = histogram.get(cat, 0) + count
 
     boxplots = [
         boxplot_stats(v) if v.size else None for v in rc_values_per_dim
@@ -205,14 +208,12 @@ def _assemble_report(subject_id, bursts, meta, factors, frames, config):
     modulation_iqr = [b.iqr if b is not None else None for b in boxplots]
 
     amplitudes: dict[int, float] = {}
-    if meta.com_displacement:
-        for fr in frames:
-            com = meta.com_displacement.get(fr.current_burst_index)
-            if com is None or not np.all(np.isfinite(fr.rc.rc_per_dim)):
+    if meta.com_displacement and table is not None:
+        for burst, rc in zip(table.current_burst_index.tolist(), table.rc.rc_per_dim):
+            com = meta.com_displacement.get(burst)
+            if com is None or not np.all(np.isfinite(rc)):
                 continue
-            amplitudes[fr.current_burst_index] = energy_exchange_amplitude(
-                fr.rc.rc_per_dim, com, meta.mass
-            )
+            amplitudes[burst] = energy_exchange_amplitude(rc, com, meta.mass)
 
     return SubjectReport(
         subject_id=subject_id,
@@ -221,7 +222,7 @@ def _assemble_report(subject_id, bursts, meta, factors, frames, config):
         mass_defaulted=meta.mass_defaulted,
         n_bursts=len(bursts),
         prescale_factors=factors,
-        frames=frames,
+        frame_table=table,
         rc_values_per_dim=rc_values_per_dim,
         rc_median_per_dim=rc_median_per_dim,
         rc_combined_median=rc_combined_median,

@@ -24,7 +24,7 @@ Output format:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
 from pathlib import Path
@@ -38,7 +38,7 @@ from .ingest import GROUP_LABELS, Injection
 
 if TYPE_CHECKING:
     from .curvature import Chain
-    from .zoomout import GtiRecord, ResidualCurvatureRecord, ZoomLevel
+    from .zoomout import GtiRecord, ResidualCurvatureRecord, ZoomProfile
 
 SCHEMA_VERSION = "1.0"
 
@@ -65,26 +65,11 @@ def boxplot_stats(values) -> BoxplotStats:
     v = v[np.isfinite(v)]
     if v.size == 0:
         raise ValueError("boxplot_stats needs at least one finite value")
-    return boxplot_rows(v[None, :])[0]
-
-
-def boxplot_rows(rows: np.ndarray) -> list[BoxplotStats]:
-    """boxplot_stats of every row of a (K, M) array of finite values, in one pass."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    q25, q75 = np.percentile(rows, [25.0, 75.0], axis=-1)
-    mu = np.mean(rows, axis=-1)
-    sigma = np.std(rows, axis=-1)
+    q25, q75 = np.percentile(v, [25.0, 75.0]).tolist()
+    mu, sigma = float(np.mean(v)), float(np.std(v))
     lo, hi = mu - 2.7 * sigma, mu + 2.7 * sigma
-    outside = (rows < lo[:, None]) | (rows > hi[:, None])
-    outliers = [()] * len(rows)
-    for k in np.nonzero(outside.any(axis=1))[0]:
-        outliers[k] = tuple(np.sort(rows[k][outside[k]]).tolist())
-    return [
-        BoxplotStats(q25=a, q75=b, whisker_low=low, whisker_high=high, outliers=out)
-        for a, b, low, high, out in zip(
-            q25.tolist(), q75.tolist(), lo.tolist(), hi.tolist(), outliers
-        )
-    ]
+    outliers = tuple(np.sort(v[(v < lo) | (v > hi)]).tolist())
+    return BoxplotStats(q25=q25, q75=q75, whisker_low=lo, whisker_high=hi, outliers=outliers)
 
 
 def percent_change(reference: float, value: float) -> float:
@@ -260,29 +245,40 @@ def group_stats(
 
 @dataclass
 class FrameResult:
-    """Everything the pipeline derives from one frame pair."""
+    """Everything the pipeline derives from the frame pairs of one subject.
 
-    previous_burst_index: int
-    current_burst_index: int
-    dt_span: float
-    datum: np.ndarray
-    datum_residual: np.ndarray
+    Every field holds the P pairs in front: (P,) columns, (P, D) and (P, N)
+    arrays, the `rc` record and the level `profile` with P in front, and one
+    list of chains and one GTI record per pair.  Indexing with a pair
+    number gives that pair's FrameResult, whose arrays are views into
+    these.
+    """
+
+    previous_burst_index: np.ndarray     # (P,) int
+    current_burst_index: np.ndarray      # (P,) int
+    dt_span: np.ndarray                  # (P,)
+    datum: np.ndarray                    # (P, D)
+    datum_residual: np.ndarray           # (P, D)
     rc: "ResidualCurvatureRecord"
-    critical_short: float
-    critical_long: float
-    gti: "GtiRecord"
-    categories: np.ndarray          # (N,) final categories incl. 8/9
-    chains: list["Chain"]
-    mixed_disjoint_points: list[int]
-    fallback_fraction: float
-    fit_excluded_fraction: np.ndarray
-    margin_zeroed_fraction: np.ndarray
-    levels: list["ZoomLevel"]
+    critical_short: np.ndarray           # (P,)
+    critical_long: np.ndarray            # (P,)
+    gti: list["GtiRecord"]
+    categories: np.ndarray               # (P, N) final categories incl. 8/9
+    chains: list[list["Chain"]]
+    mixed_disjoint: np.ndarray           # (P, N) bool
+    fallback_fraction: np.ndarray        # (P,)
+    fit_excluded_fraction: np.ndarray    # (P, D)
+    margin_zeroed_fraction: np.ndarray   # (P, D)
+    profile: "ZoomProfile"
+
+    def __getitem__(self, index) -> FrameResult:
+        return FrameResult(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
     @property
     def pdi_counts(self) -> dict[int, int]:
-        cats, counts = np.unique(self.categories, return_counts=True)
-        return {int(c): int(k) for c, k in zip(cats, counts)}
+        """Point count of each category, over every point held."""
+        counts = np.bincount(self.categories.ravel()).tolist()
+        return {c: k for c, k in enumerate(counts) if k}
 
 
 @dataclass
@@ -293,7 +289,7 @@ class SubjectReport:
     mass_defaulted: bool
     n_bursts: int
     prescale_factors: list[np.ndarray]
-    frames: list[FrameResult]
+    frame_table: FrameResult | None      # None when the subject has no frame pair
     rc_values_per_dim: list[np.ndarray]
     rc_median_per_dim: np.ndarray
     rc_combined_median: float
@@ -302,6 +298,12 @@ class SubjectReport:
     modulation_iqr_per_dim: list[float | None]
     energy_exchange_amplitudes: dict[int, float]
     injection: Injection | None = None
+
+    @property
+    def frames(self) -> list[FrameResult]:
+        """One FrameResult per frame pair, each a view into `frame_table`."""
+        table = self.frame_table
+        return [] if table is None else [table[p] for p in range(len(table.categories))]
 
 
 # ---------------------------------------------------------------------------
@@ -393,51 +395,41 @@ def _boxplot_json(b: BoxplotStats | None):
     }
 
 
-def _frame_json(fr: FrameResult) -> dict:
-    return {
-        "previous_burst_index": fr.previous_burst_index,
-        "current_burst_index": fr.current_burst_index,
-        "dt_span": fr.dt_span,
-        "datum": fr.datum,
-        "datum_residual": fr.datum_residual,
-        "rc_per_dim": fr.rc.rc_per_dim,
-        "rc_combined": fr.rc.rc_combined,
-        "rc_roots": fr.rc.rc,
-        "critical_short": fr.critical_short,
-        "critical_long": fr.critical_long,
-        "gti": {
-            "chain_max_length": fr.gti.chain_max_length,
-            "critical_short": fr.gti.critical_short,
-            "critical_long": fr.gti.critical_long,
-            "energy_drop_fraction": fr.gti.energy_drop_fraction,
-            "triggered": fr.gti.triggered,
-            "imminent": fr.gti.imminent,
-        },
-        "pdi_counts": {str(k): v for k, v in sorted(fr.pdi_counts.items())},
-        "chains": [
-            {"start_index": c.start_index, "length": c.length,
-             "dimensions": c.dimensions}
-            for c in fr.chains
-        ],
-        "mixed_disjoint_points": fr.mixed_disjoint_points,
-        "fallback_fraction": fr.fallback_fraction,
-        "fit_excluded_fraction": fr.fit_excluded_fraction,
-        "margin_zeroed_fraction": fr.margin_zeroed_fraction,
-        "partial_dims": [],   # prescaled frames have no unfittable dimension
-        "levels": [
-            {
-                "point_count": lv.point_count,
-                "x_coordinate": lv.x_coordinate,
-                "kappa_per_dim": lv.kappa_per_dim,
-                "kappa_combined": lv.kappa_combined,
-                "inv_ltilde_per_dim": lv.inv_ltilde_per_dim,
-                "inv_ltilde_combined": lv.inv_ltilde_combined,
-                "inv_l_per_dim": lv.inv_l_per_dim,
-                "inv_l_combined": lv.inv_l_combined,
-            }
-            for lv in fr.levels
-        ],
-    }
+_FRAME_KEYS = (
+    "previous_burst_index", "current_burst_index", "dt_span", "datum", "datum_residual",
+    "rc_per_dim", "rc_combined", "rc_roots", "critical_short", "critical_long", "gti",
+    "pdi_counts", "chains", "mixed_disjoint_points", "fallback_fraction",
+    "fit_excluded_fraction", "margin_zeroed_fraction", "partial_dims", "levels",
+)
+
+
+def _frames_json(t: FrameResult | None) -> list[dict]:
+    """The report's frame objects, built column by column from a subject's frame table.
+
+    The fields of GtiRecord, Chain and ZoomProfile are in the order of
+    their objects' keys in the report.
+    """
+    if t is None:
+        return []
+    level_keys = [f.name for f in fields(t.profile)]
+    ladder = t.profile.point_count.tolist(), t.profile.x_coordinate.tolist()
+    stats = [getattr(t.profile, name).tolist() for name in level_keys[2:]]
+    columns = [
+        *(a.tolist() for a in (
+            t.previous_burst_index, t.current_burst_index, t.dt_span, t.datum, t.datum_residual,
+            t.rc.rc_per_dim, t.rc.rc_combined, t.rc.rc, t.critical_short, t.critical_long,
+        )),
+        [vars(g) for g in t.gti],
+        [{str(c): k for c, k in enumerate(np.bincount(row).tolist()) if k} for row in t.categories],
+        [[vars(c) for c in chains] for chains in t.chains],
+        [np.flatnonzero(row).tolist() for row in t.mixed_disjoint],
+        *(a.tolist() for a in (
+            t.fallback_fraction, t.fit_excluded_fraction, t.margin_zeroed_fraction
+        )),
+        [[]] * len(t.categories),   # partial_dims: prescaled frames have no unfittable dimension
+        [[dict(zip(level_keys, level)) for level in zip(*ladder, *pair)] for pair in zip(*stats)],
+    ]
+    return [dict(zip(_FRAME_KEYS, values)) for values in zip(*columns)]
 
 
 def subject_json(rep: SubjectReport) -> dict:
@@ -457,7 +449,7 @@ def subject_json(rep: SubjectReport) -> dict:
         "energy_exchange_amplitudes": {
             str(k): v for k, v in sorted(rep.energy_exchange_amplitudes.items())
         },
-        "frames": [_frame_json(fr) for fr in rep.frames],
+        "frames": _frames_json(rep.frame_table),
     }
     if rep.injection is not None:
         doc["injection"] = asdict(rep.injection)
@@ -534,12 +526,16 @@ def roots_table_csv(reports: list[SubjectReport]) -> str:
     """One row per (subject, burst, dimension, root) with its rc value."""
     lines = ["subject_id,group_label,burst_index,dimension,root_index,rc"]
     for rep in reports:
+        t = rep.frame_table
+        if t is None:
+            continue
         subject = f"{csv_field(rep.subject_id)},{csv_field(rep.group_label)},"
-        for fr in rep.frames:
-            frame = f"{subject}{fr.current_burst_index},"
-            for dim, row in enumerate(fr.rc.rc.tolist()):
-                head = f"{frame}{dim},"
-                lines.extend([f"{head}{ri},{text}" for ri, text in enumerate(csv_nums(row))])
+        heads = [
+            f"{subject}{burst},{dim},"
+            for burst in t.current_burst_index.tolist() for dim in range(t.rc.rc.shape[1])
+        ]
+        for head, row in zip(heads, t.rc.rc.reshape(len(heads), -1).tolist()):
+            lines.extend([f"{head}{ri},{text}" for ri, text in enumerate(csv_nums(row))])
     return "\n".join(lines) + "\n"
 
 

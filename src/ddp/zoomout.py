@@ -18,19 +18,22 @@ evaluation.  The tail is array-shaped across pairs too: one
 `update_thresholds` call per level takes the root-magnitude medians of
 every pair at once and then advances the running mean pair by pair in
 time order, each level statistic is one median over the `(P, ..., D)`
-stack, and `residual_curvature` takes the medians and boxplots of every
-pair in one call on the coarsest level.  Points never interact across
-pairs and the running mean only looks back, so a pair's results do not
-depend on the bursts that follow it.
+stack, and `residual_curvature` takes the medians of every pair in one
+call on the coarsest level.  Points never interact across pairs and the
+running mean only looks back, so a pair's results do not depend on the
+bursts that follow it.
 
-The result is one `SubjectZoom` per subject: per-pair level profiles and
-residual curvature, and the finest level's Borda changes, roots,
-curvature medians and thresholds as `(P, ...)` stacks, which the
-pipeline classifies in one call.  Bursts must be prescaled: prescaling
-puts every value in [-1, 1], so each frame of at least 9 points has two
-values within 0.25 of each other, whose pair constant is real and (for
-an `epsilon_denominator` below 0.5) admissible, and no dimension is ever
-unfittable.  Unprescaled bursts that break this raise `ContractViolation`.
+The result is one `SubjectZoom` per subject, every per-pair result a
+column with the P pairs in front: the level statistics as one
+`ZoomProfile` of `(P, L, D)` and `(P, L)` arrays over the L levels, the
+residual curvature as one `ResidualCurvatureRecord` of `(P, ...)` arrays,
+the fallback fractions, and the finest level's Borda changes, roots,
+curvature medians and thresholds, which the pipeline classifies in one
+call.  Bursts must be prescaled: prescaling puts every value in [-1, 1],
+so each frame of at least 9 points has two values within 0.25 of each
+other, whose pair constant is real and (for an `epsilon_denominator`
+below 0.5) admissible, and no dimension is ever unfittable.  Unprescaled
+bursts that break this raise `ContractViolation`.
 
 Critical chain lengths come from an intersection construction on the
 per-level statistics.  With x the aggregation level (finest = 1) and a log
@@ -47,9 +50,11 @@ inverse long-run line the short-term one.  No intersection means the
 frame cannot support a global transition: the critical length is set to
 the unreachable N + 1.
 
-The global transition indicator (GTI) fires when the longest unstable
-chain exceeds the short-term critical length and the combined residual
-curvature dropped by at least the drop threshold within one step.
+Critical chain lengths and the GTI take one pair at a time (index a
+`ZoomProfile` with a pair number to get its levels).  The global
+transition indicator (GTI) fires when the longest unstable chain exceeds
+the short-term critical length and the combined residual curvature
+dropped by at least the drop threshold within one step.
 """
 
 from __future__ import annotations
@@ -72,7 +77,6 @@ from .ingest import DataBurst
 from .lengthscale import Convergence, branch_layout, solve_roots
 from .normalization import build_field
 from .ranking import BordaState, borda_state, delta_borda
-from .report import boxplot_rows, boxplot_stats
 
 
 def _coarsen(values: np.ndarray, factor: int) -> np.ndarray:
@@ -129,84 +133,65 @@ def frame_level_state(values: np.ndarray, config: PipelineConfig) -> FrameLevelS
 
 
 @dataclass
-class ZoomLevel:
-    point_count: int
-    x_coordinate: float
-    kappa_per_dim: np.ndarray     # (D,)
-    kappa_combined: float
-    inv_ltilde_per_dim: np.ndarray
-    inv_ltilde_combined: float
-    inv_l_per_dim: np.ndarray
-    inv_l_combined: float
-
-
-@dataclass
 class ZoomProfile:
-    levels: list[ZoomLevel]
-    finest_points: int
+    """Per-level statistics of P frame pairs over the L zoom levels, finest first.
+
+    The level ladder is shared by all pairs.  Indexing with a pair number
+    gives that pair's profile, its statistics (L, D) and (L,) views.
+    """
+
+    point_count: np.ndarray          # (L,) int
+    x_coordinate: np.ndarray         # (L,) aggregation level, finest = 1
+    kappa_per_dim: np.ndarray        # (P, L, D)
+    kappa_combined: np.ndarray       # (P, L)
+    inv_ltilde_per_dim: np.ndarray   # (P, L, D)
+    inv_ltilde_combined: np.ndarray  # (P, L)
+    inv_l_per_dim: np.ndarray        # (P, L, D)
+    inv_l_combined: np.ndarray       # (P, L)
+
+    @property
+    def finest_points(self) -> int:
+        return int(self.point_count[0])
+
+    def __getitem__(self, index) -> ZoomProfile:
+        """The statistics of the pairs selected by ``index`` on the shared ladder."""
+        return ZoomProfile(self.point_count, self.x_coordinate, *(
+            getattr(self, f.name)[index] for f in fields(self)[2:]
+        ))
 
 
 @dataclass
 class ResidualCurvatureRecord:
-    """Curvature left at the coarsest level, per dimension and per root."""
+    """Curvature left at the coarsest level, per dimension and per root.
 
-    rc: np.ndarray          # (D, 2**D)
-    rc_per_dim: np.ndarray  # (D,)
-    rc_combined: float
-    modulation: list        # BoxplotStats per dimension
+    Shapes are those of P pairs; indexing with a pair number drops P.
+    """
+
+    rc: np.ndarray           # (P, D, 2**D)
+    rc_per_dim: np.ndarray   # (P, D)
+    rc_combined: np.ndarray  # (P,)
+
+    def __getitem__(self, index) -> ResidualCurvatureRecord:
+        return ResidualCurvatureRecord(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass
 class SubjectZoom:
     """The zoom-out analysis of every frame pair (t - stride, t) of one subject.
 
-    Per-pair results are lists in pair order.  The finest-level arrays a
-    caller needs for point classification are stacks with the P pairs in
-    front; they are None when the subject has no frame pair.
+    Every per-pair result has the P pairs in front, in pair order.  All but
+    `pairs` are None when the subject has no frame pair.
     """
 
     pairs: list[tuple[int, int]]         # (previous, current) indices into the burst list
-    profiles: list[ZoomProfile]
-    rc: list[ResidualCurvatureRecord]
-    fallback_fraction: list[float]
+    profile: ZoomProfile | None
+    rc: ResidualCurvatureRecord | None
+    fallback_fraction: np.ndarray | None    # (P,)
     current_state: FrameLevelState | None   # the current bursts, (P, D, N) counts and ranks
     dh: np.ndarray | None                   # (P, D, N)
     roots: LengthScaleRoots | None          # P * N points, pair-major
     kappa_median: np.ndarray | None         # (P, N, D)
     thresholds: ThresholdUpdate | None      # (P, N, D)
-
-
-def _summarize_level(
-    kappa: np.ndarray,
-    thresholds: ThresholdUpdate,
-    point_count: int,
-    x_coordinate: float,
-) -> list[ZoomLevel]:
-    """One level's statistics for every pair, each median taken for all pairs at once.
-
-    kappa: (P, N, 2**(D-1), D); thresholds: (P, N, D).  The kappa median
-    over the stored branches is the one over all 2**D.
-    """
-    n_pairs, _, _, d = kappa.shape
-    kappa_pd = median(kappa.reshape(n_pairs, -1, d), axis=1)
-    ltilde_pd = median(thresholds.kappa_short, axis=1, mask=thresholds.defined)
-    long_pd = median(thresholds.kappa_long, axis=1, mask=thresholds.defined)
-    kappa_c, ltilde_c, long_c = (
-        median(v, axis=1, mask=np.isfinite(v)).tolist() for v in (kappa_pd, ltilde_pd, long_pd)
-    )
-    return [
-        ZoomLevel(
-            point_count=point_count,
-            x_coordinate=x_coordinate,
-            kappa_per_dim=kappa_pd[p],
-            kappa_combined=kappa_c[p],
-            inv_ltilde_per_dim=ltilde_pd[p],
-            inv_ltilde_combined=ltilde_c[p],
-            inv_l_per_dim=long_pd[p],
-            inv_l_combined=long_c[p],
-        )
-        for p in range(n_pairs)
-    ]
 
 
 def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom:
@@ -233,10 +218,11 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
     stride = config.stride_n
     pairs = [(t - stride, t) for t in range(stride, len(bursts))]
     if not pairs:
-        return SubjectZoom(pairs, [], [], [], None, None, None, None, None)
+        return SubjectZoom(pairs, None, None, None, None, None, None, None, None)
     n_pairs, d = len(pairs), config.D
 
-    levels: list[list[ZoomLevel]] = [[] for _ in pairs]
+    # per level, the (P, D) medians of curvature and of the two thresholds
+    level_stats: tuple[list[np.ndarray], ...] = ([], [], [])
     fallback_vectors = np.zeros(n_pairs, dtype=np.int64)
     prev = np.array([p for p, _ in pairs])
     cur = prev + stride
@@ -260,10 +246,10 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
         kappa = kappa_all.reshape(n_pairs, n_l, -1, d)
 
         thresholds = update_thresholds(roots_all, frames=n_pairs)
-        for pi, level in enumerate(_summarize_level(
-            kappa, thresholds, n_l, float(config.aggregation_factor ** li)
-        )):
-            levels[pi].append(level)
+        # the kappa median over the stored branches is the one over all 2**D
+        level_stats[0].append(median(kappa.reshape(n_pairs, -1, d), axis=1))
+        level_stats[1].append(median(thresholds.kappa_short, axis=1, mask=thresholds.defined))
+        level_stats[2].append(median(thresholds.kappa_long, axis=1, mask=thresholds.defined))
         fallback_vectors += np.count_nonzero(
             roots_all.convergence.reshape(n_pairs, -1) == Convergence.FALLBACK, axis=1
         )
@@ -276,41 +262,46 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
                 thresholds=thresholds,
             )
 
+    per_dim = [np.stack(stats, axis=1) for stats in level_stats]   # (P, L, D)
+    factor = config.aggregation_factor
+    kappa_c, ltilde_c, long_c = (median(v, axis=2, mask=np.isfinite(v)) for v in per_dim)
+    profile = ZoomProfile(
+        point_count=np.array(counts),
+        x_coordinate=np.array([float(factor ** li) for li in range(len(counts))]),
+        kappa_per_dim=per_dim[0],
+        kappa_combined=kappa_c,
+        inv_ltilde_per_dim=per_dim[1],
+        inv_ltilde_combined=ltilde_c,
+        inv_l_per_dim=per_dim[2],
+        inv_l_combined=long_c,
+    )
     # kappa now belongs to the coarsest level
     return SubjectZoom(
         pairs=pairs,
-        profiles=[ZoomProfile(levels=lv, finest_points=counts[0]) for lv in levels],
+        profile=profile,
         rc=residual_curvature(kappa),
-        fallback_fraction=(fallback_vectors / (sum(counts) * 2 ** d)).tolist(),
+        fallback_fraction=fallback_vectors / (sum(counts) * 2 ** d),
         **finest,
     )
 
 
-def residual_curvature(kappa: np.ndarray) -> list[ResidualCurvatureRecord]:
+def residual_curvature(kappa: np.ndarray) -> ResidualCurvatureRecord:
     """Residual curvature of every frame pair from its coarsest zoom level.
 
     kappa: (P, 9, 2**(D-1), D) curvature of P pairs at the 9-point level,
-    one entry per stored root branch.  The medians and the boxplots of all
-    pairs are taken in one call each.  The boxplots run on all 2**D columns
-    of `rc`, each the median of its stored branch.
+    one entry per stored root branch.  Returns one record with the P pairs
+    in front; `rc` holds all 2**D columns, each the median of its stored
+    branch.
     """
     if kappa.shape[1] != 9:
         raise ContractViolation("zoom profile did not reach the 9-point level")
     half = median(kappa, axis=1).transpose(0, 2, 1)              # (P, D, 2**(D-1))
     rc_per_dim = median(half, axis=-1)
-    rc = half.take(branch_layout(kappa.shape[-1])[1], axis=-1)    # (P, D, 2**D)
-    rc_combined = median(rc_per_dim, axis=1, mask=np.isfinite(rc_per_dim)).tolist()
-    clean = np.isfinite(rc).all(axis=-1)
-    boxes = iter(boxplot_rows(rc[clean]))
-    return [
-        ResidualCurvatureRecord(
-            rc=rc[p],
-            rc_per_dim=rc_per_dim[p],
-            rc_combined=rc_combined[p],
-            modulation=[next(boxes) if ok else boxplot_stats(r) for ok, r in zip(clean[p], rc[p])],
-        )
-        for p in range(len(rc))
-    ]
+    return ResidualCurvatureRecord(
+        rc=half.take(branch_layout(kappa.shape[-1])[1], axis=-1),  # (P, D, 2**D)
+        rc_per_dim=rc_per_dim,
+        rc_combined=median(rc_per_dim, axis=1, mask=np.isfinite(rc_per_dim)),
+    )
 
 
 def line_polyline_intersections(
@@ -350,26 +341,24 @@ def critical_chain_lengths(
 ) -> tuple[float, float]:
     """(short, long) critical chain lengths in points of the finest frame.
 
-    Built from the combined per-level statistics.  Returns the unreachable
-    sentinel N + 1 for a line with no intersection (or a profile with
-    fewer than two usable levels).
+    Built from the combined per-level statistics of one pair's profile.
+    Returns the unreachable sentinel N + 1 for a line with no intersection
+    (or a profile with fewer than two usable levels).
     """
     n = profile.finest_points
     sentinel = float(n + 1)
-    usable = [
-        lv
-        for lv in profile.levels
-        if math.isfinite(lv.kappa_combined)
-        and math.isfinite(lv.inv_ltilde_combined)
-        and math.isfinite(lv.inv_l_combined)
-    ]
-    if len(usable) < 2:
+    usable = (
+        np.isfinite(profile.kappa_combined)
+        & np.isfinite(profile.inv_ltilde_combined)
+        & np.isfinite(profile.inv_l_combined)
+    )
+    if np.count_nonzero(usable) < 2:
         return sentinel, sentinel
 
-    t = np.log([lv.x_coordinate for lv in usable]).tolist()
+    t = np.log(profile.x_coordinate[usable]).tolist()
     # mirror the curvature polyline about log x = 0
     ts_mirror = [-v for v in reversed(t)]
-    ys_mirror = [lv.kappa_combined for lv in reversed(usable)]
+    ys_mirror = profile.kappa_combined[usable][::-1].tolist()
     t_mean = sum(t) / len(t)
     t_dev = [v - t_mean for v in t]
     t_ss = sum(v * v for v in t_dev)
@@ -387,8 +376,8 @@ def critical_chain_lengths(
         t_star, _ = min(candidates, key=lambda cand: cand[1])
         return float(math.exp(t_star) * n)
 
-    long_critical = _critical_for([lv.inv_ltilde_combined for lv in usable])
-    short_critical = _critical_for([lv.inv_l_combined for lv in usable])
+    long_critical = _critical_for(profile.inv_ltilde_combined[usable].tolist())
+    short_critical = _critical_for(profile.inv_l_combined[usable].tolist())
     return short_critical, long_critical
 
 
@@ -403,24 +392,24 @@ class GtiRecord:
 
 
 def gti(
-    rc_history,
+    rc_combined,
     chains,
     criticals: tuple[float, float],
     drop_threshold: float = 0.8,
 ) -> GtiRecord:
     """Global transition indicator for the newest frame pair.
 
-    rc_history is the per-pair sequence of ResidualCurvatureRecord with the
-    current pair last.  The drop fraction needs at least two records and a
-    positive previous value; otherwise it stays undefined and the
-    indicator cannot fire.  Rising residual curvature clamps to drop 0.
+    rc_combined is the combined residual curvature of each frame pair, in
+    order, with the current pair last.  The drop fraction needs at least
+    two values and a positive previous one; otherwise it stays undefined
+    and the indicator cannot fire.  Rising residual curvature clamps to
+    drop 0.
     """
     critical_short, critical_long = criticals
     chain_max = max((c.length for c in chains), default=0)
     drop: float | None = None
-    if len(rc_history) >= 2:
-        prev = rc_history[-2].rc_combined
-        cur = rc_history[-1].rc_combined
+    if len(rc_combined) >= 2:
+        prev, cur = float(rc_combined[-2]), float(rc_combined[-1])
         if math.isfinite(prev) and prev > 0.0 and math.isfinite(cur):
             drop = max(0.0, (prev - cur) / prev)
     triggered = drop is not None and drop >= drop_threshold and chain_max > critical_short

@@ -48,7 +48,6 @@ from ddp.zoomout import (
     FrameLevelState,
     ResidualCurvatureRecord,
     SubjectZoom,
-    ZoomLevel,
     ZoomProfile,
     aggregate,
     line_polyline_intersections,
@@ -588,8 +587,11 @@ def _nanmedian_oracle(values: np.ndarray) -> float:
     return float(np.median(finite)) if finite.size else float("nan")
 
 
-def summarize_level_oracle(kappa, thresholds, point_count, x_coordinate):
-    """One pair's level statistics, one dimension at a time.  kappa: (N, 2**D, D)."""
+def summarize_level_oracle(kappa, thresholds):
+    """One pair's (kappa, inverse ltilde, inverse l) medians per dimension at one level.
+
+    kappa: (N, 2**D, D); one dimension at a time.
+    """
     d = kappa.shape[-1]
     kappa_pd = np.full(d, np.nan)
     ltilde_pd = np.full(d, np.nan)
@@ -600,15 +602,21 @@ def summarize_level_oracle(kappa, thresholds, point_count, x_coordinate):
         if mask.any():
             ltilde_pd[dim] = np.median(thresholds.kappa_short[mask, dim])
             long_pd[dim] = np.median(thresholds.kappa_long[mask, dim])
-    return ZoomLevel(
-        point_count=point_count,
-        x_coordinate=x_coordinate,
-        kappa_per_dim=kappa_pd,
-        kappa_combined=_nanmedian_oracle(kappa_pd),
-        inv_ltilde_per_dim=ltilde_pd,
-        inv_ltilde_combined=_nanmedian_oracle(ltilde_pd),
-        inv_l_per_dim=long_pd,
-        inv_l_combined=_nanmedian_oracle(long_pd),
+    return kappa_pd, ltilde_pd, long_pd
+
+
+def profile_oracle(point_counts, x_coordinates, levels) -> ZoomProfile:
+    """One pair's ZoomProfile from its per-level ``summarize_level_oracle`` results."""
+    kappa, ltilde, long_ = (np.array(v) for v in zip(*levels))   # (L, D) each
+    return ZoomProfile(
+        point_count=np.array(point_counts),
+        x_coordinate=np.array(x_coordinates, dtype=float),
+        kappa_per_dim=kappa,
+        kappa_combined=np.array([_nanmedian_oracle(v) for v in kappa]),
+        inv_ltilde_per_dim=ltilde,
+        inv_ltilde_combined=np.array([_nanmedian_oracle(v) for v in ltilde]),
+        inv_l_per_dim=long_,
+        inv_l_combined=np.array([_nanmedian_oracle(v) for v in long_]),
     )
 
 
@@ -617,15 +625,12 @@ def residual_curvature_oracle(kappa: np.ndarray) -> ResidualCurvatureRecord:
     d = kappa.shape[-1]
     rc = np.median(kappa, axis=0).T    # (D, 2**D)
     rc_per_dim = np.full(d, np.nan)
-    modulation: list = [None] * d
     for dim in range(d):
         rc_per_dim[dim] = np.median(rc[dim])
-        modulation[dim] = boxplot_stats_oracle(rc[dim])
     return ResidualCurvatureRecord(
         rc=rc,
         rc_per_dim=rc_per_dim,
         rc_combined=_nanmedian_oracle(rc_per_dim),
-        modulation=modulation,
     )
 
 
@@ -681,7 +686,7 @@ def pair_zoom(zoom: SubjectZoom, k: int) -> PairZoom:
     th = zoom.thresholds
     return PairZoom(
         positions=zoom.pairs[k],
-        profile=zoom.profiles[k],
+        profile=zoom.profile[k],
         rc=zoom.rc[k],
         fallback_fraction=zoom.fallback_fraction[k],
         current_state=zoom.current_state[k],
@@ -737,9 +742,7 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
             roots = roots_all.slice_points(lo, hi)
             kappa = kappa_all[lo:hi]
             thresholds, history = update_thresholds_oracle(full.slice_points(lo, hi), history)
-            levels[pi].append(summarize_level_oracle(
-                kappa, thresholds, n_l, float(config.aggregation_factor ** li)
-            ))
+            levels[pi].append(summarize_level_oracle(kappa, thresholds))
             fallback_vectors[pi] += int(np.sum(roots.convergence == 2))
             total_vectors[pi] += roots.convergence.size
             if li == 0:
@@ -749,7 +752,9 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
     return [
         PairZoom(
             positions=pair,
-            profile=ZoomProfile(levels=levels[pi], finest_points=counts[0]),
+            profile=profile_oracle(
+                counts, [config.aggregation_factor ** li for li in range(len(counts))], levels[pi]
+            ),
             rc=residual_curvature_oracle(kappa_all[pi * 9:(pi + 1) * 9]),
             fallback_fraction=fallback_vectors[pi] / total_vectors[pi],
             current_state=current_states[pi],
@@ -766,18 +771,18 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
 
 def critical_chain_lengths_oracle(profile: ZoomProfile, config: PipelineConfig):
     """(short, long) critical chain lengths with np.polyfit line fits."""
-    n = profile.finest_points
+    n = int(profile.point_count[0])
     sentinel = float(n + 1)
     usable = [
-        lv for lv in profile.levels
-        if math.isfinite(lv.kappa_combined)
-        and math.isfinite(lv.inv_ltilde_combined)
-        and math.isfinite(lv.inv_l_combined)
+        li for li in range(len(profile.point_count))
+        if math.isfinite(profile.kappa_combined[li])
+        and math.isfinite(profile.inv_ltilde_combined[li])
+        and math.isfinite(profile.inv_l_combined[li])
     ]
     if len(usable) < 2:
         return sentinel, sentinel
-    t = np.log([lv.x_coordinate for lv in usable])
-    kappa = np.array([lv.kappa_combined for lv in usable])
+    t = np.log([float(profile.x_coordinate[li]) for li in usable])
+    kappa = np.array([profile.kappa_combined[li] for li in usable])
     ts_mirror = -t[::-1]
     ys_mirror = kappa[::-1]
 
@@ -792,8 +797,8 @@ def critical_chain_lengths_oracle(profile: ZoomProfile, config: PipelineConfig):
                 current = cand
         return float(math.exp(current[0]) * n)
 
-    long_critical = _critical_for(np.array([lv.inv_ltilde_combined for lv in usable]))
-    short_critical = _critical_for(np.array([lv.inv_l_combined for lv in usable]))
+    long_critical = _critical_for(np.array([profile.inv_ltilde_combined[li] for li in usable]))
+    short_critical = _critical_for(np.array([profile.inv_l_combined[li] for li in usable]))
     return short_critical, long_critical
 
 
@@ -886,9 +891,10 @@ def _boxplot_json_oracle(b):
 
 
 def _frame_json_oracle(fr) -> dict:
+    lv = fr.profile
     return {
-        "previous_burst_index": fr.previous_burst_index,
-        "current_burst_index": fr.current_burst_index,
+        "previous_burst_index": _clean(fr.previous_burst_index),
+        "current_burst_index": _clean(fr.current_burst_index),
         "dt_span": _clean(fr.dt_span),
         "datum": _clean(fr.datum),
         "datum_residual": _clean(fr.datum_residual),
@@ -911,23 +917,23 @@ def _frame_json_oracle(fr) -> dict:
              "dimensions": list(c.dimensions)}
             for c in fr.chains
         ],
-        "mixed_disjoint_points": list(fr.mixed_disjoint_points),
+        "mixed_disjoint_points": np.nonzero(fr.mixed_disjoint)[0].tolist(),
         "fallback_fraction": _clean(fr.fallback_fraction),
         "fit_excluded_fraction": _clean(fr.fit_excluded_fraction),
         "margin_zeroed_fraction": _clean(fr.margin_zeroed_fraction),
         "partial_dims": [],
         "levels": [
             {
-                "point_count": lv.point_count,
-                "x_coordinate": _clean(lv.x_coordinate),
-                "kappa_per_dim": _clean(lv.kappa_per_dim),
-                "kappa_combined": _clean(lv.kappa_combined),
-                "inv_ltilde_per_dim": _clean(lv.inv_ltilde_per_dim),
-                "inv_ltilde_combined": _clean(lv.inv_ltilde_combined),
-                "inv_l_per_dim": _clean(lv.inv_l_per_dim),
-                "inv_l_combined": _clean(lv.inv_l_combined),
+                "point_count": _clean(lv.point_count[li]),
+                "x_coordinate": _clean(lv.x_coordinate[li]),
+                "kappa_per_dim": _clean(lv.kappa_per_dim[li]),
+                "kappa_combined": _clean(lv.kappa_combined[li]),
+                "inv_ltilde_per_dim": _clean(lv.inv_ltilde_per_dim[li]),
+                "inv_ltilde_combined": _clean(lv.inv_ltilde_combined[li]),
+                "inv_l_per_dim": _clean(lv.inv_l_per_dim[li]),
+                "inv_l_combined": _clean(lv.inv_l_combined[li]),
             }
-            for lv in fr.levels
+            for li in range(len(lv.point_count))
         ],
     }
 
@@ -1047,8 +1053,8 @@ def roots_dump_rows_oracle(head: str, roots: LengthScaleRoots) -> list[str]:
 def collect_dumps_oracle(rows, subject_id, burst_index, zoom, p, cls, categories):
     """The dump rows of frame pair p, one numpy scalar at a time.
 
-    Takes the arguments of ``pipeline._collect_dumps``, so a test can swap
-    it in and compare the dump tables.
+    zoom and cls are the subject's ``SubjectZoom`` and classification,
+    categories pair p's final categories; subject_id is written as given.
     """
     pz = pair_zoom(zoom, p)
     if "borda" in rows:
@@ -1071,11 +1077,12 @@ def collect_dumps_oracle(rows, subject_id, burst_index, zoom, p, cls, categories
                 f"{int(cls.mode_mixity[p, a])},{int(cls.mixed_disjoint[p, a])}"
             )
     if "zoom" in rows:
-        for li, lv in enumerate(pz.profile.levels):
-            per_dim = ",".join(_csv_num_oracle(v) for v in lv.kappa_per_dim)
+        lv = pz.profile
+        for li in range(len(lv.point_count)):
+            per_dim = ",".join(_csv_num_oracle(v) for v in lv.kappa_per_dim[li])
             rows["zoom"].append(
-                f"{subject_id},{burst_index},{li},{lv.point_count},"
-                f"{_csv_num_oracle(lv.x_coordinate)},{_csv_num_oracle(lv.kappa_combined)},"
-                f"{_csv_num_oracle(lv.inv_ltilde_combined)},{_csv_num_oracle(lv.inv_l_combined)},"
-                f"{per_dim}"
+                f"{subject_id},{burst_index},{li},{lv.point_count[li]},"
+                f"{_csv_num_oracle(lv.x_coordinate[li])},{_csv_num_oracle(lv.kappa_combined[li])},"
+                f"{_csv_num_oracle(lv.inv_ltilde_combined[li])},"
+                f"{_csv_num_oracle(lv.inv_l_combined[li])},{per_dim}"
             )

@@ -30,7 +30,7 @@ from ddp import (
 )
 from ddp.ingest import prescale_burst
 from ddp.report import report_json
-from ddp.zoomout import ResidualCurvatureRecord, line_polyline_intersections
+from ddp.zoomout import line_polyline_intersections
 
 from oracles import (
     borda_oracle,
@@ -114,9 +114,8 @@ def test_04_null_signal_fixed_point():
             assert fr.rc.rc_combined == 0.0
             assert np.all(fr.categories == 1)
             assert not fr.gti.triggered
-            for lv in fr.levels:
-                assert lv.kappa_combined == 0.0
-                assert np.all(lv.kappa_per_dim == 0.0)
+            assert np.all(fr.profile.kappa_combined == 0.0)
+            assert np.all(fr.profile.kappa_per_dim == 0.0)
 
 
 def test_05_aggregation_ladder():
@@ -125,25 +124,18 @@ def test_05_aggregation_ladder():
         assert cfg.zoom_point_counts() == [81, 27, 9]
         ds = synthesize("stable", cfg, n_bursts=2)
         rep = analyze_dataset(ds, cfg).subjects[0]
-        assert [lv.point_count for lv in rep.frames[0].levels] == [81, 27, 9]
-
-
-def _rc(value):
-    return ResidualCurvatureRecord(
-        rc=np.full((1, 2), value), rc_per_dim=np.array([value]),
-        rc_combined=value, modulation=[None],
-    )
+        assert rep.frames[0].profile.point_count.tolist() == [81, 27, 9]
 
 
 def test_06_gti_logic_table():
     with criterion(6, "GTI trigger logic table"):
         chains = [Chain(start_index=0, length=10)]
-        rec = gti([_rc(2.0), _rc(0.3)], chains, (4.0, 5.0))
+        rec = gti([2.0, 0.3], chains, (4.0, 5.0))
         assert rec.triggered is True
-        rec = gti([_rc(2.0), _rc(0.42)], chains, (4.0, 5.0))
+        rec = gti([2.0, 0.42], chains, (4.0, 5.0))
         assert rec.energy_drop_fraction == pytest.approx(0.79)
         assert rec.triggered is False
-        rec = gti([_rc(2.0), _rc(0.1)], [Chain(start_index=0, length=2)], (4.0, 5.0))
+        rec = gti([2.0, 0.1], [Chain(start_index=0, length=2)], (4.0, 5.0))
         assert rec.energy_drop_fraction == pytest.approx(0.95)
         assert rec.triggered is False
 

@@ -16,10 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddp.pipeline
-from ddp import Dataset, PipelineConfig, analyze_dataset, emit_xyzm, parse_xyzm, synthesize
+from ddp import (
+    Dataset,
+    PipelineConfig,
+    analyze_dataset,
+    emit_xyzm,
+    parse_xyzm,
+    prescale_burst,
+    synthesize,
+    zoom_profile,
+)
 from ddp.cli import main
+from ddp.curvature import classify_frame
 from ddp.lengthscale import LengthScaleRoots
-from ddp.pipeline import _roots_rows
+from ddp.pipeline import _dump_header, _roots_rows
 from ddp.report import (
     _group_stats_json,
     csv_field,
@@ -125,8 +135,24 @@ def _corpus(D, N, seed):
     return cfg, merged
 
 
+def _dump_tables_oracle(ds, reports, cfg, kinds):
+    """The dump tables from the per-pair oracle, called on each subject's zoom result."""
+    rows = {kind: [] for kind in kinds}
+    for rep in reports:
+        zoom = zoom_profile([prescale_burst(b)[0] for b in ds.bursts_for(rep.subject_id)], cfg)
+        th = zoom.thresholds
+        cls = classify_frame(
+            zoom.kappa_median, th.kappa_short, th.kappa_long, th.defined, zoom.dh.swapaxes(1, 2)
+        )
+        for p, fr in enumerate(rep.frames):
+            collect_dumps_oracle(
+                rows, rep.subject_id, fr.current_burst_index, zoom, p, cls, fr.categories
+            )
+    return {kind: "\n".join([_dump_header(kind, cfg)] + rows[kind]) + "\n" for kind in kinds}
+
+
 @pytest.mark.parametrize("D,N,seed", [(3, 27, 4), (4, 27, 7)])
-def test_outputs_match_oracle_emitters(D, N, seed, tmp_path, monkeypatch, capsys):
+def test_outputs_match_oracle_emitters(D, N, seed, tmp_path, capsys):
     cfg, ds = _corpus(D, N, seed)
     kinds = ddp.pipeline.DUMP_KINDS
     result = analyze_dataset(ds, cfg, dumps=kinds)
@@ -138,11 +164,9 @@ def test_outputs_match_oracle_emitters(D, N, seed, tmp_path, monkeypatch, capsys
         gs = group_stats(result.subjects, cfg, threshold=pinned)
         assert json_text(_group_stats_json(gs)) + "\n" == group_stats_json_oracle(gs)
 
-    monkeypatch.setattr(ddp.pipeline, "_collect_dumps", collect_dumps_oracle)
-    want = analyze_dataset(ds, cfg, dumps=kinds)
+    want = _dump_tables_oracle(ds, result.subjects, cfg, kinds)
     for kind in kinds:
-        assert result.dumps[kind] == want.dumps[kind], kind
-    monkeypatch.undo()
+        assert result.dumps[kind] == want[kind], kind
 
     reports = tmp_path / "reports"
     reports.mkdir()
@@ -177,8 +201,8 @@ def test_roots_table_with_distinct_roots_matches_oracle():
     cfg = PipelineConfig(D=3, N=27, seed=5)
     rep = analyze_dataset(synthesize("burst", cfg, n_bursts=3), cfg).subjects[0]
     rng = np.random.default_rng(0)
-    for fr in rep.frames:
-        fr.rc.rc = rng.standard_normal(fr.rc.rc.shape)
+    for fr in rep.frames:   # each frame's rc is a view into the subject's columns
+        fr.rc.rc[...] = rng.standard_normal(fr.rc.rc.shape)
         fr.rc.rc.flat[rng.integers(0, fr.rc.rc.size, 6)] = rng.choice(np.array(SPECIAL_FLOATS), 6)
     assert roots_table_csv([rep]) == roots_table_csv_oracle([rep])
 
@@ -229,4 +253,5 @@ def test_roots_rows_match_expanded_vectors(D):
     lsr = LengthScaleRoots(roots=roots, sentinel=sentinel,
                            negative_ratio=np.zeros((n, D), bool), convergence=convergence)
     head = '"a,b",7,'
-    assert _roots_rows(head, lsr) == roots_dump_rows_oracle(head, lsr)
+    heads = [f"{head}{a}," for a in range(n)]
+    assert _roots_rows(heads, lsr) == roots_dump_rows_oracle(head, lsr)

@@ -235,6 +235,18 @@ def test_cli_stats_missing_reports(tmp_path, capsys):
     assert err.startswith("error: ") and "nope" in err
 
 
+def test_cli_analyze_skips_directory_matching_glob(tmp_path, capsys):
+    (tmp_path / "a.xyzm").mkdir()
+    assert main(["analyze", "--input", str(tmp_path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: no .xyzm files")
+
+
+def test_cli_stats_skips_directory_matching_glob(tmp_path, capsys):
+    (tmp_path / "sub.json").mkdir()
+    assert main(["stats", "--reports", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: no report .json files")
+
+
 @pytest.mark.parametrize("text", [
     '{"subjects": [',
     "[1, 2]",

@@ -17,7 +17,7 @@ from ddp import (
     percent_change,
     synthesize,
 )
-from ddp.report import SubjectPool, boxplot_rows, dim_stats, report_json, roots_table_csv
+from ddp.report import SubjectPool, dim_stats, report_json, roots_table_csv
 
 from oracles import boxplot_stats_oracle, group_stats_oracle, quantile_oracle
 
@@ -65,14 +65,14 @@ def _same_boxplot(got, want):
 
 
 def test_boxplot_rows_match_per_row_oracle():
-    # one pass over many rows gives each row's own statistics, bit for bit
+    # each row's statistics equal the oracle's, bit for bit
     rng = np.random.default_rng(5)
     for m in (1, 2, 3, 8, 16, 17, 32, 129, 1000):
         rows = rng.lognormal(0.0, 2.0, (20, m))
         rows[::4, 0] *= 1e6  # far outliers in some rows
         rows[1] = rows[1, 0]  # a constant row
-        for got, row in zip(boxplot_rows(rows), rows):
-            _same_boxplot(got, boxplot_stats_oracle(row))
+        for row in rows:
+            _same_boxplot(boxplot_stats(row), boxplot_stats_oracle(row))
         ragged = np.concatenate([rows[0], [np.nan, np.inf]])
         _same_boxplot(boxplot_stats(ragged), boxplot_stats_oracle(ragged))
 
@@ -287,3 +287,38 @@ def test_json_has_no_bare_nan(small_analysis):
     rep = result.subjects[0]
     text = report_json([rep], stats, cfg)
     json.loads(text)  # strict JSON: would fail on NaN/Infinity tokens
+
+
+def test_frames_are_views_into_the_subject_columns():
+    # what the benchmark reads of a report: each frame's values, writes into a
+    # frame's categories that the next read of `frames` sees, and rc pools
+    # that own their data, so keeping them keeps nothing else alive
+    import copy
+
+    cfg = PipelineConfig(seed=7, N=27)
+    rep = analyze_dataset(synthesize("burst", cfg, n_bursts=5), cfg).subjects[0]
+    doc = json.loads(report_json([rep], None, cfg))["subjects"][0]
+    table = rep.frame_table
+    assert len(rep.frames) == len(doc["frames"]) == 4
+    assert any(fr.chains for fr in rep.frames)
+    for p, (fr, fj) in enumerate(zip(rep.frames, doc["frames"])):
+        assert fr.categories.base is table.categories
+        assert np.array_equal(fr.categories, table.categories[p])
+        assert {str(k): v for k, v in fr.pdi_counts.items()} == fj["pdi_counts"]
+        assert [(c.start_index, c.length) for c in fr.chains] == [
+            (c["start_index"], c["length"]) for c in fj["chains"]
+        ]
+        assert fr.gti.triggered is fj["gti"]["triggered"]
+        assert fr.rc.rc_combined == fj["rc_combined"]
+        assert fr.rc.rc.tolist() == fj["rc_roots"]
+        assert fr.current_burst_index == fj["current_burst_index"]
+        assert (fr.critical_short, fr.critical_long) == (fj["critical_short"], fj["critical_long"])
+        assert fr.profile.kappa_combined.tolist() == [lv["kappa_combined"] for lv in fj["levels"]]
+
+    flipped = copy.deepcopy(rep)
+    flipped.frames[0].categories[0] = 10
+    assert flipped.frames[0].categories[0] == 10
+    assert rep.frames[0].categories[0] != 10
+
+    assert len(rep.rc_values_per_dim) == cfg.D
+    assert all(v.base is None for v in rep.rc_values_per_dim)

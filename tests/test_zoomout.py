@@ -27,8 +27,6 @@ from ddp.ingest import prescale_burst
 from ddp.lengthscale import LengthScaleRoots, branch_layout
 from ddp.report import report_json
 from ddp.zoomout import (
-    ResidualCurvatureRecord,
-    ZoomLevel,
     ZoomProfile,
     _coarsen,
     line_polyline_intersections,
@@ -89,17 +87,16 @@ def test_zoom_ladder_point_counts():
     ds = synthesize("stable", cfg, n_bursts=2)
     b0, _ = prescale_burst(ds.bursts[0])
     b1, _ = prescale_burst(ds.bursts[1])
-    profile = zoom_profile([b0, b1], cfg).profiles[0]
-    assert [lv.point_count for lv in profile.levels] == [81, 27, 9]
-    assert [lv.x_coordinate for lv in profile.levels] == [1.0, 3.0, 9.0]
+    profile = zoom_profile([b0, b1], cfg).profile[0]
+    assert profile.point_count.tolist() == [81, 27, 9]
+    assert profile.x_coordinate.tolist() == [1.0, 3.0, 9.0]
 
 
 def test_zoom_identical_pair_zero_curvature():
     values = np.random.default_rng(2).uniform(1, 2, (81, 4))
-    profile = zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], CFG).profiles[0]
-    for lv in profile.levels:
-        assert lv.kappa_combined == 0.0
-        assert np.all(lv.kappa_per_dim == 0.0)
+    profile = zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], CFG).profile[0]
+    assert np.all(profile.kappa_combined == 0.0)
+    assert np.all(profile.kappa_per_dim == 0.0)
 
 
 def test_zoom_stable_profile_decreases_toward_coarse():
@@ -107,8 +104,7 @@ def test_zoom_stable_profile_decreases_toward_coarse():
     ds = synthesize("stable", cfg, n_bursts=2)
     b0, _ = prescale_burst(ds.bursts[0])
     b1, _ = prescale_burst(ds.bursts[1])
-    profile = zoom_profile([b0, b1], cfg).profiles[0]
-    kappas = [lv.kappa_combined for lv in profile.levels]
+    kappas = zoom_profile([b0, b1], cfg).profile[0].kappa_combined
     assert kappas[0] > kappas[1] > kappas[2]
 
 
@@ -134,7 +130,6 @@ def test_residual_curvature_shape_and_sign():
     assert rc.rc.shape == (4, 16)
     assert np.all(rc.rc >= 0.0)
     assert rc.rc_combined >= 0.0
-    assert all(rc.modulation[d] is not None for d in range(4))
 
 
 def test_residual_curvature_requires_nine_points():
@@ -145,8 +140,7 @@ def test_residual_curvature_requires_nine_points():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_residual_curvature_half_matches_full_layout_oracle(d):
     # every stored branch has its own magnitude, so each of the 2**D rc
-    # columns must read the median of its own branch, and the boxplots must
-    # see all 2**D columns
+    # columns must read the median of its own branch
     rng = np.random.default_rng(60 + d)
     n_pairs = 3
     half = rng.uniform(0.1, 10.0, (n_pairs * 9, 2 ** (d - 1), d)) * branch_layout(d)[0]
@@ -190,7 +184,7 @@ def test_batched_tail_matches_per_pair_oracle(d, n, kinds, stride, prescale, see
     """The batched zoom-out tail equals the per-pair tail it replaced.
 
     Pair k of the subject's result is compared with the oracle's pair k:
-    level statistics, thresholds, RC records and boxplots bit for bit;
+    level statistics, thresholds and RC records bit for bit;
     critical lengths, whose line fit changed from np.polyfit to the closed
     form, at rtol 1e-8 with identical sentinel decisions; categories,
     chains and GTI decisions exactly.  An unprescaled descending column is
@@ -232,8 +226,8 @@ def test_batched_tail_matches_per_pair_oracle(d, n, kinds, stride, prescale, see
             escalate_chain_categories(cls.categories, chains, *crit_g),
             escalate_chain_categories(cls.categories, chains, *crit_w),
         )
-        rc_got.append(g.rc)
-        rc_want.append(w.rc)
+        rc_got.append(g.rc.rc_combined)
+        rc_want.append(w.rc.rc_combined)
         gti_g = gti(rc_got, chains, crit_g, cfg.drop_threshold)
         gti_w = gti(rc_want, chains, crit_w, cfg.drop_threshold)
         assert (gti_g.chain_max_length, gti_g.energy_drop_fraction, gti_g.triggered, gti_g.imminent) == (
@@ -257,21 +251,18 @@ def test_unprescaled_unfittable_bursts_raise_but_analyze_prescales():
 
 
 def _profile(kappas, ltildes, ls, n=81):
-    levels = []
-    for x, k, lt, ll in zip((1.0, 3.0, 9.0), kappas, ltildes, ls):
-        levels.append(
-            ZoomLevel(
-                point_count=int(n / x),
-                x_coordinate=x,
-                kappa_per_dim=np.array([k]),
-                kappa_combined=k,
-                inv_ltilde_per_dim=np.array([lt]),
-                inv_ltilde_combined=lt,
-                inv_l_per_dim=np.array([ll]),
-                inv_l_combined=ll,
-            )
-        )
-    return ZoomProfile(levels=levels, finest_points=n)
+    x = np.array([1.0, 3.0, 9.0])
+    kappa, ltilde, long_ = (np.array(v, dtype=float) for v in (kappas, ltildes, ls))
+    return ZoomProfile(
+        point_count=(n / x).astype(int),
+        x_coordinate=x,
+        kappa_per_dim=kappa[:, None],
+        kappa_combined=kappa,
+        inv_ltilde_per_dim=ltilde[:, None],
+        inv_ltilde_combined=ltilde,
+        inv_l_per_dim=long_[:, None],
+        inv_l_combined=long_,
+    )
 
 
 def test_critical_lengths_no_intersection_sentinel():
@@ -334,15 +325,6 @@ def test_line_polyline_intersections_match_oracle():
             assert g[0] == pytest.approx(e[0], rel=1e-10, abs=1e-12)
 
 
-def _rc(value):
-    return ResidualCurvatureRecord(
-        rc=np.full((1, 2), value),
-        rc_per_dim=np.array([value]),
-        rc_combined=value,
-        modulation=[None],
-    )
-
-
 def _chain(length):
     from ddp import Chain
 
@@ -350,36 +332,36 @@ def _chain(length):
 
 
 def test_gti_triggers_on_drop_and_chain():
-    record = gti([_rc(2.0), _rc(0.3)], _chain(10), (4.0, 5.0))
+    record = gti([2.0, 0.3], _chain(10), (4.0, 5.0))
     assert record.energy_drop_fraction == pytest.approx(0.85)
     assert record.triggered and record.imminent
 
 
 def test_gti_below_drop_threshold():
-    record = gti([_rc(2.0), _rc(1.9)], _chain(10), (4.0, 5.0))
+    record = gti([2.0, 1.9], _chain(10), (4.0, 5.0))
     assert record.energy_drop_fraction == pytest.approx(0.05)
     assert not record.triggered
 
 
 def test_gti_chain_below_critical():
-    record = gti([_rc(2.0), _rc(0.1)], _chain(2), (4.0, 5.0))
+    record = gti([2.0, 0.1], _chain(2), (4.0, 5.0))
     assert record.energy_drop_fraction == pytest.approx(0.95)
     assert not record.triggered
 
 
 def test_gti_undefined_with_single_record():
-    record = gti([_rc(2.0)], _chain(10), (4.0, 5.0))
+    record = gti([2.0], _chain(10), (4.0, 5.0))
     assert record.energy_drop_fraction is None
     assert not record.triggered
 
 
 def test_gti_undefined_with_zero_reference():
-    record = gti([_rc(0.0), _rc(0.0)], _chain(10), (4.0, 5.0))
+    record = gti([0.0, 0.0], _chain(10), (4.0, 5.0))
     assert record.energy_drop_fraction is None
     assert not record.triggered
 
 
 def test_gti_rising_rc_clamps_to_zero():
-    record = gti([_rc(1.0), _rc(2.0)], _chain(10), (4.0, 5.0))
+    record = gti([1.0, 2.0], _chain(10), (4.0, 5.0))
     assert record.energy_drop_fraction == 0.0
     assert not record.triggered
