@@ -19,10 +19,11 @@ Unknown directives are treated as comments.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -122,12 +123,51 @@ class Dataset:
         return [b for b in self.bursts if b.subject_id == subject_id]
 
 
-def _iter_lines(stream: TextIO | Iterable[str] | str) -> Iterator[str]:
-    if isinstance(stream, str):
-        yield from stream.splitlines()
-    else:
-        for line in stream:
-            yield line.rstrip("\n")
+def _lines(stream: TextIO | Iterable[str] | str) -> Iterable[str]:
+    """The lines of ``stream``; a string splits only at \\n, \\r\\n and \\r, as a text file does."""
+    if not isinstance(stream, str):
+        return stream
+    if "\r" in stream:   # a fast scan, where the two-character replace is a slow one
+        stream = stream.replace("\r\n", "\n").replace("\r", "\n")
+    lines = stream.split("\n")
+    if not lines[-1]:   # the text ends with a newline, or is empty
+        lines.pop()
+    return lines
+
+
+def _rows_one_by_one(lines: list[str], linenos: list[int], d: int) -> np.ndarray:
+    """Parse data lines one at a time; raise the error of the first bad one, at its line."""
+    rows = []
+    for lineno, line in zip(linenos, lines):
+        tokens = line.split()
+        if len(tokens) != d:
+            raise ParseError(f"expected {d} values per line, got {len(tokens)}", lineno)
+        try:
+            row = [float(t) for t in tokens]
+        except ValueError:
+            raise ParseError(f"malformed numeric token in {line!r}", lineno) from None
+        if not all(math.isfinite(v) for v in row):
+            raise ValidationError("non-finite value in data line", lineno)
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, d)
+
+
+def _rows(lines: list[str], linenos: list[int], d: int) -> np.ndarray:
+    """Parse a burst's data lines as one block: split, ``float``, one finiteness check.
+
+    A block that fails a check is parsed again one line at a time, which
+    raises the error of its first bad line.
+    """
+    tokens = [line.split() for line in lines]
+    if set(map(len, tokens)) == {d}:
+        try:
+            values = np.fromiter(map(float, itertools.chain.from_iterable(tokens)), float, len(lines) * d)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values.reshape(-1, d)
+    return _rows_one_by_one(lines, linenos, d)
 
 
 def parse_xyzm(stream: TextIO | Iterable[str] | str, config: PipelineConfig) -> Dataset:
@@ -136,6 +176,11 @@ def parse_xyzm(stream: TextIO | Iterable[str] | str, config: PipelineConfig) -> 
     ``stream`` may be an open text file, any iterable of lines, or a string
     holding the whole file content.  Raises ParseError / ValidationError with
     the offending line number, and TruncationError when a burst is cut short.
+
+    Data lines are collected per burst and converted a burst at a time.  An
+    error met while a burst is pending is raised only after that burst's
+    lines are checked one by one, so the first bad line raises, as it would
+    line by line.
     """
     d, n = config.D, config.N
     bursts: list[DataBurst] = []
@@ -147,12 +192,16 @@ def parse_xyzm(stream: TextIO | Iterable[str] | str, config: PipelineConfig) -> 
     group = "unlabeled"
     com: np.ndarray | None = None
 
-    rows: list[list[float]] = []
+    pending: list[str] = []      # the data lines of the burst being read
+    linenos: list[int] = []      # and their line numbers
     burst_state: tuple[str, float, str, np.ndarray | None] | None = None
 
     def finish_burst():
-        nonlocal rows, burst_state
+        nonlocal pending, linenos, burst_state
         sid, bdt, bgroup, bcom = burst_state
+        lines, numbers = pending, linenos
+        pending, linenos = [], []
+        values = _rows(lines, numbers, d)
         idx = counters.get(sid, 0)
         counters[sid] = idx + 1
         meta = metadata.setdefault(sid, SubjectMeta())
@@ -160,95 +209,92 @@ def parse_xyzm(stream: TextIO | Iterable[str] | str, config: PipelineConfig) -> 
             meta.com_displacement[idx] = np.array(bcom, dtype=float)
         bursts.append(
             DataBurst(
-                values=np.array(rows, dtype=float),
+                values=values,
                 dt=bdt,
                 burst_index=idx,
                 subject_id=sid,
                 group_label=bgroup,
             )
         )
-        rows = []
         burst_state = None
 
-    for lineno, raw in enumerate(_iter_lines(stream), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split()
-            if not parts:
+    try:
+        for lineno, raw in enumerate(_lines(stream), start=1):
+            line = raw.strip()
+            if not line:
                 continue
-            key, args = parts[0].lower(), parts[1:]
-            if key == "subject":
-                if rows:
-                    raise TruncationError(
-                        f"subject change inside a burst ({len(rows)} of {n} lines read)",
-                        lineno,
-                    )
-                if not args:
-                    raise ParseError("missing subject id", lineno)
-                subject = " ".join(args)
-                metadata.setdefault(subject, SubjectMeta())
-            elif key == "mass":
-                try:
-                    value = float(args[0])
-                except (IndexError, ValueError):
-                    raise ParseError("malformed #mass directive", lineno) from None
-                if not math.isfinite(value) or value <= 0:
-                    raise ValidationError("mass must be a positive finite number", lineno)
-                meta = metadata.setdefault(subject, SubjectMeta())
-                meta.mass = value
-                meta.mass_defaulted = False
-            elif key == "dt":
-                try:
-                    value = float(args[0])
-                except (IndexError, ValueError):
-                    raise ParseError("malformed #dt directive", lineno) from None
-                if not math.isfinite(value) or value <= 0:
-                    raise ValidationError("dt must be a positive finite number", lineno)
-                dt = value
-            elif key == "group":
-                if len(args) != 1 or args[0] not in GROUP_LABELS:
-                    raise ParseError(
-                        f"#group expects one of {', '.join(GROUP_LABELS)}", lineno
-                    )
-                group = args[0]
-            elif key == "com":
-                if args == ["none"]:
-                    com = None
+            if line.startswith("#"):
+                parts = line[1:].strip().split()
+                if not parts:
                     continue
-                try:
-                    vec = [float(a) for a in args]
-                except ValueError:
-                    raise ParseError("malformed #com directive", lineno) from None
-                if len(vec) != d:
-                    raise ParseError(f"#com expects {d} values, got {len(vec)}", lineno)
-                if not all(math.isfinite(v) for v in vec):
-                    raise ValidationError("#com values must be finite", lineno)
-                com = np.array(vec, dtype=float)
-            # anything else is a plain comment
-            continue
+                key, args = parts[0].lower(), parts[1:]
+                if key == "subject":
+                    if pending:
+                        raise TruncationError(
+                            f"subject change inside a burst ({len(pending)} of {n} lines read)",
+                            lineno,
+                        )
+                    if not args:
+                        raise ParseError("missing subject id", lineno)
+                    subject = " ".join(args)
+                    metadata.setdefault(subject, SubjectMeta())
+                elif key == "mass":
+                    try:
+                        value = float(args[0])
+                    except (IndexError, ValueError):
+                        raise ParseError("malformed #mass directive", lineno) from None
+                    if not math.isfinite(value) or value <= 0:
+                        raise ValidationError("mass must be a positive finite number", lineno)
+                    meta = metadata.setdefault(subject, SubjectMeta())
+                    meta.mass = value
+                    meta.mass_defaulted = False
+                elif key == "dt":
+                    try:
+                        value = float(args[0])
+                    except (IndexError, ValueError):
+                        raise ParseError("malformed #dt directive", lineno) from None
+                    if not math.isfinite(value) or value <= 0:
+                        raise ValidationError("dt must be a positive finite number", lineno)
+                    dt = value
+                elif key == "group":
+                    if len(args) != 1 or args[0] not in GROUP_LABELS:
+                        raise ParseError(
+                            f"#group expects one of {', '.join(GROUP_LABELS)}", lineno
+                        )
+                    group = args[0]
+                elif key == "com":
+                    if args == ["none"]:
+                        com = None
+                        continue
+                    try:
+                        vec = [float(a) for a in args]
+                    except ValueError:
+                        raise ParseError("malformed #com directive", lineno) from None
+                    if len(vec) != d:
+                        raise ParseError(f"#com expects {d} values, got {len(vec)}", lineno)
+                    if not all(math.isfinite(v) for v in vec):
+                        raise ValidationError("#com values must be finite", lineno)
+                    com = np.array(vec, dtype=float)
+                # anything else is a plain comment
+                continue
 
-        tokens = line.split()
-        if len(tokens) != d:
-            raise ParseError(f"expected {d} values per line, got {len(tokens)}", lineno)
+            if not pending:
+                burst_state = (subject, dt, group, None if com is None else com.copy())
+            pending.append(line)
+            linenos.append(lineno)
+            if len(pending) == n:
+                finish_burst()
+
+        if pending:
+            raise TruncationError(
+                f"file ended mid-burst: got {len(pending)} of {n} lines", lineno
+            )
+    except ParseError:
         try:
-            row = [float(t) for t in tokens]
-        except ValueError:
-            raise ParseError(f"malformed numeric token in {line!r}", lineno) from None
-        if not all(math.isfinite(v) for v in row):
-            raise ValidationError("non-finite value in data line", lineno)
-
-        if not rows:
-            burst_state = (subject, dt, group, None if com is None else com.copy())
-        rows.append(row)
-        if len(rows) == n:
-            finish_burst()
-
-    if rows:
-        raise TruncationError(
-            f"file ended mid-burst: got {len(rows)} of {n} lines", lineno
-        )
+            _rows_one_by_one(pending, linenos, d)
+        except ParseError as earlier:   # a bad data line of the pending burst comes first
+            raise earlier from None
+        raise
 
     for sid, meta in metadata.items():
         if meta.mass_defaulted and counters.get(sid):

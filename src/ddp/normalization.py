@@ -14,10 +14,12 @@ A root is admissible when |s| exceeds the denominator guard; among
 admissible roots the one with the smaller |m| wins, ties going to the
 positive candidate.  Pairs with a negative discriminant have no real root
 and pairs with no admissible root are degenerate; both are excluded from
-the datum fit.  The shared datum per dimension is the least-squares
-constant over all admissible pair values, i.e. their arithmetic mean, and
-the RMS spread of the pair constants around it measures how far the
-single shared datum is from the exact per-pair solution.
+the datum fit, and so are pairs whose constant is not finite (an infinite
+value, or a sum that overflows).  The shared datum per dimension is the
+least-squares constant over all admissible pair values, i.e. their
+arithmetic mean, and the RMS spread of the pair constants around it
+measures how far the single shared datum is from the exact per-pair
+solution.
 
 ``build_field`` takes one (N, D) frame or a (B, N, D) stack of frames of
 one zoom level and treats each (frame, dimension) lane alike, so a level is
@@ -27,10 +29,14 @@ in groups: together while their whole triangles fit one block of about
 tasks in one ordered sequence: the datum blocks, which take the pair
 constants of the upper-triangle part of a block of rows, then the group's
 stats (datum and residual), then the margin blocks of the group before it,
-which sum full rows into Borda counts.  Its working set is these blocks,
-one pool of the admissible pair constants whose means are the data (of a
+which sum full rows into Borda counts.  Its working set is one scratch per
+thread that runs tasks, sized by the call's largest block and holding
+every float and bool temporary of the blocks that thread computes, one
+pool of the admissible pair constants whose means are the data (of a
 single lane once a triangle outgrows a block) and the boolean zeroed mask
-it returns, whose pages are touched only where a margin was zeroed.
+it returns, whose pages are touched only where a margin was zeroed.  A
+scratch is allocated once per call, not once per block, so repeated calls
+reuse the same heap pages instead of faulting in fresh ones.
 
 The pool is filled in task order.  A datum block computes its constants
 and queues their append as its step of the pool; the stats of a group are
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -112,28 +119,55 @@ class NormalizedField:
         return self.borda.shape[1]
 
 
-def pair_constants(u_a, u_b, epsilon: float = DEFAULT_EPSILON):
+class Scratch:
+    """Block temporaries that one thread reuses: three float and four bool rows.
+
+    ``pair_constants`` and ``pair_margins`` write every temporary of a
+    block into views of these rows, so a thread allocates them once per
+    ``build_field`` call instead of once per block.  ``cells`` bounds the
+    size of the blocks they can hold.  The rows are one float and one bool
+    array, so a freed scratch stays one chunk of the heap for the next.
+    """
+
+    def __init__(self, cells: int):
+        self.floats = np.empty((3, cells))
+        self.bools = np.empty((4, cells), dtype=bool)
+
+    def take(self, shape):
+        """Views of ``shape`` over the start of every float row and every bool row, stacked."""
+        size = math.prod(shape)
+        return self.floats[:, :size].reshape(-1, *shape), self.bools[:, :size].reshape(-1, *shape)
+
+
+def pair_constants(u_a, u_b, epsilon: float = DEFAULT_EPSILON, scratch: Scratch | None = None):
     """Pair constants of ordered pairs (uA, uB), elementwise over broadcast arrays.
 
     u_a and u_b are arrays of at least one dimension.  Returns (m,
-    admissible) of the broadcast shape, where m is NaN for excluded pairs.
-    The float steps work in place on three arrays of that shape.
+    admissible) of the broadcast shape.  A pair is admissible when it has
+    an admissible root and its constant is finite.  Without ``scratch`` the
+    two arrays are new and m is NaN for excluded pairs; with it they are
+    views of the scratch, and m of an excluded pair is left unspecified.
     """
     u_a = np.asarray(u_a, dtype=float)
     u_b = np.asarray(u_b, dtype=float)
-    su = u_a + u_b
-    sq = u_a - u_b
+    shape = np.broadcast(u_a, u_b).shape
+    fill = scratch is None
+    if fill:
+        scratch = Scratch(math.prod(shape))
+    (su, sq, m1), (adm1, adm2, smaller, other) = scratch.take(shape)
+    np.add(u_a, u_b, out=su)
+    np.subtract(u_a, u_b, out=sq)
     sq *= -4.0
     sq += 1.0                                     # the discriminant
-    real = sq >= 0.0
-    sq[~real] = 0.0
-    np.sqrt(sq, out=sq)
-    m1 = 1.0 + sq
+    with np.errstate(invalid="ignore"):           # no real root: NaN, which no test below admits
+        np.sqrt(sq, out=sq)
+    np.add(1.0, sq, out=m1)
     m1 *= 0.5                                     # root s1 >= 0.5, so |s1| = s1
     m2 = np.subtract(1.0, sq, out=sq)
     m2 *= 0.5                                     # root s2
-    adm1 = real & (m1 > epsilon)
-    adm2 = real & ((m2 > epsilon) | (m2 < -epsilon))
+    np.greater(m1, epsilon, out=adm1)
+    np.greater(m2, epsilon, out=adm2)
+    adm2 |= np.less(m2, -epsilon, out=other)
     m1 -= su
     m1 *= 0.5
     m2 -= su
@@ -141,30 +175,44 @@ def pair_constants(u_a, u_b, epsilon: float = DEFAULT_EPSILON):
     # |m2| < |m1| as -|m1| < m2 < |m1|; s1 >= s2 gives m1 >= m2, so a
     # magnitude tie keeps m1, the positive candidate
     bound = np.abs(m1, out=su)
-    smaller = m2 < bound
-    smaller &= m2 > np.negative(bound, out=bound)
-    np.putmask(m1, adm2 & (smaller | ~adm1), m2)
-    admissible = adm1 | adm2
-    m1[~admissible] = np.nan
+    np.less(m2, bound, out=smaller)
+    smaller &= np.greater(m2, np.negative(bound, out=bound), out=other)
+    smaller |= np.logical_not(adm1, out=other)
+    smaller &= adm2
+    np.copyto(m1, m2, where=smaller)
+    admissible = np.logical_or(adm1, adm2, out=adm1)
+    admissible &= np.isfinite(m1, out=other)
+    if fill:
+        m1[~admissible] = np.nan
     return m1, admissible
 
 
-def pair_margins(u_a, u_b, m_bar, epsilon: float = DEFAULT_EPSILON):
+def pair_margins(u_a, u_b, m_bar, epsilon: float = DEFAULT_EPSILON, scratch: Scratch | None = None):
     """Margins of pairs (uA, uB) at datum m_bar, elementwise over broadcast arrays.
 
     u_a and u_b are arrays of at least one dimension.  Pairs whose
     shared-datum denominator magnitude falls at or below the guard get
-    margin 0 and are marked in the returned mask.
+    margin 0 and are marked in the returned mask.  With ``scratch`` the
+    margins and the mask are views of it, else new arrays.
     """
     u_a = np.asarray(u_a, dtype=float)
     u_b = np.asarray(u_b, dtype=float)
-    margins = u_a - u_b
-    den = u_a + u_b
-    den += 2.0 * np.asarray(m_bar, dtype=float)
-    zeroed = (den <= epsilon) & (den >= -epsilon)
-    den[zeroed] = 1.0
+    m_bar = np.asarray(m_bar, dtype=float)
+    shape = np.broadcast(u_a, u_b, m_bar).shape
+    if scratch is None:
+        scratch = Scratch(math.prod(shape))
+    (margins, den, _), (zeroed, other, _, _) = scratch.take(shape)
+    np.subtract(u_a, u_b, out=margins)
+    np.add(u_a, u_b, out=den)
+    den += 2.0 * m_bar
+    np.less_equal(den, epsilon, out=zeroed)
+    zeroed &= np.greater_equal(den, -epsilon, out=other)
+    any_zeroed = zeroed.any()   # zeroed margins are rare
+    if any_zeroed:
+        den[zeroed] = 1.0
     margins /= den
-    margins[zeroed] = 0.0
+    if any_zeroed:
+        margins[zeroed] = 0.0
     return margins, zeroed
 
 
@@ -221,7 +269,9 @@ class _Schedule:
         # group's lanes one after another, each in ``triu_indices`` order.
         # Tasks get the schedule from ``drain`` instead of holding it, so no
         # reference cycle keeps the pool alive after the call.
+        # ``cells`` is the size of the largest block, which sizes the scratch.
         self.tasks = []
+        self.cells = 0
         margins = []
         step = 0
         for index, l0 in enumerate(range(0, lanes, group)):
@@ -231,13 +281,15 @@ class _Schedule:
             while i0 < n - 1:
                 i1 = min(n - 1, i0 + max(1, _BLOCK_CELLS // (g * (n - i0 - 1))))
                 self.tasks.append((_fit_datum, (part, i0, i1, step)))
+                self.cells = max(self.cells, g * (i1 - i0) * (n - i0 - 1))
                 step += 1
                 i0 = i1
-            self.tasks.append((_Schedule.queue, (step, _group_stats, part)))
+            self.tasks.append((_queue_stats, (step, part)))
             step += 1
             self.tasks += margins
             rows = max(1, _BLOCK_CELLS // (g * n))
             margins = [(_sum_margins, (index, i0, i0 + rows)) for i0 in range(0, n, rows)]
+            self.cells = max(self.cells, g * min(rows, n) * n)
         self.tasks += margins
 
     def wait(self, ready):
@@ -278,16 +330,18 @@ class _Schedule:
     def drain(self):
         """Run the next unclaimed task until none is left or one has failed.
 
-        The first exception is kept in ``error``, and every thread then
-        stops taking tasks.
+        The thread's blocks share one scratch, allocated here.  The first
+        exception is kept in ``error``, and every thread then stops taking
+        tasks.
         """
+        scratch = Scratch(self.cells)
         try:
             while self.error is None:
                 i = self._claim()
                 if i >= len(self.tasks):
                     return
                 task, args = self.tasks[i]
-                task(self, *args)
+                task(self, scratch, *args)
         except _Abandoned:
             pass
         except BaseException as exc:
@@ -297,7 +351,7 @@ class _Schedule:
                 self._changed.notify_all()
 
 
-def _fit_datum(s: _Schedule, part: slice, i0: int, i1: int, step: int):
+def _fit_datum(s: _Schedule, scratch: Scratch, part: slice, i0: int, i1: int, step: int):
     """Pair constants of rows [i0, i1) of a group, appended to the pool as step ``step``.
 
     A block starts no more than ``_AHEAD`` steps ahead of the pool, so at
@@ -306,9 +360,14 @@ def _fit_datum(s: _Schedule, part: slice, i0: int, i1: int, step: int):
     s.wait(lambda: s.turn >= step - _AHEAD)
     u = s.u[part]
     g, n = u.shape
-    m, ok = pair_constants(u[:, i0:i1, None], u[:, None, i0 + 1:], s.epsilon)
+    m, ok = pair_constants(u[:, i0:i1, None], u[:, None, i0 + 1:], s.epsilon, scratch)
     ok &= np.arange(i0 + 1, n) > np.arange(i0, i1)[:, None]
     s.queue(step, _append, part, m[ok], np.count_nonzero(ok.reshape(g, -1), axis=1))
+
+
+def _queue_stats(s: _Schedule, scratch: Scratch, step: int, part: slice):
+    """The stats task of a group: queue them as pool step ``step``; they need no scratch."""
+    s.queue(step, _group_stats, part)
 
 
 def _append(s: _Schedule, part: slice, constants: np.ndarray, counts: np.ndarray):
@@ -326,29 +385,31 @@ def _group_stats(s: _Schedule, part: slice):
     """
     admitted = s.admitted[part]
     datum = s.datum[part]
-    # One row-wise mean per distinct admitted count; a row's mean has the
-    # bits of the 1-D mean over the same values.
-    starts = np.cumsum(admitted) - admitted
-    goods = []
-    for k in np.unique(admitted[admitted > 0]).tolist():
-        rows = np.flatnonzero(admitted == k)
-        if rows[-1] - rows[0] == rows.size - 1:   # consecutive lanes: a view of the pool
-            good = s.pool[starts[rows[0]]:starts[rows[0]] + rows.size * k].reshape(-1, k)
-        else:
-            good = s.pool[starts[rows, None] + np.arange(k)]
-        datum[rows] = np.mean(good, axis=1)
-        goods.append((rows, good))
+    residual = s.residual[part]
+    # Consecutive lanes with one admitted count are one (lanes, k) view of
+    # the pool.  A row's sum over k has the bits of np.mean over the same
+    # values, without its per-call overhead.
+    cuts = [0, *(np.flatnonzero(np.diff(admitted)) + 1).tolist(), admitted.size]
+    runs = []
+    start = 0
+    for r0, r1 in zip(cuts, cuts[1:]):
+        k = int(admitted[r0])
+        end = start + (r1 - r0) * k
+        if k:
+            good = s.pool[start:end].reshape(r1 - r0, k)
+            datum[r0:r1] = np.add.reduce(good, axis=1) / k
+            runs.append((r0, r1, good))
+        start = end
     fit = np.flatnonzero(np.isfinite(datum))
     s.publish((part.start + fit, s.u[part][fit], datum[fit, None, None]))
-    residual = s.residual[part]
-    for rows, good in goods:
-        good -= datum[rows, None]
+    for r0, r1, good in runs:
+        good -= datum[r0:r1, None]
         good *= good
-        residual[rows] = np.sqrt(np.mean(good, axis=1))
+        residual[r0:r1] = np.sqrt(np.add.reduce(good, axis=1) / good.shape[1])
     s.fill = 0
 
 
-def _sum_margins(s: _Schedule, index: int, i0: int, i1: int):
+def _sum_margins(s: _Schedule, scratch: Scratch, index: int, i0: int, i1: int):
     """Borda counts of rows [i0, i1) of the fitted lanes of group ``index``.
 
     The mask and its row counts are written only by a block that zeroed a
@@ -358,7 +419,7 @@ def _sum_margins(s: _Schedule, index: int, i0: int, i1: int):
     lanes, u, m_bar = s.fits[index]
     if not lanes.size:
         return
-    margins, block = pair_margins(u[:, i0:i1, None], u[:, None, :], m_bar, s.epsilon)
+    margins, block = pair_margins(u[:, i0:i1, None], u[:, None, :], m_bar, s.epsilon, scratch)
     rows = np.arange(i0, i0 + block.shape[1])
     block[:, rows - i0, rows] = False   # the zero diagonal is structural
     s.borda[lanes, i0:i1] = margins.sum(axis=-1)

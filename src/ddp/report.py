@@ -102,11 +102,6 @@ def dim_stats(values, threshold: float, bin_edges) -> DimStats:
     v = v[np.isfinite(v)]
     if v.size == 0:
         raise GroupUnavailable("no finite values to summarize")
-    return _finite_stats(v, threshold, bin_edges)  # v is a filtered copy
-
-
-def _finite_stats(v: np.ndarray, threshold: float, bin_edges) -> DimStats:
-    """dim_stats of a non-empty array of finite values; reorders v in place."""
     edges = list(bin_edges)
     counts = [int(np.sum(v <= edges[0]))]
     for lo, hi in zip(edges, edges[1:]):
@@ -114,30 +109,101 @@ def _finite_stats(v: np.ndarray, threshold: float, bin_edges) -> DimStats:
     counts.append(int(np.sum(v > edges[-1])))
     return DimStats(
         n=int(v.size),
-        median=float(np.median(v, overwrite_input=True)),
+        median=float(np.median(v, overwrite_input=True)),   # v is a filtered copy
         percent_above=float(np.sum(v > threshold) / v.size * 100.0),
         bin_counts=tuple(counts),
     )
 
 
-def _pool_finite(segments: list[list[np.ndarray]]) -> tuple[np.ndarray, list[int]]:
-    """The finite values of every segment's columns in one buffer, in order.
+# Values the pooled group statistics hold at a time; a study's pools are
+# read in chunks of about this many values, however many subjects it has.
+_POOL_CHUNK = 1 << 14
+_SIGN = np.uint64(1 << 63)
 
-    Returns the buffer and the segment bounds (len(segments) + 1 offsets).
-    Only one column's finiteness mask exists at a time.
+
+def _chunks(columns: list[np.ndarray]):
+    """The finite values of the columns, in order, about ``_POOL_CHUNK`` at a time."""
+    batch, size = [], 0
+    for i, col in enumerate(columns):
+        batch.append(col)
+        size += col.size
+        if size >= _POOL_CHUNK or i == len(columns) - 1:
+            values = np.concatenate(batch)
+            yield values[np.isfinite(values)]
+            batch, size = [], 0
+
+
+def _order_keys(values: np.ndarray) -> np.ndarray:
+    """uint64 keys in the order of the finite float64 values."""
+    bits = values.view(np.uint64)
+    keys = np.invert(bits)                                    # negative values
+    np.bitwise_or(bits, _SIGN, out=keys, where=bits < _SIGN)  # the others
+    return keys
+
+
+def _kth(columns: list[np.ndarray], k: int) -> float:
+    """The k-th smallest (from 0) finite value of the columns taken together.
+
+    A radix selection on the order keys, 16 bits a pass: each pass counts
+    the candidates by their next 16 bits and keeps the bucket holding rank
+    k, until the bucket fits one chunk, which is then partitioned.
     """
-    bounds = [0]
-    for cols in segments:
-        bounds.append(bounds[-1] + sum(int(np.count_nonzero(np.isfinite(c))) for c in cols))
-    pooled = np.empty(bounds[-1])
-    pos = 0
-    for cols in segments:
-        for col in cols:
-            mask = np.isfinite(col)
-            k = int(np.count_nonzero(mask))
-            np.compress(mask, col, out=pooled[pos:pos + k])
-            pos += k
-    return pooled, bounds
+    prefix, bits = 0, 0
+    while True:
+        counts = np.zeros(1 << 16, dtype=np.int64)
+        for values in _chunks(columns):
+            keys = _order_keys(values)
+            if bits:
+                keys = keys[keys >> np.uint64(64 - bits) == prefix]
+            keys >>= np.uint64(48 - bits)
+            keys &= np.uint64(0xFFFF)
+            counts += np.bincount(keys.view(np.int64), minlength=1 << 16)
+        ends = np.cumsum(counts)
+        digit = int(np.searchsorted(ends, k, side="right"))
+        k -= int(ends[digit] - counts[digit])
+        prefix, bits = prefix << 16 | digit, bits + 16
+        if bits == 64:   # one key: every candidate is the same value
+            key = np.array([prefix], dtype=np.uint64)
+            return float(np.where(key >= _SIGN, key ^ _SIGN, ~key).view(float)[0])
+        if counts[digit] <= _POOL_CHUNK:
+            break
+    candidates = np.concatenate(
+        [values[_order_keys(values) >> np.uint64(64 - bits) == prefix] for values in _chunks(columns)]
+    )
+    return float(np.partition(candidates, k)[k])
+
+
+def _pooled_stats(columns: list[np.ndarray], threshold: float, bin_edges) -> DimStats | None:
+    """dim_stats of the finite values of the columns taken together, None when there are none.
+
+    The values are read a chunk at a time, never copied into one array;
+    the median takes the middle values by selection and averages them as
+    np.median does.
+    """
+    edges = list(bin_edges)
+    n = above = 0
+    counts = [0] * (len(edges) + 1)
+    for v in _chunks(columns):
+        n += v.size
+        above += int(np.count_nonzero(v > threshold))
+        counts[0] += int(np.count_nonzero(v <= edges[0]))
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
+            counts[i] += int(np.count_nonzero((v > lo) & (v <= hi)))
+        counts[-1] += int(np.count_nonzero(v > edges[-1]))
+    if n == 0:
+        return None
+    return DimStats(
+        n=n,
+        median=_pooled_median(columns, n),
+        percent_above=float(above / n * 100.0),
+        bin_counts=tuple(counts),
+    )
+
+
+def _pooled_median(columns: list[np.ndarray], n: int) -> float:
+    """np.median of the n finite values of the columns taken together."""
+    middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    return float(np.mean(np.array([_kth(columns, k) for k in middle])))
 
 
 class SubjectPool(NamedTuple):
@@ -179,9 +245,8 @@ def group_stats(
     both groups are present.  Raises GroupUnavailable when nothing at all
     can be pooled; groups that are merely empty are listed as unavailable.
     """
-    # A study pools many subjects, so the values are streamed from the
-    # callers' arrays into one buffer at a time: first every value, for the
-    # default threshold, then one group's values, dimension-major.
+    # A study pools many subjects, so every statistic reads the callers'
+    # arrays a chunk at a time instead of pooling them into one array.
     columns: dict[str, list[list[np.ndarray]]] = {}
     subject_counts: dict[str, int] = {}
     for rep in reports:
@@ -192,33 +257,27 @@ def group_stats(
             slot[d].append(np.asarray(per_dim[d], dtype=float) if d < len(per_dim) else np.empty(0))
         subject_counts[label] = subject_counts.get(label, 0) + 1
 
-    everything, _ = _pool_finite([[c for slot in columns.values() for cols in slot for c in cols]])
-    if everything.size == 0:
+    everything = [c for slot in columns.values() for cols in slot for c in cols]
+    n = sum(int(np.count_nonzero(np.isfinite(c))) for c in everything)
+    if n == 0:
         raise GroupUnavailable("no residual-curvature values in any group")
     if threshold is None:
-        median = np.median(everything, overwrite_input=True)
-        threshold = config.rc_threshold_multiplier * float(median)
-    del everything
+        threshold = config.rc_threshold_multiplier * _pooled_median(everything, n)
 
     groups: dict[str, GroupSlice] = {}
     unavailable: list[str] = []
     for label in GROUP_LABELS:
         if label not in columns:
             continue
-        pooled, bounds = _pool_finite(columns[label])
-        if pooled.size == 0:
+        combined = _pooled_stats([c for cols in columns[label] for c in cols], threshold, config.bin_edges)
+        if combined is None:
             unavailable.append(label)
             continue
-        per_dim_stats: list[DimStats | None] = [
-            dim_stats(pooled[a:b], threshold, config.bin_edges) if b > a else None
-            for a, b in zip(bounds, bounds[1:])
-        ]
         groups[label] = GroupSlice(
-            per_dim=per_dim_stats,
-            combined=_finite_stats(pooled, threshold, config.bin_edges),
+            per_dim=[_pooled_stats(cols, threshold, config.bin_edges) for cols in columns[label]],
+            combined=combined,
             n_subjects=subject_counts[label],
         )
-        del pooled  # before the next group's buffer is filled
 
     pc_per_dim: list[float | None] | None = None
     pc_combined: float | None = None

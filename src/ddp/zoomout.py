@@ -33,7 +33,8 @@ call.  Bursts must be prescaled: prescaling puts every value in [-1, 1],
 so each frame of at least 9 points has two values within 0.25 of each
 other, whose pair constant is real and (for an `epsilon_denominator`
 below 0.5) admissible, and no dimension is ever unfittable.  Unprescaled
-bursts that break this raise `ContractViolation`.
+bursts that break this raise `ContractViolation`, and so does a burst
+holding a non-finite value, whose pair constants the datum fit excludes.
 
 Critical chain lengths come from an intersection construction on the
 per-level statistics.  With x the aggregation level (finest = 1) and a log
@@ -206,7 +207,8 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
     residual curvature of every pair is taken from the coarsest level.
 
     The bursts must be prescaled (`prescale_burst`): a dimension with no
-    admissible pair constant at some level raises ContractViolation.
+    admissible pair constant at some level raises ContractViolation, and
+    so does a non-finite value.
     """
     counts = config.zoom_point_counts()
     for b in bursts:
@@ -215,6 +217,8 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
                 f"burst {b.burst_index} is {b.n_points}x{b.n_dims}, "
                 f"the config expects {counts[0]}x{config.D}"
             )
+        if not np.isfinite(b.values).all():
+            raise ContractViolation(f"burst {b.burst_index} holds a non-finite value")
     stride = config.stride_n
     pairs = [(t - stride, t) for t in range(stride, len(bursts))]
     if not pairs:

@@ -8,7 +8,8 @@ dimension at a time in place of row blocks, one burst at a time in place
 of the stacked levels, one frame pair at a time in place of the batched
 zoom-out tail, values cleaned into Python types and passed to json.dumps
 in place of the array-reading JSON writer, one numpy scalar per CSV field
-in place of row lists) so that agreement is meaningful
+in place of row lists, one xyzm data line at a time in place of a burst at
+a time) so that agreement is meaningful
 evidence, not tautology.  The scalar twins of the array kernels (one
 point, one root, one curvature value) live here too.
 """
@@ -16,6 +17,7 @@ point, one root, one curvature value) live here too.
 from __future__ import annotations
 
 import enum
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -24,7 +26,14 @@ import numpy as np
 
 from ddp.config import PipelineConfig
 from ddp.curvature import ThresholdUpdate, curvature_tensor
-from ddp.errors import ContractViolation, GroupUnavailable
+from ddp.errors import (
+    ContractViolation,
+    GroupUnavailable,
+    ParseError,
+    TruncationError,
+    ValidationError,
+)
+from ddp.ingest import DEFAULT_SUBJECT, GROUP_LABELS, DataBurst, Dataset, SubjectMeta
 from ddp.lengthscale import (
     SENTINEL_THRESHOLD,
     Convergence,
@@ -35,7 +44,6 @@ from ddp.lengthscale import (
 )
 from ddp.normalization import DEFAULT_EPSILON, NormalizedField, build_field
 from ddp.ranking import borda_state, delta_borda
-from ddp.ingest import GROUP_LABELS
 from ddp.report import (
     SCHEMA_VERSION,
     BoxplotStats,
@@ -151,7 +159,10 @@ def pair_constant(
 
 
 def _pair_constants_oracle(u_a, u_b, epsilon: float = DEFAULT_EPSILON):
-    """Pair constants of broadcast pairs by full-length temporaries, no in-place steps."""
+    """Pair constants of broadcast pairs by full-length temporaries, no in-place steps.
+
+    A non-finite constant is not admissible.
+    """
     u_a = np.asarray(u_a, dtype=float)
     u_b = np.asarray(u_b, dtype=float)
     su = u_a + u_b
@@ -170,7 +181,7 @@ def _pair_constants_oracle(u_a, u_b, epsilon: float = DEFAULT_EPSILON):
         | ((np.abs(m2) == np.abs(m1)) & (m2 > m1))
     )
     m = np.where(take2, m2, m1)
-    admissible = adm1 | adm2
+    admissible = (adm1 | adm2) & np.isfinite(m)
     return np.where(admissible, m, np.nan), admissible
 
 
@@ -1086,3 +1097,94 @@ def collect_dumps_oracle(rows, subject_id, burst_index, zoom, p, cls, categories
                 f"{_csv_num_oracle(lv.inv_ltilde_combined[li])},"
                 f"{_csv_num_oracle(lv.inv_l_combined[li])},{per_dim}"
             )
+
+
+def parse_xyzm_oracle(stream, config: PipelineConfig) -> Dataset:
+    """``parse_xyzm`` one data line at a time: split, convert and check each line as it comes.
+
+    A string is read through ``io.StringIO`` with universal newlines, the
+    way a text file is read.
+    """
+    if isinstance(stream, str):
+        stream = io.StringIO(stream, newline=None)
+    d, n = config.D, config.N
+    bursts: list[DataBurst] = []
+    metadata: dict[str, SubjectMeta] = {}
+    counters: dict[str, int] = {}
+    subject, dt, group, com = DEFAULT_SUBJECT, 1.0, "unlabeled", None
+    rows: list[list[float]] = []
+    burst_state = None
+    lineno = 0
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line[1:].strip().split()
+            if not parts:
+                continue
+            key, args = parts[0].lower(), parts[1:]
+            if key == "subject":
+                if rows:
+                    raise TruncationError(
+                        f"subject change inside a burst ({len(rows)} of {n} lines read)", lineno
+                    )
+                if not args:
+                    raise ParseError("missing subject id", lineno)
+                subject = " ".join(args)
+                metadata.setdefault(subject, SubjectMeta())
+            elif key in ("mass", "dt"):
+                try:
+                    value = float(args[0])
+                except (IndexError, ValueError):
+                    raise ParseError(f"malformed #{key} directive", lineno) from None
+                if not math.isfinite(value) or value <= 0:
+                    raise ValidationError(f"{key} must be a positive finite number", lineno)
+                if key == "dt":
+                    dt = value
+                else:
+                    meta = metadata.setdefault(subject, SubjectMeta())
+                    meta.mass, meta.mass_defaulted = value, False
+            elif key == "group":
+                if len(args) != 1 or args[0] not in GROUP_LABELS:
+                    raise ParseError(f"#group expects one of {', '.join(GROUP_LABELS)}", lineno)
+                group = args[0]
+            elif key == "com":
+                if args == ["none"]:
+                    com = None
+                    continue
+                try:
+                    vec = [float(a) for a in args]
+                except ValueError:
+                    raise ParseError("malformed #com directive", lineno) from None
+                if len(vec) != d:
+                    raise ParseError(f"#com expects {d} values, got {len(vec)}", lineno)
+                if not all(math.isfinite(v) for v in vec):
+                    raise ValidationError("#com values must be finite", lineno)
+                com = np.array(vec, dtype=float)
+            continue
+        tokens = line.split()
+        if len(tokens) != d:
+            raise ParseError(f"expected {d} values per line, got {len(tokens)}", lineno)
+        try:
+            row = [float(t) for t in tokens]
+        except ValueError:
+            raise ParseError(f"malformed numeric token in {line!r}", lineno) from None
+        if not all(math.isfinite(v) for v in row):
+            raise ValidationError("non-finite value in data line", lineno)
+        if not rows:
+            burst_state = (subject, dt, group, None if com is None else com.copy())
+        rows.append(row)
+        if len(rows) == n:
+            sid, bdt, bgroup, bcom = burst_state
+            idx = counters.get(sid, 0)
+            counters[sid] = idx + 1
+            meta = metadata.setdefault(sid, SubjectMeta())
+            if bcom is not None:
+                meta.com_displacement[idx] = np.array(bcom, dtype=float)
+            bursts.append(DataBurst(values=np.array(rows, dtype=float), dt=bdt, burst_index=idx,
+                                    subject_id=sid, group_label=bgroup))
+            rows = []
+    if rows:
+        raise TruncationError(f"file ended mid-burst: got {len(rows)} of {n} lines", lineno)
+    return Dataset(bursts=bursts, metadata=metadata)

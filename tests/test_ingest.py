@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddp import (
     DataBurst,
@@ -13,9 +15,12 @@ from ddp import (
     analyze_dataset,
     emit_xyzm,
     parse_xyzm,
+    parse_xyzm_file,
     prescale_burst,
     synthesize,
 )
+
+from oracles import parse_xyzm_oracle
 
 CFG9 = PipelineConfig(N=9)
 
@@ -211,3 +216,117 @@ def test_dataset_burst_index_monotonic():
     b1 = DataBurst(values=np.ones((9, 4)), burst_index=1)
     with pytest.raises(ValidationError):
         Dataset(bursts=[b0, b1])
+
+
+def _same_dataset(got, want):
+    assert len(got.bursts) == len(want.bursts)
+    for b1, b2 in zip(got.bursts, want.bursts):
+        assert b1.values.dtype == b2.values.dtype and b1.values.tobytes() == b2.values.tobytes()
+        assert (b1.dt, b1.burst_index, b1.subject_id, b1.group_label) == (
+            b2.dt, b2.burst_index, b2.subject_id, b2.group_label)
+    assert list(got.metadata) == list(want.metadata)
+    for sid, m1 in got.metadata.items():
+        m2 = want.metadata[sid]
+        assert (m1.mass, m1.mass_defaulted) == (m2.mass, m2.mass_defaulted)
+        assert list(m1.com_displacement) == list(m2.com_displacement)
+        for k, v in m1.com_displacement.items():
+            assert v.tobytes() == m2.com_displacement[k].tobytes()
+
+
+def _outcome(parse, text, cfg):
+    """The dataset, or the type, line and message of the error raised."""
+    try:
+        return parse(text, cfg)
+    except ParseError as exc:
+        return type(exc), exc.line_number, str(exc)
+
+
+@given(
+    d=st.integers(1, 4),
+    n_bursts=st.integers(1, 3),
+    seed=st.integers(0, 999),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_parse_round_trips_emitted_text_like_the_line_by_line_oracle(d, n_bursts, seed, newline):
+    cfg = PipelineConfig(D=d, N=9, seed=seed)
+    ds = synthesize("burst", cfg, n_bursts=n_bursts, n_subjects=2, include_com=True)
+    text = emit_xyzm(ds).replace("\n", newline)
+    again = parse_xyzm(text, cfg)
+    _same_dataset(again, ds)
+    _same_dataset(again, parse_xyzm_oracle(text, cfg))
+    assert emit_xyzm(again) == emit_xyzm(ds)
+
+
+# Each fault rewrites the data line it is given; None deletes the line.
+_FAULTS = {
+    "bad_token": lambda tokens: [*tokens[:-1], "0.5x"],
+    "hex_token": lambda tokens: ["0x1p-2", *tokens[1:]],
+    "missing_value": lambda tokens: tokens[:-1],
+    "extra_value": lambda tokens: [*tokens, "0.25"],
+    "nan": lambda tokens: ["nan", *tokens[1:]],
+    "inf": lambda tokens: [*tokens[:-1], "-inf"],
+    "overflow": lambda tokens: ["1e999", *tokens[1:]],
+    "subject_after": lambda tokens: [" ".join(tokens) + "\n#subject other"],
+    "dt_after": lambda tokens: [" ".join(tokens) + "\n#dt -1"],
+    "deleted": None,
+}
+
+
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 999),
+    faults=st.lists(
+        st.tuples(st.sampled_from(sorted(_FAULTS)), st.integers(0, 8)), min_size=1, max_size=2
+    ),
+    burst=st.integers(0, 2),
+    truncate=st.integers(0, 12),
+)
+@settings(max_examples=150, deadline=None)
+def test_malformed_input_raises_like_the_line_by_line_oracle(d, seed, faults, burst, truncate):
+    """One or two faults in one burst, and the text perhaps cut short: the
+    same error type, line and message as parsing line by line."""
+    cfg = PipelineConfig(D=d, N=9, seed=seed)
+    lines = emit_xyzm(synthesize("stable", cfg, n_bursts=3, include_com=True)).splitlines()
+    data = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    for kind, row in faults:
+        i = data[9 * burst + row]
+        fault = _FAULTS[kind]
+        lines[i] = "" if fault is None else " ".join(fault(lines[i].split()))
+    text = "\n".join(lines[:len(lines) - truncate]) + "\n"
+    got = _outcome(parse_xyzm, text, cfg)
+    want = _outcome(parse_xyzm_oracle, text, cfg)
+    if isinstance(want, Dataset):
+        _same_dataset(got, want)
+    else:
+        assert got == want
+
+
+def test_string_input_splits_lines_like_file_input(tmp_path):
+    # \f and the other separators str.splitlines() also breaks at are
+    # whitespace inside a line of a file
+    cfg = PipelineConfig(D=2, N=9)
+    rows = ["0.1\x0c0.2", "0.3\x0b0.4", "0.5\x1c0.6", "0.7\x850.8", "0.9 1.0"]
+    text = "#subject S\r\n" + "\r\n".join(rows + ["1.1 1.2"] * 4) + "\r"
+    path = tmp_path / "s.xyzm"
+    path.write_bytes(text.encode("utf-8"))
+    from_file = parse_xyzm_file(path, cfg)
+    assert len(from_file.bursts) == 1
+    _same_dataset(parse_xyzm(text, cfg), from_file)
+    _same_dataset(parse_xyzm(io.StringIO(text, newline=None), cfg), from_file)
+    np.testing.assert_array_equal(from_file.bursts[0].values[:2], [[0.1, 0.2], [0.3, 0.4]])
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0.1 0.2\n0.3\n", 2),                    # wrong count ends the text mid-burst
+    ("0.1 0.2\n0.3 x\n#subject T\n", 2),      # a bad token before a mid-burst subject change
+    ("0.1 0.2\n#dt 0\n0.3 nan\n", 2),         # a bad directive after the burst began
+    ("0.1 0.2\n0.3 nan\n0.5 0.6 0.7\n", 2),   # two faults: the first one raises
+])
+def test_pending_burst_raises_its_first_bad_line(text, line):
+    cfg = PipelineConfig(D=2, N=9)
+    with pytest.raises(ParseError) as info:
+        parse_xyzm(text, cfg)
+    want = _outcome(parse_xyzm_oracle, text, cfg)
+    assert (type(info.value), info.value.line_number, str(info.value)) == want
+    assert info.value.line_number == line

@@ -170,6 +170,44 @@ def test_build_field_counts_zeroed_pairs():
     np.testing.assert_array_equal(field.borda[0], [1.0, -2.0, 1.0])
 
 
+def test_pair_constants_exclude_non_finite_constants():
+    # uA = -inf: the discriminant is +inf and s1 = +inf passes the guard,
+    # but the constant is inf; with uB = -inf there is no real root
+    with np.errstate(invalid="ignore"):
+        m, ok = pair_constants(np.array([-np.inf, 0.1, 0.2, 0.3]), np.array([0.1, -np.inf, 0.2, 0.3]))
+    np.testing.assert_array_equal(ok, [False, False, True, True])
+    assert np.isnan(m[:2]).all() and np.isfinite(m[2:]).all()
+
+
+def test_build_field_excludes_pairs_of_a_non_finite_value():
+    u = np.array([-np.inf, 0.1, 0.2, 0.3])
+    with np.errstate(invalid="ignore"):
+        field = _field(u)
+        expected = build_field_oracle(u[:, None])
+    finite = _field(u[1:])
+    # the three pairs of -inf are excluded, and the other three fit alone
+    assert field.fit_excluded_fraction[0] == 0.5
+    assert field.datum[0] == finite.datum[0] and not field.unfittable[0]
+    assert field.datum_residual[0] == finite.datum_residual[0]
+    for f in dataclasses.fields(NormalizedField):
+        assert getattr(field, f.name).tobytes() == getattr(expected, f.name).tobytes(), f.name
+
+
+def test_pair_kernels_write_into_the_scratch():
+    u = np.random.default_rng(6).uniform(-1.0, 1.0, 9)
+    scratch = normalization.Scratch(81)
+    m, ok = pair_constants(u[:, None], u[None, :], 0.3, scratch)
+    m_new, ok_new = pair_constants(u[:, None], u[None, :], 0.3)
+    assert np.shares_memory(m, scratch.floats) and np.shares_memory(ok, scratch.bools)
+    np.testing.assert_array_equal(ok, ok_new)
+    assert m[ok].tobytes() == m_new[ok_new].tobytes() and np.isnan(m_new[~ok_new]).all()
+    margins, zeroed = pair_margins(u[:, None], u[None, :], 0.1, 0.3, scratch)
+    margins_new, zeroed_new = pair_margins(u[:, None], u[None, :], 0.1, 0.3)
+    assert np.shares_memory(margins, scratch.floats) and np.shares_memory(zeroed, scratch.bools)
+    assert margins.tobytes() == margins_new.tobytes()
+    np.testing.assert_array_equal(zeroed, zeroed_new)
+
+
 def test_build_field_single_point_frame():
     with np.errstate(all="raise"):
         field = build_field(np.array([[0.5, 0.25]]))
@@ -568,7 +606,7 @@ def test_build_field_raises_a_task_error_from_either_thread_and_leaves_no_thread
 def test_build_field_errstate_applies_on_both_threads(cpus):
     values = np.random.default_rng(8).uniform(-1.0, 1.0, (2, 40, 2))
     values[0, :2, 1] = [np.inf, np.nan]   # lane 1: the margin pass meets inf - inf
-    values[1, 5, 0] = -np.inf              # lane 2: the datum pass does
+    values[1, 5, 0] = -np.inf              # lane 2: the datum pass does, and excludes its pairs
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(normalization, "_BLOCK_CELLS", 512)
         mp.setattr(normalization, "_usable_cpus", lambda: cpus)
@@ -577,7 +615,7 @@ def test_build_field_errstate_applies_on_both_threads(cpus):
             field = build_field(values)
         with pytest.raises(RuntimeWarning, match="invalid value"):
             build_field(values[:1])   # lane 1's margins alone warn without errstate
-    assert np.isfinite(field.datum[1]) and not np.isfinite(field.datum[2])
+    assert np.isfinite(field.datum[1:]).all() and np.isnan(field.borda[2]).all()
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (9, 0), (3, 0, 4), (3, 9, 0)])
@@ -609,6 +647,21 @@ def test_build_field_rejects_unequal_frames():
     assert isinstance(info.value, DdpError)
     with pytest.raises(ContractViolation):
         build_field(np.zeros(9))
+
+
+def test_build_field_reuses_its_pages():
+    """Each thread's block temporaries are one scratch per call, not fresh
+    arrays per block, so repeated calls touch no new pages."""
+    resource = pytest.importorskip("resource")
+    values = np.random.default_rng(16).uniform(-1.0, 1.0, (10, 81, 4))
+    build_field(values)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        build_field(values)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    if faults == 0 and before == 0:
+        pytest.skip("this platform does not count minor page faults")
+    assert faults < 200
 
 
 def test_build_field_working_set_is_bounded():

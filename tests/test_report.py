@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ddp import (
     percent_change,
     synthesize,
 )
+import ddp.report as report
 from ddp.report import SubjectPool, dim_stats, report_json, roots_table_csv
 
 from oracles import boxplot_stats_oracle, group_stats_oracle, quantile_oracle
@@ -178,6 +180,53 @@ def test_group_stats_matches_concatenated_reference():
                     group_stats(pools, cfg, threshold)
                 continue
             assert group_stats(pools, cfg, threshold) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_group_stats_in_small_chunks_matches_concatenated_reference(chunk):
+    """Chunks far smaller than a pool send every median through several
+    selection passes; ties, signs and wide ranges must give the medians
+    and counts of the concatenated pools."""
+    rng = np.random.default_rng(chunk)
+    cfg = PipelineConfig(D=2)
+    kinds = [
+        lambda n: rng.lognormal(-1.0, 3.0, n),
+        lambda n: rng.integers(-2, 3, n).astype(float),   # ties across chunks
+        lambda n: rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n),
+        lambda n: np.full(n, 0.75),                        # one value
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "_POOL_CHUNK", chunk)
+        for trial in range(12):
+            pools = []
+            for s_ in range(int(rng.integers(1, 6))):
+                label = ("control", "post_aclr", "unlabeled")[int(rng.integers(3))]
+                values = [kinds[(trial + d) % len(kinds)](int(rng.integers(0, 30))) for d in range(2)]
+                for v in values:
+                    v[rng.uniform(size=v.size) < 0.1] = np.nan
+                pools.append(SubjectPool(f"S{s_}", label, values))
+            for threshold in (None, 0.5):
+                try:
+                    want = group_stats_oracle(pools, cfg, threshold)
+                except GroupUnavailable:
+                    with pytest.raises(GroupUnavailable):
+                        group_stats(pools, cfg, threshold)
+                    continue
+                assert group_stats(pools, cfg, threshold) == want
+
+
+def test_group_stats_working_set_is_bounded():
+    # 6.4 MB of pooled values; pooling them into one array would need all of it
+    rng = np.random.default_rng(4)
+    pools = [_pool(("control", "post_aclr")[s_ % 2], rng.lognormal(0.0, 1.0, (2, 1000)))
+             for s_ in range(400)]
+    tracemalloc.start()
+    try:
+        group_stats(pools, PipelineConfig(D=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_group_stats_nothing_to_pool():

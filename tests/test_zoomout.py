@@ -365,3 +365,15 @@ def test_gti_rising_rc_clamps_to_zero():
     record = gti([1.0, 2.0], _chain(10), (4.0, 5.0))
     assert record.energy_drop_fraction == 0.0
     assert not record.triggered
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_burst_raises_naming_the_burst(value):
+    # DataBurst rejects non-finite values, so one is written in afterwards;
+    # the datum fit would drop its pairs and leave the lane fittable
+    cfg = PipelineConfig(N=27)
+    rng = np.random.default_rng(5)
+    bursts = [prescale_burst(_burst(rng.uniform(0.5, 1.0, (27, 4)), b))[0] for b in range(3)]
+    bursts[1].values[4, 2] = value
+    with pytest.raises(ContractViolation, match=r"burst 1 holds a non-finite value"):
+        zoom_profile(bursts, cfg)
