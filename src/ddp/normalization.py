@@ -27,9 +27,12 @@ normalized in one call.  It never holds an (N, N) float matrix.  Lanes go
 in groups: together while their whole triangles fit one block of about
 ``_BLOCK_CELLS`` cells, one at a time beyond that.  Each group is a run of
 tasks in one ordered sequence: the datum blocks, which take the pair
-constants of the upper-triangle part of a block of rows, then the group's
-stats (datum and residual), then the margin blocks of the group before it,
-which sum full rows into Borda counts.  Its working set is one scratch per
+constants of the upper-triangle part of a block of rows (a group's whole
+triangles, gathered pair by pair, or a band of rows of one lane), then the
+group's stats (datum and residual), then the margin blocks of the group
+before it, which sum full rows into Borda counts.  Every kernel pass over
+a whole triangle or a margin block is contiguous: the operands are copied
+into the scratch first.  Its working set is one scratch per
 thread that runs tasks, sized by the call's largest block and holding
 every float and bool temporary of the blocks that thread computes, one
 pool of the admissible pair constants whose means are the data (of a
@@ -62,6 +65,7 @@ tasks in the same order alone.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 import os
@@ -354,15 +358,39 @@ class _Schedule:
 def _fit_datum(s: _Schedule, scratch: Scratch, part: slice, i0: int, i1: int, step: int):
     """Pair constants of rows [i0, i1) of a group, appended to the pool as step ``step``.
 
-    A block starts no more than ``_AHEAD`` steps ahead of the pool, so at
-    most that many blocks of constants wait for their turn.
+    A block of the whole triangle gathers its pairs' operands into two
+    contiguous scratch rows, so every pass of ``pair_constants`` runs over
+    the N(N-1)/2 pairs of each lane and none is masked away.  A band of
+    rows, which a lane too wide for one block takes, reads its operands as
+    broadcast views and masks only the corner left of the diagonal:
+    columns from i1 on are above it.  A block starts no more than
+    ``_AHEAD`` steps ahead of the pool, so at most that many blocks of
+    constants wait for their turn.
     """
     s.wait(lambda: s.turn >= step - _AHEAD)
     u = s.u[part]
     g, n = u.shape
-    m, ok = pair_constants(u[:, i0:i1, None], u[:, None, i0 + 1:], s.epsilon, scratch)
-    ok &= np.arange(i0 + 1, n) > np.arange(i0, i1)[:, None]
+    if i1 - i0 == n - 1:
+        a, b = _triangle(n)
+        # m1's and sq's rows: pair_constants reads u_a and u_b before writing them
+        _, u_b, u_a = scratch.take((g, a.size))[0]
+        m, ok = pair_constants(
+            np.take(u, a, axis=1, out=u_a, mode="clip"),
+            np.take(u, b, axis=1, out=u_b, mode="clip"),
+            s.epsilon, scratch,
+        )
+    else:
+        m, ok = pair_constants(u[:, i0:i1, None], u[:, None, i0 + 1:], s.epsilon, scratch)
+        ok[:, :, :i1 - i0 - 1] &= np.arange(i0 + 1, i1) > np.arange(i0, i1)[:, None]
     s.queue(step, _append, part, m[ok], np.count_nonzero(ok.reshape(g, -1), axis=1))
+
+
+@functools.lru_cache(maxsize=16)
+def _triangle(n: int):
+    """``np.triu_indices(n, 1)``, the pairs A < B in pool order, read-only."""
+    a, b = np.triu_indices(n, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def _queue_stats(s: _Schedule, scratch: Scratch, step: int, part: slice):
@@ -384,43 +412,56 @@ def _group_stats(s: _Schedule, part: slice):
     and the pool is free for the next group once the residual is done.
     """
     admitted = s.admitted[part]
-    datum = s.datum[part]
-    residual = s.residual[part]
     # Consecutive lanes with one admitted count are one (lanes, k) view of
     # the pool.  A row's sum over k has the bits of np.mean over the same
     # values, without its per-call overhead.
     cuts = [0, *(np.flatnonzero(np.diff(admitted)) + 1).tolist(), admitted.size]
     runs = []
-    start = 0
+    end = 0
     for r0, r1 in zip(cuts, cuts[1:]):
         k = int(admitted[r0])
-        end = start + (r1 - r0) * k
         if k:
-            good = s.pool[start:end].reshape(r1 - r0, k)
-            datum[r0:r1] = np.add.reduce(good, axis=1) / k
-            runs.append((r0, r1, good))
-        start = end
+            runs.append((r0, r1, s.pool[end:end + (r1 - r0) * k].reshape(r1 - r0, k)))
+        end += (r1 - r0) * k
+    sums = np.zeros(admitted.size)
+    for r0, r1, good in runs:
+        np.add.reduce(good, axis=1, out=sums[r0:r1])
+    fitted = admitted > 0
+    k = admitted[fitted]
+    datum = s.datum[part]
+    datum[fitted] = sums[fitted] / k
     fit = np.flatnonzero(np.isfinite(datum))
     s.publish((part.start + fit, s.u[part][fit], datum[fit, None, None]))
     for r0, r1, good in runs:
         good -= datum[r0:r1, None]
-        good *= good
-        residual[r0:r1] = np.sqrt(np.add.reduce(good, axis=1) / good.shape[1])
+    pool = s.pool[:end]
+    pool *= pool
+    for r0, r1, good in runs:
+        np.add.reduce(good, axis=1, out=sums[r0:r1])
+    s.residual[part][fitted] = np.sqrt(sums[fitted] / k)
     s.fill = 0
 
 
 def _sum_margins(s: _Schedule, scratch: Scratch, index: int, i0: int, i1: int):
     """Borda counts of rows [i0, i1) of the fitted lanes of group ``index``.
 
-    The mask and its row counts are written only by a block that zeroed a
-    margin, so the pages of an all-False mask are never touched.
+    The row and column operands are copied into the scratch first, so
+    every pass of ``pair_margins`` is contiguous.  The mask and its row
+    counts are written only by a block that zeroed a margin, so the pages
+    of an all-False mask are never touched.
     """
     s.wait(lambda: len(s.fits) > index)
     lanes, u, m_bar = s.fits[index]
     if not lanes.size:
         return
-    margins, block = pair_margins(u[:, i0:i1, None], u[:, None, :], m_bar, s.epsilon, scratch)
-    rows = np.arange(i0, i0 + block.shape[1])
+    g, n = u.shape
+    i1 = min(i1, n)
+    # den's and the third row: pair_margins reads u_a after it writes the margins row
+    _, u_a, u_b = scratch.take((g, i1 - i0, n))[0]
+    np.copyto(u_a, u[:, i0:i1, None])
+    np.copyto(u_b, u[:, None, :])
+    margins, block = pair_margins(u_a, u_b, m_bar, s.epsilon, scratch)
+    rows = np.arange(i0, i1)
     block[:, rows - i0, rows] = False   # the zero diagonal is structural
     s.borda[lanes, i0:i1] = margins.sum(axis=-1)
     if block.any():   # zeroed margins are rare, and any() is cheaper than the count

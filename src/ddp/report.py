@@ -427,13 +427,12 @@ def _write_list(items, nl: str, out: list[str]) -> None:
     inner = nl + "  "
     if isinstance(items[0], float):
         try:
-            text = ("," + inner).join(map(_float_repr, items))
+            text = ("," + inner).join(_float_texts(items, "null"))
         except TypeError:  # an item that is not a float
             pass
         else:
-            if "n" not in text:  # finite reprs hold no nan or inf
-                out.append("[" + inner + text + nl + "]")
-                return
+            out.append("[" + inner + text + nl + "]")
+            return
     sep = "[" + inner
     for item in items:
         out.append(sep)
@@ -567,7 +566,25 @@ def csv_num(x) -> str:
 
 def csv_nums(values: list[float]) -> list[str]:
     """csv_num of every item of a list of Python floats (an array's ``.tolist()``)."""
-    return [_float_repr(v) if isfinite(v) else "nan" for v in values]
+    return _float_texts(values, "nan")
+
+
+def _float_texts(values: list, non_finite: str) -> list[str]:
+    """The repr of each float of ``values``, or ``non_finite`` for NaN and inf.
+
+    A repr costs about a microsecond and a subject's RC lists hold each
+    median 16 times, so a list of floats holding each value twice or more
+    on average formats each distinct value once, through a dict.  Equal
+    values share a key, so a list holding a zero (0.0 == -0.0) or an item
+    that is not a float (1 == 1.0) goes item by item, as does a list of
+    mostly distinct values.  An item that is not a float raises TypeError.
+    """
+    texts = dict.fromkeys(values)
+    if 2 * len(texts) > len(values) or 0.0 in texts or set(map(type, values)) != {float}:
+        return [_float_repr(v) if isfinite(v) else non_finite for v in values]
+    for v in texts:
+        texts[v] = _float_repr(v) if isfinite(v) else non_finite
+    return list(map(texts.__getitem__, values))
 
 
 def csv_field(text: str) -> str:

@@ -12,16 +12,17 @@ frame as a whole.
 keeps the subject's bursts as one `(B, N_l, D)` stack per level, coarsens
 the stack with one reshape-mean and normalizes and ranks it with one
 `build_field` and one `borda_state` call; each frame pair takes its Borda
-change and ranks by indexing the stacked results.  The Borda changes of
-all frame pairs at a level go through one root solve and one curvature
-evaluation.  The tail is array-shaped across pairs too: one
-`update_thresholds` call per level takes the root-magnitude medians of
-every pair at once and then advances the running mean pair by pair in
-time order, each level statistic is one median over the `(P, ..., D)`
-stack, and `residual_curvature` takes the medians of every pair in one
-call on the coarsest level.  Points never interact across pairs and the
-running mean only looks back, so a pair's results do not depend on the
-bursts that follow it.
+change and ranks by indexing the stacked results.  Then each pair's points
+of every level (81 + 27 + 9 for the defaults), side by side, go through
+one root solve and one curvature evaluation per subject.  The tail is
+array-shaped across pairs and levels too: one `update_thresholds` call
+takes the root-magnitude medians of every point at once and then advances
+the running mean pair by pair in time order, each level statistic is one
+median over that level's slice of the `(P, ..., D)` stack, and
+`residual_curvature` takes the medians of every pair in one call on the
+coarsest level's slice.  Points never interact, across pairs or levels,
+and the running mean only looks back, so a pair's results do not depend
+on the bursts that follow it.
 
 The result is one `SubjectZoom` per subject, every per-pair result a
 column with the P pairs in front: the level statistics as one
@@ -198,13 +199,14 @@ class SubjectZoom:
 def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom:
     """Run the full per-level analysis for every frame pair of one subject.
 
-    The pairs are (t - stride, t), in order.  Levels form the outer loop:
-    the stack of all bursts is coarsened, normalized and ranked once per
-    level, the Borda changes of all pairs go through one root solve and one
-    curvature evaluation, and the thresholds and level statistics of all
-    pairs come from one batched call each.  The running threshold mean
-    advances pair by pair, so a pair never sees a later burst.  The
-    residual curvature of every pair is taken from the coarsest level.
+    The pairs are (t - stride, t), in order.  The stack of all bursts is
+    coarsened, normalized and ranked once per level.  The Borda changes of
+    all pairs at all levels then go through one root solve, one curvature
+    evaluation and one threshold call per subject, and each level's
+    statistics and the finest level's roots and thresholds are slices of
+    their results.  The running threshold mean advances pair by pair, so a
+    pair never sees a later burst.  The residual curvature of every pair is
+    taken from the coarsest level.
 
     The bursts must be prescaled (`prescale_burst`): a dimension with no
     admissible pair constant at some level raises ContractViolation, and
@@ -225,13 +227,10 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
         return SubjectZoom(pairs, None, None, None, None, None, None, None, None)
     n_pairs, d = len(pairs), config.D
 
-    # per level, the (P, D) medians of curvature and of the two thresholds
-    level_stats: tuple[list[np.ndarray], ...] = ([], [], [])
-    fallback_vectors = np.zeros(n_pairs, dtype=np.int64)
     prev = np.array([p for p, _ in pairs])
     cur = prev + stride
     stack = np.stack([b.values for b in bursts])            # (B, N, D)
-
+    changes, ranks = [], []                                 # per level, (P, D, N_l)
     for li, n_l in enumerate(counts):
         if li > 0:
             stack = _coarsen(stack, config.aggregation_factor)
@@ -242,30 +241,31 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
                 f"dimension {dim} of burst {bursts[b].burst_index} has no admissible pair "
                 f"constant at the {n_l}-point level; zoom_profile needs prescaled bursts"
             )
-        dh = delta_borda(state.borda[cur], state.borda[prev])       # (P, D, N_l)
-        dh_points = dh.transpose(1, 0, 2).reshape(d, -1)
-        r_points = state.borda.R[cur].transpose(1, 0, 2).reshape(d, -1)
-        roots_all = solve_roots(r_points, dh_points, config)
-        kappa_all = curvature_tensor(dh_points, roots_all)  # (P * N_l, 2**(D-1), D)
-        kappa = kappa_all.reshape(n_pairs, n_l, -1, d)
-
-        thresholds = update_thresholds(roots_all, frames=n_pairs)
-        # the kappa median over the stored branches is the one over all 2**D
-        level_stats[0].append(median(kappa.reshape(n_pairs, -1, d), axis=1))
-        level_stats[1].append(median(thresholds.kappa_short, axis=1, mask=thresholds.defined))
-        level_stats[2].append(median(thresholds.kappa_long, axis=1, mask=thresholds.defined))
-        fallback_vectors += np.count_nonzero(
-            roots_all.convergence.reshape(n_pairs, -1) == Convergence.FALLBACK, axis=1
-        )
+        changes.append(delta_borda(state.borda[cur], state.borda[prev]))
+        ranks.append(state.borda.R[cur])
         if li == 0:
-            finest = dict(
-                current_state=state[cur],
-                dh=dh,
-                roots=roots_all,
-                kappa_median=median(kappa, axis=2),         # (P, N, D)
-                thresholds=thresholds,
-            )
+            current_state = state[cur]
 
+    # Each pair's points of every level side by side, pair-major, go
+    # through one root solve, one curvature evaluation and one threshold
+    # call; all three work point by point, so the batch leaves the bits of
+    # each point as they are.
+    total = sum(counts)
+    dh_points = np.concatenate(changes, axis=2).transpose(1, 0, 2).reshape(d, -1)
+    r_points = np.concatenate(ranks, axis=2).transpose(1, 0, 2).reshape(d, -1)
+    roots = solve_roots(r_points, dh_points, config)
+    kappa = curvature_tensor(dh_points, roots).reshape(n_pairs, total, -1, d)
+    thresholds = update_thresholds(roots, frames=n_pairs)   # (P, total, D)
+
+    ends = np.cumsum(counts).tolist()
+    levels = [slice(end - n_l, end) for end, n_l in zip(ends, counts)]
+    short, long_, defined = thresholds.kappa_short, thresholds.kappa_long, thresholds.defined
+    level_stats = ([], [], [])   # per level, the (P, D) medians of curvature and both thresholds
+    for lv in levels:
+        # the kappa median over the stored branches is the one over all 2**D
+        level_stats[0].append(median(kappa[:, lv].reshape(n_pairs, -1, d), axis=1))
+        level_stats[1].append(median(short[:, lv], axis=1, mask=defined[:, lv]))
+        level_stats[2].append(median(long_[:, lv], axis=1, mask=defined[:, lv]))
     per_dim = [np.stack(stats, axis=1) for stats in level_stats]   # (P, L, D)
     factor = config.aggregation_factor
     kappa_c, ltilde_c, long_c = (median(v, axis=2, mask=np.isfinite(v)) for v in per_dim)
@@ -279,13 +279,19 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
         inv_l_per_dim=per_dim[2],
         inv_l_combined=long_c,
     )
-    # kappa now belongs to the coarsest level
+    fallback = np.count_nonzero(roots.convergence.reshape(n_pairs, -1) == Convergence.FALLBACK, axis=1)
+    finest = levels[0]
+    points = (np.arange(n_pairs)[:, None] * total + np.arange(counts[0])).ravel()
     return SubjectZoom(
         pairs=pairs,
         profile=profile,
-        rc=residual_curvature(kappa),
-        fallback_fraction=fallback_vectors / (sum(counts) * 2 ** d),
-        **finest,
+        rc=residual_curvature(kappa[:, levels[-1]]),
+        fallback_fraction=fallback / (total * 2 ** d),
+        current_state=current_state,
+        dh=changes[0],
+        roots=LengthScaleRoots(*(getattr(roots, f.name)[points] for f in fields(roots))),
+        kappa_median=median(kappa[:, finest], axis=2),     # (P, N, D)
+        thresholds=ThresholdUpdate(short[:, finest], long_[:, finest], defined[:, finest]),
     )
 
 

@@ -6,7 +6,8 @@ intersection, the damped iteration in place of the closed-form root, all
 2**D signed root vectors in place of the stored half, one unblocked
 dimension at a time in place of row blocks, one burst at a time in place
 of the stacked levels, one frame pair at a time in place of the batched
-zoom-out tail, values cleaned into Python types and passed to json.dumps
+zoom-out tail, one root solve per zoom level in place of one per subject,
+values cleaned into Python types and passed to json.dumps
 in place of the array-reading JSON writer, one numpy scalar per CSV field
 in place of row lists, one xyzm data line at a time in place of a burst at
 a time) so that agreement is meaningful
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ddp.config import PipelineConfig
-from ddp.curvature import ThresholdUpdate, curvature_tensor
+from ddp.curvature import ThresholdUpdate, curvature_tensor, median, update_thresholds
 from ddp.errors import (
     ContractViolation,
     GroupUnavailable,
@@ -57,8 +58,11 @@ from ddp.zoomout import (
     ResidualCurvatureRecord,
     SubjectZoom,
     ZoomProfile,
+    _coarsen,
     aggregate,
+    frame_level_state,
     line_polyline_intersections,
+    residual_curvature,
 )
 
 _MAG_HIGH = 1e150
@@ -778,6 +782,73 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
         )
         for pi, (pair, (dh_pi, roots, kappa_median, thresholds)) in enumerate(zip(pairs, finest))
     ]
+
+
+def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
+    """zoom_profile with one root solve, curvature and threshold call per level.
+
+    The level loop of the stacked zoom-out before its levels shared one
+    root solve: each level's Borda changes go through their own
+    ``solve_roots``, ``curvature_tensor`` and ``update_thresholds`` calls,
+    and the finest level's results are kept as they come.  The package's
+    single solve over every level must give the same bits.
+    """
+    counts = config.zoom_point_counts()
+    stride = config.stride_n
+    pairs = [(t - stride, t) for t in range(stride, len(bursts))]
+    if not pairs:
+        return SubjectZoom(pairs, None, None, None, None, None, None, None, None)
+    n_pairs, d = len(pairs), config.D
+    level_stats = ([], [], [])
+    fallback_vectors = np.zeros(n_pairs, dtype=np.int64)
+    prev = np.array([p for p, _ in pairs])
+    cur = prev + stride
+    stack = np.stack([b.values for b in bursts])
+    for li, n_l in enumerate(counts):
+        if li > 0:
+            stack = _coarsen(stack, config.aggregation_factor)
+        state = frame_level_state(stack, config)
+        if state.unfittable.any():
+            raise ContractViolation(f"an unfittable dimension at the {n_l}-point level")
+        dh = delta_borda(state.borda[cur], state.borda[prev])
+        dh_points = dh.transpose(1, 0, 2).reshape(d, -1)
+        r_points = state.borda.R[cur].transpose(1, 0, 2).reshape(d, -1)
+        roots_all = solve_roots(r_points, dh_points, config)
+        kappa = curvature_tensor(dh_points, roots_all).reshape(n_pairs, n_l, -1, d)
+        thresholds = update_thresholds(roots_all, frames=n_pairs)
+        level_stats[0].append(median(kappa.reshape(n_pairs, -1, d), axis=1))
+        level_stats[1].append(median(thresholds.kappa_short, axis=1, mask=thresholds.defined))
+        level_stats[2].append(median(thresholds.kappa_long, axis=1, mask=thresholds.defined))
+        fallback_vectors += np.count_nonzero(
+            roots_all.convergence.reshape(n_pairs, -1) == Convergence.FALLBACK, axis=1
+        )
+        if li == 0:
+            finest = dict(
+                current_state=state[cur],
+                dh=dh,
+                roots=roots_all,
+                kappa_median=median(kappa, axis=2),
+                thresholds=thresholds,
+            )
+    per_dim = [np.stack(stats, axis=1) for stats in level_stats]
+    kappa_c, ltilde_c, long_c = (median(v, axis=2, mask=np.isfinite(v)) for v in per_dim)
+    profile = ZoomProfile(
+        point_count=np.array(counts),
+        x_coordinate=np.array([float(config.aggregation_factor ** li) for li in range(len(counts))]),
+        kappa_per_dim=per_dim[0],
+        kappa_combined=kappa_c,
+        inv_ltilde_per_dim=per_dim[1],
+        inv_ltilde_combined=ltilde_c,
+        inv_l_per_dim=per_dim[2],
+        inv_l_combined=long_c,
+    )
+    return SubjectZoom(
+        pairs=pairs,
+        profile=profile,
+        rc=residual_curvature(kappa),
+        fallback_fraction=fallback_vectors / (sum(counts) * 2 ** d),
+        **finest,
+    )
 
 
 def critical_chain_lengths_oracle(profile: ZoomProfile, config: PipelineConfig):

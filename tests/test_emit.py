@@ -30,9 +30,12 @@ from ddp.cli import main
 from ddp.curvature import classify_frame
 from ddp.lengthscale import LengthScaleRoots
 from ddp.pipeline import _dump_header, _roots_rows
+import ddp.report
 from ddp.report import (
     _group_stats_json,
     csv_field,
+    csv_num,
+    csv_nums,
     group_stats,
     group_stats_csv,
     json_text,
@@ -112,6 +115,66 @@ def test_json_text_rejects_what_json_dumps_rejects(bad):
             json_text_oracle(value)
         with pytest.raises(TypeError):
             json_text(value)
+
+
+_REPEATED = (0.5, -2.25, 1e300, 0.1, 5e-324)
+_MIXED_LISTS = {
+    "repeats with zeros": [0.5, 0.0, 0.5, -0.0, 0.5, -0.0, 0.0, 0.5],
+    "repeats with non-finite": [0.5, math.nan, 0.5, math.inf, -math.inf, math.nan, 0.5, math.inf],
+    "repeats with all": [0.1, 0.0, math.nan, 0.1, -0.0, -math.inf, 0.1, math.inf] * 3,
+    "one item": [0.25],
+    "one zero": [-0.0],
+    "one nan": [math.nan],
+    "all equal": [0.1] * 16,
+    "all equal zeros": [-0.0] * 16,
+    "all equal inf": [-math.inf] * 16,
+    "each twice": [v for v in _REPEATED for _ in range(2)],
+    "int among repeats": [1.0, 1.0, 1, 1.0],
+    "float64 among repeats": [0.5, 0.5, np.float64(0.5), 0.5],
+}
+
+
+@pytest.mark.parametrize("values", _MIXED_LISTS.values(), ids=_MIXED_LISTS.keys())
+def test_float_lists_with_repeats_match_the_oracles(values):
+    """Each distinct float is formatted once, and the text stays that of
+    one repr per item: 0.0 and -0.0 (which are equal keys), NaN, inf, and
+    items that are not floats but equal to one keep their own text."""
+    for value in (values, tuple(values), {"k": values}, [values, values]):
+        assert json_text(value) == json_text_oracle(value)
+    if all(type(v) is float for v in values):
+        assert json_text(np.array(values)) == json_text_oracle(np.array(values))
+        assert csv_nums(values) == [csv_num(v) for v in values]
+
+
+def test_bool_among_repeated_floats_keeps_its_text():
+    value = [1.0, 1.0, True, 1.0, 0.5, 0.5]   # True == 1.0 would share its key
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@given(st.lists(st.sampled_from(SPECIAL_FLOATS + _REPEATED) | st.floats(), max_size=48))
+@settings(max_examples=200, deadline=None)
+def test_float_lists_match_the_oracles(values):
+    assert json_text(values) == json_text_oracle(values)
+    assert csv_nums(values) == [csv_num(v) for v in values]
+
+
+def test_repeated_floats_are_formatted_once(monkeypatch):
+    """A list of 16 copies each of 9 values, as a subject's RC values hold
+    its medians, takes 9 reprs; a list with a zero takes one per item."""
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return float.__repr__(v)
+
+    monkeypatch.setattr(ddp.report, "_float_repr", counted)
+    values = [0.1 * k for k in range(1, 10) for _ in range(16)]
+    assert json_text(values) == json_text_oracle(values)
+    assert len(calls) == 9
+    expected = [csv_num(v) for v in values + [0.0]]
+    calls.clear()
+    assert csv_nums(values + [0.0]) == expected
+    assert len(calls) == len(values) + 1
 
 
 def test_json_text_rejects_non_str_keys():

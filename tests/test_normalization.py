@@ -336,6 +336,51 @@ def test_build_field_stack_covers_ragged_unfittable_and_zeroed_lanes(block_cells
     assert field.margin_zeroed.any()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 9, 27, 81])
+@pytest.mark.parametrize("group", [2, 3, None])
+@pytest.mark.parametrize("epsilon", [1e-9, 0.5, 0.75])
+def test_build_field_grouped_lanes_match_per_frame_oracle(cpus, n, group, epsilon):
+    """Lanes whose whole triangles fit one block go together, each triangle
+    gathered pair by pair, at the served shapes and on tiny triangles.
+
+    ``group`` patches the block so that it holds that many triangles (None
+    keeps the default).  From an epsilon of 0.5 on, the root s1 >= 0.5
+    can fail the guard too.  Uniform values leave the lanes' admitted
+    counts ragged, and at N = 2 most lanes unfittable.
+    """
+    stack = np.random.default_rng(n).uniform(-1.0, 1.0, (10, n, 4))
+    block_cells = normalization._BLOCK_CELLS if group is None else group * (n - 1) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalization, "_usable_cpus", lambda: cpus)
+        calls = _record_tasks(mp)
+        field = _assert_stack_matches_per_frame_oracle(stack, epsilon, block_cells)
+    lanes = field.n_dims
+    per_group = block_cells // (n - 1) ** 2
+    assert per_group > 1
+    kinds = collections.Counter(k for k, _ in calls)
+    assert kinds["_group_stats"] == kinds["_fit_datum"] == -(-lanes // per_group)   # one block a group
+    assert {t for _, t in calls} == {threading.current_thread()}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [9, 27, 81])
+def test_build_field_grouped_lane_holding_inf_matches_oracle(cpus, n):
+    """A grouped lane's pairs with an infinite value are excluded from its
+    datum, whichever group and block position the lane takes."""
+    stack = np.random.default_rng(30 + n).uniform(-1.0, 1.0, (10, n, 4))
+    stack[3, 5, 1] = np.inf
+    stack[6, 0, 2] = -np.inf
+    stack[6, n - 1, 3] = np.inf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalization, "_usable_cpus", lambda: cpus)
+        field = _assert_stack_matches_per_frame_oracle(stack, 1e-9, normalization._BLOCK_CELLS)
+    infinite = [3 * 4 + 1, 6 * 4 + 2, 6 * 4 + 3]
+    assert np.isfinite(field.datum[infinite]).all()
+    assert (field.fit_excluded_fraction[infinite] > 0.0).all()
+    assert np.isnan(field.borda[infinite]).any(axis=1).all()
+
+
 _TASKS = ("_fit_datum", "_group_stats", "_sum_margins")
 
 
@@ -650,18 +695,21 @@ def test_build_field_rejects_unequal_frames():
 
 
 def test_build_field_reuses_its_pages():
-    """Each thread's block temporaries are one scratch per call, not fresh
-    arrays per block, so repeated calls touch no new pages."""
+    """Each thread's block temporaries, the gathered triangle operands and
+    the copied margin operands included, are one scratch per call, not
+    fresh arrays per block, so repeated calls touch no new pages, at each
+    zoom level's shape."""
     resource = pytest.importorskip("resource")
-    values = np.random.default_rng(16).uniform(-1.0, 1.0, (10, 81, 4))
-    build_field(values)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(10):
+    for n in (81, 27, 9):
+        values = np.random.default_rng(16).uniform(-1.0, 1.0, (10, n, 4))
         build_field(values)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    if faults == 0 and before == 0:
-        pytest.skip("this platform does not count minor page faults")
-    assert faults < 200
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            build_field(values)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        if faults == 0 and before == 0:
+            pytest.skip("this platform does not count minor page faults")
+        assert faults < 200, n
 
 
 def test_build_field_working_set_is_bounded():

@@ -22,9 +22,10 @@ from ddp import (
     synthesize,
     zoom_profile,
 )
+import ddp.zoomout as zoomout
 from ddp.curvature import classify_frame, curvature_tensor
 from ddp.ingest import prescale_burst
-from ddp.lengthscale import LengthScaleRoots, branch_layout
+from ddp.lengthscale import LengthScaleRoots, branch_layout, solve_roots
 from ddp.report import report_json
 from ddp.zoomout import (
     ZoomProfile,
@@ -38,6 +39,7 @@ from oracles import (
     pair_zoom,
     residual_curvature_oracle,
     segment_line_intersections_oracle,
+    zoom_profile_levels_oracle,
     zoom_profile_oracle,
 )
 from test_golden import _same_bits
@@ -233,6 +235,44 @@ def test_batched_tail_matches_per_pair_oracle(d, n, kinds, stride, prescale, see
         assert (gti_g.chain_max_length, gti_g.energy_drop_fraction, gti_g.triggered, gti_g.imminent) == (
             gti_w.chain_max_length, gti_w.energy_drop_fraction, gti_w.triggered, gti_w.imminent
         )
+
+
+def _prescaled_subjects(profile, cfg, n_bursts):
+    ds = synthesize(profile, cfg, n_bursts=n_bursts, n_subjects=2)
+    return [[prescale_burst(b)[0] for b in ds.bursts_for(sid)] for sid in ds.subjects()]
+
+
+@pytest.mark.parametrize("profile", ["stable", "burst", "drift"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_single_root_solve_matches_per_level_solves_bitwise(profile, stride):
+    """Every level's points of a pair in one root solve, curvature and
+    threshold call give the bits of one call of each per level: every
+    SubjectZoom array, the finest level's roots and thresholds included."""
+    cfg = PipelineConfig(seed=7, stride_n=stride)
+    for bursts in _prescaled_subjects(profile, cfg, 6):
+        _same_bits(zoom_profile(bursts, cfg), zoom_profile_levels_oracle(bursts, cfg), "zoom")
+
+
+def test_single_root_solve_matches_per_level_solves_at_243_points():
+    cfg = PipelineConfig(seed=11, N=243)
+    for bursts in _prescaled_subjects("burst", cfg, 4):
+        _same_bits(zoom_profile(bursts, cfg), zoom_profile_levels_oracle(bursts, cfg), "zoom")
+
+
+@pytest.mark.parametrize("n, n_bursts", [(81, 6), (243, 3), (9, 2)])
+def test_zoom_profile_solves_roots_once(monkeypatch, n, n_bursts):
+    cfg = PipelineConfig(seed=7, N=n)
+    bursts = _prescaled_subjects("stable", cfg, n_bursts)[0]
+    points = []
+
+    def counted(*args):
+        roots = solve_roots(*args)
+        points.append(roots.n_points)
+        return roots
+
+    monkeypatch.setattr(zoomout, "solve_roots", counted)
+    zoom_profile(bursts, cfg)
+    assert points == [(n_bursts - 1) * sum(cfg.zoom_point_counts())]
 
 
 def test_unprescaled_unfittable_bursts_raise_but_analyze_prescales():
