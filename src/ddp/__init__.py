@@ -32,7 +32,7 @@ from .ingest import (
     SubjectMeta,
     emit_xyzm,
     parse_xyzm,
-    parse_xyzm_file,
+    parse_xyzm_files,
     prescale_burst,
     synthesize,
 )

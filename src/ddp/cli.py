@@ -24,7 +24,7 @@ from .ingest import (
     SYNTH_PROFILES,
     Dataset,
     emit_xyzm,
-    parse_xyzm_file,
+    parse_xyzm_files,
     synthesize,
 )
 from .pipeline import DUMP_KINDS, analyze_dataset
@@ -84,29 +84,7 @@ def _load_inputs(path_str: str, config: PipelineConfig) -> Dataset:
         if not path.exists():
             raise DdpError(f"input {path} does not exist")
         files = [path]
-    merged_bursts = []
-    merged_meta = {}
-    next_index: dict[str, int] = {}
-    for f in files:
-        ds = parse_xyzm_file(f, config)
-        for sid in ds.subjects():
-            # a subject continuing across files: shift its burst indices and the
-            # keys of its #com entries alike, so both keep increasing
-            shift = next_index.get(sid, 0)
-            for burst in ds.bursts_for(sid):
-                burst.burst_index += shift
-                merged_bursts.append(burst)
-            next_index[sid] = merged_bursts[-1].burst_index + 1
-            meta = ds.metadata[sid]
-            meta.com_displacement = {k + shift: v for k, v in meta.com_displacement.items()}
-            if sid in merged_meta:
-                old = merged_meta[sid]
-                old.com_displacement.update(meta.com_displacement)
-                if not meta.mass_defaulted:
-                    old.mass, old.mass_defaulted = meta.mass, False
-            else:
-                merged_meta[sid] = meta
-    return Dataset(bursts=merged_bursts, metadata=merged_meta)
+    return parse_xyzm_files(files, config)
 
 
 def _cmd_analyze(args) -> int:

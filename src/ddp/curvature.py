@@ -87,17 +87,18 @@ def update_thresholds(roots: LengthScaleRoots, frames: int = 1) -> ThresholdUpda
     """Short- and long-term curvature thresholds of consecutive frame pairs.
 
     `roots` holds `frames` frame pairs of equal length, point-major and in
-    time order.  The per-point magnitude statistic is the median of |x|
-    across the stored branches (equal to that across all 2**D), taken for
-    all pairs in one call; the running mean starts empty and then advances
-    pair by pair, so a pair's long-term threshold sees only the pairs up to
-    and including it.  Sentinel dimensions contribute nothing: thresholds
-    stay undefined there and the running mean is not advanced.
+    time order (zero frames hold zero points).  The per-point magnitude
+    statistic is the median of |x| across the stored branches (equal to
+    that across all 2**D), taken for all pairs in one call; the running
+    mean starts empty and then advances pair by pair, so a pair's long-term
+    threshold sees only the pairs up to and including it.  Sentinel
+    dimensions contribute nothing: thresholds stay undefined there and the
+    running mean is not advanced.
     """
     total, d = roots.sentinel.shape
-    if frames < 1 or total % frames:
+    n = total // max(frames, 1)
+    if frames < 0 or frames * n != total:
         raise ContractViolation(f"{total} points do not split into {frames} frame pairs")
-    n = total // frames
 
     magnitude = median(np.abs(roots.roots), axis=1).reshape(frames, n, d)  # inf on sentinels
     defined = np.isfinite(magnitude)

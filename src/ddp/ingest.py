@@ -14,7 +14,8 @@ with ``#`` are comments; the recognized directives are
                        subsequent bursts until changed; ``#com none`` clears
 
 Directive values take effect for bursts that begin after the directive.
-Unknown directives are treated as comments.
+Unknown directives are treated as comments.  `parse_xyzm_files` reads
+several files, in order, as one input.
 """
 
 from __future__ import annotations
@@ -182,11 +183,45 @@ def parse_xyzm(stream: TextIO | Iterable[str] | str, config: PipelineConfig) -> 
     lines are checked one by one, so the first bad line raises, as it would
     line by line.
     """
-    d, n = config.D, config.N
-    bursts: list[DataBurst] = []
-    metadata: dict[str, SubjectMeta] = {}
-    counters: dict[str, int] = {}
+    bursts, metadata, counters = [], {}, {}
+    _read(stream, config, bursts, metadata, counters)
+    return _dataset(bursts, metadata, counters)
 
+
+def parse_xyzm_files(paths: Iterable, config: PipelineConfig) -> Dataset:
+    """Parse xyzm files, in order, into one Dataset as if they were one stream.
+
+    Each file starts from the default directives: subject, ``#dt``,
+    ``#group`` and ``#com``.  Burst numbering and metadata carry over, so a
+    subject continued in a later file keeps counting its bursts and keeps
+    its ``#mass``.  An error names its file in front of the message.
+    """
+    bursts, metadata, counters = [], {}, {}
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                _read(fh, config, bursts, metadata, counters)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+            except ParseError as exc:   # keeps its type and line_number
+                exc.args = (f"{path}: {exc}",)
+                raise
+    return _dataset(bursts, metadata, counters)
+
+
+def _dataset(bursts, metadata, counters) -> Dataset:
+    for sid, meta in metadata.items():
+        if meta.mass_defaulted and counters.get(sid):
+            log.warning("subject %s has no #mass directive; defaulting to 1.0 kg", sid)
+    return Dataset(bursts=bursts, metadata=metadata)
+
+
+def _read(stream, config, bursts, metadata, counters) -> None:
+    """Append one stream's bursts, read from the default directives on.
+
+    ``counters`` (bursts per subject) and ``metadata`` carry over between calls.
+    """
+    d, n = config.D, config.N
     subject = DEFAULT_SUBJECT
     dt = 1.0
     group = "unlabeled"
@@ -295,19 +330,6 @@ def parse_xyzm(stream: TextIO | Iterable[str] | str, config: PipelineConfig) -> 
         except ParseError as earlier:   # a bad data line of the pending burst comes first
             raise earlier from None
         raise
-
-    for sid, meta in metadata.items():
-        if meta.mass_defaulted and counters.get(sid):
-            log.warning("subject %s has no #mass directive; defaulting to 1.0 kg", sid)
-    return Dataset(bursts=bursts, metadata=metadata)
-
-
-def parse_xyzm_file(path, config: PipelineConfig) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_xyzm(fh, config)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _fmt(x: float) -> str:

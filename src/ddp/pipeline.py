@@ -66,38 +66,36 @@ def analyze_subject(
         factors.append(div)
 
     zoom = zoom_profile(scaled, config)
-    if not zoom.pairs:
-        return _assemble_report(subject_id, bursts, meta, factors, None, config), dump_rows
     th = zoom.thresholds
     cls = classify_frame(
         zoom.kappa_median, th.kappa_short, th.kappa_long, th.defined, zoom.dh.swapaxes(1, 2)
     )
     # one call of each per pair: chains, critical lengths, GTI, escalation
     rc_combined = zoom.rc.rc_combined.tolist()
-    decisions = []
-    for p in range(len(zoom.pairs)):
+    n_pairs = len(zoom.previous)
+    criticals = np.empty((n_pairs, 2))
+    categories = np.empty((n_pairs, config.N), dtype=int)
+    chains, gtis = [], []
+    for p in range(n_pairs):
         found = detect_chains(cls.categories[p], cls.jointly_unstable[p])
-        crit = critical_chain_lengths(zoom.profile[p], config)
-        decisions.append((
-            found, crit, gti(rc_combined[:p + 1], found, crit, config.drop_threshold),
-            escalate_chain_categories(cls.categories[p], found, *crit),
-        ))
-    chains, criticals, gtis, categories = zip(*decisions)
-    categories = np.array(categories)    # (P, N)
-    critical_short, critical_long = np.array(criticals).T
-    previous, current = np.array([[scaled[i].burst_index for i in pair] for pair in zoom.pairs]).T
+        criticals[p] = crit = critical_chain_lengths(zoom.profile[p], config)
+        chains.append(found)
+        gtis.append(gti(rc_combined[:p + 1], found, crit, config.drop_threshold))
+        categories[p] = escalate_chain_categories(cls.categories[p], found, *crit)
+    burst_index = np.array([b.burst_index for b in scaled], dtype=int)   # (B,)
+    dt = np.array([b.dt for b in scaled])
     table = FrameResult(
-        previous_burst_index=previous,
-        current_burst_index=current,
-        dt_span=np.array([config.stride_n * scaled[i].dt for _, i in zoom.pairs]),
+        previous_burst_index=burst_index[zoom.previous],
+        current_burst_index=burst_index[zoom.current],
+        dt_span=config.stride_n * dt[zoom.current],
         datum=zoom.current_state.datum,
         datum_residual=zoom.current_state.datum_residual,
         rc=zoom.rc,
-        critical_short=critical_short,
-        critical_long=critical_long,
-        gti=list(gtis),
+        critical_short=criticals[:, 0],
+        critical_long=criticals[:, 1],
+        gti=gtis,
         categories=categories,
-        chains=list(chains),
+        chains=chains,
         mixed_disjoint=cls.mixed_disjoint,
         fallback_fraction=zoom.fallback_fraction,
         fit_excluded_fraction=zoom.current_state.fit_excluded_fraction,
@@ -105,17 +103,17 @@ def analyze_subject(
         profile=zoom.profile,
     )
     if dumps:
-        _write_dumps(dump_rows, csv_field(subject_id), current, zoom, cls, categories)
-    return _assemble_report(subject_id, bursts, meta, factors, table, config), dump_rows
+        _write_dumps(dump_rows, csv_field(subject_id), zoom, cls, table)
+    return _assemble_report(subject_id, bursts, meta, factors, table), dump_rows
 
 
-def _write_dumps(rows, subject_field, bursts, zoom, cls, categories):
+def _write_dumps(rows, subject_field, zoom, cls, table):
     """Append the dump rows of every frame pair of one subject, in pair order.
 
-    subject_field is the CSV-quoted subject id and bursts the (P,) current
-    burst indices.  Each table is formatted from its (P, ...) columns.
+    subject_field is the CSV-quoted subject id and table the subject's
+    FrameResult.  Each table is formatted from its (P, ...) columns.
     """
-    heads = [f"{subject_field},{b}," for b in bursts.tolist()]
+    heads = [f"{subject_field},{b}," for b in table.current_burst_index.tolist()]
     _, d, n = zoom.dh.shape
     if "borda" in rows:
         borda = zoom.current_state.borda
@@ -131,7 +129,7 @@ def _write_dumps(rows, subject_field, bursts, zoom, cls, categories):
         rows["roots"].extend(_roots_rows(points, zoom.roots))
     if "pdi" in rows:
         flags = zip(
-            product(heads, range(n)), categories.ravel().tolist(),
+            product(heads, range(n)), table.categories.ravel().tolist(),
             cls.short_unstable.reshape(-1, d).tolist(), cls.long_unstable.reshape(-1, d).tolist(),
             cls.mode_mixity.ravel().tolist(), cls.mixed_disjoint.ravel().tolist(),
         )
@@ -188,18 +186,13 @@ def _negated(text: str) -> str:
     return text if text == "nan" else "-" + text
 
 
-def _assemble_report(subject_id, bursts, meta, factors, table, config):
-    if table is None:
-        rc_values_per_dim = [np.empty(0) for _ in range(config.D)]
-        histogram: dict[int, int] = {}
-    else:
-        # each dimension's finite rc values, pair-major; boolean indexing copies them
-        rc_values_per_dim = [col[np.isfinite(col)] for col in table.rc.rc.swapaxes(0, 1)]
-        histogram = table.pdi_counts
+def _assemble_report(subject_id, bursts, meta, factors, table):
+    # each dimension's finite rc values, pair-major; boolean indexing copies them
+    rc_values_per_dim = [col[np.isfinite(col)] for col in table.rc.rc.swapaxes(0, 1)]
     rc_median_per_dim = np.array(
         [float(np.median(v)) if v.size else float("nan") for v in rc_values_per_dim]
     )
-    pooled = np.concatenate(rc_values_per_dim) if rc_values_per_dim else np.empty(0)
+    pooled = np.concatenate(rc_values_per_dim)   # D >= 1 columns, empty when P = 0
     rc_combined_median = float(np.median(pooled)) if pooled.size else float("nan")
 
     boxplots = [
@@ -208,12 +201,11 @@ def _assemble_report(subject_id, bursts, meta, factors, table, config):
     modulation_iqr = [b.iqr if b is not None else None for b in boxplots]
 
     amplitudes: dict[int, float] = {}
-    if meta.com_displacement and table is not None:
-        for burst, rc in zip(table.current_burst_index.tolist(), table.rc.rc_per_dim):
-            com = meta.com_displacement.get(burst)
-            if com is None or not np.all(np.isfinite(rc)):
-                continue
-            amplitudes[burst] = energy_exchange_amplitude(rc, com, meta.mass)
+    for burst, rc in zip(table.current_burst_index.tolist(), table.rc.rc_per_dim):
+        com = meta.com_displacement.get(burst)
+        if com is None or not np.all(np.isfinite(rc)):
+            continue
+        amplitudes[burst] = energy_exchange_amplitude(rc, com, meta.mass)
 
     return SubjectReport(
         subject_id=subject_id,
@@ -226,7 +218,7 @@ def _assemble_report(subject_id, bursts, meta, factors, table, config):
         rc_values_per_dim=rc_values_per_dim,
         rc_median_per_dim=rc_median_per_dim,
         rc_combined_median=rc_combined_median,
-        pdi_histogram=histogram,
+        pdi_histogram=table.pdi_counts,
         boxplot_per_dim=boxplots,
         modulation_iqr_per_dim=modulation_iqr,
         energy_exchange_amplitudes=amplitudes,

@@ -348,7 +348,7 @@ class SubjectReport:
     mass_defaulted: bool
     n_bursts: int
     prescale_factors: list[np.ndarray]
-    frame_table: FrameResult | None      # None when the subject has no frame pair
+    frame_table: FrameResult             # P = 0 when the subject has no frame pair
     rc_values_per_dim: list[np.ndarray]
     rc_median_per_dim: np.ndarray
     rc_combined_median: float
@@ -361,8 +361,7 @@ class SubjectReport:
     @property
     def frames(self) -> list[FrameResult]:
         """One FrameResult per frame pair, each a view into `frame_table`."""
-        table = self.frame_table
-        return [] if table is None else [table[p] for p in range(len(table.categories))]
+        return [self.frame_table[p] for p in range(len(self.frame_table.categories))]
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +460,12 @@ _FRAME_KEYS = (
 )
 
 
-def _frames_json(t: FrameResult | None) -> list[dict]:
+def _frames_json(t: FrameResult) -> list[dict]:
     """The report's frame objects, built column by column from a subject's frame table.
 
     The fields of GtiRecord, Chain and ZoomProfile are in the order of
     their objects' keys in the report.
     """
-    if t is None:
-        return []
     level_keys = [f.name for f in fields(t.profile)]
     ladder = t.profile.point_count.tolist(), t.profile.x_coordinate.tolist()
     stats = [getattr(t.profile, name).tolist() for name in level_keys[2:]]
@@ -603,14 +600,12 @@ def roots_table_csv(reports: list[SubjectReport]) -> str:
     lines = ["subject_id,group_label,burst_index,dimension,root_index,rc"]
     for rep in reports:
         t = rep.frame_table
-        if t is None:
-            continue
         subject = f"{csv_field(rep.subject_id)},{csv_field(rep.group_label)},"
         heads = [
             f"{subject}{burst},{dim},"
             for burst in t.current_burst_index.tolist() for dim in range(t.rc.rc.shape[1])
         ]
-        for head, row in zip(heads, t.rc.rc.reshape(len(heads), -1).tolist()):
+        for head, row in zip(heads, t.rc.rc.reshape(len(heads), t.rc.rc.shape[2]).tolist()):
             lines.extend([f"{head}{ri},{text}" for ri, text in enumerate(csv_nums(row))])
     return "\n".join(lines) + "\n"
 

@@ -181,19 +181,20 @@ class ResidualCurvatureRecord:
 class SubjectZoom:
     """The zoom-out analysis of every frame pair (t - stride, t) of one subject.
 
-    Every per-pair result has the P pairs in front, in pair order.  All but
-    `pairs` are None when the subject has no frame pair.
+    Every per-pair result has the P pairs in front, in pair order; a
+    subject with at most `stride` bursts has P = 0 and empty columns.
     """
 
-    pairs: list[tuple[int, int]]         # (previous, current) indices into the burst list
-    profile: ZoomProfile | None
-    rc: ResidualCurvatureRecord | None
-    fallback_fraction: np.ndarray | None    # (P,)
-    current_state: FrameLevelState | None   # the current bursts, (P, D, N) counts and ranks
-    dh: np.ndarray | None                   # (P, D, N)
-    roots: LengthScaleRoots | None          # P * N points, pair-major
-    kappa_median: np.ndarray | None         # (P, N, D)
-    thresholds: ThresholdUpdate | None      # (P, N, D)
+    previous: np.ndarray                 # (P,) positions in the burst list
+    current: np.ndarray                  # (P,) previous + stride
+    profile: ZoomProfile
+    rc: ResidualCurvatureRecord
+    fallback_fraction: np.ndarray        # (P,)
+    current_state: FrameLevelState      # the current bursts, (P, D, N) counts and ranks
+    dh: np.ndarray                       # (P, D, N)
+    roots: LengthScaleRoots              # P * N points, pair-major
+    kappa_median: np.ndarray             # (P, N, D)
+    thresholds: ThresholdUpdate          # (P, N, D)
 
 
 def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom:
@@ -209,8 +210,8 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
     taken from the coarsest level.
 
     The bursts must be prescaled (`prescale_burst`): a dimension with no
-    admissible pair constant at some level raises ContractViolation, and
-    so does a non-finite value.
+    admissible pair constant at some level raises ContractViolation, also
+    in a burst that forms no pair, and so does a non-finite value.
     """
     counts = config.zoom_point_counts()
     for b in bursts:
@@ -221,15 +222,11 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
             )
         if not np.isfinite(b.values).all():
             raise ContractViolation(f"burst {b.burst_index} holds a non-finite value")
-    stride = config.stride_n
-    pairs = [(t - stride, t) for t in range(stride, len(bursts))]
-    if not pairs:
-        return SubjectZoom(pairs, None, None, None, None, None, None, None, None)
-    n_pairs, d = len(pairs), config.D
-
-    prev = np.array([p for p, _ in pairs])
+    n_bursts, d, stride = len(bursts), config.D, config.stride_n
+    prev = np.arange(max(n_bursts - stride, 0))
     cur = prev + stride
-    stack = np.stack([b.values for b in bursts])            # (B, N, D)
+    n_pairs, half = len(prev), 2 ** (d - 1)
+    stack = np.array([b.values for b in bursts], dtype=float).reshape(n_bursts, counts[0], d)
     changes, ranks = [], []                                 # per level, (P, D, N_l)
     for li, n_l in enumerate(counts):
         if li > 0:
@@ -254,16 +251,19 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
     dh_points = np.concatenate(changes, axis=2).transpose(1, 0, 2).reshape(d, -1)
     r_points = np.concatenate(ranks, axis=2).transpose(1, 0, 2).reshape(d, -1)
     roots = solve_roots(r_points, dh_points, config)
-    kappa = curvature_tensor(dh_points, roots).reshape(n_pairs, total, -1, d)
-    thresholds = update_thresholds(roots, frames=n_pairs)   # (P, total, D)
+    kappa = curvature_tensor(dh_points, roots).reshape(n_pairs, total, half, d)
+    thresholds = update_thresholds(roots, frames=n_pairs)
 
     ends = np.cumsum(counts).tolist()
     levels = [slice(end - n_l, end) for end, n_l in zip(ends, counts)]
-    short, long_, defined = thresholds.kappa_short, thresholds.kappa_long, thresholds.defined
+    short, long_, defined = (   # (P, total, D), also when P = 0
+        a.reshape(n_pairs, total, d)
+        for a in (thresholds.kappa_short, thresholds.kappa_long, thresholds.defined)
+    )
     level_stats = ([], [], [])   # per level, the (P, D) medians of curvature and both thresholds
-    for lv in levels:
+    for lv, n_l in zip(levels, counts):
         # the kappa median over the stored branches is the one over all 2**D
-        level_stats[0].append(median(kappa[:, lv].reshape(n_pairs, -1, d), axis=1))
+        level_stats[0].append(median(kappa[:, lv].reshape(n_pairs, n_l * half, d), axis=1))
         level_stats[1].append(median(short[:, lv], axis=1, mask=defined[:, lv]))
         level_stats[2].append(median(long_[:, lv], axis=1, mask=defined[:, lv]))
     per_dim = [np.stack(stats, axis=1) for stats in level_stats]   # (P, L, D)
@@ -279,11 +279,14 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
         inv_l_per_dim=per_dim[2],
         inv_l_combined=long_c,
     )
-    fallback = np.count_nonzero(roots.convergence.reshape(n_pairs, -1) == Convergence.FALLBACK, axis=1)
+    fallback = np.count_nonzero(
+        roots.convergence.reshape(n_pairs, total * 2 ** d) == Convergence.FALLBACK, axis=1
+    )
     finest = levels[0]
     points = (np.arange(n_pairs)[:, None] * total + np.arange(counts[0])).ravel()
     return SubjectZoom(
-        pairs=pairs,
+        previous=prev,
+        current=cur,
         profile=profile,
         rc=residual_curvature(kappa[:, levels[-1]]),
         fallback_fraction=fallback / (total * 2 ** d),

@@ -700,7 +700,7 @@ def pair_zoom(zoom: SubjectZoom, k: int) -> PairZoom:
     n = zoom.dh.shape[2]
     th = zoom.thresholds
     return PairZoom(
-        positions=zoom.pairs[k],
+        positions=(int(zoom.previous[k]), int(zoom.current[k])),
         profile=zoom.profile[k],
         rc=zoom.rc[k],
         fallback_fraction=zoom.fallback_fraction[k],
@@ -729,9 +729,6 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
             raise ContractViolation(f"burst {b.burst_index} has the wrong shape")
     stride = config.stride_n
     pairs = [(t - stride, t) for t in range(stride, len(bursts))]
-    if not pairs:
-        return []
-
     levels = [[] for _ in pairs]
     finest, current_states = [], []
     fallback_vectors = [0] * len(pairs)
@@ -744,6 +741,8 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
         for b, st in zip(level_bursts, states):
             if st.unfittable.any():
                 raise ContractViolation(f"burst {b.burst_index} has an unfittable dimension")
+        if not pairs:
+            continue   # every burst is checked, with or without a pair
         dh = np.stack([delta_borda(states[c].borda, states[p].borda) for p, c in pairs])
         dh_points = dh.transpose(1, 0, 2).reshape(config.D, -1)
         r_points = np.concatenate([states[c].borda.R for _, c in pairs], axis=1)
@@ -794,16 +793,13 @@ def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
     single solve over every level must give the same bits.
     """
     counts = config.zoom_point_counts()
-    stride = config.stride_n
-    pairs = [(t - stride, t) for t in range(stride, len(bursts))]
-    if not pairs:
-        return SubjectZoom(pairs, None, None, None, None, None, None, None, None)
-    n_pairs, d = len(pairs), config.D
+    d, stride = config.D, config.stride_n
+    prev = np.arange(max(len(bursts) - stride, 0))
+    cur = prev + stride
+    n_pairs, half = len(prev), 2 ** (d - 1)
     level_stats = ([], [], [])
     fallback_vectors = np.zeros(n_pairs, dtype=np.int64)
-    prev = np.array([p for p, _ in pairs])
-    cur = prev + stride
-    stack = np.stack([b.values for b in bursts])
+    stack = np.array([b.values for b in bursts], dtype=float).reshape(len(bursts), counts[0], d)
     for li, n_l in enumerate(counts):
         if li > 0:
             stack = _coarsen(stack, config.aggregation_factor)
@@ -814,13 +810,16 @@ def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
         dh_points = dh.transpose(1, 0, 2).reshape(d, -1)
         r_points = state.borda.R[cur].transpose(1, 0, 2).reshape(d, -1)
         roots_all = solve_roots(r_points, dh_points, config)
-        kappa = curvature_tensor(dh_points, roots_all).reshape(n_pairs, n_l, -1, d)
-        thresholds = update_thresholds(roots_all, frames=n_pairs)
-        level_stats[0].append(median(kappa.reshape(n_pairs, -1, d), axis=1))
+        kappa = curvature_tensor(dh_points, roots_all).reshape(n_pairs, n_l, half, d)
+        th = update_thresholds(roots_all, frames=n_pairs)
+        thresholds = ThresholdUpdate(*(   # (P, N_l, D), also when P = 0
+            a.reshape(n_pairs, n_l, d) for a in (th.kappa_short, th.kappa_long, th.defined)
+        ))
+        level_stats[0].append(median(kappa.reshape(n_pairs, n_l * half, d), axis=1))
         level_stats[1].append(median(thresholds.kappa_short, axis=1, mask=thresholds.defined))
         level_stats[2].append(median(thresholds.kappa_long, axis=1, mask=thresholds.defined))
         fallback_vectors += np.count_nonzero(
-            roots_all.convergence.reshape(n_pairs, -1) == Convergence.FALLBACK, axis=1
+            roots_all.convergence.reshape(n_pairs, n_l * 2 ** d) == Convergence.FALLBACK, axis=1
         )
         if li == 0:
             finest = dict(
@@ -843,7 +842,8 @@ def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
         inv_l_combined=long_c,
     )
     return SubjectZoom(
-        pairs=pairs,
+        previous=prev,
+        current=cur,
         profile=profile,
         rc=residual_curvature(kappa),
         fallback_fraction=fallback_vectors / (sum(counts) * 2 ** d),
@@ -940,7 +940,9 @@ def group_stats_oracle(reports, config: PipelineConfig, threshold: float | None 
 
 
 def _clean(x):
-    """Floats become JSON-safe: non-finite maps to None."""
+    """Floats become JSON-safe: non-finite maps to None.  Bools stay bools."""
+    if isinstance(x, bool):   # before int, which bool subclasses
+        return x
     if isinstance(x, (np.floating, float)):
         v = float(x)
         return v if math.isfinite(v) else None

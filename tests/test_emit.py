@@ -60,6 +60,7 @@ SPECIAL_FLOATS = (
 _floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 _scalars = st.one_of(
     st.none(),
+    st.booleans(),
     _floats,
     st.integers(),
     _floats.map(np.float64),

@@ -129,12 +129,12 @@ def test_pair_outcome_ignores_later_bursts(stride):
     ds = synthesize("burst", cfg, n_bursts=6)
     bursts = [prescale_burst(b)[0] for b in ds.bursts]
     full = zoom_profile(bursts, cfg)
-    assert len(full.pairs) == len(bursts) - stride
-    for k in range(len(full.pairs)):
+    assert len(full.previous) == len(bursts) - stride
+    for k in range(len(full.previous)):
         prefix = zoom_profile(bursts[:k + stride + 1], cfg)
-        assert len(prefix.pairs) == k + 1
+        assert len(prefix.previous) == k + 1
         _same_bits(pair_zoom(prefix, k), pair_zoom(full, k), f"pair {k}")
-    assert zoom_profile(bursts[:stride], cfg).pairs == []
+    assert len(zoom_profile(bursts[:stride], cfg).previous) == 0
 
 
 def _freeze() -> None:

@@ -15,7 +15,7 @@ from ddp import (
     analyze_dataset,
     emit_xyzm,
     parse_xyzm,
-    parse_xyzm_file,
+    parse_xyzm_files,
     prescale_burst,
     synthesize,
 )
@@ -55,6 +55,42 @@ def test_malformed_token_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_xyzm(text, CFG9)
     assert err.value.line_number == 4
+
+
+@pytest.mark.parametrize("bad, error, line", [
+    ("0.1 abc 0.3 0.4", ParseError, 5), ("0.1 nan 0.3 0.4", ValidationError, 5),
+])
+def test_file_errors_name_their_file(tmp_path, bad, error, line):
+    paths = [tmp_path / "a.xyzm", tmp_path / "b.xyzm"]
+    paths[0].write_text(_lines(9) + "\n")
+    paths[1].write_text("#subject S\n" + _lines(3) + f"\n{bad}\n")
+    with pytest.raises(ParseError) as err:
+        parse_xyzm_files(paths, CFG9)
+    assert type(err.value) is error and err.value.line_number == line
+    assert str(err.value).startswith(f"{paths[1]}: line {line}: ")
+    with pytest.raises(error, match=f"^line {line}: "):   # one stream: no name to add
+        parse_xyzm(paths[1].read_text(), CFG9)
+
+
+def test_files_parse_as_one_input(tmp_path, caplog):
+    # each file starts from the default directives; burst numbers, #com and
+    # #mass of a subject carry over, and the #mass warning is checked once
+    first = "#subject S\n#mass 70.0\n#dt 0.5\n#com 1 2 3 4\n" + _lines(9) + "\n"
+    second = "#subject S\n" + _lines(9, start=1.0) + "\n#subject T\n" + _lines(9) + "\n"
+    paths = [tmp_path / "a.xyzm", tmp_path / "b.xyzm"]
+    paths[0].write_text(first)
+    paths[1].write_text(second)
+    with caplog.at_level("WARNING", logger="ddp.ingest"):
+        ds = parse_xyzm_files(paths, CFG9)
+    assert [r.getMessage() for r in caplog.records] == [
+        "subject T has no #mass directive; defaulting to 1.0 kg"
+    ]
+    assert [(b.subject_id, b.burst_index, b.dt) for b in ds.bursts] == [
+        ("S", 0, 0.5), ("S", 1, 1.0), ("T", 0, 1.0)
+    ]
+    assert ds.metadata["S"].mass == 70.0 and not ds.metadata["S"].mass_defaulted
+    assert list(ds.metadata["S"].com_displacement) == [0]
+    _same_dataset(parse_xyzm(first + "#dt 1.0\n#com none\n" + second, CFG9), ds)
 
 
 def test_wrong_width_rejected():
@@ -310,7 +346,7 @@ def test_string_input_splits_lines_like_file_input(tmp_path):
     text = "#subject S\r\n" + "\r\n".join(rows + ["1.1 1.2"] * 4) + "\r"
     path = tmp_path / "s.xyzm"
     path.write_bytes(text.encode("utf-8"))
-    from_file = parse_xyzm_file(path, cfg)
+    from_file = parse_xyzm_files([path], cfg)
     assert len(from_file.bursts) == 1
     _same_dataset(parse_xyzm(text, cfg), from_file)
     _same_dataset(parse_xyzm(io.StringIO(text, newline=None), cfg), from_file)

@@ -8,14 +8,18 @@ from ddp import (
     DataBurst,
     Dataset,
     PipelineConfig,
+    SubjectMeta,
     ValidationError,
     analyze_dataset,
+    analyze_subject,
     emit_xyzm,
     solve_roots,
     synthesize,
 )
 import ddp.zoomout
 from ddp.cli import main
+from ddp.pipeline import DUMP_KINDS
+from ddp.report import report_json, roots_table_csv
 
 from oracles import refine_roots_oracle
 
@@ -47,6 +51,27 @@ def test_analyze_subject_without_history_reports_empty():
     assert rep.frames == []
     assert rep.pdi_histogram == {}
     assert np.all(np.isnan(rep.rc_median_per_dim))
+
+
+@pytest.mark.parametrize("stride, n_bursts", [(s, b) for s in (1, 2, 3) for b in range(s + 1)])
+def test_subject_without_frame_pair_reports_empty_columns(stride, n_bursts):
+    """At most `stride` bursts give a frame table of P = 0 through every writer."""
+    cfg = PipelineConfig(seed=5, N=27, stride_n=stride)
+    bursts = synthesize("stable", cfg, n_bursts=max(n_bursts, 1), include_com=True).bursts
+    meta = SubjectMeta(com_displacement={0: np.ones(cfg.D)})
+    rep, rows = analyze_subject("S", bursts[:n_bursts], meta, cfg, dumps=DUMP_KINDS)
+    assert rep.frames == []
+    assert rep.frame_table.categories.shape == (0, cfg.N)
+    assert rep.pdi_histogram == {} and rep.energy_exchange_amplitudes == {}
+    sub = json.loads(report_json([rep], None, cfg))["subjects"][0]
+    assert sub["frames"] == [] and sub["n_bursts"] == n_bursts
+    assert sub["rc_values_per_dim"] == [[]] * cfg.D
+    assert sub["rc_median_per_dim"] == [None] * cfg.D and sub["rc_combined_median"] is None
+    assert roots_table_csv([rep]) == "subject_id,group_label,burst_index,dimension,root_index,rc\n"
+    assert rows == {kind: [] for kind in DUMP_KINDS}
+    if n_bursts:
+        dumps = analyze_dataset(Dataset(bursts=bursts[:n_bursts]), cfg, dumps=DUMP_KINDS).dumps
+        assert all(text.count("\n") == 1 for text in dumps.values())   # the header only
 
 
 def test_analyze_rejects_wrong_burst_size():
@@ -299,3 +324,16 @@ def test_cli_subject_split_across_files_keeps_com(tmp_path, capsys):
     assert reports[0] == reports[1]
     amplitudes = json.loads(reports[0])["subjects"][0]["energy_exchange_amplitudes"]
     assert list(amplitudes) == ["1", "2", "3"]
+
+
+def test_cli_parse_error_names_its_file(tmp_path, capsys):
+    cfg = PipelineConfig(seed=9, N=27)
+    text = emit_xyzm(synthesize("stable", cfg, n_bursts=2))
+    (tmp_path / "a.xyzm").write_text(text)
+    lines = text.splitlines()
+    lines[20] = "0.1 0.2 x 0.4"
+    (tmp_path / "b.xyzm").write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--input", str(tmp_path), "--burst-len", "27",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'b.xyzm'}: line 21: malformed numeric token")

@@ -200,7 +200,7 @@ def test_batched_tail_matches_per_pair_oracle(d, n, kinds, stride, prescale, see
     ]
     if prescale:
         bursts = [prescale_burst(b)[0] for b in bursts]
-    unfittable = not prescale and "descending_column" in kinds and len(kinds) > stride
+    unfittable = not prescale and "descending_column" in kinds
     with np.errstate(all="ignore"):
         try:
             want = zoom_profile_oracle(bursts, cfg)
@@ -211,7 +211,7 @@ def test_batched_tail_matches_per_pair_oracle(d, n, kinds, stride, prescale, see
             return
         got = zoom_profile(bursts, cfg)
     assert not unfittable
-    assert len(got.pairs) == len(want)
+    assert len(got.previous) == len(want)
     sentinel = float(n + 1)
     rc_got, rc_want = [], []
     for k, w in enumerate(want):
@@ -259,6 +259,36 @@ def test_single_root_solve_matches_per_level_solves_at_243_points():
         _same_bits(zoom_profile(bursts, cfg), zoom_profile_levels_oracle(bursts, cfg), "zoom")
 
 
+# (stride, bursts): no frame pair from 0..stride bursts; at stride 2, burst 1
+# of 3 is in no pair
+FEW_BURSTS = [(s, b) for s in (1, 2, 3) for b in range(s + 1)] + [(2, 3)]
+
+
+@pytest.mark.parametrize("stride, n_bursts", FEW_BURSTS)
+def test_zoom_profile_columns_with_few_bursts(stride, n_bursts):
+    """P = max(B - stride, 0) pairs: every column has P in front, also at
+    P = 0, with the bits of one root solve per level."""
+    cfg = PipelineConfig(seed=5, N=27, stride_n=stride)
+    bursts = _prescaled_subjects("stable", cfg, max(n_bursts, 1))[0][:n_bursts]
+    zoom = zoom_profile(bursts, cfg)
+    p, n, d, levels = max(n_bursts - stride, 0), cfg.N, cfg.D, len(cfg.zoom_point_counts())
+    assert zoom.previous.tolist() == list(range(p))
+    assert zoom.current.tolist() == list(range(stride, n_bursts))
+    th, pr, rc = zoom.thresholds, zoom.profile, zoom.rc
+    for got, want in (
+        (zoom.dh, (p, d, n)), (zoom.current_state.borda.H, (p, d, n)),
+        (zoom.current_state.datum, (p, d)), (zoom.kappa_median, (p, n, d)),
+        (th.kappa_short, (p, n, d)), (th.kappa_long, (p, n, d)), (th.defined, (p, n, d)),
+        (zoom.roots.sentinel, (p * n, d)), (zoom.fallback_fraction, (p,)),
+        (pr.kappa_per_dim, (p, levels, d)), (pr.inv_l_combined, (p, levels)),
+        (rc.rc, (p, d, 2 ** d)), (rc.rc_per_dim, (p, d)), (rc.rc_combined, (p,)),
+    ):
+        assert got.shape == want
+    _same_bits(zoom, zoom_profile_levels_oracle(bursts, cfg), "zoom")
+    if (stride, n_bursts) == (2, 3):   # the burst in no pair changes nothing
+        _same_bits(zoom_profile([bursts[0], bursts[0], bursts[2]], cfg), zoom, "zoom")
+
+
 @pytest.mark.parametrize("n, n_bursts", [(81, 6), (243, 3), (9, 2)])
 def test_zoom_profile_solves_roots_once(monkeypatch, n, n_bursts):
     cfg = PipelineConfig(seed=7, N=n)
@@ -284,6 +314,8 @@ def test_unprescaled_unfittable_bursts_raise_but_analyze_prescales():
     bursts[2].values[:, 1] = -2.0 * np.arange(27)
     with pytest.raises(ContractViolation, match=r"dimension 1 of burst 2 .*prescaled"):
         zoom_profile(bursts, cfg)
+    with pytest.raises(ContractViolation, match=r"dimension 1 of burst 2 "):
+        zoom_profile(bursts[2:], cfg)   # no frame pair, and the burst is still checked
     report, _ = analyze_subject("Z", bursts, SubjectMeta(), cfg)
     frames = json.loads(report_json([report], None, cfg))["subjects"][0]["frames"]
     assert len(frames) == 2
