@@ -121,11 +121,8 @@ def _cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     injections = {}
-    for sid in dataset.subjects():
-        single = Dataset(
-            bursts=dataset.bursts_for(sid),
-            metadata={sid: dataset.metadata[sid]},
-        )
+    for sid, bursts in dataset.by_subject().items():
+        single = Dataset(bursts=bursts, metadata={sid: dataset.metadata[sid]})
         path = out_dir / f"{sid}.xyzm"
         path.write_text(emit_xyzm(single), encoding="utf-8")
         print(path)

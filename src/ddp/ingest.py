@@ -114,14 +114,19 @@ class Dataset:
                 meta.com_displacement[bidx] = com
 
     def subjects(self) -> list[str]:
-        seen: list[str] = []
-        for b in self.bursts:
-            if b.subject_id not in seen:
-                seen.append(b.subject_id)
-        return seen
+        """Subject ids in first-seen order."""
+        return list(dict.fromkeys(b.subject_id for b in self.bursts))
 
     def bursts_for(self, subject_id: str) -> list[DataBurst]:
+        """One subject's bursts in order; ``by_subject`` groups them all in one pass."""
         return [b for b in self.bursts if b.subject_id == subject_id]
+
+    def by_subject(self) -> dict[str, list[DataBurst]]:
+        """Each subject's bursts in order, keyed by subject id in first-seen order."""
+        groups: dict[str, list[DataBurst]] = {}
+        for b in self.bursts:
+            groups.setdefault(b.subject_id, []).append(b)
+        return groups
 
 
 def _lines(stream: TextIO | Iterable[str] | str) -> Iterable[str]:
@@ -343,7 +348,7 @@ def emit_xyzm(dataset: Dataset) -> str:
     ``parse_xyzm(emit_xyzm(ds))`` reproduces every value exactly.
     """
     out: list[str] = []
-    for sid in dataset.subjects():
+    for sid, bursts in dataset.by_subject().items():
         meta = dataset.metadata.get(sid, SubjectMeta())
         out.append(f"#subject {sid}")
         if not meta.mass_defaulted:
@@ -351,7 +356,7 @@ def emit_xyzm(dataset: Dataset) -> str:
         prev_dt: float | None = None
         prev_group: str | None = None
         com_active = False
-        for burst in dataset.bursts_for(sid):
+        for burst in bursts:
             if burst.dt != prev_dt:
                 out.append(f"#dt {_fmt(burst.dt)}")
                 prev_dt = burst.dt

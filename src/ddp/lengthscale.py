@@ -95,14 +95,6 @@ class LengthScaleRoots:
     def n_points(self) -> int:
         return self.roots.shape[0]
 
-    def slice_points(self, start: int, stop: int) -> "LengthScaleRoots":
-        return LengthScaleRoots(
-            roots=self.roots[start:stop],
-            sentinel=self.sentinel[start:stop],
-            negative_ratio=self.negative_ratio[start:stop],
-            convergence=self.convergence[start:stop],
-        )
-
     def expand(self) -> np.ndarray:
         """All 2**D signed root vectors, (N, 2**D, D), +inf on sentinel dimensions."""
         _, branch, sign = branch_layout(self.sentinel.shape[1])

@@ -29,27 +29,28 @@ in groups: together while their whole triangles fit one block of about
 tasks in one ordered sequence: the datum blocks, which take the pair
 constants of the upper-triangle part of a block of rows (a group's whole
 triangles, gathered pair by pair, or a band of rows of one lane), then the
-group's stats (datum and residual), then the margin blocks of the group
-before it, which sum full rows into Borda counts.  Every kernel pass over
-a whole triangle or a margin block is contiguous: the operands are copied
-into the scratch first.  Its working set is one scratch per
-thread that runs tasks, sized by the call's largest block and holding
-every float and bool temporary of the blocks that thread computes, one
-pool of the admissible pair constants whose means are the data (of a
-single lane once a triangle outgrows a block) and the boolean zeroed mask
-it returns, whose pages are touched only where a margin was zeroed.  A
-scratch is allocated once per call, not once per block, so repeated calls
-reuse the same heap pages instead of faulting in fresh ones.
+margin blocks of the group before it, which sum full rows into Borda
+counts.  Every kernel pass over a whole triangle or a margin block is
+contiguous: the operands are copied into the scratch first.  Its working
+set is one scratch per thread that runs tasks, sized by the call's largest
+block and holding every float and bool temporary of the blocks that thread
+computes, one pool of the admissible pair constants whose means are the
+data (of a single lane once a triangle outgrows a block) and the boolean
+zeroed mask it returns, whose pages are touched only where a margin was
+zeroed.  A scratch is allocated once per call, not once per block, so
+repeated calls reuse the same heap pages instead of faulting in fresh
+ones.
 
-The pool is filled in task order.  A datum block computes its constants
-and queues their append as its step of the pool; the stats of a group are
-the step after its last block.  Whichever thread queues the step the pool
-waits for runs it and every queued step after it, so the pool, and with it
-every mean, has the same bits whichever thread computed a block, and no
-thread waits to write.  A datum block waits only while it would run more
-than ``_AHEAD`` steps ahead of the pool, and a margin block only for its
-group's datum, which the stats publish before the residual squares the
-pool in place.  Every task waits only on earlier tasks.
+One group at a time fills the pool.  A datum block computes its constants
+in its scratch, waits until the group before has left the pool, and
+writes the admitted ones at a fixed offset: the index of its first pair in
+the group's triangle order.  The block that writes a group's last
+constants runs the group's stats.  They move each block's constants down
+to follow the previous block's, which is a no-op unless an earlier block
+excluded a pair, so the pool holds the same values in the same order
+whichever thread computed a block, and every mean has the same bits.  Then
+they take each lane's datum and residual and count the group done; a
+margin block waits for that.  Every task waits only on earlier tasks.
 
 Lanes that go one at a time, when there are several and the process may
 run on two or more CPUs, are shared with one worker thread: the caller and
@@ -82,10 +83,6 @@ DEFAULT_EPSILON = 1e-9
 # block's float temporaries stay in cache, large enough to amortize numpy's
 # per-call overhead.
 _BLOCK_CELLS = 1 << 16
-
-# Datum blocks a thread may compute ahead of the pool's appends, which
-# bounds the constants held for appending to this many blocks.
-_AHEAD = 4
 
 
 @dataclass
@@ -140,7 +137,7 @@ class Scratch:
     def take(self, shape):
         """Views of ``shape`` over the start of every float row and every bool row, stacked."""
         size = math.prod(shape)
-        return self.floats[:, :size].reshape(-1, *shape), self.bools[:, :size].reshape(-1, *shape)
+        return self.floats[:, :size].reshape(3, *shape), self.bools[:, :size].reshape(4, *shape)
 
 
 def pair_constants(u_a, u_b, epsilon: float = DEFAULT_EPSILON, scratch: Scratch | None = None):
@@ -229,19 +226,17 @@ def _usable_cpus() -> int:
 
 
 class _Abandoned(Exception):
-    """Ends a task that waits for a step no task will take, once one has failed."""
+    """Ends a task that waits for a group no task will finish, once one has failed."""
 
 
 class _Schedule:
     """The ordered tasks of one ``build_field`` call and the arrays they fill.
 
-    The pool's steps (appending a datum block's constants, a group's
-    stats) run one after another in task order, each on whichever thread
-    finds it next in line: a thread that queues a step also runs every
-    queued step whose turn has come, unless another thread already does.
-    So no thread waits to write.  ``turn`` counts the steps done, and
-    ``fits`` holds, per group whose datum is known, what its margin blocks
-    read.
+    ``written`` maps the pool offset of each datum block that has written
+    there to its number of constants, for the group that fills the pool;
+    ``blocks`` holds each group's number of datum blocks.  ``done`` counts
+    the groups whose stats are done, so the pool belongs to group ``done``,
+    and ``fits`` holds, per such group, what its margin blocks read.
     """
 
     def __init__(self, u: np.ndarray, epsilon: float, group: int):
@@ -249,7 +244,8 @@ class _Schedule:
         self.u = u
         self.epsilon = epsilon
         self.pool = np.empty(min(group, lanes) * (n * (n - 1) // 2))
-        self.fill = 0
+        self.written = {}
+        self.blocks = []
         self.datum = np.full(lanes, np.nan)
         self.residual = np.zeros(lanes)
         self.admitted = np.zeros(lanes, dtype=np.int64)
@@ -257,39 +253,36 @@ class _Schedule:
         self.zeroed = np.zeros((lanes, n, n), dtype=bool)
         self.zeroed_rows = np.zeros((lanes, n), dtype=np.int64)
         self.fits = []
-        self.turn = 0
+        self.done = 0
         self.error = None
-        self._queued = {}
-        self._running = False
         self._changed = threading.Condition(threading.Lock())
         self._claim = itertools.count().__next__   # atomic under the GIL
 
         # Per group: its datum blocks, whose pairs j > i taken row by row
-        # continue the upper triangle in row-major order, then its stats,
-        # then the margin blocks of full rows of the group before it, which
-        # need no pool and so keep a thread busy while the other one takes
-        # the stats.  A group of several lanes is one datum block and a
-        # group of several datum blocks is one lane, so the pool holds the
-        # group's lanes one after another, each in ``triu_indices`` order.
-        # Tasks get the schedule from ``drain`` instead of holding it, so no
-        # reference cycle keeps the pool alive after the call.
-        # ``cells`` is the size of the largest block, which sizes the scratch.
+        # continue the upper triangle in row-major order, then the margin
+        # blocks of full rows of the group before it, which need no pool
+        # and so keep a thread busy while another runs the stats.  A group
+        # of several lanes is one datum block and a group of several datum
+        # blocks is one lane, so the pool holds the group's lanes one after
+        # another, each in ``triu_indices`` order.  A triangle of no pair
+        # (N < 2) is one empty block.  Tasks get the schedule from ``drain``
+        # instead of holding it, so no reference cycle keeps the pool alive
+        # after the call.  ``cells`` is the size of the largest block, which
+        # sizes the scratch.
         self.tasks = []
         self.cells = 0
         margins = []
-        step = 0
         for index, l0 in enumerate(range(0, lanes, group)):
             part = slice(l0, min(l0 + group, lanes))
             g = part.stop - part.start
-            i0 = 0
-            while i0 < n - 1:
-                i1 = min(n - 1, i0 + max(1, _BLOCK_CELLS // (g * (n - i0 - 1))))
-                self.tasks.append((_fit_datum, (part, i0, i1, step)))
-                self.cells = max(self.cells, g * (i1 - i0) * (n - i0 - 1))
-                step += 1
+            blocks = i1 = 0
+            while not blocks or i1 < n - 1:
                 i0 = i1
-            self.tasks.append((_queue_stats, (step, part)))
-            step += 1
+                i1 = min(n - 1, i0 + max(1, _BLOCK_CELLS // (g * max(n - i0 - 1, 1))))
+                self.tasks.append((_fit_datum, (index, part, i0, i1)))
+                self.cells = max(self.cells, g * (i1 - i0) * (n - i0 - 1))
+                blocks += 1
+            self.blocks.append(blocks)
             self.tasks += margins
             rows = max(1, _BLOCK_CELLS // (g * n))
             margins = [(_sum_margins, (index, i0, i0 + rows)) for i0 in range(0, n, rows)]
@@ -305,31 +298,6 @@ class _Schedule:
                 if self.error is not None:
                     raise _Abandoned
                 self._changed.wait()
-
-    def queue(self, step: int, run, *args):
-        """Queue ``run(self, *args)`` as pool step ``step``, then run the steps whose turn has come."""
-        with self._changed:
-            self._queued[step] = (run, args)
-            if self._running:   # the thread running the steps takes this one too
-                return
-            self._running = True
-        while True:
-            with self._changed:
-                queued = self._queued.pop(self.turn, None)
-                if queued is None:
-                    self._running = False
-                    return
-            run, args = queued
-            run(self, *args)
-            with self._changed:
-                self.turn += 1
-                self._changed.notify_all()
-
-    def publish(self, fit):
-        """Let the margin blocks of the group just fitted read its fitted lanes, their values and data."""
-        with self._changed:
-            self.fits.append(fit)
-            self._changed.notify_all()
 
     def drain(self):
         """Run the next unclaimed task until none is left or one has failed.
@@ -355,19 +323,18 @@ class _Schedule:
                 self._changed.notify_all()
 
 
-def _fit_datum(s: _Schedule, scratch: Scratch, part: slice, i0: int, i1: int, step: int):
-    """Pair constants of rows [i0, i1) of a group, appended to the pool as step ``step``.
+def _fit_datum(s: _Schedule, scratch: Scratch, index: int, part: slice, i0: int, i1: int):
+    """Pair constants of rows [i0, i1) of group ``index``, written to the pool at their offset.
 
     A block of the whole triangle gathers its pairs' operands into two
     contiguous scratch rows, so every pass of ``pair_constants`` runs over
     the N(N-1)/2 pairs of each lane and none is masked away.  A band of
     rows, which a lane too wide for one block takes, reads its operands as
     broadcast views and masks only the corner left of the diagonal:
-    columns from i1 on are above it.  A block starts no more than
-    ``_AHEAD`` steps ahead of the pool, so at most that many blocks of
-    constants wait for their turn.
+    columns from i1 on are above it.  The block writes once the group
+    before has left the pool, and the block that writes the group's last
+    constants runs its stats.
     """
-    s.wait(lambda: s.turn >= step - _AHEAD)
     u = s.u[part]
     g, n = u.shape
     if i1 - i0 == n - 1:
@@ -382,7 +349,18 @@ def _fit_datum(s: _Schedule, scratch: Scratch, part: slice, i0: int, i1: int, st
     else:
         m, ok = pair_constants(u[:, i0:i1, None], u[:, None, i0 + 1:], s.epsilon, scratch)
         ok[:, :, :i1 - i0 - 1] &= np.arange(i0 + 1, i1) > np.arange(i0, i1)[:, None]
-    s.queue(step, _append, part, m[ok], np.count_nonzero(ok.reshape(g, -1), axis=1))
+    counts = np.count_nonzero(ok.reshape(g, ok.size // g), axis=1)
+    # the pairs of rows [0, i0) of a band's one lane; a group's triangles start at 0
+    offset = i0 * (2 * n - i0 - 1) // 2
+    s.wait(lambda: s.done >= index)
+    good = m[ok]
+    s.pool[offset:offset + good.size] = good
+    with s._changed:
+        s.written[offset] = good.size
+        s.admitted[part] += counts
+        last = len(s.written) == s.blocks[index]
+    if last:
+        _group_stats(s, part)
 
 
 @functools.lru_cache(maxsize=16)
@@ -393,24 +371,20 @@ def _triangle(n: int):
     return a, b
 
 
-def _queue_stats(s: _Schedule, scratch: Scratch, step: int, part: slice):
-    """The stats task of a group: queue them as pool step ``step``; they need no scratch."""
-    s.queue(step, _group_stats, part)
-
-
-def _append(s: _Schedule, part: slice, constants: np.ndarray, counts: np.ndarray):
-    end = s.fill + constants.size
-    s.pool[s.fill:end] = constants
-    s.admitted[part] += counts
-    s.fill = end
-
-
 def _group_stats(s: _Schedule, part: slice):
-    """Datum and residual of each lane of a group, once the group fills the pool.
+    """Datum and residual of each lane of a group, once its blocks have filled the pool.
 
-    The datum is published before the residual squares the pool in place,
-    and the pool is free for the next group once the residual is done.
+    Each block's constants first move down to follow the previous block's,
+    so the pool holds each lane's admitted constants in triangle order.
+    The pool is free for the next group once the group is counted done.
     """
+    end = 0
+    for offset in sorted(s.written):
+        size = s.written[offset]
+        if offset != end:   # an earlier block excluded a pair
+            s.pool[end:end + size] = s.pool[offset:offset + size]
+        end += size
+    s.written.clear()
     admitted = s.admitted[part]
     # Consecutive lanes with one admitted count are one (lanes, k) view of
     # the pool.  A row's sum over k has the bits of np.mean over the same
@@ -430,8 +404,6 @@ def _group_stats(s: _Schedule, part: slice):
     k = admitted[fitted]
     datum = s.datum[part]
     datum[fitted] = sums[fitted] / k
-    fit = np.flatnonzero(np.isfinite(datum))
-    s.publish((part.start + fit, s.u[part][fit], datum[fit, None, None]))
     for r0, r1, good in runs:
         good -= datum[r0:r1, None]
     pool = s.pool[:end]
@@ -439,7 +411,11 @@ def _group_stats(s: _Schedule, part: slice):
     for r0, r1, good in runs:
         np.add.reduce(good, axis=1, out=sums[r0:r1])
     s.residual[part][fitted] = np.sqrt(sums[fitted] / k)
-    s.fill = 0
+    fit = np.flatnonzero(np.isfinite(datum))
+    with s._changed:
+        s.fits.append((part.start + fit, s.u[part][fit], datum[fit, None, None]))
+        s.done += 1
+        s._changed.notify_all()
 
 
 def _sum_margins(s: _Schedule, scratch: Scratch, index: int, i0: int, i1: int):
@@ -450,7 +426,7 @@ def _sum_margins(s: _Schedule, scratch: Scratch, index: int, i0: int, i1: int):
     counts are written only by a block that zeroed a margin, so the pages
     of an all-False mask are never touched.
     """
-    s.wait(lambda: len(s.fits) > index)
+    s.wait(lambda: s.done > index)
     lanes, u, m_bar = s.fits[index]
     if not lanes.size:
         return

@@ -254,11 +254,8 @@ def analyze_dataset(
         if kind not in DUMP_KINDS:
             raise ValidationError(f"unknown dump kind {kind!r}; choose from {DUMP_KINDS}")
     results = [
-        analyze_subject(
-            sid, dataset.bursts_for(sid), dataset.metadata.get(sid, SubjectMeta()), config,
-            dumps=dumps,
-        )
-        for sid in dataset.subjects()
+        analyze_subject(sid, bursts, dataset.metadata.get(sid, SubjectMeta()), config, dumps=dumps)
+        for sid, bursts in dataset.by_subject().items()
     ]
     reports = [rep for rep, _ in results]
     dump_tables: dict[str, str] = {}

@@ -21,7 +21,7 @@ import enum
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -565,6 +565,11 @@ class ThresholdHistory:
         )
 
 
+def slice_roots(roots: LengthScaleRoots, start: int, stop: int) -> LengthScaleRoots:
+    """Points [start, stop) of a roots result, every field sliced alike."""
+    return LengthScaleRoots(*(getattr(roots, f.name)[start:stop] for f in fields(roots)))
+
+
 def update_thresholds_oracle(roots: LengthScaleRoots, history: ThresholdHistory | None):
     """Thresholds of one frame pair and the history after it.
 
@@ -706,7 +711,7 @@ def pair_zoom(zoom: SubjectZoom, k: int) -> PairZoom:
         fallback_fraction=zoom.fallback_fraction[k],
         current_state=zoom.current_state[k],
         dh=zoom.dh[k],
-        roots=zoom.roots.slice_points(k * n, (k + 1) * n),
+        roots=slice_roots(zoom.roots, k * n, (k + 1) * n),
         kappa_median=zoom.kappa_median[k],
         kappa_short=th.kappa_short[k],
         kappa_long=th.kappa_long[k],
@@ -753,9 +758,9 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
         history = None
         for pi, (_, c) in enumerate(pairs):
             lo, hi = pi * n_l, (pi + 1) * n_l
-            roots = roots_all.slice_points(lo, hi)
+            roots = slice_roots(roots_all, lo, hi)
             kappa = kappa_all[lo:hi]
-            thresholds, history = update_thresholds_oracle(full.slice_points(lo, hi), history)
+            thresholds, history = update_thresholds_oracle(slice_roots(full, lo, hi), history)
             levels[pi].append(summarize_level_oracle(kappa, thresholds))
             fallback_vectors[pi] += int(np.sum(roots.convergence == 2))
             total_vectors[pi] += roots.convergence.size

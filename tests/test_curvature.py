@@ -16,7 +16,7 @@ from ddp import (
 from ddp.curvature import classify_frame, curvature_tensor, median
 from ddp.lengthscale import LengthScaleRoots, branch_layout
 
-from oracles import ThresholdHistory, chains_oracle, local_curvature, update_thresholds_oracle
+from oracles import ThresholdHistory, chains_oracle, local_curvature, slice_roots, update_thresholds_oracle
 
 
 @dataclass
@@ -177,7 +177,7 @@ def test_thresholds_batched_frames_match_per_pair_oracle():
         got = update_thresholds(roots, frames=frames)
         history = ThresholdHistory.empty(n, d)
         for k in range(frames):
-            want, history = update_thresholds_oracle(roots.slice_points(k * n, (k + 1) * n), history)
+            want, history = update_thresholds_oracle(slice_roots(roots, k * n, (k + 1) * n), history)
             for name in ("kappa_short", "kappa_long", "defined"):
                 assert getattr(got, name)[k].tobytes() == getattr(want, name).tobytes(), name
 

@@ -254,6 +254,19 @@ def test_dataset_burst_index_monotonic():
         Dataset(bursts=[b0, b1])
 
 
+def test_dataset_groups_interleaved_bursts_by_subject_in_first_seen_order():
+    spec = [("b", 0), ("a", 0), ("b", 2), ("c", 5), ("a", 1), ("b", 3)]
+    bursts = [DataBurst(values=np.ones((9, 4)), burst_index=k, subject_id=sid) for sid, k in spec]
+    ds = Dataset(bursts=bursts)
+    grouped = ds.by_subject()
+    assert list(grouped) == ds.subjects() == ["b", "a", "c"]
+    own = {"b": [0, 2, 5], "a": [1, 4], "c": [3]}
+    for sid, got in grouped.items():
+        want = [id(bursts[i]) for i in own[sid]]
+        assert [id(b) for b in got] == [id(b) for b in ds.bursts_for(sid)] == want
+    assert Dataset(bursts=[]).by_subject() == {} and Dataset(bursts=[]).subjects() == []
+
+
 def _same_dataset(got, want):
     assert len(got.bursts) == len(want.bursts)
     for b1, b2 in zip(got.bursts, want.bursts):

@@ -208,6 +208,17 @@ def test_pair_kernels_write_into_the_scratch():
     np.testing.assert_array_equal(zeroed, zeroed_new)
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3, 4)])
+def test_pair_kernels_take_empty_inputs(shape):
+    """No pair gives empty results of the broadcast shape, with or without a scratch."""
+    u = np.empty(shape)
+    for scratch in (None, normalization.Scratch(0)):
+        m, ok = pair_constants(u, u, scratch=scratch)
+        margins, zeroed = pair_margins(u, u, 0.0, scratch=scratch)
+        assert m.shape == ok.shape == margins.shape == zeroed.shape == shape
+        assert ok.dtype == zeroed.dtype == bool
+
+
 def test_build_field_single_point_frame():
     with np.errstate(all="raise"):
         field = build_field(np.array([[0.5, 0.25]]))
@@ -447,8 +458,8 @@ def test_build_field_margins_worker_matches_per_frame_oracle(cpus, n, block_cell
 
 def test_build_field_excluded_pairs_in_several_blocks_keep_pool_order():
     """Small blocks split each lane's triangle, and the excluded pairs fall
-    into several of them, so a block appended out of turn would move the
-    admitted constants of the lanes and change their means."""
+    into several of them, so a block whose constants were not moved down
+    to follow the block before would change the means of the lanes."""
     n, block_cells = 40, 512
     stack = np.random.default_rng(13).uniform(-1.0, 1.0, (2, n, 3))
     _, ok = pair_constants(stack[..., None, :], stack[..., None, :, :], 0.3)
@@ -463,7 +474,7 @@ def test_build_field_excluded_pairs_in_several_blocks_keep_pool_order():
 @pytest.mark.parametrize("seed", range(4))
 def test_build_field_random_task_delays_keep_the_fields(seed):
     """Sleeps before datum and margin blocks on either thread reorder when
-    blocks finish; the pool still takes them in turn."""
+    blocks finish; each still writes at its own offset of the pool."""
     rng = np.random.default_rng(seed)
     stack = _mixed_stack(rng, 40)
     delays = iter(rng.uniform(0.0, 2e-3, 10_000).tolist())
@@ -614,10 +625,10 @@ def test_build_field_raises_a_task_error_from_either_thread_and_leaves_no_thread
     """The first call of the target task on the chosen thread raises.
 
     The other thread pauses before each task, so the chosen one takes most
-    of them.  A group's stats run on the thread that appends the last
-    block before them, so for the stats the chosen thread is the one that
+    of them.  A group's stats run on the thread that writes the group's
+    last block, so for the stats the chosen thread is the one that
     pauses.  It raises only after a pause long enough for the other thread
-    to wait on the step it holds.  Each attempt must raise or finish, and
+    to wait on the group it holds.  Each attempt must raise or finish, and
     leave no thread.
     """
     stack = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 40, 2))   # 8 lanes
