@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .config import PipelineConfig
@@ -32,8 +32,8 @@ from .report import (
     emit,
     group_stats,
     group_stats_csv,
-    _group_stats_json,
     json_text,
+    report_path,
     subject_pools_from_json,
 )
 
@@ -96,10 +96,9 @@ def _cmd_analyze(args) -> int:
     if labeled:
         stats = group_stats(result.subjects, config)
     written = emit(result.subjects, stats, args.format, args.out, config)
-    out_dir = Path(args.out).parent if Path(args.out).suffix else Path(args.out)
+    out_dir = report_path(args.out).parent   # emit has made it
     for kind, text in result.dumps.items():
         dump_path = out_dir / f"dump_{kind}.csv"
-        dump_path.parent.mkdir(parents=True, exist_ok=True)
         dump_path.write_text(text, encoding="utf-8")
         written.append(dump_path)
     for path in written:
@@ -128,7 +127,7 @@ def _cmd_synth(args) -> int:
         print(path)
         inj = dataset.metadata[sid].injection
         if inj is not None:
-            injections[sid] = asdict(inj)
+            injections[sid] = inj
     if injections:
         inj_path = out_dir / "injections.json"
         inj_path.write_text(json_text(injections) + "\n", encoding="utf-8")
@@ -174,7 +173,7 @@ def _cmd_stats(args) -> int:
     if args.format == "csv":
         text = group_stats_csv(stats, config)
     else:
-        text = json_text(_group_stats_json(stats)) + "\n"
+        text = json_text(stats) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(args.out)

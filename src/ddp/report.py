@@ -15,8 +15,10 @@ Output format:
 
 * JSON is indented by 2 spaces, one item per line, with ": " after keys;
   strings and keys are ASCII-escaped, and non-finite floats are written
-  as null; the text is the same bytes as ``json.dumps(value, indent=2)``
-  of the same values read as Python numbers (see ``json_text``)
+  as null; a dataclass instance is written as an object of its fields,
+  in declaration order, so its type fixes its keys and their order; the
+  text is the same bytes as ``json.dumps(value, indent=2)`` of the same
+  values read as Python numbers (see ``json_text``)
 * CSV numbers are float reprs, nan when not finite; a text field holding a
   comma, a double quote, CR or LF is quoted as the csv module quotes it
   (``csv_field``), so every row has its header's width
@@ -24,7 +26,7 @@ Output format:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
 from pathlib import Path
@@ -216,17 +218,17 @@ class SubjectPool(NamedTuple):
 
 @dataclass
 class GroupSlice:
+    n_subjects: int
     per_dim: list[DimStats | None]
     combined: DimStats
-    n_subjects: int
 
 
 @dataclass
 class GroupStats:
     threshold: float
     bin_edges: tuple[float, ...]
-    groups: dict[str, GroupSlice]
     unavailable: list[str]
+    groups: dict[str, GroupSlice]
     percent_change_per_dim: list[float | None] | None
     percent_change_combined: float | None
 
@@ -274,9 +276,9 @@ def group_stats(
             unavailable.append(label)
             continue
         groups[label] = GroupSlice(
+            n_subjects=subject_counts[label],
             per_dim=[_pooled_stats(cols, threshold, config.bin_edges) for cols in columns[label]],
             combined=combined,
-            n_subjects=subject_counts[label],
         )
 
     pc_per_dim: list[float | None] | None = None
@@ -295,8 +297,8 @@ def group_stats(
     return GroupStats(
         threshold=float(threshold),
         bin_edges=tuple(config.bin_edges),
-        groups=groups,
         unavailable=unavailable,
+        groups=groups,
         percent_change_per_dim=pc_per_dim,
         percent_change_combined=pc_combined,
     )
@@ -372,8 +374,11 @@ def json_text(value) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it, with no trailing newline.
 
     numpy arrays are read through ``.tolist()`` and numpy scalars as the
-    Python number they hold; non-finite floats are written as null.  Keys
-    must be str.  Every other type json.dumps rejects raises TypeError.
+    Python number they hold; non-finite floats are written as null.  A
+    dataclass instance is written as an object of its fields
+    (``dataclasses.fields``), in declaration order; other attributes and
+    properties are left out.  Keys must be str.  Every other type
+    json.dumps rejects raises TypeError.
     """
     chunks: list[str] = []
     _write(value, "\n", chunks)
@@ -415,6 +420,8 @@ def _write(v, nl: str, out: list[str]) -> None:
         _write(float(v), nl, out)
     elif isinstance(v, np.integer):
         out.append(_int_repr(int(v)))
+    elif is_dataclass(type(v)):   # an instance; a dataclass type itself is rejected
+        _write({f.name: getattr(v, f.name) for f in fields(v)}, nl, out)
     else:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
@@ -440,18 +447,6 @@ def _write_list(items, nl: str, out: list[str]) -> None:
     out.append(nl + "]")
 
 
-def _boxplot_json(b: BoxplotStats | None):
-    if b is None:
-        return None
-    return {
-        "q25": b.q25,
-        "q75": b.q75,
-        "whisker_low": b.whisker_low,
-        "whisker_high": b.whisker_high,
-        "outliers": b.outliers,
-    }
-
-
 _FRAME_KEYS = (
     "previous_burst_index", "current_burst_index", "dt_span", "datum", "datum_residual",
     "rc_per_dim", "rc_combined", "rc_roots", "critical_short", "critical_long", "gti",
@@ -463,8 +458,8 @@ _FRAME_KEYS = (
 def _frames_json(t: FrameResult) -> list[dict]:
     """The report's frame objects, built column by column from a subject's frame table.
 
-    The fields of GtiRecord, Chain and ZoomProfile are in the order of
-    their objects' keys in the report.
+    GtiRecord and Chain objects are written as their fields; the fields of
+    ZoomProfile name the keys of each level object, in order.
     """
     level_keys = [f.name for f in fields(t.profile)]
     ladder = t.profile.point_count.tolist(), t.profile.x_coordinate.tolist()
@@ -474,9 +469,9 @@ def _frames_json(t: FrameResult) -> list[dict]:
             t.previous_burst_index, t.current_burst_index, t.dt_span, t.datum, t.datum_residual,
             t.rc.rc_per_dim, t.rc.rc_combined, t.rc.rc, t.critical_short, t.critical_long,
         )),
-        [vars(g) for g in t.gti],
+        t.gti,
         [{str(c): k for c, k in enumerate(np.bincount(row).tolist()) if k} for row in t.categories],
-        [[vars(c) for c in chains] for chains in t.chains],
+        t.chains,
         [np.flatnonzero(row).tolist() for row in t.mixed_disjoint],
         *(a.tolist() for a in (
             t.fallback_fraction, t.fit_excluded_fraction, t.margin_zeroed_fraction
@@ -499,7 +494,7 @@ def subject_json(rep: SubjectReport) -> dict:
         "rc_combined_median": rep.rc_combined_median,
         "rc_values_per_dim": rep.rc_values_per_dim,
         "pdi_histogram": {str(k): v for k, v in sorted(rep.pdi_histogram.items())},
-        "boxplot_per_dim": [_boxplot_json(b) for b in rep.boxplot_per_dim],
+        "boxplot_per_dim": rep.boxplot_per_dim,
         "modulation_iqr_per_dim": rep.modulation_iqr_per_dim,
         "energy_exchange_amplitudes": {
             str(k): v for k, v in sorted(rep.energy_exchange_amplitudes.items())
@@ -507,37 +502,8 @@ def subject_json(rep: SubjectReport) -> dict:
         "frames": _frames_json(rep.frame_table),
     }
     if rep.injection is not None:
-        doc["injection"] = asdict(rep.injection)
+        doc["injection"] = rep.injection
     return doc
-
-
-def _group_stats_json(gs: GroupStats | None):
-    if gs is None:
-        return None
-    return {
-        "threshold": gs.threshold,
-        "bin_edges": gs.bin_edges,
-        "unavailable": gs.unavailable,
-        "groups": {
-            label: {
-                "n_subjects": sl.n_subjects,
-                "per_dim": [None if d is None else _dim_stats_json(d) for d in sl.per_dim],
-                "combined": _dim_stats_json(sl.combined),
-            }
-            for label, sl in gs.groups.items()
-        },
-        "percent_change_per_dim": gs.percent_change_per_dim,
-        "percent_change_combined": gs.percent_change_combined,
-    }
-
-
-def _dim_stats_json(d: DimStats) -> dict:
-    return {
-        "n": d.n,
-        "median": d.median,
-        "percent_above": d.percent_above,
-        "bin_counts": d.bin_counts,
-    }
 
 
 def report_json(
@@ -547,10 +513,10 @@ def report_json(
 ) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": asdict(config),
+        "config": config,
         "dimension_names": config.dimension_names(),
         "subjects": [subject_json(r) for r in reports],
-        "group_stats": _group_stats_json(stats),
+        "group_stats": stats,
     }
     return json_text(doc) + "\n"
 
@@ -638,6 +604,17 @@ def group_stats_csv(gs: GroupStats, config: PipelineConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def report_path(destination) -> Path:
+    """The JSON report path an output destination names; every output goes in its directory.
+
+    A destination ending in .json is the report itself; any other
+    destination, a dotted name such as results.v2 included, is the output
+    directory, holding report.json.
+    """
+    dest = Path(destination)
+    return dest if dest.suffix == ".json" else dest / "report.json"
+
+
 def emit(
     reports: list[SubjectReport],
     stats: GroupStats | None,
@@ -647,31 +624,23 @@ def emit(
 ) -> list[Path]:
     """Write the analysis to disk; returns the written paths.
 
-    json: one document (destination itself when it ends in .json, else
-    report.json inside the destination directory).  csv: rc_roots.csv plus
-    group_stats.csv (when stats exist) inside the destination directory.
+    json: one document at ``report_path(destination)``.  csv: rc_roots.csv
+    plus group_stats.csv (when stats exist) in that path's directory.
     Output is deterministic byte for byte for identical inputs.
     """
-    dest = Path(destination)
-    written: list[Path] = []
+    path = report_path(destination)
     if fmt == "json":
-        path = dest if dest.suffix == ".json" else dest / "report.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report_json(reports, stats, config), encoding="utf-8")
-        written.append(path)
+        texts = {path: report_json(reports, stats, config)}
     elif fmt == "csv":
-        directory = dest.parent if dest.suffix else dest
-        directory.mkdir(parents=True, exist_ok=True)
-        roots_path = directory / "rc_roots.csv"
-        roots_path.write_text(roots_table_csv(reports), encoding="utf-8")
-        written.append(roots_path)
+        texts = {path.parent / "rc_roots.csv": roots_table_csv(reports)}
         if stats is not None:
-            gs_path = directory / "group_stats.csv"
-            gs_path.write_text(group_stats_csv(stats, config), encoding="utf-8")
-            written.append(gs_path)
+            texts[path.parent / "group_stats.csv"] = group_stats_csv(stats, config)
     else:
         raise ValueError(f"unknown format {fmt!r}; use json or csv")
-    return written
+    path.parent.mkdir(parents=True, exist_ok=True)
+    for target, text in texts.items():
+        target.write_text(text, encoding="utf-8")
+    return list(texts)
 
 
 def subject_pools_from_json(doc: dict) -> list[SubjectPool]:

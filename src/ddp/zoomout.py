@@ -427,7 +427,7 @@ def gti(
             drop = max(0.0, (prev - cur) / prev)
     triggered = drop is not None and drop >= drop_threshold and chain_max > critical_short
     imminent = triggered and chain_max >= 1
-    record = GtiRecord(
+    return GtiRecord(
         chain_max_length=chain_max,
         critical_short=critical_short,
         critical_long=critical_long,
@@ -435,8 +435,3 @@ def gti(
         triggered=triggered,
         imminent=imminent,
     )
-    if record.triggered:
-        assert record.chain_max_length > record.critical_short
-        assert record.energy_drop_fraction is not None
-        assert record.energy_drop_fraction >= drop_threshold
-    return record

@@ -915,10 +915,10 @@ def group_stats_oracle(reports, config: PipelineConfig, threshold: float | None 
             unavailable.append(label)
             continue
         groups[label] = GroupSlice(
+            n_subjects=subject_counts[label],
             per_dim=[dim_stats(c, threshold, config.bin_edges) if c.size else None
                      for c in merged[label]],
             combined=dim_stats(pooled, threshold, config.bin_edges),
-            n_subjects=subject_counts[label],
         )
     pc_per_dim, pc_combined = None, None
     if "control" in groups and "post_aclr" in groups:
@@ -932,8 +932,8 @@ def group_stats_oracle(reports, config: PipelineConfig, threshold: float | None 
     return GroupStats(
         threshold=float(threshold),
         bin_edges=tuple(config.bin_edges),
-        groups=groups,
         unavailable=unavailable,
+        groups=groups,
         percent_change_per_dim=pc_per_dim,
         percent_change_combined=pc_combined,
     )

@@ -32,7 +32,7 @@ from ddp.lengthscale import LengthScaleRoots
 from ddp.pipeline import _dump_header, _roots_rows
 import ddp.report
 from ddp.report import (
-    _group_stats_json,
+    BoxplotStats,
     csv_field,
     csv_num,
     csv_nums,
@@ -183,6 +183,15 @@ def test_json_text_rejects_non_str_keys():
         json_text({(1, 2): 0.5})
 
 
+def test_json_text_writes_a_dataclass_as_its_fields_in_order():
+    box = BoxplotStats(q25=0.5, q75=1.5, whisker_low=-1.0, whisker_high=3.0, outliers=(4.0,))
+    fields = {"q25": 0.5, "q75": 1.5, "whisker_low": -1.0, "whisker_high": 3.0, "outliers": [4.0]}
+    # the iqr property is not a field, so it stays out
+    assert json_text([box, None]) == json.dumps([fields, None], indent=2)
+    with pytest.raises(TypeError):
+        json_text(BoxplotStats)   # a dataclass type is not an instance
+
+
 def _corpus(D, N, seed):
     """Two control and two post_aclr subjects with #com, through xyzm text."""
     cfg = PipelineConfig(D=D, N=N, seed=seed)
@@ -226,7 +235,7 @@ def test_outputs_match_oracle_emitters(D, N, seed, tmp_path, capsys):
     assert roots_table_csv(result.subjects) == roots_table_csv_oracle(result.subjects)
     for pinned in (None, 0.5):
         gs = group_stats(result.subjects, cfg, threshold=pinned)
-        assert json_text(_group_stats_json(gs)) + "\n" == group_stats_json_oracle(gs)
+        assert json_text(gs) + "\n" == group_stats_json_oracle(gs)
 
     want = _dump_tables_oracle(ds, result.subjects, cfg, kinds)
     for kind in kinds:

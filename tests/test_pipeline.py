@@ -230,6 +230,23 @@ def test_cli_synth_analyze_stats_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt,written", [
+    ("json", ["dump_pdi.csv", "report.json"]),
+    ("csv", ["dump_pdi.csv", "rc_roots.csv"]),
+])
+def test_cli_analyze_out_with_a_dot_is_a_directory(fmt, written, tmp_path, capsys):
+    """Only a destination ending in .json names a file; every output lands in one directory."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--profile", "stable", "--seed", "3", "--out", str(corpus),
+                 "--bursts", "3", "--burst-len", "27"]) == 0
+    out = tmp_path / "results.v2"
+    assert main(["analyze", "--input", str(corpus), "--burst-len", "27", "--format", fmt,
+                 "--dump", "pdi", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "results.v2"]
+    capsys.readouterr()
+
+
 def test_cli_synth_burst_writes_injections(tmp_path):
     out = tmp_path / "c"
     assert main(["synth", "--profile", "burst", "--seed", "5", "--out", str(out),

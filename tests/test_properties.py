@@ -6,9 +6,14 @@ example the pipeline raises nothing but a DdpError, grades every point
 into 1..9, covers exactly the points of category >= 5 with disjoint chains,
 writes a report JSON without NaN or Infinity, and its input survives an
 xyzm emit -> parse round trip exactly.
+
+A metamorphic test compares two runs on related inputs: scaling one
+dimension of every burst by a power of two changes the prescale factors
+and nothing else the pipeline writes.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,8 +27,11 @@ from ddp import (
     analyze_dataset,
     emit_xyzm,
     parse_xyzm,
+    synthesize,
 )
-from ddp.report import report_json
+from ddp.ingest import SYNTH_PROFILES
+from ddp.pipeline import DUMP_KINDS
+from ddp.report import report_json, roots_table_csv
 
 
 def _zero_column(rng, n, d):
@@ -84,3 +92,38 @@ def test_pipeline_properties_on_adversarial_inputs(d, n, kinds, stride, seed):
         assert np.array_equal(np.sort(covered), np.nonzero(fr.categories >= 5)[0])
 
     json.loads(report_json(result.subjects, None, cfg), parse_constant=_reject_constant)
+
+
+@given(
+    profile=st.sampled_from(SYNTH_PROFILES),
+    seed=st.integers(0, 2**16),
+    dim=st.integers(0, 3),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_scaling_a_dimension_by_a_power_of_two_changes_only_prescale_factors(
+    profile, seed, dim, data
+):
+    cfg = PipelineConfig(seed=seed)
+    dataset = synthesize(profile, cfg, n_bursts=6, include_com=True)
+    column = np.concatenate([b.values[:, dim] for b in dataset.bursts])
+    _, exponents = np.frexp(column[column != 0.0])
+    # every scaled value stays normal, so the scaling and each prescaled quotient are exact
+    k = data.draw(st.integers(-1021 - int(exponents.min()), 1024 - int(exponents.max())), label="k")
+    scaled_bursts = []
+    for b in dataset.bursts:
+        values = b.values.copy()
+        values[:, dim] = np.ldexp(values[:, dim], k)
+        scaled_bursts.append(replace(b, values=values))
+    scaled = Dataset(bursts=scaled_bursts, metadata=dataset.metadata)
+
+    base = analyze_dataset(dataset, cfg, dumps=DUMP_KINDS)
+    other = analyze_dataset(scaled, cfg, dumps=DUMP_KINDS)
+    for a, b in zip(base.subjects, other.subjects, strict=True):
+        for fa, fb in zip(a.prescale_factors, b.prescale_factors, strict=True):
+            assert np.array_equal(np.ldexp(fa[dim], k), fb[dim])
+            assert np.array_equal(np.delete(fa, dim), np.delete(fb, dim))
+        b.prescale_factors = a.prescale_factors
+    assert report_json(other.subjects, None, cfg) == report_json(base.subjects, None, cfg)
+    assert roots_table_csv(other.subjects) == roots_table_csv(base.subjects)
+    assert other.dumps == base.dumps

@@ -439,6 +439,14 @@ def test_gti_rising_rc_clamps_to_zero():
     assert not record.triggered
 
 
+def test_gti_cannot_fire_at_the_sentinel_critical_length():
+    # a chain holds at most N points, so it never exceeds the N + 1 sentinel
+    n = 81
+    record = gti([2.0, 0.0], _chain(n), (float(n + 1), float(n + 1)))
+    assert record.energy_drop_fraction == 1.0
+    assert not record.triggered
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_non_finite_burst_raises_naming_the_burst(value):
     # DataBurst rejects non-finite values, so one is written in afterwards;
