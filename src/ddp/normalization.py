@@ -21,6 +21,16 @@ arithmetic mean, and the RMS spread of the pair constants around it
 measures how far the single shared datum is from the exact per-pair
 solution.
 
+Many lanes take the larger root s1 at every admitted pair, and a lane's
+least and greatest values lo and hi prove it.  Rounding is monotone and
+scaling by -4 or 0.5 is exact, so every pair sum is at least fl(lo + lo)
+and every s1 at most S1max = fl(1 + sqrt(fl(fl(lo - hi) * -4) + 1)) * 0.5.
+If epsilon < 0.5, 2lo and 2hi are finite and S1max <= fl(lo + lo), then
+m2 <= m1 <= 0, so m1 wins, and s1 >= 0.5 > epsilon admits every pair
+with a real root.  Such groups take ``_larger_root_constants``.  Likewise
+every margin denominator of a lane lies in [fl(2lo + 2m), fl(2hi + 2m)]
+at datum m, and a group whose intervals miss the guard band skips its mask.
+
 ``build_field`` takes one (N, D) frame or a (B, N, D) stack of frames of
 one zoom level and treats each (frame, dimension) lane alike, so a level is
 normalized in one call.  It never holds an (N, N) float matrix.  Lanes go
@@ -123,11 +133,11 @@ class NormalizedField:
 class Scratch:
     """Block temporaries that one thread reuses: three float and four bool rows.
 
-    ``pair_constants`` and ``pair_margins`` write every temporary of a
-    block into views of these rows, so a thread allocates them once per
-    ``build_field`` call instead of once per block.  ``cells`` bounds the
-    size of the blocks they can hold.  The rows are one float and one bool
-    array, so a freed scratch stays one chunk of the heap for the next.
+    The pair kernels write every temporary of a block into views of these
+    rows, so a thread allocates them once per ``build_field`` call instead
+    of once per block.  ``cells`` bounds the size of the blocks they can
+    hold.  The rows are one float and one bool array, so a freed scratch
+    stays one chunk of the heap for the next.
     """
 
     def __init__(self, cells: int):
@@ -188,6 +198,60 @@ def pair_constants(u_a, u_b, epsilon: float = DEFAULT_EPSILON, scratch: Scratch 
     return m1, admissible
 
 
+def _larger_root_constants(u_a, u_b, epsilon: float, scratch: Scratch):
+    """``pair_constants`` of pairs whose lanes pass ``_one_root_lanes``, in a third of the passes.
+
+    A pair is admissible when its discriminant is not negative, and its
+    constant is then the larger root's m1, computed by the same operations
+    as in ``pair_constants`` on the same scratch rows, so m has the same
+    bits on every admissible pair.  No such root fails the guard, so
+    ``epsilon`` is not read.  m of an excluded pair is unspecified.
+    """
+    (su, sq, m1), (admissible, _, _, _) = scratch.take(np.broadcast(u_a, u_b).shape)
+    np.add(u_a, u_b, out=su)
+    np.subtract(u_a, u_b, out=sq)
+    sq *= -4.0
+    sq += 1.0                                     # the discriminant
+    np.greater_equal(sq, 0.0, out=admissible)
+    with np.errstate(invalid="ignore"):
+        np.sqrt(sq, out=sq)
+    np.add(1.0, sq, out=m1)
+    m1 *= 0.5                                     # root s1
+    m1 -= su
+    m1 *= 0.5
+    return m1, admissible
+
+
+def _one_root_lanes(lo, hi, epsilon: float):
+    """Lanes, given their least and greatest values, whose pairs ``_larger_root_constants`` may take.
+
+    The test is the bound in the module docstring; NaN fails it.
+    """
+    with np.errstate(all="ignore"):
+        two_lo = lo + lo
+        s1_max = (1.0 + np.sqrt((lo - hi) * -4.0 + 1.0)) * 0.5
+        return (epsilon < 0.5) & np.isfinite(two_lo) & np.isfinite(hi + hi) & (s1_max <= two_lo)
+
+
+def _outside_guard(two_lo, two_hi, m_bar, epsilon: float):
+    """Lanes, given twice their least and greatest values, none of whose margins at datum m_bar is zeroed.
+
+    Every denominator lies in [fl(2lo + 2m_bar), fl(2hi + 2m_bar)] (see the
+    module docstring), so an interval that misses [-epsilon, epsilon]
+    zeroes none.
+    """
+    return (two_lo + 2.0 * m_bar > epsilon) | (two_hi + 2.0 * m_bar < -epsilon)
+
+
+def _margin_terms(u_a, u_b, m_bar, scratch: Scratch):
+    """Numerators and shared-datum denominators of the margins of pairs (uA, uB), in the scratch."""
+    (margins, den, _), _ = scratch.take(np.broadcast(u_a, u_b, m_bar).shape)
+    np.subtract(u_a, u_b, out=margins)
+    np.add(u_a, u_b, out=den)
+    den += 2.0 * m_bar
+    return margins, den
+
+
 def pair_margins(u_a, u_b, m_bar, epsilon: float = DEFAULT_EPSILON, scratch: Scratch | None = None):
     """Margins of pairs (uA, uB) at datum m_bar, elementwise over broadcast arrays.
 
@@ -202,10 +266,8 @@ def pair_margins(u_a, u_b, m_bar, epsilon: float = DEFAULT_EPSILON, scratch: Scr
     shape = np.broadcast(u_a, u_b, m_bar).shape
     if scratch is None:
         scratch = Scratch(math.prod(shape))
-    (margins, den, _), (zeroed, other, _, _) = scratch.take(shape)
-    np.subtract(u_a, u_b, out=margins)
-    np.add(u_a, u_b, out=den)
-    den += 2.0 * m_bar
+    margins, den = _margin_terms(u_a, u_b, m_bar, scratch)
+    zeroed, other, _, _ = scratch.take(shape)[1]
     np.less_equal(den, epsilon, out=zeroed)
     zeroed &= np.greater_equal(den, -epsilon, out=other)
     any_zeroed = zeroed.any()   # zeroed margins are rare
@@ -234,18 +296,25 @@ class _Schedule:
 
     ``written`` maps the pool offset of each datum block that has written
     there to its number of constants, for the group that fills the pool;
-    ``blocks`` holds each group's number of datum blocks.  ``done`` counts
-    the groups whose stats are done, so the pool belongs to group ``done``,
-    and ``fits`` holds, per such group, what its margin blocks read.
+    ``blocks`` holds each group's number of datum blocks and ``kernels``
+    the pair-constant kernel of its datum blocks; ``twice`` holds each
+    lane's least and greatest value doubled.  ``done`` counts the groups
+    whose stats are done, so the pool belongs to group ``done``, and
+    ``fits`` holds, per such group, what its margin blocks read.
     """
 
     def __init__(self, u: np.ndarray, epsilon: float, group: int):
         lanes, n = u.shape
         self.u = u
         self.epsilon = epsilon
+        lo, hi = u.min(axis=1), u.max(axis=1)
+        one_root = _one_root_lanes(lo, hi, epsilon)
+        with np.errstate(over="ignore"):
+            self.twice = lo + lo, hi + hi   # per lane, bounds of every pair sum uA + uB
         self.pool = np.empty(min(group, lanes) * (n * (n - 1) // 2))
         self.written = {}
         self.blocks = []
+        self.kernels = []
         self.datum = np.full(lanes, np.nan)
         self.residual = np.zeros(lanes)
         self.admitted = np.zeros(lanes, dtype=np.int64)
@@ -283,6 +352,7 @@ class _Schedule:
                 self.cells = max(self.cells, g * (i1 - i0) * (n - i0 - 1))
                 blocks += 1
             self.blocks.append(blocks)
+            self.kernels.append(_larger_root_constants if one_root[part].all() else pair_constants)
             self.tasks += margins
             rows = max(1, _BLOCK_CELLS // (g * n))
             margins = [(_sum_margins, (index, i0, i0 + rows)) for i0 in range(0, n, rows)]
@@ -326,28 +396,30 @@ class _Schedule:
 def _fit_datum(s: _Schedule, scratch: Scratch, index: int, part: slice, i0: int, i1: int):
     """Pair constants of rows [i0, i1) of group ``index``, written to the pool at their offset.
 
-    A block of the whole triangle gathers its pairs' operands into two
-    contiguous scratch rows, so every pass of ``pair_constants`` runs over
-    the N(N-1)/2 pairs of each lane and none is masked away.  A band of
-    rows, which a lane too wide for one block takes, reads its operands as
-    broadcast views and masks only the corner left of the diagonal:
-    columns from i1 on are above it.  The block writes once the group
-    before has left the pool, and the block that writes the group's last
-    constants runs its stats.
+    The group's kernel is ``_larger_root_constants`` when every lane of it
+    passes ``_one_root_lanes``, else ``pair_constants``.  A block of the
+    whole triangle gathers its pairs' operands into two contiguous scratch
+    rows, so every kernel pass runs over the N(N-1)/2 pairs of each lane
+    and none is masked away.  A band of rows, which a lane too wide for
+    one block takes, reads its operands as broadcast views and masks only
+    the corner left of the diagonal: columns from i1 on are above it.  The
+    block writes once the group before has left the pool, and the block
+    that writes the group's last constants runs its stats.
     """
     u = s.u[part]
     g, n = u.shape
+    constants = s.kernels[index]
     if i1 - i0 == n - 1:
         a, b = _triangle(n)
-        # m1's and sq's rows: pair_constants reads u_a and u_b before writing them
+        # m1's and sq's rows: both kernels read u_a and u_b before writing them
         _, u_b, u_a = scratch.take((g, a.size))[0]
-        m, ok = pair_constants(
+        m, ok = constants(
             np.take(u, a, axis=1, out=u_a, mode="clip"),
             np.take(u, b, axis=1, out=u_b, mode="clip"),
             s.epsilon, scratch,
         )
     else:
-        m, ok = pair_constants(u[:, i0:i1, None], u[:, None, i0 + 1:], s.epsilon, scratch)
+        m, ok = constants(u[:, i0:i1, None], u[:, None, i0 + 1:], s.epsilon, scratch)
         ok[:, :, :i1 - i0 - 1] &= np.arange(i0 + 1, i1) > np.arange(i0, i1)[:, None]
     counts = np.count_nonzero(ok.reshape(g, ok.size // g), axis=1)
     # the pairs of rows [0, i0) of a band's one lane; a group's triangles start at 0
@@ -412,8 +484,10 @@ def _group_stats(s: _Schedule, part: slice):
         np.add.reduce(good, axis=1, out=sums[r0:r1])
     s.residual[part][fitted] = np.sqrt(sums[fitted] / k)
     fit = np.flatnonzero(np.isfinite(datum))
+    two_lo, two_hi = (t[part][fit] for t in s.twice)
+    guarded = not _outside_guard(two_lo, two_hi, datum[fit], s.epsilon).all()
     with s._changed:
-        s.fits.append((part.start + fit, s.u[part][fit], datum[fit, None, None]))
+        s.fits.append((part.start + fit, s.u[part][fit], datum[fit, None, None], guarded))
         s.done += 1
         s._changed.notify_all()
 
@@ -422,20 +496,27 @@ def _sum_margins(s: _Schedule, scratch: Scratch, index: int, i0: int, i1: int):
     """Borda counts of rows [i0, i1) of the fitted lanes of group ``index``.
 
     The row and column operands are copied into the scratch first, so
-    every pass of ``pair_margins`` is contiguous.  The mask and its row
-    counts are written only by a block that zeroed a margin, so the pages
-    of an all-False mask are never touched.
+    every pass of ``pair_margins`` is contiguous.  A group whose lanes'
+    bounds keep every denominator out of the guard band divides without
+    ``pair_margins``' mask.  The mask and its row counts are written only
+    by a block that zeroed a margin, so the pages of an all-False mask are
+    never touched.
     """
     s.wait(lambda: s.done > index)
-    lanes, u, m_bar = s.fits[index]
+    lanes, u, m_bar, guarded = s.fits[index]
     if not lanes.size:
         return
     g, n = u.shape
     i1 = min(i1, n)
-    # den's and the third row: pair_margins reads u_a after it writes the margins row
+    # den's and the third row: the margin kernels read u_a after they write the margins row
     _, u_a, u_b = scratch.take((g, i1 - i0, n))[0]
     np.copyto(u_a, u[:, i0:i1, None])
     np.copyto(u_b, u[:, None, :])
+    if not guarded:
+        margins, den = _margin_terms(u_a, u_b, m_bar, scratch)
+        margins /= den
+        s.borda[lanes, i0:i1] = margins.sum(axis=-1)
+        return
     margins, block = pair_margins(u_a, u_b, m_bar, s.epsilon, scratch)
     rows = np.arange(i0, i1)
     block[:, rows - i0, rows] = False   # the zero diagonal is structural

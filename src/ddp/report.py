@@ -26,6 +26,7 @@ Output format:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
@@ -421,9 +422,15 @@ def _write(v, nl: str, out: list[str]) -> None:
     elif isinstance(v, np.integer):
         out.append(_int_repr(int(v)))
     elif is_dataclass(type(v)):   # an instance; a dataclass type itself is rejected
-        _write({f.name: getattr(v, f.name) for f in fields(v)}, nl, out)
+        _write({name: getattr(v, name) for name in _field_names(type(v))}, nl, out)
     else:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """The field names of a dataclass type, in declaration order."""
+    return tuple(f.name for f in fields(cls))
 
 
 def _write_list(items, nl: str, out: list[str]) -> None:

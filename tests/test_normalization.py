@@ -10,11 +10,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import ddp.normalization as normalization
-from ddp import ContractViolation, DdpError, NormalizedField, build_field, pair_margins
+from ddp import (
+    ContractViolation,
+    Dataset,
+    DdpError,
+    NormalizedField,
+    PipelineConfig,
+    analyze_dataset,
+    build_field,
+    pair_margins,
+    synthesize,
+)
 from ddp.normalization import pair_constants
 
 from oracles import PairStatus, build_field_oracle, pair_constant, pair_constant_oracle
@@ -217,6 +227,113 @@ def test_pair_kernels_take_empty_inputs(shape):
         margins, zeroed = pair_margins(u, u, 0.0, scratch=scratch)
         assert m.shape == ok.shape == margins.shape == zeroed.shape == shape
         assert ok.dtype == zeroed.dtype == bool
+
+
+def _ulps(x, k):
+    """x moved k floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+def _least_one_root_lo(hi):
+    """About the least lo at which a lane of greatest value hi passes the
+    one-root check: the fixed point of lo = S1max(lo, hi) / 2, a contraction."""
+    lo = np.float64(hi)
+    for _ in range(80):
+        lo = (1.0 + np.sqrt((lo - hi) * -4.0 + 1.0)) * 0.5 / 2
+    return lo
+
+
+@st.composite
+def _lanes_at_the_one_root_bound(draw):
+    """A lane whose least value is a few floats either side of the bound.
+
+    Flat lanes (every pair's difference 0) sit near the bound lo = 0.5, and
+    lanes wide enough hold a pair whose difference is exactly 0.25, the one
+    real root r = 0.
+    """
+    k = draw(st.integers(-4, 4), label="ulps")
+    if draw(st.booleans(), label="flat"):
+        return [_ulps(np.float64(0.5), k)] * draw(st.integers(2, 5))
+    hi = np.float64(draw(st.floats(0.5, 1e6)))
+    lo = min(_ulps(_least_one_root_lo(hi), k), hi)
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+    lane = [lo, hi, *(min(lo + t * (hi - lo), hi) for t in inner)]
+    quarter = np.ceil(lo * 4) / 4   # a multiple of 1/4, so q + 0.25 - q is exact
+    if quarter + 0.25 <= hi:
+        lane += [quarter, quarter + 0.25]
+    return draw(st.permutations(lane))
+
+
+@given(lane=_lanes_at_the_one_root_bound(), epsilon=st.sampled_from([1e-9, 0.3, 0.4999]))
+@settings(max_examples=400, deadline=None)
+def test_larger_root_kernel_matches_pair_constants_where_the_lane_check_passes(lane, epsilon):
+    u = np.array(lane)
+    passes = bool(normalization._one_root_lanes(u.min(), u.max(), epsilon))
+    event("lane check passes" if passes else "lane check fails")
+    if not passes:
+        return
+    m, ok = normalization._larger_root_constants(u[:, None], u[None, :], epsilon, normalization.Scratch(u.size ** 2))
+    want_m, want_ok = pair_constants(u[:, None], u[None, :], epsilon)
+    np.testing.assert_array_equal(ok, want_ok)
+    assert m[ok].tobytes() == want_m[want_ok].tobytes()
+
+
+def test_one_root_bound_strategy_reaches_both_sides():
+    for hi in (0.7, 1.0, 3.3, 1e6):
+        lo = _least_one_root_lo(hi)
+        assert normalization._one_root_lanes(_ulps(lo, 4), hi, 1e-9)
+        assert not normalization._one_root_lanes(_ulps(lo, -4), hi, 1e-9)
+
+
+@pytest.mark.parametrize("lane, epsilon", [
+    ([np.nan, 0.9, 1.0], 1e-9),
+    ([0.9, 1.0, np.nan], 1e-9),
+    ([0.9, 1.0, np.inf], 1e-9),
+    ([-np.inf, 0.9, 1.0], 1e-9),
+    ([0.8e308, 1e308], 1e-9),    # 2hi overflows
+    ([0.9, 1.0], 0.5),
+    ([0.9, 1.0], np.nan),
+    ([-0.1, 0.9, 1.0], 1e-9),    # crosses zero
+    ([0.2, 0.25], 1e-9),         # positive, but pair sums below 1/2 let m2 win
+])
+def test_one_root_lane_check_rejects(lane, epsilon):
+    u = np.array(lane)
+    assert not normalization._one_root_lanes(u.min(), u.max(), epsilon)
+
+
+def test_one_root_lane_check_rejects_a_lane_whose_pair_sum_overflows():
+    """Without the finite-2hi test the kernel would admit the pair (hi, hi),
+    whose constant is -inf."""
+    u = np.array([0.8e308, 1e308])
+    assert normalization._one_root_lanes(np.float64(0.8e308), np.float64(0.85e308), 1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, ok = normalization._larger_root_constants(u[:, None], u[None, :], 1e-9, normalization.Scratch(4))
+        _, want_ok = pair_constants(u[:, None], u[None, :], 1e-9)
+    assert ok[1, 1] and m[1, 1] == -np.inf and not want_ok[1, 1]
+
+
+@given(
+    lane=_lanes_at_the_one_root_bound(),
+    epsilon=st.sampled_from([1e-9, 0.3, 0.4999, 2.0]),
+    side=st.sampled_from([-1.0, 1.0]),
+    k=st.integers(-4, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_margins_of_lanes_outside_the_guard_band_zero_none(lane, epsilon, side, k):
+    """A datum a few floats from where the lane's lowest (or highest)
+    denominator meets the band's edge: outside it, no margin is zeroed."""
+    u = np.array(lane) * side
+    two_lo, two_hi = u.min() * 2, u.max() * 2
+    edge = two_lo if side > 0 else two_hi
+    m_bar = _ulps((side * epsilon - edge) / 2, k)
+    with np.errstate(over="ignore"):
+        outside = bool(normalization._outside_guard(two_lo, two_hi, m_bar, epsilon))
+    event("outside the band" if outside else "meets the band")
+    if outside:
+        _, zeroed = pair_margins(u[:, None], u[None, :], m_bar, epsilon)
+        assert not zeroed.any()
 
 
 def test_build_field_single_point_frame():
@@ -703,6 +820,71 @@ def test_build_field_rejects_unequal_frames():
     assert isinstance(info.value, DdpError)
     with pytest.raises(ContractViolation):
         build_field(np.zeros(9))
+
+
+def _record_kernel_choices(mp):
+    """Wrap ``_fit_datum``, both pair-constant kernels and ``pair_margins``.
+
+    Returns the (points, lanes, kernel name) of every datum block and the
+    list that gets one entry per ``pair_margins`` call.
+    """
+    blocks, masks = [], []
+    current = threading.local()
+    fit_datum = normalization._fit_datum
+
+    def recorded_fit(s, scratch, index, part, i0, i1):
+        current.block = (s.u.shape[1], range(part.start, part.stop))
+        fit_datum(s, scratch, index, part, i0, i1)
+
+    mp.setattr(normalization, "_fit_datum", recorded_fit)
+    for name in ("pair_constants", "_larger_root_constants"):
+        def recorded(*args, name=name, kernel=getattr(normalization, name)):
+            blocks.append((*current.block, name))
+            return kernel(*args)
+
+        mp.setattr(normalization, name, recorded)
+
+    def recorded_margins(*args, margins=normalization.pair_margins):
+        masks.append(args[0].shape)
+        return margins(*args)
+
+    mp.setattr(normalization, "pair_margins", recorded_margins)
+    return blocks, masks
+
+
+@pytest.mark.parametrize("n, n_bursts, n_subjects", [(81, 10, 64), (2187, 4, 2)])
+def test_stable_subjects_take_the_larger_root_kernel_and_no_margin_mask(n, n_bursts, n_subjects):
+    """Every group of every zoom level of the seed-7 ``cohort_stable`` and
+    ``wide_frame`` subjects (benchmarks/workloads.py) passes both bounds:
+    their prescaled lanes are positive and swing less than about 36%."""
+    config = PipelineConfig(N=n, seed=7)
+    dataset = synthesize("stable", config, n_bursts=n_bursts, n_subjects=n_subjects)
+    with pytest.MonkeyPatch.context() as mp:
+        blocks, masks = _record_kernel_choices(mp)
+        analyze_dataset(dataset, config)
+    assert {points for points, _, _ in blocks} == set(config.zoom_point_counts())
+    assert {kernel for _, _, kernel in blocks} == {"_larger_root_constants"}
+    assert masks == []
+
+
+def test_a_burst_collapse_lane_takes_the_general_kernel():
+    """The burst whose dimension collapses mid-way holds full and 5% values:
+    its lane's group takes ``pair_constants`` at every level, and every
+    other group, the fully collapsed bursts after it included, the
+    one-root kernel."""
+    config = PipelineConfig(seed=7)
+    dataset = synthesize("burst", config, n_bursts=8, n_subjects=4)
+    for sid in dataset.subjects():
+        injection = dataset.metadata[sid].injection
+        collapse = injection.burst_index * config.D + injection.dimension
+        subject = Dataset(bursts=dataset.bursts_for(sid), metadata={sid: dataset.metadata[sid]})
+        with pytest.MonkeyPatch.context() as mp:
+            blocks, _ = _record_kernel_choices(mp)
+            analyze_dataset(subject, config)
+        general = {points for points, lanes, kernel in blocks if kernel == "pair_constants"}
+        assert general == set(config.zoom_point_counts())
+        for points, lanes, kernel in blocks:
+            assert (kernel == "pair_constants") == (collapse in lanes), (sid, points, lanes)
 
 
 def test_build_field_reuses_its_pages():

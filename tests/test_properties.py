@@ -40,6 +40,13 @@ def _zero_column(rng, n, d):
     return values
 
 
+def _prescaled(rng, n, d):
+    """A positive baseline with a +-15% swing, divided by its max, as
+    ``synthesize`` bursts are after ``prescale_burst``."""
+    values = rng.uniform(0.5, 2.0, d) * rng.uniform(0.85, 1.15, (n, d))
+    return values / values.max(axis=0)
+
+
 VALUE_KINDS = {
     "zero_mean": lambda rng, n, d: rng.normal(0.0, 1.0, (n, d)),
     "zero_column": _zero_column,
@@ -48,6 +55,7 @@ VALUE_KINDS = {
     "tiny": lambda rng, n, d: rng.uniform(-1.0, 1.0, (n, d)) * 1e-300,
     "cauchy": lambda rng, n, d: rng.standard_cauchy((n, d)),
     "integer_ties": lambda rng, n, d: rng.integers(-2, 3, (n, d)).astype(float),
+    "prescaled": _prescaled,
 }
 
 
