@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .config import PipelineConfig
-from .errors import ConfigError, DdpError, ParseError
+from .errors import ConfigError, DdpError, GroupUnavailable, ParseError
 from .ingest import (
     GROUP_LABELS,
     SYNTH_PROFILES,
@@ -36,6 +37,8 @@ from .report import (
     report_path,
     subject_pools_from_json,
 )
+
+log = logging.getLogger(__name__)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +97,10 @@ def _cmd_analyze(args) -> int:
     labeled = {r.group_label for r in result.subjects} - {"unlabeled"}
     stats = None
     if labeled:
-        stats = group_stats(result.subjects, config)
+        try:
+            stats = group_stats(result.subjects, config)
+        except GroupUnavailable as exc:
+            log.warning("writing no group statistics: %s", exc)
     written = emit(result.subjects, stats, args.format, args.out, config)
     out_dir = report_path(args.out).parent   # emit has made it
     for kind, text in result.dumps.items():
@@ -150,20 +156,32 @@ def _cmd_stats(args) -> int:
     if not files:
         raise DdpError(f"no report .json files in {reports_dir}")
     pools = []
-    config = None
-    for f in files:
+    config = first = None
+    for path in files:
         try:
-            doc = json.loads(f.read_text(encoding="utf-8"))
+            doc = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(doc, dict):
                 raise ValueError("the top level is not a JSON object")
-            if config is None and "config" in doc:
-                cfg = doc["config"]
-                config = PipelineConfig(**{f.name: cfg[f.name] for f in fields(PipelineConfig)})
+            cfg = None
+            if "config" in doc:
+                # keys that are not config fields (removed ones too) are ignored
+                given = doc["config"]
+                cfg = PipelineConfig(**{f.name: given[f.name] for f in fields(PipelineConfig)})
             file_pools = subject_pools_from_json(doc)
         except (TypeError, ValueError, ConfigError) as exc:
-            raise ParseError(f"malformed report {f}: {exc}") from None
+            raise ParseError(f"malformed report {path}: {exc}") from None
         except KeyError as exc:
-            raise ParseError(f"malformed report {f}: missing field {exc}") from None
+            raise ParseError(f"malformed report {path}: missing field {exc}") from None
+        if cfg is not None:
+            if config is None:
+                config, first = cfg, path
+            for f in fields(PipelineConfig):
+                mine, theirs = getattr(cfg, f.name), getattr(config, f.name)
+                if f.name != "seed" and mine != theirs:
+                    raise DdpError(
+                        f"report {path} was analyzed with {f.name}={mine!r}, "
+                        f"but {first} with {f.name}={theirs!r}; it cannot be pooled"
+                    )
         pools.extend(p for p in file_pools if p.group_label in wanted)
     if config is None:
         config = PipelineConfig()

@@ -28,13 +28,11 @@ class PipelineConfig:
     rc_threshold_multiplier: float = 10.0
     bin_edges: tuple[float, ...] = (0.3, 1.5, 3.0)
     epsilon_denominator: float = 1e-9
-    refinement_max_iter: int = 100
-    refinement_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         # NaN and inf slip through the sign and range checks below
-        for name in ("drop_threshold", "rc_threshold_multiplier", "epsilon_denominator", "refinement_tol"):
+        for name in ("drop_threshold", "rc_threshold_multiplier", "epsilon_denominator"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, not {getattr(self, name)!r}")
         if not all(math.isfinite(e) for e in self.bin_edges):
@@ -55,10 +53,6 @@ class PipelineConfig:
             raise ConfigError("bin_edges must be strictly ascending")
         if self.epsilon_denominator <= 0.0:
             raise ConfigError("epsilon_denominator must be positive")
-        if self.refinement_max_iter < 1:
-            raise ConfigError("refinement_max_iter must be a positive integer")
-        if self.refinement_tol <= 0.0:
-            raise ConfigError("refinement_tol must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         # The zoom-out ladder must land exactly on 9 points, so N has to be

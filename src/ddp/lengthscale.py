@@ -24,25 +24,22 @@ For dimension d it asks for the fixed point of
     x_d  =  c_d / g_d,    c_d = 4 * R_d / dh_sum,    dh_sum = (4 / D) * sum_k dH_k
 
 where g_d is the geometric mean of the other finite dimensions' |x| (the
-dimension's own |x| when it has no finite partner).  With f >= 3 finite
-dimensions the fixed point is unique and has a closed form: sign(x_d) =
-sign(c_d), and y = log|x| over the finite dimensions solves
+dimension's own |x| when it has no finite partner).  Its fixed point has
+sign(x_d) = sign(c_d), and y = log|x| over the f finite dimensions solves
 
-    M y = log|c|,    M = I + (11^T - I) / (f - 1)
+    M y = log|c|,    M = I + (11^T - I) / (f - 1)    (M = 2 I when f = 1)
 
 that is, with L = sum_k log|c_k|,
 
     log|x_d| = ((f - 1) * log|c_d| - L / 2) / (f - 2).
 
-Every stored branch of such a point therefore holds x* and every
+With f >= 3 the fixed point x* is unique; with f = 1 the formula gives
+x* = sign(c) * sqrt(|c|), the root of z|z| = c; with f = 2 the system is
+singular (a line of fixed points or none) and the division by f - 2 = 0
+leaves no finite x*.  Every stored branch of a point holds x* and every
 anti-branch -x*.  A point whose x* leaves [1e-150, 1e150] in magnitude,
 or is not finite, falls back to the signed diagonal closed form and is
-labeled as such.
-
-With f <= 2 the log-space system is singular (f = 2) or the fixed point
-z|z| = c is reached through rounding (f = 1), so those points keep the
-damped iteration x <- x/2 + c/(2 g), run per stored branch up to
-refinement_max_iter steps until the relative step is below refinement_tol.
+labeled as such; so every point with f = 2 falls back.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
 from .errors import ContractViolation
 
 # |dH| below this has no measurable rank movement: unbounded length scale.
@@ -64,8 +60,8 @@ _MAG_LOW = 1e-150
 
 class Convergence(enum.IntEnum):
     CLOSED_FORM = 0  # coupling not applicable; diagonal root used directly
-    REFINED = 1      # coupled root found: x* when f >= 3, converged iteration otherwise
-    FALLBACK = 2     # x* out of range or iteration diverged; diagonal root restored
+    REFINED = 1      # coupled root x* found
+    FALLBACK = 2     # x* singular (f = 2), out of range or not finite; diagonal root restored
 
 
 def branch_layout(d: int):
@@ -103,11 +99,12 @@ class LengthScaleRoots:
 
 
 def _coupled_root(c_signed, finite):
-    """Closed-form fixed point x* of the coupled balance, f >= 3 finite dims.
+    """Closed-form fixed point x* of the coupled balance.
 
-    c_signed, finite: (P, D).  Returns x* (P, D), with arbitrary values on
-    sentinel dimensions, and a (P,) mask of points whose x* is finite and
-    within [1e-150, 1e150] in magnitude on every finite dimension.
+    c_signed, finite: (P, D), at least one finite dimension per row.
+    Returns x* (P, D), with arbitrary values on sentinel dimensions, and a
+    (P,) mask of points whose x* is finite and within [1e-150, 1e150] in
+    magnitude on every finite dimension; rows with f = 2 are never in it.
     """
     f = finite.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -119,44 +116,7 @@ def _coupled_root(c_signed, finite):
     return x, ~bad.any(axis=1)
 
 
-def _refine_branches(c_signed, z0, finite, max_iter, tol):
-    """Damped signed fixed point over a flat batch of branch rows (f <= 2).
-
-    c_signed, z0, finite: (K, D).  Rows are independent.  Returns the final
-    state (K, D) and a (K,) convergence mask.  Rows whose iterate leaves
-    [1e-150, 1e150] in magnitude or stops being finite are abandoned.
-    """
-    k, _ = z0.shape
-    z = z0.copy()
-    converged = np.zeros(k, dtype=bool)
-    f_count = finite.sum(axis=1)
-    active = np.nonzero(f_count > 0)[0]
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for _ in range(max_iter):
-            if active.size == 0:
-                break
-            za = z[active]
-            fa = finite[active]
-            fc = f_count[active][:, None]
-            absz = np.abs(za)
-            logz = np.where(fa, np.log(np.where(fa, absz, 1.0)), 0.0)
-            total = logz.sum(axis=1, keepdims=True)
-            partner_log = np.where(fc == 1, logz, (total - logz) / np.maximum(fc - 1, 1))
-            update = c_signed[active] / np.exp(partner_log)
-            z_new = np.where(fa, 0.5 * za + 0.5 * update, za)
-            rel = np.where(fa, np.abs(z_new - za) / (np.abs(za) + 1e-300), 0.0)
-            small_step = rel.max(axis=1) < tol
-            bad = (
-                (~np.isfinite(z_new) | (np.abs(z_new) > _MAG_HIGH) | (np.abs(z_new) < _MAG_LOW))
-                & fa
-            ).any(axis=1)
-            z[active] = z_new
-            converged[active[small_step & ~bad]] = True
-            active = active[~(small_step | bad)]
-    return z, converged
-
-
-def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots:
+def solve_roots(r_matrix, dh_matrix) -> LengthScaleRoots:
     """Enumerate and couple the root vectors of every point in a frame.
 
     r_matrix, dh_matrix: (D, N) rank and Borda-change matrices.
@@ -174,33 +134,15 @@ def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots
     negative = ~sentinel & (ratio < 0.0)
     finite = ~sentinel
 
-    sigma, branch, _ = branch_layout(d)
+    sigma, _, _ = branch_layout(d)
     roots = sigma[None, :, :] * magnitude[:, None, :]            # (N, 2**(D-1), D)
-    labels = np.full(roots.shape[:2], int(Convergence.CLOSED_FORM), dtype=np.uint8)
+    labels = np.full(r_pts.shape[0], int(Convergence.CLOSED_FORM), dtype=np.uint8)
 
     dh_sum = (4.0 / d) * dh_pts.sum(axis=1)
-    refinable = (np.abs(dh_sum) >= SENTINEL_THRESHOLD) & finite.any(axis=1)
-    pts = np.nonzero(refinable)[0]
-    coeff = 4.0 * r_pts[pts] / dh_sum[pts][:, None]               # (P, D) signed
-    closed = finite[pts].sum(axis=1) >= 3
-
-    if closed.any():
-        x, ok = _coupled_root(coeff[closed], finite[pts[closed]])
-        roots[pts[closed][ok]] = x[ok][:, None, :]
-        labels[pts[closed]] = np.where(ok, Convergence.REFINED, Convergence.FALLBACK)[:, None]
-
-    pts, coeff = pts[~closed], coeff[~closed]
-    if pts.size:
-        z0 = roots[pts]                                           # (P, 2**(D-1), D)
-        z, conv = _refine_branches(
-            np.broadcast_to(coeff[:, None, :], z0.shape).reshape(-1, d),
-            z0.reshape(-1, d),
-            np.broadcast_to(finite[pts][:, None, :], z0.shape).reshape(-1, d),
-            config.refinement_max_iter, config.refinement_tol,
-        )
-        conv = conv.reshape(z0.shape[:2])
-        roots[pts] = np.where(conv[:, :, None], z.reshape(z0.shape), z0)
-        labels[pts] = np.where(conv, Convergence.REFINED, Convergence.FALLBACK)
+    pts = np.nonzero((np.abs(dh_sum) >= SENTINEL_THRESHOLD) & finite.any(axis=1))[0]
+    x, ok = _coupled_root(4.0 * r_pts[pts] / dh_sum[pts][:, None], finite[pts])
+    roots[pts[ok]] = x[ok][:, None, :]
+    labels[pts] = np.where(ok, Convergence.REFINED, Convergence.FALLBACK)
 
     # sentinel dimensions carry a sign-free +inf in every vector
     roots = np.where(sentinel[:, None, :], np.inf, roots)
@@ -208,5 +150,5 @@ def solve_roots(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots
         roots=roots,
         sentinel=sentinel,
         negative_ratio=negative,
-        convergence=labels[:, branch],
+        convergence=np.repeat(labels[:, None], 2 ** d, axis=1),
     )

@@ -250,7 +250,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
     total = sum(counts)
     dh_points = np.concatenate(changes, axis=2).transpose(1, 0, 2).reshape(d, -1)
     r_points = np.concatenate(ranks, axis=2).transpose(1, 0, 2).reshape(d, -1)
-    roots = solve_roots(r_points, dh_points, config)
+    roots = solve_roots(r_points, dh_points)
     kappa = curvature_tensor(dh_points, roots).reshape(n_pairs, total, half, d)
     thresholds = update_thresholds(roots, frames=n_pairs)
 
@@ -349,6 +349,18 @@ def line_polyline_intersections(
     return deduped
 
 
+def _sum(values) -> float:
+    """Float sum from left to right, on every Python version.
+
+    The builtin sum() compensates its rounding from Python 3.12 on, so it
+    would give different bits there.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def critical_chain_lengths(
     profile: ZoomProfile, config: PipelineConfig
 ) -> tuple[float, float]:
@@ -372,14 +384,14 @@ def critical_chain_lengths(
     # mirror the curvature polyline about log x = 0
     ts_mirror = [-v for v in reversed(t)]
     ys_mirror = profile.kappa_combined[usable][::-1].tolist()
-    t_mean = sum(t) / len(t)
+    t_mean = _sum(t) / len(t)
     t_dev = [v - t_mean for v in t]
-    t_ss = sum(v * v for v in t_dev)
+    t_ss = _sum(v * v for v in t_dev)
 
     def _critical_for(values: list[float]) -> float:
         # closed-form least-squares line through (t, values)
-        v_mean = sum(values) / len(values)
-        slope = sum(a * (v - v_mean) for a, v in zip(t_dev, values)) / t_ss
+        v_mean = _sum(values) / len(values)
+        slope = _sum(a * (v - v_mean) for a, v in zip(t_dev, values)) / t_ss
         intercept = v_mean - slope * t_mean
         candidates = line_polyline_intersections(ts_mirror, ys_mirror, intercept, slope)
         if not candidates:

@@ -40,7 +40,6 @@ from ddp.lengthscale import (
     Convergence,
     LengthScaleRoots,
     _coupled_root,
-    _refine_branches,
     solve_roots,
 )
 from ddp.normalization import DEFAULT_EPSILON, NormalizedField, build_field
@@ -335,13 +334,17 @@ def _sign_table_oracle(d: int):
     return idx, 1.0 - 2.0 * bits
 
 
-def refine_roots_oracle(r_matrix, dh_matrix, config) -> LengthScaleRoots:
+def refine_roots_oracle(r_matrix, dh_matrix, max_iter=100, tol=1e-10) -> LengthScaleRoots:
     """2**D root vectors of every point by the damped fixed point, for every f.
 
     A drop-in for ``solve_roots``: the coupled balance is iterated per sign
     branch at every refinable point, whatever its count f of finite
-    dimensions, instead of being solved in closed form where f >= 3.  Like
-    ``solve_roots`` it returns the branches with sigma_0 = +1 in `roots`.
+    dimensions, instead of being solved in closed form.  It is the
+    reference for f >= 3, where the fixed point is unique, and for the
+    value of the f = 1 root where the iteration converges; with f = 2 the
+    system is singular and each branch lands wherever rounding takes it.
+    Like ``solve_roots`` it returns the branches with sigma_0 = +1 in
+    `roots`.
 
     r_matrix, dh_matrix: (D, N) rank and Borda-change matrices.
     """
@@ -381,9 +384,7 @@ def refine_roots_oracle(r_matrix, dh_matrix, config) -> LengthScaleRoots:
         c_rows = np.broadcast_to(
             coeff[:, None, :], (n_p, n_rep, d)
         ).reshape(n_p * n_rep, d)
-        z, conv = _refine_branches_oracle(
-            c_rows, z0, fin, config.refinement_max_iter, config.refinement_tol
-        )
+        z, conv = _refine_branches_oracle(c_rows, z0, fin, max_iter, tol)
         z = z.reshape(n_p, n_rep, d)
         conv = conv.reshape(n_p, n_rep)
         for b in range(n_rep):
@@ -407,12 +408,13 @@ def refine_roots_oracle(r_matrix, dh_matrix, config) -> LengthScaleRoots:
     )
 
 
-def solve_roots_full_oracle(r_matrix, dh_matrix, config: PipelineConfig) -> LengthScaleRoots:
+def solve_roots_full_oracle(r_matrix, dh_matrix) -> LengthScaleRoots:
     """Enumerate and couple the 2**D root vectors of every point in a frame.
 
     The full-layout solver that the half-layout ``solve_roots`` replaced,
-    verbatim: every rep/anti branch pair is written by hand, and `roots`
-    holds all (N, 2**D, D) signed vectors.
+    with its closed form taken at every refinable point: every rep/anti
+    branch is written by hand, and `roots` holds all (N, 2**D, D) signed
+    vectors.
 
     r_matrix, dh_matrix: (D, N) rank and Borda-change matrices.
     """
@@ -430,12 +432,7 @@ def solve_roots_full_oracle(r_matrix, dh_matrix, config: PipelineConfig) -> Leng
     negative = ~sentinel & (ratio < 0.0)
     finite = ~sentinel
 
-    idx, sigma_all = _sign_table_oracle(d)
-    rep_idx = idx[(idx & 1) == 0]           # branches with sigma_0 = +1
-    anti_idx = rep_idx ^ (nroots - 1)
-    sigma_rep = sigma_all[rep_idx]
-    n_rep = rep_idx.size
-
+    _, sigma_all = _sign_table_oracle(d)
     roots = sigma_all[None, :, :] * magnitude[:, None, :]
     convergence = np.full((n, nroots), int(Convergence.CLOSED_FORM), dtype=np.uint8)
 
@@ -443,41 +440,13 @@ def solve_roots_full_oracle(r_matrix, dh_matrix, config: PipelineConfig) -> Leng
     refinable = (np.abs(dh_sum) >= SENTINEL_THRESHOLD) & finite.any(axis=1)
     pts = np.nonzero(refinable)[0]
     coeff = 4.0 * r_pts[pts] / dh_sum[pts][:, None]               # (P, D) signed
-    closed = finite[pts].sum(axis=1) >= 3
-
-    if closed.any():
-        x, ok = _coupled_root(coeff[closed], finite[pts[closed]])
-        good = pts[closed][ok]
+    if pts.size:
+        x, ok = _coupled_root(coeff, finite[pts])
+        good = pts[ok]
         # representative branches (sigma_0 = +1) hold x*, their negations -x*
         roots[good] = sigma_all[None, :, :1] * x[ok][:, None, :]
         convergence[good] = Convergence.REFINED
-        convergence[pts[closed][~ok]] = Convergence.FALLBACK
-
-    pts, coeff = pts[~closed], coeff[~closed]
-    if pts.size:
-        n_p = pts.size
-        z0 = (sigma_rep[None, :, :] * magnitude[pts][:, None, :]).reshape(n_p * n_rep, d)
-        fin = np.broadcast_to(
-            finite[pts][:, None, :], (n_p, n_rep, d)
-        ).reshape(n_p * n_rep, d)
-        c_rows = np.broadcast_to(
-            coeff[:, None, :], (n_p, n_rep, d)
-        ).reshape(n_p * n_rep, d)
-        z, conv = _refine_branches(
-            c_rows, z0, fin, config.refinement_max_iter, config.refinement_tol
-        )
-        z = z.reshape(n_p, n_rep, d)
-        conv = conv.reshape(n_p, n_rep)
-        for b in range(n_rep):
-            ri, ai = int(rep_idx[b]), int(anti_idx[b])
-            good = pts[conv[:, b]]
-            roots[good, ri] = z[conv[:, b], b]
-            roots[good, ai] = -z[conv[:, b], b]
-            convergence[good, ri] = Convergence.REFINED
-            convergence[good, ai] = Convergence.REFINED
-            failed = pts[~conv[:, b]]
-            convergence[failed, ri] = Convergence.FALLBACK
-            convergence[failed, ai] = Convergence.FALLBACK
+        convergence[pts[~ok]] = Convergence.FALLBACK
 
     # sentinel dimensions carry a sign-free +inf in every vector
     roots = np.where(sentinel[:, None, :], np.inf, roots)
@@ -528,11 +497,11 @@ class PointRoots:
     convergence: np.ndarray    # (2**D,) Convergence values
 
 
-def enumerate_roots(r_vector, dh_vector, config: PipelineConfig) -> PointRoots:
+def enumerate_roots(r_vector, dh_vector) -> PointRoots:
     """All 2**D root vectors of a single observation point, through solve_roots."""
     r_vector = np.atleast_1d(np.asarray(r_vector, dtype=float))
     dh_vector = np.atleast_1d(np.asarray(dh_vector, dtype=float))
-    batch = solve_roots(r_vector[:, None], dh_vector[:, None], config)
+    batch = solve_roots(r_vector[:, None], dh_vector[:, None])
     return PointRoots(
         vectors=batch.expand()[0],
         sentinel=batch.sentinel[0],
@@ -751,7 +720,7 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
         dh = np.stack([delta_borda(states[c].borda, states[p].borda) for p, c in pairs])
         dh_points = dh.transpose(1, 0, 2).reshape(config.D, -1)
         r_points = np.concatenate([states[c].borda.R for _, c in pairs], axis=1)
-        roots_all = solve_roots(r_points, dh_points, config)
+        roots_all = solve_roots(r_points, dh_points)
         full = replace(roots_all, roots=roots_all.expand())   # all 2**D signed branches
         kappa_all = curvature_tensor(dh_points, full)
 
@@ -814,7 +783,7 @@ def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
         dh = delta_borda(state.borda[cur], state.borda[prev])
         dh_points = dh.transpose(1, 0, 2).reshape(d, -1)
         r_points = state.borda.R[cur].transpose(1, 0, 2).reshape(d, -1)
-        roots_all = solve_roots(r_points, dh_points, config)
+        roots_all = solve_roots(r_points, dh_points)
         kappa = curvature_tensor(dh_points, roots_all).reshape(n_pairs, n_l, half, d)
         th = update_thresholds(roots_all, frames=n_pairs)
         thresholds = ThresholdUpdate(*(   # (P, N_l, D), also when P = 0

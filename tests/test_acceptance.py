@@ -57,17 +57,16 @@ def test_01_root_count_law():
     with criterion(1, "root count is exactly 2^D for D in 1..4"):
         rng = np.random.default_rng(1)
         for d in (1, 2, 3, 4):
-            cfg = PipelineConfig(D=d)
             r = rng.uniform(1.0, 81.0, size=(d, 1000))
             dh = rng.normal(0.0, 1.0, size=(d, 1000))
             dh[rng.random(size=dh.shape) < 0.05] = 0.0  # sprinkle sentinels
-            batch = solve_roots(r, dh, cfg)
+            batch = solve_roots(r, dh)
             vectors = batch.expand()
             assert vectors.shape == (1000, 2 ** d, d)
             assert batch.convergence.shape == (1000, 2 ** d)
             # spot-check the per-point operation against the batch
             for a in range(0, 1000, 97):
-                point = enumerate_roots(r[:, a], dh[:, a], cfg)
+                point = enumerate_roots(r[:, a], dh[:, a])
                 assert point.vectors.shape == (2 ** d, d)
                 np.testing.assert_array_equal(point.vectors, vectors[a])
 

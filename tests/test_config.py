@@ -7,7 +7,7 @@ from ddp import ConfigError, PipelineConfig
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "name", ["drop_threshold", "rc_threshold_multiplier", "epsilon_denominator", "refinement_tol"]
+    "name", ["drop_threshold", "rc_threshold_multiplier", "epsilon_denominator"]
 )
 def test_config_rejects_non_finite_float(name, value):
     with pytest.raises(ConfigError, match=name):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddp import Convergence, ContractViolation, PipelineConfig, solve_roots
+from ddp import Convergence, ContractViolation, solve_roots
 from ddp.curvature import curvature_tensor, median
-from ddp.lengthscale import branch_layout
+from ddp.lengthscale import SENTINEL_THRESHOLD, branch_layout
 
 from oracles import (
     _sign_table_oracle,
@@ -18,8 +18,6 @@ from oracles import (
     refine_roots_oracle,
     solve_roots_full_oracle,
 )
-
-CFG = PipelineConfig()
 
 
 def test_diagonal_simple():
@@ -65,7 +63,7 @@ def test_diagonal_closed_form_balance():
 @pytest.mark.parametrize("d,expected", [(1, 2), (2, 4), (3, 8), (4, 16)])
 def test_root_count_law(d, expected):
     rng = np.random.default_rng(d)
-    point = enumerate_roots(rng.uniform(1, 9, d), rng.normal(0, 1, d), CFG)
+    point = enumerate_roots(rng.uniform(1, 9, d), rng.normal(0, 1, d))
     assert point.vectors.shape == (expected, d)
     assert point.convergence.shape == (expected,)
 
@@ -76,7 +74,7 @@ def test_sign_flip_closure_exact():
         r = rng.uniform(1.0, 20.0, 4)
         dh = rng.normal(0, 1.0, 4)
         dh[np.abs(dh) < 1e-6] = 1e-3  # keep every dimension finite
-        point = enumerate_roots(r, dh, CFG)
+        point = enumerate_roots(r, dh)
         vectors = point.vectors
         n = vectors.shape[0]
         for i in range(n):
@@ -85,21 +83,21 @@ def test_sign_flip_closure_exact():
 
 
 def test_all_sentinel_point():
-    point = enumerate_roots(np.array([1.0, 2.0]), np.zeros(2), PipelineConfig(D=2))
+    point = enumerate_roots(np.array([1.0, 2.0]), np.zeros(2))
     assert np.all(point.sentinel)
     assert np.all(np.isinf(point.vectors))
     assert np.all(point.convergence == Convergence.CLOSED_FORM)
 
 
 def test_mixed_sentinel_dimension():
-    point = enumerate_roots(np.array([4.0, 2.0]), np.array([1.0, 0.0]), PipelineConfig(D=2))
+    point = enumerate_roots(np.array([4.0, 2.0]), np.array([1.0, 0.0]))
     assert not point.sentinel[0] and point.sentinel[1]
     assert np.all(np.isinf(point.vectors[:, 1]))
     assert np.all(np.isfinite(point.vectors[:, 0]))
 
 
 def test_negative_ratio_roots_kept_with_flag():
-    point = enumerate_roots(np.array([2.0]), np.array([-8.0]), PipelineConfig(D=1))
+    point = enumerate_roots(np.array([2.0]), np.array([-8.0]))
     assert point.negative_ratio[0]
     mags = np.abs(point.vectors[:, 0])
     assert np.all(np.isfinite(mags)) and np.all(mags > 0)
@@ -109,7 +107,7 @@ def test_convergence_labels_are_paired():
     rng = np.random.default_rng(3)
     r = rng.uniform(1, 81, (4, 30))
     dh = rng.normal(0, 1, (4, 30))
-    batch = solve_roots(r, dh, CFG)
+    batch = solve_roots(r, dh)
     n_roots = batch.convergence.shape[1]
     for i in range(n_roots):
         j = i ^ (n_roots - 1)
@@ -121,10 +119,9 @@ def test_batch_and_per_point_agree():
     rng = np.random.default_rng(9)
     r = rng.uniform(1, 9, (3, 8))
     dh = rng.normal(0, 1, (3, 8))
-    cfg = PipelineConfig(D=3)
-    batch = solve_roots(r, dh, cfg)
+    batch = solve_roots(r, dh)
     for a in range(8):
-        point = enumerate_roots(r[:, a], dh[:, a], cfg)
+        point = enumerate_roots(r[:, a], dh[:, a])
         np.testing.assert_array_equal(point.vectors, batch.expand()[a])
         np.testing.assert_array_equal(point.convergence, batch.convergence[a])
 
@@ -135,11 +132,10 @@ def test_refined_branches_are_plus_minus_oracle_root():
     # iteration converges to the same vector from every branch.
     rng = np.random.default_rng(11)
     for d in (3, 4, 5):
-        cfg = PipelineConfig(D=d)
         r = rng.uniform(1.0, 81.0, (d, 400))
         dh = rng.normal(0.0, 1.0, (d, 400))
-        batch = solve_roots(r, dh, cfg)
-        oracle = refine_roots_oracle(r, dh, cfg)
+        batch = solve_roots(r, dh)
+        oracle = refine_roots_oracle(r, dh)
         vectors = batch.expand()
         refined = batch.convergence == Convergence.REFINED
         assert refined.any()
@@ -152,17 +148,20 @@ def test_refined_branches_are_plus_minus_oracle_root():
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_labels_match_oracle_with_sentinels(d):
+    # the iteration is the reference where the fixed point is unique
+    # (f >= 3) and where no coupling applies; f <= 2 is tested on its own
     rng = np.random.default_rng(20 + d)
-    cfg = PipelineConfig(D=d)
     r = rng.uniform(1.0, 81.0, (d, 1500))
     dh = rng.normal(0.0, 1.0, (d, 1500))
     dh[rng.random(dh.shape) < 0.2] = 0.0  # sprinkle sentinels
-    batch = solve_roots(r, dh, cfg)
-    oracle = refine_roots_oracle(r, dh, cfg)
-    np.testing.assert_array_equal(batch.convergence, oracle.convergence)
-    assert set(np.unique(batch.convergence)) == {0, 1, 2}
+    batch = solve_roots(r, dh)
+    oracle = refine_roots_oracle(r, dh)
+    f = (~batch.sentinel).sum(axis=1)
+    unique = (f == 0) | (f >= 3)
+    np.testing.assert_array_equal(batch.convergence[unique], oracle.convergence[unique])
+    assert Convergence.REFINED in batch.convergence[unique]
     # closed-form and fallback roots are the signed diagonal on both routes
-    not_refined = batch.convergence != Convergence.REFINED
+    not_refined = (batch.convergence != Convergence.REFINED) & unique[:, None]
     np.testing.assert_array_equal(batch.expand()[not_refined], oracle.expand()[not_refined])
 
 
@@ -172,12 +171,12 @@ def test_ill_conditioned_labels_match_oracle():
     rng = np.random.default_rng(31)
     r = rng.uniform(1.0, 81.0, (3, 2000))
     dh = rng.choice([-1.0, 1.0], (3, 2000)) * 10.0 ** rng.uniform(-10.0, 2.0, (3, 2000))
-    batch = solve_roots(r, dh, PipelineConfig(D=3))
-    slow = refine_roots_oracle(r, dh, PipelineConfig(D=3, refinement_max_iter=2000))
+    batch = solve_roots(r, dh)
+    slow = refine_roots_oracle(r, dh, max_iter=2000)
     np.testing.assert_array_equal(batch.convergence, slow.convergence)
     # at the default budget the iteration can only run out of steps, which
     # it reports as a fallback where the closed form finds x*
-    short = refine_roots_oracle(r, dh, PipelineConfig(D=3))
+    short = refine_roots_oracle(r, dh)
     differ = batch.convergence != short.convergence
     assert np.all(short.convergence[differ] == Convergence.FALLBACK)
     assert np.all(batch.convergence[differ] == Convergence.REFINED)
@@ -188,35 +187,89 @@ def test_d2_generic_points_always_fall_back():
     rng = np.random.default_rng(41)
     r = rng.uniform(1.0, 81.0, (2, 2000))
     dh = rng.normal(0.0, 1.0, (2, 2000))
-    batch = solve_roots(r, dh, PipelineConfig(D=2))
+    batch = solve_roots(r, dh)
     assert np.all(batch.convergence == Convergence.FALLBACK)
 
 
-def test_d1_falls_back_only_on_negative_ratios():
-    # z|z| = R/dH: the positive root is the start, the negative one is
-    # reached or missed through rounding
+@pytest.mark.parametrize("dh", [[1.0, 1.0], [1.0, 3.0], [-2.0, 7.0], [0.5, -4.0]])
+def test_d2_equal_ranks_fall_back_to_the_diagonal(dh):
+    # |R1| = |R2| gives |c1| = |c2|: the singular system then has a whole
+    # line of fixed points, and no one of them is the root
+    r = np.array([[5.0], [5.0]])
+    dh = np.array(dh)[:, None]
+    batch = solve_roots(r, dh)
+    assert np.all(batch.convergence == Convergence.FALLBACK)
+    sigma, _, _ = branch_layout(2)
+    np.testing.assert_array_equal(batch.roots[0], sigma * np.sqrt(np.abs(r[:, 0] / dh[:, 0])))
+
+
+def test_d1_roots_are_signed_square_roots():
+    # one finite dimension: z|z| = R/dH has the single root sign(c) sqrt|c|,
+    # whatever the sign of the ratio
     rng = np.random.default_rng(42)
     r = rng.uniform(1.0, 81.0, (1, 4000))
     dh = rng.normal(0.0, 1.0, (1, 4000))
-    batch = solve_roots(r, dh, PipelineConfig(D=1))
-    fallback = (batch.convergence == Convergence.FALLBACK).any(axis=1)
-    assert fallback.any()
-    assert np.all(batch.negative_ratio[fallback, 0])
-    assert np.all(batch.convergence[~batch.negative_ratio[:, 0]] == Convergence.REFINED)
+    batch = solve_roots(r, dh)
+    assert batch.negative_ratio.any()
+    assert np.all(batch.convergence == Convergence.REFINED)
+    ratio = r[0] / dh[0]
+    np.testing.assert_allclose(
+        batch.roots[:, 0, 0], np.sign(ratio) * np.sqrt(np.abs(ratio)), rtol=1e-15, atol=0
+    )
 
 
 def test_fallback_restores_diagonal():
-    # a misaligned single-dimension branch cannot converge and must fall back
-    point = enumerate_roots(np.array([4.0]), np.array([1.0]), PipelineConfig(D=1))
-    fallback = point.convergence == Convergence.FALLBACK
-    if fallback.any():
-        mags = np.abs(point.vectors[fallback, 0])
-        np.testing.assert_allclose(mags, 2.0, rtol=1e-12)
+    # two finite dimensions have no coupled root: the signed diagonal stays
+    point = enumerate_roots(np.array([4.0, 9.0]), np.array([1.0, -3.0]))
+    assert np.all(point.convergence == Convergence.FALLBACK)
+    np.testing.assert_array_equal(np.abs(point.vectors), np.broadcast_to([2.0, np.sqrt(3.0)], (4, 2)))
+
+
+@given(
+    d=st.integers(1, 5),
+    n=st.integers(1, 80),
+    sentinel_rate=st.sampled_from([0.0, 0.3, 0.6]),
+    n_ranks=st.integers(1, 9),
+    half=st.booleans(),
+    scale=st.sampled_from([1.0, 1e-305, 1e305]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_every_point_takes_one_closed_form_root(d, n, sentinel_rate, n_ranks, half, scale, seed):
+    """Per point: one |x| on every stored branch and one label on all 2**D.
+
+    Ranks are integers or halves from a short range, so equal ranks (the
+    singular f = 2 case with a line of fixed points) are common; Borda
+    changes are signed integers or halves, so zero sums are too.  Scaling
+    the ranks by 1e-305 or 1e305 puts every f = 1 root out of range, and
+    scale 1 keeps every one in range.
+    """
+    rng = np.random.default_rng(seed)
+    r = scale * rng.integers(1, n_ranks + 1, (d, n)) / (2.0 if half else 1.0)
+    dh = rng.integers(-6, 7, (d, n)) / (2.0 if half else 1.0)
+    dh[rng.random((d, n)) < sentinel_rate] = 0.0
+    got = solve_roots(r, dh)
+    mag = np.abs(got.roots)
+    assert mag.tobytes() == np.broadcast_to(mag[:, :1], mag.shape).tobytes()
+    assert np.all(got.convergence == got.convergence[:, :1])
+
+    label = got.convergence[:, 0]
+    f = (~got.sentinel).sum(axis=1)
+    refinable = (np.abs((4.0 / d) * dh.sum(axis=0)) >= SENTINEL_THRESHOLD) & (f > 0)
+    assert np.all(label[~refinable] == Convergence.CLOSED_FORM)
+    assert np.all(label[refinable & (f == 2)] == Convergence.FALLBACK)
+    one = refinable & (f == 1)
+    assert np.all(label[one] == (Convergence.REFINED if scale == 1.0 else Convergence.FALLBACK))
+
+    oracle = refine_roots_oracle(r, dh)
+    converged = one[:, None] & (oracle.convergence == Convergence.REFINED)
+    cells = converged[:, :, None] & ~got.sentinel[:, None, :]
+    np.testing.assert_allclose(got.expand()[cells], oracle.expand()[cells], rtol=1e-12, atol=0)
 
 
 def test_solve_roots_shape_mismatch_is_contract_violation():
     with pytest.raises(ContractViolation, match="share a shape"):
-        solve_roots(np.ones((4, 9)), np.ones((4, 8)), CFG)
+        solve_roots(np.ones((4, 9)), np.ones((4, 8)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -241,19 +294,18 @@ def test_branch_layout_pairs_each_index_with_its_negation(d):
 def test_half_layout_matches_full_layout_oracle(d, n, sentinel_rate, decades, r_spread, seed):
     """The stored half rebuilds the parent's full layout bit for bit.
 
-    Sentinels leave points with f <= 2 finite dimensions (the iterated
-    path) at every D, signed dH gives negative ratios, and R and dH spread
-    over many decades reach fallbacks on both paths.  Medians of |x| and
+    Sentinels leave points with f <= 2 finite dimensions at every D,
+    signed dH gives negative ratios, and R and dH spread over many decades
+    reach fallbacks out of range.  Medians of |x| and
     kappa over the stored half equal those over all 2**D branches.
     """
     rng = np.random.default_rng(seed)
-    cfg = PipelineConfig(D=d)
     r = rng.uniform(1.0, 81.0, (d, n)) * 10.0 ** rng.uniform(-r_spread, r_spread, (d, n))
     dh = rng.normal(0.0, 1.0, (d, n)) * 10.0 ** rng.uniform(-decades, 0.0, (d, n))
     dh[rng.random((d, n)) < sentinel_rate] = 0.0
     with np.errstate(all="ignore"):
-        got = solve_roots(r, dh, cfg)
-        want = solve_roots_full_oracle(r, dh, cfg)
+        got = solve_roots(r, dh)
+        want = solve_roots_full_oracle(r, dh)
     assert got.roots.shape == (n, 2 ** (d - 1), d)
     assert got.convergence.tobytes() == want.convergence.tobytes()
     assert got.expand().tobytes() == want.roots.tobytes()

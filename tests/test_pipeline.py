@@ -158,8 +158,8 @@ def _adversarial_cases():
 def _analyze_with(solver, monkeypatch, ds, cfg):
     labels = []
 
-    def counting(r, dh, config):
-        out = solver(r, dh, config)
+    def counting(r, dh):
+        out = solver(r, dh)
         labels.append(out.convergence.ravel())
         return out
 
@@ -310,6 +310,58 @@ def test_cli_stats_rejects_subject_without_id(tmp_path, capsys):
     assert main(["stats", "--reports", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "noid.json" in err and "subject_id" in err
+
+
+@pytest.mark.parametrize("fmt,written", [
+    ("json", ["report.json"]),
+    ("csv", ["rc_roots.csv"]),
+])
+def test_cli_analyze_without_rc_values_writes_no_group_stats(fmt, written, tmp_path, capsys, caplog):
+    # one burst per subject: no frame pair, so no group has an RC value
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--profile", "stable", "--subjects", "2", "--bursts", "1",
+                 "--burst-len", "27", "--group", "control", "--out", str(corpus)]) == 0
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(corpus), "--burst-len", "27", "--format", fmt,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == written
+    assert "no residual-curvature values in any group" in caplog.text
+    if fmt == "json":
+        doc = json.loads((out / "report.json").read_text())
+        assert [s["subject_id"] for s in doc["subjects"]] == ["SYN000", "SYN001"]
+        assert doc["group_stats"] is None
+
+
+def _analyzed_report(tmp_path, name, *, dims, group):
+    corpus = tmp_path / f"corpus_{name}"
+    assert main(["synth", "--profile", "stable", "--seed", "3", "--bursts", "3", "--burst-len", "27",
+                 "--dims", str(dims), "--group", group, "--out", str(corpus)]) == 0
+    out = tmp_path / "reports" / f"{name}.json"
+    assert main(["analyze", "--input", str(corpus), "--burst-len", "27", "--dims", str(dims),
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_cli_stats_rejects_reports_analyzed_with_different_configs(tmp_path, capsys):
+    first = _analyzed_report(tmp_path, "a", dims=4, group="control")
+    other = _analyzed_report(tmp_path, "b", dims=2, group="post_aclr")
+    capsys.readouterr()
+    assert main(["stats", "--reports", str(first.parent)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {other} was analyzed with D=2, but {first} with D=4")
+
+
+def test_cli_stats_pools_a_report_holding_removed_config_keys(tmp_path, capsys):
+    first = _analyzed_report(tmp_path, "a", dims=4, group="control")
+    other = _analyzed_report(tmp_path, "b", dims=4, group="post_aclr")
+    doc = json.loads(other.read_text())
+    doc["config"].update(refinement_max_iter=100, refinement_tol=1e-10)
+    other.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["stats", "--reports", str(first.parent)]) == 0
+    text = capsys.readouterr().out
+    assert "control," in text and "post_aclr," in text
 
 
 def test_cli_synth_deterministic(tmp_path):

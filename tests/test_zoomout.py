@@ -377,6 +377,40 @@ def test_critical_lengths_jump_rule_prefers_lower_curvature():
     assert short == pytest.approx(math.exp(farther[0]) * 81, rel=1e-9)
 
 
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_critical_lengths_fit_sums_from_left_to_right(monkeypatch):
+    # 1e16 + 1.0 - 1e16 is 0.0 from left to right, 1.0 compensated (the
+    # builtin sum() from Python 3.12 on): the fitted lines keep the first
+    ls = (1e16, 1.0, -1e16)
+    assert _left_to_right(ls) != math.fsum(ls)
+    profile = _profile((1.0, 0.6, 0.2), (0.3, 0.5, 0.7), ls)
+    lines = []
+
+    def recording(ts, ys, intercept, slope):
+        lines.append((intercept, slope))
+        return line_polyline_intersections(ts, ys, intercept, slope)
+
+    monkeypatch.setattr(zoomout, "line_polyline_intersections", recording)
+    critical_chain_lengths(profile, CFG)
+
+    t = np.log(profile.x_coordinate).tolist()
+    t_mean = _left_to_right(t) / 3
+    t_dev = [v - t_mean for v in t]
+    t_ss = _left_to_right(v * v for v in t_dev)
+    want = []
+    for values in ((0.3, 0.5, 0.7), ls):   # the long line is fitted first
+        v_mean = _left_to_right(values) / 3
+        slope = _left_to_right(a * (v - v_mean) for a, v in zip(t_dev, values)) / t_ss
+        want.append((v_mean - slope * t_mean, slope))
+    assert lines == want
+
+
 def test_critical_lengths_requires_two_usable_levels():
     profile = _profile((1.0, float("nan"), float("nan")),
                        (0.3, float("nan"), float("nan")),
