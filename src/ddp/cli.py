@@ -7,6 +7,9 @@
                 [--subjects K] [--bursts B] [--group LABEL] [--com]
     ddp stats   --reports <dir> [--groups control,post_aclr]
                 [--format csv|json] [--out PATH]
+
+Warnings go to stderr as ``warning: ...`` lines, errors as ``error: ...``
+lines.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .report import (
     subject_pools_from_json,
 )
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("ddp.cli")   # not __main__ under python -m ddp.cli
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,8 +203,22 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+class _Prefixed(logging.Formatter):
+    """``warning: <message>``, in the form of the ``error:`` lines."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return f"{record.levelname.lower()}: {super().format(record)}"
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # one handler on the package logger for this call, so the warnings of
+    # every module share the prefix
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_Prefixed())
+    handler.setLevel(logging.WARNING)
+    package = logging.getLogger("ddp")
+    package.addHandler(handler)
     try:
         if args.command == "analyze":
             return _cmd_analyze(args)
@@ -212,6 +229,8 @@ def main(argv=None) -> int:
     except DdpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        package.removeHandler(handler)
     return 1
 
 

@@ -40,16 +40,22 @@ tasks in one ordered sequence: the datum blocks, which take the pair
 constants of the upper-triangle part of a block of rows (a group's whole
 triangles, gathered pair by pair, or a band of rows of one lane), then the
 margin blocks of the group before it, which sum full rows into Borda
-counts.  Every kernel pass over a whole triangle or a margin block is
-contiguous: the operands are copied into the scratch first.  Its working
-set is one scratch per thread that runs tasks, sized by the call's largest
-block and holding every float and bool temporary of the blocks that thread
-computes, one pool of the admissible pair constants whose means are the
-data (of a single lane once a triangle outgrows a block) and the boolean
-zeroed mask it returns, whose pages are touched only where a margin was
-zeroed.  A scratch is allocated once per call, not once per block, so
-repeated calls reuse the same heap pages instead of faulting in fresh
-ones.
+counts.  A whole triangle's pairs are gathered into the scratch, so every
+kernel pass over them is contiguous.  Bands and margin blocks read their
+operands as broadcast views, and each thread that runs tasks sets numpy's
+ufunc buffer to ``_BUFSIZE`` elements while it does: a pass with a
+broadcast operand runs 4-5 times slower at the default of 8192 than at a
+buffer no longer than a wide lane's rows.  No result depends on the
+buffer: an elementwise pass has the same bits however numpy splits it,
+and every sum reads contiguous rows, which need no buffer.  The thread
+restores its previous buffer size when it stops taking tasks.  The working set is one scratch per thread that runs tasks,
+sized by the call's largest block and holding every float and bool
+temporary of the blocks that thread computes, one pool of the admissible
+pair constants whose means are the data (of a single lane once a triangle
+outgrows a block) and the boolean zeroed mask it returns, whose pages are
+touched only where a margin was zeroed.  A scratch is allocated once per
+call, not once per block, so repeated calls reuse the same heap pages
+instead of faulting in fresh ones.
 
 One group at a time fills the pool.  A datum block computes its constants
 in its scratch, waits until the group before has left the pool, and
@@ -94,6 +100,10 @@ DEFAULT_EPSILON = 1e-9
 # per-call overhead.
 _BLOCK_CELLS = 1 << 16
 
+# numpy's ufunc buffer, in elements, on threads that run tasks.  Sizes of
+# 256 to 2048 time alike; from 4096 on, passes over broadcast views slow down.
+_BUFSIZE = 1024
+
 
 @dataclass
 class NormalizedField:
@@ -135,9 +145,11 @@ class Scratch:
 
     The pair kernels write every temporary of a block into views of these
     rows, so a thread allocates them once per ``build_field`` call instead
-    of once per block.  ``cells`` bounds the size of the blocks they can
-    hold.  The rows are one float and one bool array, so a freed scratch
-    stays one chunk of the heap for the next.
+    of once per block.  Only a whole triangle's gathered operands live
+    here too; bands and margin blocks read theirs as broadcast views of
+    the lanes.  ``cells`` bounds the size of the blocks they can hold.
+    The rows are one float and one bool array, so a freed scratch stays
+    one chunk of the heap for the next.
     """
 
     def __init__(self, cells: int):
@@ -355,7 +367,7 @@ class _Schedule:
             self.kernels.append(_larger_root_constants if one_root[part].all() else pair_constants)
             self.tasks += margins
             rows = max(1, _BLOCK_CELLS // (g * n))
-            margins = [(_sum_margins, (index, i0, i0 + rows)) for i0 in range(0, n, rows)]
+            margins = [(_sum_margins, (index, i0, min(i0 + rows, n))) for i0 in range(0, n, rows)]
             self.cells = max(self.cells, g * min(rows, n) * n)
         self.tasks += margins
 
@@ -372,11 +384,15 @@ class _Schedule:
     def drain(self):
         """Run the next unclaimed task until none is left or one has failed.
 
-        The thread's blocks share one scratch, allocated here.  The first
-        exception is kept in ``error``, and every thread then stops taking
-        tasks.
+        The thread's blocks share one scratch, allocated here, and run at
+        numpy's ufunc buffer of ``_BUFSIZE`` elements; the thread's own
+        size is set back on the way out.  It is restored explicitly because
+        on numpy 1.x the setting is per thread and ``np.errstate`` does not
+        restore it.  The first exception is kept in ``error``, and every
+        thread then stops taking tasks.
         """
         scratch = Scratch(self.cells)
+        bufsize = np.setbufsize(_BUFSIZE)
         try:
             while self.error is None:
                 i = self._claim()
@@ -391,6 +407,8 @@ class _Schedule:
                 if self.error is None:
                     self.error = exc
                 self._changed.notify_all()
+        finally:
+            np.setbufsize(bufsize)
 
 
 def _fit_datum(s: _Schedule, scratch: Scratch, index: int, part: slice, i0: int, i1: int):
@@ -401,10 +419,11 @@ def _fit_datum(s: _Schedule, scratch: Scratch, index: int, part: slice, i0: int,
     whole triangle gathers its pairs' operands into two contiguous scratch
     rows, so every kernel pass runs over the N(N-1)/2 pairs of each lane
     and none is masked away.  A band of rows, which a lane too wide for
-    one block takes, reads its operands as broadcast views and masks only
-    the corner left of the diagonal: columns from i1 on are above it.  The
-    block writes once the group before has left the pool, and the block
-    that writes the group's last constants runs its stats.
+    one block takes, reads its operands as broadcast views, unbuffered at
+    the thread's ``_BUFSIZE``, and masks only the corner left of the
+    diagonal: columns from i1 on are above it.  The block writes once the
+    group before has left the pool, and the block that writes the group's
+    last constants runs its stats.
     """
     u = s.u[part]
     g, n = u.shape
@@ -421,11 +440,12 @@ def _fit_datum(s: _Schedule, scratch: Scratch, index: int, part: slice, i0: int,
     else:
         m, ok = constants(u[:, i0:i1, None], u[:, None, i0 + 1:], s.epsilon, scratch)
         ok[:, :, :i1 - i0 - 1] &= np.arange(i0 + 1, i1) > np.arange(i0, i1)[:, None]
-    counts = np.count_nonzero(ok.reshape(g, ok.size // g), axis=1)
     # the pairs of rows [0, i0) of a band's one lane; a group's triangles start at 0
     offset = i0 * (2 * n - i0 - 1) // 2
     s.wait(lambda: s.done >= index)
     good = m[ok]
+    # one lane admits what the gather kept; a group counts per lane
+    counts = good.size if g == 1 else np.count_nonzero(ok.reshape(g, ok.size // g), axis=1)
     s.pool[offset:offset + good.size] = good
     with s._changed:
         s.written[offset] = good.size
@@ -495,8 +515,9 @@ def _group_stats(s: _Schedule, part: slice):
 def _sum_margins(s: _Schedule, scratch: Scratch, index: int, i0: int, i1: int):
     """Borda counts of rows [i0, i1) of the fitted lanes of group ``index``.
 
-    The row and column operands are copied into the scratch first, so
-    every pass of ``pair_margins`` is contiguous.  A group whose lanes'
+    The row and column operands are broadcast views of the lanes, which
+    the thread's small ufunc buffer (``_BUFSIZE``) keeps fast; the margins
+    and denominators are contiguous scratch rows.  A group whose lanes'
     bounds keep every denominator out of the guard band divides without
     ``pair_margins``' mask.  The mask and its row counts are written only
     by a block that zeroed a margin, so the pages of an all-False mask are
@@ -506,12 +527,7 @@ def _sum_margins(s: _Schedule, scratch: Scratch, index: int, i0: int, i1: int):
     lanes, u, m_bar, guarded = s.fits[index]
     if not lanes.size:
         return
-    g, n = u.shape
-    i1 = min(i1, n)
-    # den's and the third row: the margin kernels read u_a after they write the margins row
-    _, u_a, u_b = scratch.take((g, i1 - i0, n))[0]
-    np.copyto(u_a, u[:, i0:i1, None])
-    np.copyto(u_b, u[:, None, :])
+    u_a, u_b = u[:, i0:i1, None], u[:, None, :]
     if not guarded:
         margins, den = _margin_terms(u_a, u_b, m_bar, scratch)
         margins /= den

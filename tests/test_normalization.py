@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 import gc
 import re
@@ -23,6 +24,7 @@ from ddp import (
     analyze_dataset,
     build_field,
     pair_margins,
+    prescale_burst,
     synthesize,
 )
 from ddp.normalization import pair_constants
@@ -791,6 +793,87 @@ def test_build_field_errstate_applies_on_both_threads(cpus):
     assert np.isfinite(field.datum[1:]).all() and np.isnan(field.borda[2]).all()
 
 
+@contextlib.contextmanager
+def _caller_bufsize(size):
+    """Run the body at numpy's ufunc buffer ``size`` (None: leave it), then set the old size back."""
+    old = np.getbufsize() if size is None else np.setbufsize(size)
+    try:
+        yield old if size is None else size
+    finally:
+        np.setbufsize(old)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("size", [16, 4096])
+def test_build_field_restores_the_callers_ufunc_buffer(cpus, size):
+    """Every task runs at ``_BUFSIZE``, on either thread, and the caller
+    gets its own buffer size back."""
+    values = np.random.default_rng(8).uniform(-1.0, 1.0, (2, 40, 2))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp, _caller_bufsize(size):
+        mp.setattr(normalization, "_BLOCK_CELLS", 512)
+        mp.setattr(normalization, "_usable_cpus", lambda: cpus)
+        drains = _record_drains(mp)
+        _record_tasks(mp, before=lambda kind: seen.append(np.getbufsize()))
+        build_field(values)
+        assert np.getbufsize() == size
+    assert len(set(drains)) == cpus
+    assert seen and set(seen) == {normalization._BUFSIZE}
+
+
+@pytest.mark.parametrize("cpus, on_worker", [(1, False), (2, False), (2, True)])
+def test_build_field_restores_the_callers_ufunc_buffer_when_a_task_raises(cpus, on_worker):
+    """The first task on the chosen thread raises; the other thread pauses
+    before each task, so the chosen one runs some."""
+    values = np.random.default_rng(8).uniform(-1.0, 1.0, (2, 40, 2))
+    fired = []
+
+    def fail(kind):
+        if (threading.current_thread().name == "ddp-normalize") == on_worker:
+            fired.append(kind)
+            raise _Injected(kind)
+        time.sleep(2e-3)
+
+    with pytest.MonkeyPatch.context() as mp, _caller_bufsize(16):
+        mp.setattr(normalization, "_BLOCK_CELLS", 512)
+        mp.setattr(normalization, "_usable_cpus", lambda: cpus)
+        _record_tasks(mp, before=fail)
+        for _ in range(20):
+            try:
+                build_field(values)
+            except _Injected:
+                break
+            finally:
+                assert np.getbufsize() == 16
+    assert len(fired) == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("size", [16, None, 1 << 20])
+def test_build_field_bits_do_not_depend_on_the_callers_ufunc_buffer(cpus, size):
+    """The buffer changes only how fast the passes run: whatever size the
+    caller set, every field matches the oracle bit for bit.
+
+    Small blocks send the 81-point lanes through bands.  The collapsing
+    lane of a ``burst`` subject takes the general kernel and keeps the
+    zeroed-margin mask, and the integer frame zeroes margins.
+    """
+    config = PipelineConfig(seed=7)
+    dataset = synthesize("burst", config, n_bursts=8, n_subjects=1)
+    (sid,) = dataset.subjects()
+    collapse = dataset.metadata[sid].injection.burst_index
+    burst = prescale_burst(dataset.bursts_for(sid)[collapse])[0].values
+    stack = np.stack([burst, np.random.default_rng(9).integers(-2, 3, burst.shape).astype(float)])
+    with pytest.MonkeyPatch.context() as mp, _caller_bufsize(size) as caller:
+        mp.setattr(normalization, "_usable_cpus", lambda: cpus)
+        blocks, masks = _record_kernel_choices(mp)
+        field = _assert_stack_matches_per_frame_oracle(stack, 0.3, 2048)
+        assert np.getbufsize() == caller
+    assert len(blocks) > field.n_dims   # lanes one at a time, in bands of rows
+    assert masks and field.margin_zeroed.any()
+    assert {kernel for _, _, kernel in blocks} == {"pair_constants", "_larger_root_constants"}
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (9, 0), (3, 0, 4), (3, 9, 0)])
 def test_build_field_rejects_frames_without_points_or_dimensions(shape):
     with pytest.raises(ContractViolation, match=re.escape(str(shape))):
@@ -888,10 +971,9 @@ def test_a_burst_collapse_lane_takes_the_general_kernel():
 
 
 def test_build_field_reuses_its_pages():
-    """Each thread's block temporaries, the gathered triangle operands and
-    the copied margin operands included, are one scratch per call, not
-    fresh arrays per block, so repeated calls touch no new pages, at each
-    zoom level's shape."""
+    """Each thread's block temporaries, the gathered triangle operands
+    included, are one scratch per call, not fresh arrays per block, so
+    repeated calls touch no new pages, at each zoom level's shape."""
     resource = pytest.importorskip("resource")
     for n in (81, 27, 9):
         values = np.random.default_rng(16).uniform(-1.0, 1.0, (10, n, 4))

@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import asdict
 
 import numpy as np
@@ -331,6 +332,27 @@ def test_cli_analyze_without_rc_values_writes_no_group_stats(fmt, written, tmp_p
         doc = json.loads((out / "report.json").read_text())
         assert [s["subject_id"] for s in doc["subjects"]] == ["SYN000", "SYN001"]
         assert doc["group_stats"] is None
+
+
+def test_cli_prints_warnings_as_prefixed_lines(tmp_path, capsys):
+    """The single-burst control repro warns that it writes no group
+    statistics; with the #mass line removed, ingest warns too."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--profile", "stable", "--subjects", "1", "--bursts", "1",
+                 "--burst-len", "27", "--group", "control", "--out", str(corpus)]) == 0
+    xyzm = corpus / "SYN000.xyzm"
+    xyzm.write_text("".join(line for line in xyzm.read_text().splitlines(keepends=True)
+                            if not line.startswith("#mass")))
+    capsys.readouterr()
+    assert main(["analyze", "--input", str(corpus), "--burst-len", "27",
+                 "--out", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"{tmp_path / 'out' / 'report.json'}\n"
+    assert err == (
+        "warning: subject SYN000 has no #mass directive; defaulting to 1.0 kg\n"
+        "warning: writing no group statistics: no residual-curvature values in any group\n"
+    )
+    assert not logging.getLogger("ddp").handlers   # the handler lasts one call
 
 
 def _analyzed_report(tmp_path, name, *, dims, group):
