@@ -5,8 +5,8 @@ change of a point over the squared length scale associated with it.  A
 sentinel (unbounded) length scale means no exchange, kappa = 0.
 
 Two thresholds gate each point and dimension.  The short-term threshold is
-the inverse of the current frame pair's root magnitude (median of |x|
-across the root branches); the long-term threshold is the inverse of the
+the inverse of the current frame pair's root magnitude |x| (the same on
+every root branch); the long-term threshold is the inverse of the
 running mean of those magnitudes over all frame pairs seen so far.  On the
 first analyzed pair the two coincide.
 
@@ -58,22 +58,32 @@ def median(values: np.ndarray, axis: int, mask: np.ndarray | None = None) -> np.
         count = np.count_nonzero(mask, axis=axis).ravel()
     rows, last = np.arange(len(ordered)), np.maximum(count - 1, 0)
     lo, hi = ordered[rows, last // 2], ordered[rows, count // 2]
-    mid = np.where(count % 2 == 1, lo, (lo + hi) / 2)
+    mid, even = lo.copy(), count % 2 == 0
+    mid[even] = (lo[even] + hi[even]) / 2   # only where taken: the sum can overflow
     return np.where(np.isnan(ordered[rows, last]), np.nan, mid).reshape(shape)
 
 
 def curvature_tensor(dh_matrix, roots: LengthScaleRoots) -> np.ndarray:
-    """kappa per (point, stored root branch, dimension) for a whole frame pair.
+    """kappa per (point, dimension) for a whole frame pair.
 
-    dh_matrix: (D, N).  Returns (N, 2**(D-1), D), which is also each
-    anti-branch's kappa, with exact zeros on sentinels and where dH is zero.
+    dh_matrix: (D, N).  Returns (N, D), the kappa of each of a point's 2**D
+    root vectors (they differ only in sign), with exact zeros on sentinels
+    and where dH is zero.
+
+    In the pipeline kappa < B**2 N**2, B = 4(N - 1)/eps: margins of prescaled
+    values are below 2/eps, so |dH| < B, and ranks lie in [1, N].  Closed
+    form and fallback: x**2 = |R/dH|, so kappa <= dH**2.  Refined: with
+    c_d = D R_d / sum_k dH_k, log|x*_d| = log|c_d| / 2 - sum_k log(R_k / R_d)
+    / (2(f - 2)) over the f finite dimensions, so |x*_d| >= sqrt(|c_d|) / N,
+    and kappa <= |dH_d| |sum_k dH_k| N**2 / D.  The bound is 5.5e28 at N = 243
+    and the default eps = 1e-9; kappa reaches 8.99e307, where v + v
+    overflows, only for an eps below about 4e-154 * N**2.
     """
     dh_pts = np.abs(np.asarray(dh_matrix, dtype=float).T)  # (N, D)
-    x2 = np.square(roots.roots)
+    x2 = np.square(roots.x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = dh_pts[:, None, :] / x2
-    kappa = np.where(np.isinf(x2) | roots.sentinel[:, None, :], 0.0, kappa)
-    return kappa
+        kappa = dh_pts / x2
+    return np.where(np.isinf(x2) | roots.sentinel, 0.0, kappa)
 
 
 @dataclass
@@ -88,19 +98,18 @@ def update_thresholds(roots: LengthScaleRoots, frames: int = 1) -> ThresholdUpda
 
     `roots` holds `frames` frame pairs of equal length, point-major and in
     time order (zero frames hold zero points).  The per-point magnitude
-    statistic is the median of |x| across the stored branches (equal to
-    that across all 2**D), taken for all pairs in one call; the running
-    mean starts empty and then advances pair by pair, so a pair's long-term
-    threshold sees only the pairs up to and including it.  Sentinel
-    dimensions contribute nothing: thresholds stay undefined there and the
-    running mean is not advanced.
+    statistic is |x|, the same on all 2**D branches, read for all pairs in
+    one call; the running mean starts empty and then advances pair by
+    pair, so a pair's long-term threshold sees only the pairs up to and
+    including it.  Sentinel dimensions contribute nothing: thresholds stay
+    undefined there and the running mean is not advanced.
     """
     total, d = roots.sentinel.shape
     n = total // max(frames, 1)
     if frames < 0 or frames * n != total:
         raise ContractViolation(f"{total} points do not split into {frames} frame pairs")
 
-    magnitude = median(np.abs(roots.roots), axis=1).reshape(frames, n, d)  # inf on sentinels
+    magnitude = np.abs(roots.x).reshape(frames, n, d)  # inf on sentinels
     defined = np.isfinite(magnitude)
 
     count = np.zeros((n, d), dtype=np.int64)

@@ -1,13 +1,14 @@
 """Dimensionless length-scale roots of the symmetrized conservation balance.
 
 Each observation point has 2**D root vectors, one per sign pattern over
-the D dimensions: index i has sigma_d = +1 where bit d of i is 0.  The
-balance is quadratic, so roots come in +/- pairs: the anti-branch
-i ^ (2**D - 1) of branch i holds exactly its negation.  LengthScaleRoots
-therefore stores only the 2**(D-1) branches with sigma_0 = +1, in index
-order, and `expand()` rebuilds the signed (N, 2**D, D) array.  This module
-alone knows that layout (`branch_layout`); curvature, thresholds and RC
-medians read only |x| and work on the stored half.
+the D dimensions: index i has sigma_d = +1 where bit d of i is 0.  Every
+vector of a point has the same |x|, so LengthScaleRoots keeps one signed
+vector x per point and a label that says how its 2**D vectors follow
+from it: vector i of a refined point is x* where sigma_0 = +1 and -x*
+where sigma_0 = -1 (the balance is quadratic, so the anti-branch
+i ^ (2**D - 1) is the negation of branch i), and vector i of a
+closed-form or fallback point is sigma * |x|.  `expand()` rebuilds the
+signed (N, 2**D, D) array; curvature, thresholds and RC read only |x|.
 
 The guaranteed base is the diagonal closed form
 
@@ -36,8 +37,7 @@ that is, with L = sum_k log|c_k|,
 With f >= 3 the fixed point x* is unique; with f = 1 the formula gives
 x* = sign(c) * sqrt(|c|), the root of z|z| = c; with f = 2 the system is
 singular (a line of fixed points or none) and the division by f - 2 = 0
-leaves no finite x*.  Every stored branch of a point holds x* and every
-anti-branch -x*.  A point whose x* leaves [1e-150, 1e150] in magnitude,
+leaves no finite x*.  A point whose x* leaves [1e-150, 1e150] in magnitude,
 or is not finite, falls back to the signed diagonal closed form and is
 labeled as such; so every point with f = 2 falls back.
 """
@@ -64,37 +64,34 @@ class Convergence(enum.IntEnum):
     FALLBACK = 2     # x* singular (f = 2), out of range or not finite; diagonal root restored
 
 
-def branch_layout(d: int):
-    """The stored half of the 2**D sign branches and where each branch lives in it.
-
-    Returns sigma (2**(D-1), D), the sign patterns of the stored branches
-    (sigma_0 = +1, in index order), and for each of the 2**D indices the
-    stored branch it reads, (2**D,), and the sign to apply to it, (2**D,):
-    +1 for a stored branch, -1 for the anti-branch i ^ (2**D - 1).
-    """
-    idx = np.arange(2 ** d)
-    flip = idx & 1
-    sigma = 1.0 - 2.0 * ((idx[::2, None] >> np.arange(d)[None, :]) & 1)
-    return sigma, (idx ^ flip * (2 ** d - 1)) >> 1, 1.0 - 2.0 * flip
+def branch_layout(d: int) -> np.ndarray:
+    """The sign table of the 2**D branches, (2**D, D): sigma_d = +1 where bit d of i is 0."""
+    return 1.0 - 2.0 * ((np.arange(2 ** d)[:, None] >> np.arange(d)[None, :]) & 1)
 
 
 @dataclass
 class LengthScaleRoots:
-    """Root vectors for a whole frame pair, point-major: the stored half, all 2**D labels."""
+    """Root vectors for a whole frame pair, point-major: one vector and one label per point."""
 
-    roots: np.ndarray          # (N, 2**(D-1), D), +inf on sentinel dimensions
+    x: np.ndarray              # (N, D): x* where refined, else |x|; +inf on sentinel dimensions
     sentinel: np.ndarray       # (N, D) bool
     negative_ratio: np.ndarray # (N, D) bool
-    convergence: np.ndarray    # (N, 2**D) uint8
+    label: np.ndarray          # (N,) uint8 Convergence
 
     @property
     def n_points(self) -> int:
-        return self.roots.shape[0]
+        return self.x.shape[0]
+
+    @property
+    def convergence(self) -> np.ndarray:
+        """The label of every branch, (N, 2**D), a read-only view of `label`."""
+        return np.broadcast_to(self.label[:, None], (self.n_points, 2 ** self.x.shape[1]))
 
     def expand(self) -> np.ndarray:
         """All 2**D signed root vectors, (N, 2**D, D), +inf on sentinel dimensions."""
-        _, branch, sign = branch_layout(self.sentinel.shape[1])
-        signed = self.roots.take(branch, axis=1) * sign[None, :, None]
+        sigma = branch_layout(self.x.shape[1])
+        refined = (self.label == Convergence.REFINED)[:, None, None]
+        signed = np.where(refined, sigma[:, :1], sigma) * self.x[:, None, :]
         return np.where(self.sentinel[:, None, :], np.inf, signed)
 
 
@@ -130,25 +127,21 @@ def solve_roots(r_matrix, dh_matrix) -> LengthScaleRoots:
     sentinel = np.abs(dh_pts) < SENTINEL_THRESHOLD
     safe_dh = np.where(sentinel, 1.0, dh_pts)
     ratio = r_pts / safe_dh
-    magnitude = np.where(sentinel, np.inf, np.sqrt(np.abs(ratio)))
+    roots = np.where(sentinel, np.inf, np.sqrt(np.abs(ratio)))   # |x|, then x* where refined
     negative = ~sentinel & (ratio < 0.0)
     finite = ~sentinel
-
-    sigma, _, _ = branch_layout(d)
-    roots = sigma[None, :, :] * magnitude[:, None, :]            # (N, 2**(D-1), D)
     labels = np.full(r_pts.shape[0], int(Convergence.CLOSED_FORM), dtype=np.uint8)
 
     dh_sum = (4.0 / d) * dh_pts.sum(axis=1)
     pts = np.nonzero((np.abs(dh_sum) >= SENTINEL_THRESHOLD) & finite.any(axis=1))[0]
     x, ok = _coupled_root(4.0 * r_pts[pts] / dh_sum[pts][:, None], finite[pts])
-    roots[pts[ok]] = x[ok][:, None, :]
+    roots[pts[ok]] = x[ok]
     labels[pts] = np.where(ok, Convergence.REFINED, Convergence.FALLBACK)
 
     # sentinel dimensions carry a sign-free +inf in every vector
-    roots = np.where(sentinel[:, None, :], np.inf, roots)
     return LengthScaleRoots(
-        roots=roots,
+        x=np.where(sentinel, np.inf, roots),
         sentinel=sentinel,
         negative_ratio=negative,
-        convergence=np.repeat(labels[:, None], 2 ** d, axis=1),
+        label=labels,
     )

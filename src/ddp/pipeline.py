@@ -151,31 +151,28 @@ def _write_dumps(rows, subject_field, zoom, cls, table):
 def _roots_rows(heads: list[str], roots) -> list[str]:
     """The roots dump rows of every point, all 2**D branches; heads[i] starts point i's rows.
 
-    Each stored magnitude is formatted once, and only once per point when
-    all its stored branches hold the same bits (the closed-form case).  The
-    anti-branch text is the same text with the sign character flipped,
-    which is the repr of the negated float (nan stays nan, 0.0 and -0.0
-    swap).
+    Each point's vector is formatted once.  A branch takes each dimension's
+    text or its negation, the repr of the negated float (nan stays nan, 0.0
+    and -0.0 swap): a refined point's whole vector flips with sigma_0, and
+    another point's dimensions flip with sigma, through one template per
+    branch.
     """
-    _, branch, sign = branch_layout(roots.sentinel.shape[1])
-    layout = list(zip(branch.tolist(), (sign < 0).tolist()))
-    stored = np.where(roots.sentinel[:, None, :], np.inf, roots.roots)
-    bits = stored.view(np.uint64)
-    uniform = (bits == bits[:, :1]).all(axis=(1, 2)).tolist()
-    half = stored.shape[1]
+    flips = (branch_layout(roots.x.shape[1]) < 0).tolist()
+    # field k of a branch's template is dimension k's text, field D + k its negation
+    templates = [",".join([f"{{{k + len(row) * f}}}" for k, f in enumerate(row)]) for row in flips]
     lines = []
-    for head, point, labels, same in zip(
-        heads, stored.tolist(), roots.convergence.tolist(), uniform
-    ):
-        texts = [csv_nums(vector) for vector in (point[:1] if same else point)]
-        plus = [",".join(t) for t in texts]
-        minus = [",".join([_negated(v) for v in t]) for t in texts]
-        if same:
-            plus, minus = plus * half, minus * half
-        lines.extend([
-            f"{head}{ri},{minus[b] if flipped else plus[b]},{_CONV_NAMES[label]}"
-            for ri, ((b, flipped), label) in enumerate(zip(layout, labels))
-        ])
+    for head, point, label in zip(heads, roots.x.tolist(), roots.label.tolist()):
+        plus = csv_nums(point)
+        minus = [_negated(t) for t in plus]
+        name = _CONV_NAMES[label]
+        if label == Convergence.REFINED:
+            texts = (",".join(plus), ",".join(minus))
+            lines.extend([f"{head}{ri},{texts[row[0]]},{name}" for ri, row in enumerate(flips)])
+        else:
+            lines.extend([
+                f"{head}{ri},{template.format(*plus, *minus)},{name}"
+                for ri, template in enumerate(templates)
+            ])
     return lines
 
 

@@ -16,13 +16,14 @@ change and ranks by indexing the stacked results.  Then each pair's points
 of every level (81 + 27 + 9 for the defaults), side by side, go through
 one root solve and one curvature evaluation per subject.  The tail is
 array-shaped across pairs and levels too: one `update_thresholds` call
-takes the root-magnitude medians of every point at once and then advances
-the running mean pair by pair in time order, each level statistic is one
-median over that level's slice of the `(P, ..., D)` stack, and
+reads the root magnitude of every point at once and then advances the
+running mean pair by pair in time order, each level statistic is one
+median over that level's points in the `(P, ..., D)` stack, and
 `residual_curvature` takes the medians of every pair in one call on the
-coarsest level's slice.  Points never interact, across pairs or levels,
-and the running mean only looks back, so a pair's results do not depend
-on the bursts that follow it.
+coarsest level's slice.  Each takes one value per point, not one per
+root branch: every root vector of a point has the same |x|.  Points
+never interact, across pairs or levels, and the running mean only looks
+back, so a pair's results do not depend on the bursts that follow it.
 
 The result is one `SubjectZoom` per subject, every per-pair result a
 column with the P pairs in front: the level statistics as one
@@ -76,7 +77,7 @@ from .curvature import (
 )
 from .errors import ContractViolation
 from .ingest import DataBurst
-from .lengthscale import Convergence, branch_layout, solve_roots
+from .lengthscale import Convergence, solve_roots
 from .normalization import build_field
 from .ranking import BordaState, borda_state, delta_borda
 
@@ -167,6 +168,7 @@ class ResidualCurvatureRecord:
     """Curvature left at the coarsest level, per dimension and per root.
 
     Shapes are those of P pairs; indexing with a pair number drops P.
+    Every root of a dimension has the same value, `rc_per_dim`.
     """
 
     rc: np.ndarray           # (P, D, 2**D)
@@ -225,7 +227,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
     n_bursts, d, stride = len(bursts), config.D, config.stride_n
     prev = np.arange(max(n_bursts - stride, 0))
     cur = prev + stride
-    n_pairs, half = len(prev), 2 ** (d - 1)
+    n_pairs = len(prev)
     stack = np.array([b.values for b in bursts], dtype=float).reshape(n_bursts, counts[0], d)
     changes, ranks = [], []                                 # per level, (P, D, N_l)
     for li, n_l in enumerate(counts):
@@ -251,7 +253,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
     dh_points = np.concatenate(changes, axis=2).transpose(1, 0, 2).reshape(d, -1)
     r_points = np.concatenate(ranks, axis=2).transpose(1, 0, 2).reshape(d, -1)
     roots = solve_roots(r_points, dh_points)
-    kappa = curvature_tensor(dh_points, roots).reshape(n_pairs, total, half, d)
+    kappa = curvature_tensor(dh_points, roots).reshape(n_pairs, total, d)
     thresholds = update_thresholds(roots, frames=n_pairs)
 
     ends = np.cumsum(counts).tolist()
@@ -262,8 +264,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
     )
     level_stats = ([], [], [])   # per level, the (P, D) medians of curvature and both thresholds
     for lv, n_l in zip(levels, counts):
-        # the kappa median over the stored branches is the one over all 2**D
-        level_stats[0].append(median(kappa[:, lv].reshape(n_pairs, n_l * half, d), axis=1))
+        level_stats[0].append(median(kappa[:, lv], axis=1))
         level_stats[1].append(median(short[:, lv], axis=1, mask=defined[:, lv]))
         level_stats[2].append(median(long_[:, lv], axis=1, mask=defined[:, lv]))
     per_dim = [np.stack(stats, axis=1) for stats in level_stats]   # (P, L, D)
@@ -279,9 +280,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
         inv_l_per_dim=per_dim[2],
         inv_l_combined=long_c,
     )
-    fallback = np.count_nonzero(
-        roots.convergence.reshape(n_pairs, total * 2 ** d) == Convergence.FALLBACK, axis=1
-    )
+    fallback = np.count_nonzero(roots.label.reshape(n_pairs, total) == Convergence.FALLBACK, axis=1)
     finest = levels[0]
     points = (np.arange(n_pairs)[:, None] * total + np.arange(counts[0])).ravel()
     return SubjectZoom(
@@ -289,11 +288,11 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
         current=cur,
         profile=profile,
         rc=residual_curvature(kappa[:, levels[-1]]),
-        fallback_fraction=fallback / (total * 2 ** d),
+        fallback_fraction=fallback / total,
         current_state=current_state,
         dh=changes[0],
         roots=LengthScaleRoots(*(getattr(roots, f.name)[points] for f in fields(roots))),
-        kappa_median=median(kappa[:, finest], axis=2),     # (P, N, D)
+        kappa_median=kappa[:, finest],                     # (P, N, D)
         thresholds=ThresholdUpdate(short[:, finest], long_[:, finest], defined[:, finest]),
     )
 
@@ -301,17 +300,16 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
 def residual_curvature(kappa: np.ndarray) -> ResidualCurvatureRecord:
     """Residual curvature of every frame pair from its coarsest zoom level.
 
-    kappa: (P, 9, 2**(D-1), D) curvature of P pairs at the 9-point level,
-    one entry per stored root branch.  Returns one record with the P pairs
-    in front; `rc` holds all 2**D columns, each the median of its stored
-    branch.
+    kappa: (P, 9, D) curvature of P pairs at the 9-point level, which is
+    that of each of a point's root vectors.  Returns one record with the P
+    pairs in front; `rc` repeats each dimension's median over the 9 points
+    in all 2**D root columns.
     """
     if kappa.shape[1] != 9:
         raise ContractViolation("zoom profile did not reach the 9-point level")
-    half = median(kappa, axis=1).transpose(0, 2, 1)              # (P, D, 2**(D-1))
-    rc_per_dim = median(half, axis=-1)
+    rc_per_dim = median(kappa, axis=1)                           # (P, D)
     return ResidualCurvatureRecord(
-        rc=half.take(branch_layout(kappa.shape[-1])[1], axis=-1),  # (P, D, 2**D)
+        rc=np.repeat(rc_per_dim[:, :, None], 2 ** kappa.shape[-1], axis=2),  # (P, D, 2**D)
         rc_per_dim=rc_per_dim,
         rc_combined=median(rc_per_dim, axis=1, mask=np.isfinite(rc_per_dim)),
     )

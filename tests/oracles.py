@@ -3,7 +3,7 @@
 Each oracle recomputes a quantity along a deliberately different route
 from the package code (explicit loops, np.roots, parametric segment
 intersection, the damped iteration in place of the closed-form root, all
-2**D signed root vectors in place of the stored half, one unblocked
+2**D signed root vectors in place of one vector per point, one unblocked
 dimension at a time in place of row blocks, one burst at a time in place
 of the stacked levels, one frame pair at a time in place of the batched
 zoom-out tail, one root solve per zoom level in place of one per subject,
@@ -21,12 +21,12 @@ import enum
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from ddp.config import PipelineConfig
-from ddp.curvature import ThresholdUpdate, curvature_tensor, median, update_thresholds
+from ddp.curvature import ThresholdUpdate, median, update_thresholds
 from ddp.errors import (
     ContractViolation,
     GroupUnavailable,
@@ -61,7 +61,6 @@ from ddp.zoomout import (
     aggregate,
     frame_level_state,
     line_polyline_intersections,
-    residual_curvature,
 )
 
 _MAG_HIGH = 1e150
@@ -334,17 +333,45 @@ def _sign_table_oracle(d: int):
     return idx, 1.0 - 2.0 * bits
 
 
-def refine_roots_oracle(r_matrix, dh_matrix, max_iter=100, tol=1e-10) -> LengthScaleRoots:
+@dataclass
+class FullRoots:
+    """All 2**D signed root vectors and labels of every point, one entry per branch."""
+
+    roots: np.ndarray          # (N, 2**D, D), +inf on sentinel dimensions
+    sentinel: np.ndarray       # (N, D) bool
+    negative_ratio: np.ndarray # (N, D) bool
+    convergence: np.ndarray    # (N, 2**D) uint8
+
+    def expand(self) -> np.ndarray:
+        return self.roots
+
+    def collapse(self) -> LengthScaleRoots:
+        """Branch 0 (every sign +) and its label as ``solve_roots`` stores them.
+
+        Branch 0 holds x* at a refined point and |x| at the others.  Raises
+        when the branches of a point carry different labels, which one
+        label per point cannot hold.
+        """
+        if not np.all(self.convergence == self.convergence[:, :1]):
+            raise ValueError("a point's branches carry different labels")
+        return LengthScaleRoots(
+            x=self.roots[:, 0].copy(),
+            sentinel=self.sentinel,
+            negative_ratio=self.negative_ratio,
+            label=self.convergence[:, 0].copy(),
+        )
+
+
+def refine_roots_oracle(r_matrix, dh_matrix, max_iter=100, tol=1e-10) -> FullRoots:
     """2**D root vectors of every point by the damped fixed point, for every f.
 
-    A drop-in for ``solve_roots``: the coupled balance is iterated per sign
-    branch at every refinable point, whatever its count f of finite
-    dimensions, instead of being solved in closed form.  It is the
-    reference for f >= 3, where the fixed point is unique, and for the
-    value of the f = 1 root where the iteration converges; with f = 2 the
-    system is singular and each branch lands wherever rounding takes it.
-    Like ``solve_roots`` it returns the branches with sigma_0 = +1 in
-    `roots`.
+    The coupled balance is iterated per sign branch at every refinable
+    point, whatever its count f of finite dimensions, instead of being
+    solved in closed form.  It is the reference for f >= 3, where the
+    fixed point is unique, and for the value of the f = 1 root where the
+    iteration converges; with f = 2 the system is singular and each branch
+    lands wherever rounding takes it.  Every branch is iterated and kept;
+    ``collapse()`` makes the result a drop-in for ``solve_roots``.
 
     r_matrix, dh_matrix: (D, N) rank and Borda-change matrices.
     """
@@ -399,22 +426,20 @@ def refine_roots_oracle(r_matrix, dh_matrix, max_iter=100, tol=1e-10) -> LengthS
             convergence[failed, ai] = Convergence.FALLBACK
 
     # sentinel dimensions carry a sign-free +inf in every vector
-    roots = np.where(sentinel[:, None, :], np.inf, roots)
-    return LengthScaleRoots(
-        roots=roots[:, rep_idx],
+    return FullRoots(
+        roots=np.where(sentinel[:, None, :], np.inf, roots),
         sentinel=sentinel,
         negative_ratio=negative,
         convergence=convergence,
     )
 
 
-def solve_roots_full_oracle(r_matrix, dh_matrix) -> LengthScaleRoots:
+def solve_roots_full_oracle(r_matrix, dh_matrix) -> FullRoots:
     """Enumerate and couple the 2**D root vectors of every point in a frame.
 
-    The full-layout solver that the half-layout ``solve_roots`` replaced,
-    with its closed form taken at every refinable point: every rep/anti
-    branch is written by hand, and `roots` holds all (N, 2**D, D) signed
-    vectors.
+    The full-layout solver that one vector per point replaced, with its
+    closed form taken at every refinable point: every rep/anti branch is
+    written by hand, and `roots` holds all (N, 2**D, D) signed vectors.
 
     r_matrix, dh_matrix: (D, N) rank and Borda-change matrices.
     """
@@ -449,9 +474,8 @@ def solve_roots_full_oracle(r_matrix, dh_matrix) -> LengthScaleRoots:
         convergence[pts[~ok]] = Convergence.FALLBACK
 
     # sentinel dimensions carry a sign-free +inf in every vector
-    roots = np.where(sentinel[:, None, :], np.inf, roots)
-    return LengthScaleRoots(
-        roots=roots,
+    return FullRoots(
+        roots=np.where(sentinel[:, None, :], np.inf, roots),
         sentinel=sentinel,
         negative_ratio=negative,
         convergence=convergence,
@@ -467,6 +491,18 @@ def local_curvature(dh_value: float, x_value: float) -> float:
     if math.isinf(x_value):
         return 0.0
     return abs(dh_value) / (x_value * x_value)
+
+
+def curvature_full_oracle(dh_matrix, roots) -> np.ndarray:
+    """kappa of every one of the 2**D expanded root vectors, (N, 2**D, D).
+
+    dh_matrix: (D, N).  Zero on sentinel dimensions, as ``local_curvature``.
+    """
+    vectors = roots.expand()
+    dh = np.abs(np.asarray(dh_matrix, dtype=float).T)[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kappa = dh / (vectors * vectors)
+    return np.where(np.isinf(vectors) | roots.sentinel[:, None, :], 0.0, kappa)
 
 
 @dataclass(frozen=True)
@@ -551,7 +587,7 @@ def update_thresholds_oracle(roots: LengthScaleRoots, history: ThresholdHistory 
     if history.count.shape != (n, d):
         raise ValueError("history shape does not match the frame")
 
-    magnitude = np.median(np.abs(roots.roots), axis=1)  # (N, D); inf on sentinels
+    magnitude = np.median(np.abs(roots.expand()), axis=1)  # (N, D); inf on sentinels
     defined = np.isfinite(magnitude)
 
     count = history.count.copy()
@@ -693,9 +729,9 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
 
     Each burst is aggregated, normalized and ranked on its own at every
     level, not as one stack per level.  Curvature, thresholds and RC are
-    taken over all 2**D signed root branches (``expand()``), not over the
-    stored half.  A burst with an unfittable dimension at any level raises
-    ContractViolation.
+    taken over all 2**D signed root branches (``expand()``), not over one
+    vector per point.  A burst with an unfittable dimension at any level
+    raises ContractViolation.
     """
     counts = config.zoom_point_counts()
     for b in bursts:
@@ -721,15 +757,14 @@ def zoom_profile_oracle(bursts, config: PipelineConfig) -> list[PairZoom]:
         dh_points = dh.transpose(1, 0, 2).reshape(config.D, -1)
         r_points = np.concatenate([states[c].borda.R for _, c in pairs], axis=1)
         roots_all = solve_roots(r_points, dh_points)
-        full = replace(roots_all, roots=roots_all.expand())   # all 2**D signed branches
-        kappa_all = curvature_tensor(dh_points, full)
+        kappa_all = curvature_full_oracle(dh_points, roots_all)   # all 2**D signed branches
 
         history = None
         for pi, (_, c) in enumerate(pairs):
             lo, hi = pi * n_l, (pi + 1) * n_l
             roots = slice_roots(roots_all, lo, hi)
             kappa = kappa_all[lo:hi]
-            thresholds, history = update_thresholds_oracle(slice_roots(full, lo, hi), history)
+            thresholds, history = update_thresholds_oracle(roots, history)
             levels[pi].append(summarize_level_oracle(kappa, thresholds))
             fallback_vectors[pi] += int(np.sum(roots.convergence == 2))
             total_vectors[pi] += roots.convergence.size
@@ -762,15 +797,17 @@ def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
 
     The level loop of the stacked zoom-out before its levels shared one
     root solve: each level's Borda changes go through their own
-    ``solve_roots``, ``curvature_tensor`` and ``update_thresholds`` calls,
-    and the finest level's results are kept as they come.  The package's
-    single solve over every level must give the same bits.
+    ``solve_roots`` and ``update_thresholds`` calls, and the finest level's
+    results are kept as they come.  Curvature, its level medians and RC
+    are taken over all 2**D expanded root vectors of each point, as they
+    were before one vector per point.  The package's single solve over
+    every level must give the same bits.
     """
     counts = config.zoom_point_counts()
     d, stride = config.D, config.stride_n
     prev = np.arange(max(len(bursts) - stride, 0))
     cur = prev + stride
-    n_pairs, half = len(prev), 2 ** (d - 1)
+    n_pairs, branches = len(prev), 2 ** d
     level_stats = ([], [], [])
     fallback_vectors = np.zeros(n_pairs, dtype=np.int64)
     stack = np.array([b.values for b in bursts], dtype=float).reshape(len(bursts), counts[0], d)
@@ -784,16 +821,16 @@ def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
         dh_points = dh.transpose(1, 0, 2).reshape(d, -1)
         r_points = state.borda.R[cur].transpose(1, 0, 2).reshape(d, -1)
         roots_all = solve_roots(r_points, dh_points)
-        kappa = curvature_tensor(dh_points, roots_all).reshape(n_pairs, n_l, half, d)
+        kappa = curvature_full_oracle(dh_points, roots_all).reshape(n_pairs, n_l, branches, d)
         th = update_thresholds(roots_all, frames=n_pairs)
         thresholds = ThresholdUpdate(*(   # (P, N_l, D), also when P = 0
             a.reshape(n_pairs, n_l, d) for a in (th.kappa_short, th.kappa_long, th.defined)
         ))
-        level_stats[0].append(median(kappa.reshape(n_pairs, n_l * half, d), axis=1))
+        level_stats[0].append(median(kappa.reshape(n_pairs, n_l * branches, d), axis=1))
         level_stats[1].append(median(thresholds.kappa_short, axis=1, mask=thresholds.defined))
         level_stats[2].append(median(thresholds.kappa_long, axis=1, mask=thresholds.defined))
         fallback_vectors += np.count_nonzero(
-            roots_all.convergence.reshape(n_pairs, n_l * 2 ** d) == Convergence.FALLBACK, axis=1
+            roots_all.convergence.reshape(n_pairs, n_l * branches) == Convergence.FALLBACK, axis=1
         )
         if li == 0:
             finest = dict(
@@ -803,6 +840,7 @@ def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
                 kappa_median=median(kappa, axis=2),
                 thresholds=thresholds,
             )
+    records = [residual_curvature_oracle(k) for k in kappa]   # the 9-point level, per pair
     per_dim = [np.stack(stats, axis=1) for stats in level_stats]
     kappa_c, ltilde_c, long_c = (median(v, axis=2, mask=np.isfinite(v)) for v in per_dim)
     profile = ZoomProfile(
@@ -819,8 +857,12 @@ def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
         previous=prev,
         current=cur,
         profile=profile,
-        rc=residual_curvature(kappa),
-        fallback_fraction=fallback_vectors / (sum(counts) * 2 ** d),
+        rc=ResidualCurvatureRecord(
+            rc=np.array([r.rc for r in records]).reshape(n_pairs, d, branches),
+            rc_per_dim=np.array([r.rc_per_dim for r in records]).reshape(n_pairs, d),
+            rc_combined=np.array([r.rc_combined for r in records], dtype=float),
+        ),
+        fallback_fraction=fallback_vectors / (sum(counts) * branches),
         **finest,
     )
 

@@ -9,14 +9,22 @@ from hypothesis import strategies as st
 from ddp import (
     Chain,
     ContractViolation,
+    Convergence,
     detect_chains,
     escalate_chain_categories,
     update_thresholds,
 )
 from ddp.curvature import classify_frame, curvature_tensor, median
-from ddp.lengthscale import LengthScaleRoots, branch_layout
+from ddp.lengthscale import LengthScaleRoots
 
-from oracles import ThresholdHistory, chains_oracle, local_curvature, slice_roots, update_thresholds_oracle
+from oracles import (
+    ThresholdHistory,
+    chains_oracle,
+    curvature_full_oracle,
+    local_curvature,
+    slice_roots,
+    update_thresholds_oracle,
+)
 
 
 @dataclass
@@ -59,14 +67,12 @@ def classify_pdi(kappa_per_dim, thresholds, dh_vector) -> PdiRecord:
 
 
 def _uniform_roots(n, d, magnitude):
-    """A LengthScaleRoots stand-in where every root has the same |x|."""
-    sigma = branch_layout(d)[0]
-    roots = np.broadcast_to(sigma[None, :, :] * magnitude, (n,) + sigma.shape).copy()
+    """A LengthScaleRoots stand-in where every point has the closed-form |x| = magnitude."""
     return LengthScaleRoots(
-        roots=roots,
+        x=np.full((n, d), float(magnitude)),
         sentinel=np.zeros((n, d), dtype=bool),
         negative_ratio=np.zeros((n, d), dtype=bool),
-        convergence=np.zeros((n, 2 ** d), dtype=np.uint8),
+        label=np.zeros(n, dtype=np.uint8),
     )
 
 
@@ -85,10 +91,33 @@ def test_local_curvature_sentinel():
 def test_curvature_tensor_zero_on_sentinel():
     roots = _uniform_roots(2, 2, 2.0)
     roots.sentinel[0, 1] = True
-    roots.roots[0, :, 1] = np.inf
+    roots.x[0, 1] = np.inf
     kappa = curvature_tensor(np.array([[0.5, 0.5], [1.0, 1.0]]).T, roots)
-    assert np.all(kappa[0, :, 1] == 0.0)
-    assert kappa[0, 0, 0] == pytest.approx(0.125)
+    assert kappa.shape == (2, 2)
+    assert kappa[0, 1] == 0.0
+    assert kappa[0, 0] == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_curvature_tensor_is_every_expanded_branch_kappa(d):
+    # one kappa per (point, dimension) is the kappa of each of the 2**D
+    # signed vectors, refined (x*, signed) and closed-form (|x|) alike
+    rng = np.random.default_rng(70 + d)
+    n = 40
+    label = np.resize(np.arange(3, dtype=np.uint8), n)
+    signs = np.where(label[:, None] == Convergence.REFINED, rng.choice([-1.0, 1.0], (n, d)), 1.0)
+    sentinel = rng.random((n, d)) < 0.2
+    roots = LengthScaleRoots(
+        x=np.where(sentinel, np.inf, rng.uniform(0.01, 100.0, (n, d)) * signs),
+        sentinel=sentinel,
+        negative_ratio=np.zeros((n, d), dtype=bool),
+        label=label,
+    )
+    dh = rng.normal(0.0, 1.0, (d, n)) * (rng.random((d, n)) > 0.1)   # some exact zeros
+    kappa = curvature_tensor(dh, roots)
+    full = curvature_full_oracle(dh, roots)
+    assert kappa.shape == (n, d)
+    assert np.broadcast_to(kappa[:, None, :], full.shape).tobytes() == full.tobytes()
 
 
 def _assert_same_medians(got, want):
@@ -135,7 +164,7 @@ def test_thresholds_first_frame_coincide():
 def test_thresholds_running_mean():
     # two frames in one call: the running mean advances between them
     both = _uniform_roots(2, 1, 2.0)
-    both.roots[1] *= 2.0
+    both.x[1] *= 2.0
     batched = update_thresholds(both, frames=2)
     assert batched.kappa_short[:, 0, 0].tolist() == [0.5, 0.25]
     assert batched.kappa_long[0, 0, 0] == 0.5
@@ -144,7 +173,7 @@ def test_thresholds_running_mean():
 
 def test_thresholds_long_lags_short():
     roots = _uniform_roots(3, 1, 1.0)
-    roots.roots *= np.array([1.0, 2.0, 3.0])[:, None, None]
+    roots.x *= np.array([1.0, 2.0, 3.0])[:, None]
     upd = update_thresholds(roots, frames=3)
     # increasing magnitudes: the running mean trails the newest value
     assert upd.kappa_long[2, 0, 0] > upd.kappa_short[2, 0, 0]
@@ -153,8 +182,8 @@ def test_thresholds_long_lags_short():
 def test_thresholds_undefined_on_sentinel():
     roots = _uniform_roots(2, 2, 2.0)
     roots.sentinel[0, 1] = True
-    roots.roots[0, :, 1] = np.inf
-    roots.roots[1] *= 2.0
+    roots.x[0, 1] = np.inf
+    roots.x[1] *= 2.0
     upd = update_thresholds(roots, frames=2)
     assert upd.defined[0, 0, 0] and not upd.defined[0, 0, 1]
     assert np.isnan(upd.kappa_short[0, 0, 1])
@@ -170,10 +199,12 @@ def test_thresholds_batched_frames_match_per_pair_oracle():
     rng = np.random.default_rng(11)
     for d, n, frames in ((1, 9, 3), (3, 27, 5), (4, 9, 9)):
         roots = _uniform_roots(n * frames, d, 1.0)
-        roots.roots *= rng.uniform(0.01, 100.0, (n * frames, 1, d)) ** rng.integers(1, 3)
+        roots.x *= rng.uniform(0.01, 100.0, (n * frames, d)) ** rng.integers(1, 3)
+        roots.label[::3] = Convergence.REFINED   # refined points hold a signed x*
+        roots.x[::3] *= rng.choice([-1.0, 1.0], roots.x[::3].shape)
         sentinel = rng.uniform(size=(n * frames, d)) < 0.3
         roots.sentinel[:] = sentinel
-        roots.roots[np.broadcast_to(sentinel[:, None, :], roots.roots.shape)] = np.inf
+        roots.x[sentinel] = np.inf
         got = update_thresholds(roots, frames=frames)
         history = ThresholdHistory.empty(n, d)
         for k in range(frames):

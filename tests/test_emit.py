@@ -308,23 +308,23 @@ def test_csv_rows_keep_header_width_with_awkward_subject_id():
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_roots_rows_match_expanded_vectors(D):
-    # stored magnitudes of either sign, -0.0, subnormals, extremes, nan and
-    # inf, with sentinel dimensions and every convergence label; the first
-    # half of the points hold one vector in every stored branch, as the
-    # closed form gives, and one of them differs only in the sign of a zero
+    # one vector per point of either sign, with -0.0, subnormals, extremes,
+    # nan and inf, sentinel dimensions (+inf) and one label per point, every
+    # label present; point 0 holds 0.0 and point 1 -0.0 in dimension 0
     rng = np.random.default_rng(D)
-    n, half = 24, 2 ** (D - 1)
-    roots = rng.standard_normal((n, half, D)) * 10.0 ** rng.integers(-300, 300, (n, half, D))
+    n = 24
+    x = rng.standard_normal((n, D)) * 10.0 ** rng.integers(-300, 300, (n, D))
     special = np.array(SPECIAL_FLOATS)
-    pick = rng.uniform(size=roots.shape) < 0.4
-    roots[pick] = rng.choice(special, size=int(pick.sum()))
-    roots[: n // 2] = roots[: n // 2, :1]
-    roots[0, :, 0] = 0.0
-    roots[0, -1, 0] = -0.0
+    pick = rng.uniform(size=x.shape) < 0.4
+    x[pick] = rng.choice(special, size=int(pick.sum()))
+    x[0, 0], x[1, 0] = 0.0, -0.0
     sentinel = rng.uniform(size=(n, D)) < 0.15
-    convergence = rng.integers(0, 3, (n, 2 ** D)).astype(np.uint8)
-    lsr = LengthScaleRoots(roots=roots, sentinel=sentinel,
-                           negative_ratio=np.zeros((n, D), bool), convergence=convergence)
+    sentinel[:2, 0] = False
+    x[sentinel] = np.inf
+    label = np.resize(np.arange(3, dtype=np.uint8), n)
+    rng.shuffle(label)
+    lsr = LengthScaleRoots(x=x, sentinel=sentinel,
+                           negative_ratio=np.zeros((n, D), bool), label=label)
     head = '"a,b",7,'
     heads = [f"{head}{a}," for a in range(n)]
     assert _roots_rows(heads, lsr) == roots_dump_rows_oracle(head, lsr)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from ddp.lengthscale import SENTINEL_THRESHOLD, branch_layout
 
 from oracles import (
     _sign_table_oracle,
+    curvature_full_oracle,
     diagonal_root_oracle,
     diagonal_roots,
     enumerate_roots,
@@ -199,8 +199,9 @@ def test_d2_equal_ranks_fall_back_to_the_diagonal(dh):
     dh = np.array(dh)[:, None]
     batch = solve_roots(r, dh)
     assert np.all(batch.convergence == Convergence.FALLBACK)
-    sigma, _, _ = branch_layout(2)
-    np.testing.assert_array_equal(batch.roots[0], sigma * np.sqrt(np.abs(r[:, 0] / dh[:, 0])))
+    magnitude = np.sqrt(np.abs(r[:, 0] / dh[:, 0]))
+    np.testing.assert_array_equal(batch.x[0], magnitude)
+    np.testing.assert_array_equal(batch.expand()[0], branch_layout(2) * magnitude)
 
 
 def test_d1_roots_are_signed_square_roots():
@@ -214,7 +215,7 @@ def test_d1_roots_are_signed_square_roots():
     assert np.all(batch.convergence == Convergence.REFINED)
     ratio = r[0] / dh[0]
     np.testing.assert_allclose(
-        batch.roots[:, 0, 0], np.sign(ratio) * np.sqrt(np.abs(ratio)), rtol=1e-15, atol=0
+        batch.x[:, 0], np.sign(ratio) * np.sqrt(np.abs(ratio)), rtol=1e-15, atol=0
     )
 
 
@@ -236,7 +237,7 @@ def test_fallback_restores_diagonal():
 )
 @settings(max_examples=100, deadline=None)
 def test_every_point_takes_one_closed_form_root(d, n, sentinel_rate, n_ranks, half, scale, seed):
-    """Per point: one |x| on every stored branch and one label on all 2**D.
+    """Per point: one |x| on all 2**D expanded branches, and the label its f gives.
 
     Ranks are integers or halves from a short range, so equal ranks (the
     singular f = 2 case with a line of fixed points) are common; Borda
@@ -249,11 +250,11 @@ def test_every_point_takes_one_closed_form_root(d, n, sentinel_rate, n_ranks, ha
     dh = rng.integers(-6, 7, (d, n)) / (2.0 if half else 1.0)
     dh[rng.random((d, n)) < sentinel_rate] = 0.0
     got = solve_roots(r, dh)
-    mag = np.abs(got.roots)
-    assert mag.tobytes() == np.broadcast_to(mag[:, :1], mag.shape).tobytes()
-    assert np.all(got.convergence == got.convergence[:, :1])
+    mag = np.abs(got.expand())
+    assert mag.tobytes() == np.broadcast_to(np.abs(got.x)[:, None, :], mag.shape).tobytes()
+    assert got.label.shape == (n,) and got.x.shape == (n, d)
 
-    label = got.convergence[:, 0]
+    label = got.label
     f = (~got.sentinel).sum(axis=1)
     refinable = (np.abs((4.0 / d) * dh.sum(axis=0)) >= SENTINEL_THRESHOLD) & (f > 0)
     assert np.all(label[~refinable] == Convergence.CLOSED_FORM)
@@ -274,12 +275,10 @@ def test_solve_roots_shape_mismatch_is_contract_violation():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_branch_layout_pairs_each_index_with_its_negation(d):
-    sigma, branch, sign = branch_layout(d)
+    sigma = branch_layout(d)
     idx, sigma_all = _sign_table_oracle(d)
-    np.testing.assert_array_equal(sigma, sigma_all[idx % 2 == 0])
-    np.testing.assert_array_equal(sign[:, None] * sigma[branch], sigma_all)
-    np.testing.assert_array_equal(branch, branch[idx ^ (2 ** d - 1)])
-    np.testing.assert_array_equal(sign, -sign[idx ^ (2 ** d - 1)])
+    np.testing.assert_array_equal(sigma, sigma_all)
+    np.testing.assert_array_equal(sigma[idx ^ (2 ** d - 1)], -sigma)
 
 
 @given(
@@ -291,13 +290,13 @@ def test_branch_layout_pairs_each_index_with_its_negation(d):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_half_layout_matches_full_layout_oracle(d, n, sentinel_rate, decades, r_spread, seed):
-    """The stored half rebuilds the parent's full layout bit for bit.
+def test_expand_matches_full_layout_oracle(d, n, sentinel_rate, decades, r_spread, seed):
+    """One vector and one label per point rebuild the full layout bit for bit.
 
     Sentinels leave points with f <= 2 finite dimensions at every D,
     signed dH gives negative ratios, and R and dH spread over many decades
-    reach fallbacks out of range.  Medians of |x| and
-    kappa over the stored half equal those over all 2**D branches.
+    reach fallbacks out of range.  |x|, kappa and their medians over
+    points equal the medians over all 2**D branches of the full layout.
     """
     rng = np.random.default_rng(seed)
     r = rng.uniform(1.0, 81.0, (d, n)) * 10.0 ** rng.uniform(-r_spread, r_spread, (d, n))
@@ -306,18 +305,16 @@ def test_half_layout_matches_full_layout_oracle(d, n, sentinel_rate, decades, r_
     with np.errstate(all="ignore"):
         got = solve_roots(r, dh)
         want = solve_roots_full_oracle(r, dh)
-    assert got.roots.shape == (n, 2 ** (d - 1), d)
+    assert got.x.shape == (n, d) and got.label.shape == (n,)
     assert got.convergence.tobytes() == want.convergence.tobytes()
     assert got.expand().tobytes() == want.roots.tobytes()
     for name in ("sentinel", "negative_ratio"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
-    magnitude = median(np.abs(got.roots), axis=1)
-    assert magnitude.tobytes() == np.median(np.abs(want.roots), axis=1).tobytes()
+    assert np.abs(got.x).tobytes() == np.median(np.abs(want.roots), axis=1).tobytes()
     with np.errstate(all="ignore"):
-        kappa_half = curvature_tensor(dh, got)
-        kappa_full = curvature_tensor(dh, replace(got, roots=got.expand()))
-    assert kappa_full.tobytes() == curvature_tensor(dh, want).tobytes()
-    assert median(kappa_half, axis=1).tobytes() == np.median(kappa_full, axis=1).tobytes()
-    pooled = median(kappa_half.reshape(-1, d), axis=0)
+        kappa = curvature_tensor(dh, got)
+        kappa_full = curvature_full_oracle(dh, want)
+    assert np.broadcast_to(kappa[:, None, :], kappa_full.shape).tobytes() == kappa_full.tobytes()
+    pooled = median(kappa, axis=0)
     assert pooled.tobytes() == np.median(kappa_full, axis=(0, 1)).tobytes()

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from ddp import (
 import ddp.zoomout as zoomout
 from ddp.curvature import classify_frame, curvature_tensor
 from ddp.ingest import prescale_burst
-from ddp.lengthscale import LengthScaleRoots, branch_layout, solve_roots
+from ddp.lengthscale import Convergence, LengthScaleRoots, solve_roots
 from ddp.report import report_json
 from ddp.zoomout import (
     ZoomProfile,
@@ -36,6 +35,7 @@ from ddp.zoomout import (
 
 from oracles import (
     critical_chain_lengths_oracle,
+    curvature_full_oracle,
     pair_zoom,
     residual_curvature_oracle,
     segment_line_intersections_oracle,
@@ -136,30 +136,61 @@ def test_residual_curvature_shape_and_sign():
 
 def test_residual_curvature_requires_nine_points():
     with pytest.raises(ContractViolation, match="9-point"):
-        residual_curvature(np.zeros((2, 27, 2, 1)))
+        residual_curvature(np.zeros((2, 27, 1)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_residual_curvature_half_matches_full_layout_oracle(d):
-    # every stored branch has its own magnitude, so each of the 2**D rc
-    # columns must read the median of its own branch
+    # one vector per point, each label with its own sign layout: the 2**D
+    # rc columns of a dimension all read the median over the 9 points of
+    # the expanded branches' kappa
     rng = np.random.default_rng(60 + d)
     n_pairs = 3
-    half = rng.uniform(0.1, 10.0, (n_pairs * 9, 2 ** (d - 1), d)) * branch_layout(d)[0]
-    sentinel = rng.random((n_pairs * 9, d)) < 0.1
+    n = n_pairs * 9
+    sentinel = rng.random((n, d)) < 0.1
+    label = rng.integers(0, 3, n).astype(np.uint8)
+    x = rng.uniform(0.1, 10.0, (n, d))
+    x = np.where(label[:, None] == Convergence.REFINED, x * rng.choice([-1.0, 1.0], (n, d)), x)
     roots = LengthScaleRoots(
-        roots=np.where(sentinel[:, None, :], np.inf, half),
+        x=np.where(sentinel, np.inf, x),
         sentinel=sentinel,
-        negative_ratio=np.zeros((n_pairs * 9, d), dtype=bool),
-        convergence=np.zeros((n_pairs * 9, 2 ** d), dtype=np.uint8),
+        negative_ratio=np.zeros((n, d), dtype=bool),
+        label=label,
     )
-    dh = rng.normal(0.0, 1.0, (d, n_pairs * 9))
-    kappa = curvature_tensor(dh, roots).reshape(n_pairs, 9, -1, d)
-    full = curvature_tensor(dh, replace(roots, roots=roots.expand()))
-    got = residual_curvature(kappa)
+    dh = rng.normal(0.0, 1.0, (d, n))
+    got = residual_curvature(curvature_tensor(dh, roots).reshape(n_pairs, 9, d))
+    full = curvature_full_oracle(dh, roots)
     for p in range(n_pairs):
         want = residual_curvature_oracle(full[p * 9:(p + 1) * 9])
         _same_bits(got[p], want, f"pair {p}")
+
+
+def test_residual_curvature_keeps_values_near_the_float_maximum():
+    # one value per point: the median is 1e308 itself; a median over
+    # copies of it would take (v + v) / 2, which overflows to inf
+    kappa = np.full((2, 9, 3), 1e308)
+    kappa[1, :4] = 0.5
+    rc = residual_curvature(kappa)
+    assert rc.rc_per_dim.tolist() == [[1e308] * 3] * 2
+    assert np.all(rc.rc == 1e308) and rc.rc.shape == (2, 3, 8)
+    assert rc.rc_combined.tolist() == [1e308, 1e308]
+
+
+def test_level_medians_keep_values_near_the_float_maximum(monkeypatch):
+    # kappa of 1e308 at every point, which an eps far below the default
+    # can reach (see curvature_tensor): every level median over the odd
+    # point counts 81, 27 and 9 is 1e308, and so are RC and the finest
+    # kappa; D = 3 keeps the medians over dimensions finite too
+    cfg = PipelineConfig(D=3, seed=7)
+    bursts = _prescaled_subjects("stable", cfg, 3)[0]
+    monkeypatch.setattr(
+        zoomout, "curvature_tensor", lambda dh, roots: np.full(roots.x.shape, 1e308)
+    )
+    zoom = zoom_profile(bursts, cfg)
+    assert np.all(zoom.profile.kappa_per_dim == 1e308)
+    assert np.all(zoom.profile.kappa_combined == 1e308)
+    assert np.all(zoom.kappa_median == 1e308)
+    assert np.all(zoom.rc.rc == 1e308) and np.all(zoom.rc.rc_combined == 1e308)
 
 
 def _descending_column(rng, n, d):
