@@ -14,10 +14,10 @@ The guaranteed base is the diagonal closed form
 
     |x_d| = sqrt(|R_d / dH_d|)
 
-which solves the decoupled balance x**2 * dH = R per dimension; a ratio
-below zero keeps its magnitude and carries a flag, and |dH| below the
-sentinel threshold means no rank movement at all, which maps to an
-unbounded length scale (the +inf sentinel).
+which solves the decoupled balance x**2 * dH = R per dimension (a ratio
+below zero keeps its magnitude); |dH| below the sentinel threshold means
+no rank movement at all, which maps to an unbounded length scale (the
++inf sentinel).
 
 Cross-dimension coupling is restored through the symmetrized balance.
 For dimension d it asks for the fixed point of
@@ -75,7 +75,6 @@ class LengthScaleRoots:
 
     x: np.ndarray              # (N, D): x* where refined, else |x|; +inf on sentinel dimensions
     sentinel: np.ndarray       # (N, D) bool
-    negative_ratio: np.ndarray # (N, D) bool
     label: np.ndarray          # (N,) uint8 Convergence
 
     @property
@@ -128,7 +127,6 @@ def solve_roots(r_matrix, dh_matrix) -> LengthScaleRoots:
     safe_dh = np.where(sentinel, 1.0, dh_pts)
     ratio = r_pts / safe_dh
     roots = np.where(sentinel, np.inf, np.sqrt(np.abs(ratio)))   # |x|, then x* where refined
-    negative = ~sentinel & (ratio < 0.0)
     finite = ~sentinel
     labels = np.full(r_pts.shape[0], int(Convergence.CLOSED_FORM), dtype=np.uint8)
 
@@ -142,6 +140,5 @@ def solve_roots(r_matrix, dh_matrix) -> LengthScaleRoots:
     return LengthScaleRoots(
         x=np.where(sentinel, np.inf, roots),
         sentinel=sentinel,
-        negative_ratio=negative,
         label=labels,
     )

@@ -184,8 +184,9 @@ def _negated(text: str) -> str:
 
 
 def _assemble_report(subject_id, bursts, meta, factors, table):
-    # each dimension's finite rc values, pair-major; boolean indexing copies them
-    rc_values_per_dim = [col[np.isfinite(col)] for col in table.rc.rc.swapaxes(0, 1)]
+    # each dimension's finite rc values, pair-major, once per root (boxplot percentiles count them)
+    per_dim = table.rc.rc_per_dim
+    rc_values_per_dim = [np.repeat(v[np.isfinite(v)], 2 ** per_dim.shape[1]) for v in per_dim.T]
     rc_median_per_dim = np.array(
         [float(np.median(v)) if v.size else float("nan") for v in rc_values_per_dim]
     )
@@ -198,7 +199,7 @@ def _assemble_report(subject_id, bursts, meta, factors, table):
     modulation_iqr = [b.iqr if b is not None else None for b in boxplots]
 
     amplitudes: dict[int, float] = {}
-    for burst, rc in zip(table.current_burst_index.tolist(), table.rc.rc_per_dim):
+    for burst, rc in zip(table.current_burst_index.tolist(), per_dim):
         com = meta.com_displacement.get(burst)
         if com is None or not np.all(np.isfinite(rc)):
             continue

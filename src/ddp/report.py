@@ -474,8 +474,10 @@ def _frames_json(t: FrameResult) -> list[dict]:
     columns = [
         *(a.tolist() for a in (
             t.previous_burst_index, t.current_burst_index, t.dt_span, t.datum, t.datum_residual,
-            t.rc.rc_per_dim, t.rc.rc_combined, t.rc.rc, t.critical_short, t.critical_long,
+            t.rc.rc_per_dim, t.rc.rc_combined,
         )),
+        [[[v] * 2 ** len(row) for v in row] for row in t.rc.rc_per_dim.tolist()],   # rc_roots
+        t.critical_short.tolist(), t.critical_long.tolist(),
         t.gti,
         [{str(c): k for c, k in enumerate(np.bincount(row).tolist()) if k} for row in t.categories],
         t.chains,
@@ -574,12 +576,10 @@ def roots_table_csv(reports: list[SubjectReport]) -> str:
     for rep in reports:
         t = rep.frame_table
         subject = f"{csv_field(rep.subject_id)},{csv_field(rep.group_label)},"
-        heads = [
-            f"{subject}{burst},{dim},"
-            for burst in t.current_burst_index.tolist() for dim in range(t.rc.rc.shape[1])
-        ]
-        for head, row in zip(heads, t.rc.rc.reshape(len(heads), t.rc.rc.shape[2]).tolist()):
-            lines.extend([f"{head}{ri},{text}" for ri, text in enumerate(csv_nums(row))])
+        d = t.rc.rc_per_dim.shape[1]
+        heads = [f"{subject}{b},{dim}," for b in t.current_burst_index.tolist() for dim in range(d)]
+        for head, text in zip(heads, csv_nums(t.rc.rc_per_dim.ravel().tolist())):   # one per root
+            lines.extend([f"{head}{ri},{text}" for ri in range(2 ** d)])
     return "\n".join(lines) + "\n"
 
 

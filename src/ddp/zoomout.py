@@ -165,13 +165,12 @@ class ZoomProfile:
 
 @dataclass
 class ResidualCurvatureRecord:
-    """Curvature left at the coarsest level, per dimension and per root.
+    """Curvature left at the coarsest level, per dimension and combined.
 
     Shapes are those of P pairs; indexing with a pair number drops P.
-    Every root of a dimension has the same value, `rc_per_dim`.
+    Each of a dimension's 2**D roots has its `rc_per_dim` value.
     """
 
-    rc: np.ndarray           # (P, D, 2**D)
     rc_per_dim: np.ndarray   # (P, D)
     rc_combined: np.ndarray  # (P,)
 
@@ -225,6 +224,7 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
         if not np.isfinite(b.values).all():
             raise ContractViolation(f"burst {b.burst_index} holds a non-finite value")
     n_bursts, d, stride = len(bursts), config.D, config.stride_n
+    eps = config.epsilon_denominator
     prev = np.arange(max(n_bursts - stride, 0))
     cur = prev + stride
     n_pairs = len(prev)
@@ -238,7 +238,8 @@ def zoom_profile(bursts: list[DataBurst], config: PipelineConfig) -> SubjectZoom
             b, dim = np.argwhere(state.unfittable)[0].tolist()
             raise ContractViolation(
                 f"dimension {dim} of burst {bursts[b].burst_index} has no admissible pair "
-                f"constant at the {n_l}-point level; zoom_profile needs prescaled bursts"
+                f"constant at the {n_l}-point level; zoom_profile needs prescaled bursts, which "
+                f"have one at any epsilon_denominator below 0.5 (this is {eps!r})"
             )
         changes.append(delta_borda(state.borda[cur], state.borda[prev]))
         ranks.append(state.borda.R[cur])
@@ -302,14 +303,13 @@ def residual_curvature(kappa: np.ndarray) -> ResidualCurvatureRecord:
 
     kappa: (P, 9, D) curvature of P pairs at the 9-point level, which is
     that of each of a point's root vectors.  Returns one record with the P
-    pairs in front; `rc` repeats each dimension's median over the 9 points
-    in all 2**D root columns.
+    pairs in front: each dimension's median over the 9 points, and their
+    median over the finite dimensions.
     """
     if kappa.shape[1] != 9:
         raise ContractViolation("zoom profile did not reach the 9-point level")
     rc_per_dim = median(kappa, axis=1)                           # (P, D)
     return ResidualCurvatureRecord(
-        rc=np.repeat(rc_per_dim[:, :, None], 2 ** kappa.shape[-1], axis=2),  # (P, D, 2**D)
         rc_per_dim=rc_per_dim,
         rc_combined=median(rc_per_dim, axis=1, mask=np.isfinite(rc_per_dim)),
     )
@@ -426,7 +426,8 @@ def gti(
     order, with the current pair last.  The drop fraction needs at least
     two values and a positive previous one; otherwise it stays undefined
     and the indicator cannot fire.  Rising residual curvature clamps to
-    drop 0.
+    drop 0.  Critical lengths are exp(t*) * N >= 0 or the N + 1 sentinel,
+    which no chain of N points exceeds (see `critical_chain_lengths`).
     """
     critical_short, critical_long = criticals
     chain_max = max((c.length for c in chains), default=0)
@@ -436,12 +437,11 @@ def gti(
         if math.isfinite(prev) and prev > 0.0 and math.isfinite(cur):
             drop = max(0.0, (prev - cur) / prev)
     triggered = drop is not None and drop >= drop_threshold and chain_max > critical_short
-    imminent = triggered and chain_max >= 1
     return GtiRecord(
         chain_max_length=chain_max,
         critical_short=critical_short,
         critical_long=critical_long,
         energy_drop_fraction=drop,
         triggered=triggered,
-        imminent=imminent,
+        imminent=triggered,   # chain_max > critical_short >= 0 already means chain_max >= 1
     )

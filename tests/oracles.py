@@ -339,7 +339,6 @@ class FullRoots:
 
     roots: np.ndarray          # (N, 2**D, D), +inf on sentinel dimensions
     sentinel: np.ndarray       # (N, D) bool
-    negative_ratio: np.ndarray # (N, D) bool
     convergence: np.ndarray    # (N, 2**D) uint8
 
     def expand(self) -> np.ndarray:
@@ -357,7 +356,6 @@ class FullRoots:
         return LengthScaleRoots(
             x=self.roots[:, 0].copy(),
             sentinel=self.sentinel,
-            negative_ratio=self.negative_ratio,
             label=self.convergence[:, 0].copy(),
         )
 
@@ -386,7 +384,6 @@ def refine_roots_oracle(r_matrix, dh_matrix, max_iter=100, tol=1e-10) -> FullRoo
     safe_dh = np.where(sentinel, 1.0, dh_pts)
     ratio = r_pts / safe_dh
     magnitude = np.where(sentinel, np.inf, np.sqrt(np.abs(ratio)))
-    negative = ~sentinel & (ratio < 0.0)
     finite = ~sentinel
 
     idx, sigma_all = _sign_table_oracle(d)
@@ -429,7 +426,6 @@ def refine_roots_oracle(r_matrix, dh_matrix, max_iter=100, tol=1e-10) -> FullRoo
     return FullRoots(
         roots=np.where(sentinel[:, None, :], np.inf, roots),
         sentinel=sentinel,
-        negative_ratio=negative,
         convergence=convergence,
     )
 
@@ -454,7 +450,6 @@ def solve_roots_full_oracle(r_matrix, dh_matrix) -> FullRoots:
     safe_dh = np.where(sentinel, 1.0, dh_pts)
     ratio = r_pts / safe_dh
     magnitude = np.where(sentinel, np.inf, np.sqrt(np.abs(ratio)))
-    negative = ~sentinel & (ratio < 0.0)
     finite = ~sentinel
 
     _, sigma_all = _sign_table_oracle(d)
@@ -477,7 +472,6 @@ def solve_roots_full_oracle(r_matrix, dh_matrix) -> FullRoots:
     return FullRoots(
         roots=np.where(sentinel[:, None, :], np.inf, roots),
         sentinel=sentinel,
-        negative_ratio=negative,
         convergence=convergence,
     )
 
@@ -508,7 +502,6 @@ def curvature_full_oracle(dh_matrix, roots) -> np.ndarray:
 @dataclass(frozen=True)
 class DiagonalRoot:
     magnitude: float  # +inf for the sentinel
-    negative_ratio: bool
 
     @property
     def sentinel(self) -> bool:
@@ -516,11 +509,10 @@ class DiagonalRoot:
 
 
 def diagonal_roots(r_value: float, dh_value: float) -> DiagonalRoot:
-    """Closed-form per-dimension root magnitude with singularity flags."""
+    """Closed-form per-dimension root magnitude, +inf for the sentinel."""
     if abs(dh_value) < SENTINEL_THRESHOLD:
-        return DiagonalRoot(magnitude=math.inf, negative_ratio=False)
-    ratio = r_value / dh_value
-    return DiagonalRoot(magnitude=math.sqrt(abs(ratio)), negative_ratio=ratio < 0.0)
+        return DiagonalRoot(magnitude=math.inf)
+    return DiagonalRoot(magnitude=math.sqrt(abs(r_value / dh_value)))
 
 
 @dataclass
@@ -529,7 +521,6 @@ class PointRoots:
 
     vectors: np.ndarray        # (2**D, D); +inf on sentinel dimensions
     sentinel: np.ndarray       # (D,) bool
-    negative_ratio: np.ndarray # (D,) bool
     convergence: np.ndarray    # (2**D,) Convergence values
 
 
@@ -541,7 +532,6 @@ def enumerate_roots(r_vector, dh_vector) -> PointRoots:
     return PointRoots(
         vectors=batch.expand()[0],
         sentinel=batch.sentinel[0],
-        negative_ratio=batch.negative_ratio[0],
         convergence=batch.convergence[0],
     )
 
@@ -646,14 +636,17 @@ def profile_oracle(point_counts, x_coordinates, levels) -> ZoomProfile:
 
 
 def residual_curvature_oracle(kappa: np.ndarray) -> ResidualCurvatureRecord:
-    """One pair's residual curvature.  kappa: (9, 2**D, D)."""
-    d = kappa.shape[-1]
+    """One pair's residual curvature.  kappa: (9, 2**D, D).
+
+    Each root's median over the 9 points, per dimension.  The record keeps
+    one value per dimension, so the roots of a dimension must agree bit for
+    bit; AssertionError when they do not.
+    """
     rc = np.median(kappa, axis=0).T    # (D, 2**D)
-    rc_per_dim = np.full(d, np.nan)
-    for dim in range(d):
-        rc_per_dim[dim] = np.median(rc[dim])
+    rc_per_dim = rc[:, 0].copy()
+    if rc.tobytes() != np.repeat(rc_per_dim[:, None], rc.shape[1], axis=1).tobytes():
+        raise AssertionError("the roots of a dimension differ in residual curvature")
     return ResidualCurvatureRecord(
-        rc=rc,
         rc_per_dim=rc_per_dim,
         rc_combined=_nanmedian_oracle(rc_per_dim),
     )
@@ -858,7 +851,6 @@ def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
         current=cur,
         profile=profile,
         rc=ResidualCurvatureRecord(
-            rc=np.array([r.rc for r in records]).reshape(n_pairs, d, branches),
             rc_per_dim=np.array([r.rc_per_dim for r in records]).reshape(n_pairs, d),
             rc_combined=np.array([r.rc_combined for r in records], dtype=float),
         ),
@@ -992,6 +984,7 @@ def _boxplot_json_oracle(b):
 
 def _frame_json_oracle(fr) -> dict:
     lv = fr.profile
+    rc = fr.rc.rc_per_dim
     return {
         "previous_burst_index": _clean(fr.previous_burst_index),
         "current_burst_index": _clean(fr.current_burst_index),
@@ -1000,7 +993,7 @@ def _frame_json_oracle(fr) -> dict:
         "datum_residual": _clean(fr.datum_residual),
         "rc_per_dim": _clean(fr.rc.rc_per_dim),
         "rc_combined": _clean(fr.rc.rc_combined),
-        "rc_roots": _clean(fr.rc.rc),
+        "rc_roots": _clean(np.repeat(rc[:, None], 2 ** rc.size, axis=1)),   # each root's value
         "critical_short": _clean(fr.critical_short),
         "critical_long": _clean(fr.critical_long),
         "gti": {
@@ -1122,16 +1115,20 @@ def _csv_num_oracle(x) -> str:
 
 
 def roots_table_csv_oracle(reports) -> str:
-    """One row per (subject, burst, dimension, root), each rc value read as a numpy scalar."""
+    """One row per (subject, burst, dimension, root), each rc value read as a numpy scalar.
+
+    Every root of a dimension has the dimension's `rc_per_dim` value.
+    """
     lines = ["subject_id,group_label,burst_index,dimension,root_index,rc"]
     for rep in reports:
         for fr in rep.frames:
-            d, nroots = fr.rc.rc.shape
+            d = fr.rc.rc_per_dim.size
+            rc = np.repeat(fr.rc.rc_per_dim[:, None], 2 ** d, axis=1)   # (D, 2**D)
             for dim in range(d):
-                for ri in range(nroots):
+                for ri in range(2 ** d):
                     lines.append(
                         f"{rep.subject_id},{rep.group_label},{fr.current_burst_index},"
-                        f"{dim},{ri},{_csv_num_oracle(fr.rc.rc[dim, ri])}"
+                        f"{dim},{ri},{_csv_num_oracle(rc[dim, ri])}"
                     )
     return "\n".join(lines) + "\n"
 

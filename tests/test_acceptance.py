@@ -109,7 +109,7 @@ def test_04_null_signal_fixed_point():
 
         rep = analyze_dataset(ds, cfg).subjects[0]
         for fr in rep.frames:
-            assert np.all(fr.rc.rc == 0.0)
+            assert np.all(fr.rc.rc_per_dim == 0.0)
             assert fr.rc.rc_combined == 0.0
             assert np.all(fr.categories == 1)
             assert not fr.gti.triggered

@@ -71,7 +71,6 @@ def _uniform_roots(n, d, magnitude):
     return LengthScaleRoots(
         x=np.full((n, d), float(magnitude)),
         sentinel=np.zeros((n, d), dtype=bool),
-        negative_ratio=np.zeros((n, d), dtype=bool),
         label=np.zeros(n, dtype=np.uint8),
     )
 
@@ -110,7 +109,6 @@ def test_curvature_tensor_is_every_expanded_branch_kappa(d):
     roots = LengthScaleRoots(
         x=np.where(sentinel, np.inf, rng.uniform(0.01, 100.0, (n, d)) * signs),
         sentinel=sentinel,
-        negative_ratio=np.zeros((n, d), dtype=bool),
         label=label,
     )
     dh = rng.normal(0.0, 1.0, (d, n)) * (rng.random((d, n)) > 0.1)   # some exact zeros

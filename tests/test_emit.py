@@ -269,15 +269,17 @@ def test_synth_injections_json(tmp_path, capsys):
     assert (tmp_path / "injections.json").read_text() == json.dumps(want, indent=2) + "\n"
 
 
-def test_roots_table_with_distinct_roots_matches_oracle():
-    # served frames give one rc value per dimension; this one varies per root
+def test_rc_roots_with_special_floats_match_oracles():
+    # served frames give finite rc values; here the 4 pairs x 3 dimensions
+    # hold every special float once, which rc_roots in the JSON report and
+    # the roots CSV repeat for each of the 8 roots of a dimension
     cfg = PipelineConfig(D=3, N=27, seed=5)
-    rep = analyze_dataset(synthesize("burst", cfg, n_bursts=3), cfg).subjects[0]
-    rng = np.random.default_rng(0)
-    for fr in rep.frames:   # each frame's rc is a view into the subject's columns
-        fr.rc.rc[...] = rng.standard_normal(fr.rc.rc.shape)
-        fr.rc.rc.flat[rng.integers(0, fr.rc.rc.size, 6)] = rng.choice(np.array(SPECIAL_FLOATS), 6)
+    rep = analyze_dataset(synthesize("burst", cfg, n_bursts=5), cfg).subjects[0]
+    rc = rep.frame_table.rc.rc_per_dim   # each frame's rc is a view into it
+    assert rc.size == len(SPECIAL_FLOATS)
+    rc.flat[:] = np.random.default_rng(0).permutation(np.array(SPECIAL_FLOATS))
     assert roots_table_csv([rep]) == roots_table_csv_oracle([rep])
+    assert report_json([rep], None, cfg) == report_json_oracle([rep], None, cfg)
 
 
 @given(st.text(alphabet='ab ,"\r\n\té;', max_size=8))
@@ -323,8 +325,7 @@ def test_roots_rows_match_expanded_vectors(D):
     x[sentinel] = np.inf
     label = np.resize(np.arange(3, dtype=np.uint8), n)
     rng.shuffle(label)
-    lsr = LengthScaleRoots(x=x, sentinel=sentinel,
-                           negative_ratio=np.zeros((n, D), bool), label=label)
+    lsr = LengthScaleRoots(x=x, sentinel=sentinel, label=label)
     head = '"a,b",7,'
     heads = [f"{head}{a}," for a in range(n)]
     assert _roots_rows(heads, lsr) == roots_dump_rows_oracle(head, lsr)

@@ -23,7 +23,7 @@ from oracles import (
 def test_diagonal_simple():
     root = diagonal_roots(4.0, 1.0)
     assert root.magnitude == pytest.approx(2.0)
-    assert not root.negative_ratio and not root.sentinel
+    assert not root.sentinel
 
 
 def test_diagonal_sentinel_on_zero_change():
@@ -35,7 +35,6 @@ def test_diagonal_sentinel_on_zero_change():
 def test_diagonal_negative_ratio_keeps_magnitude():
     root = diagonal_roots(2.0, -8.0)
     assert root.magnitude == pytest.approx(0.5)
-    assert root.negative_ratio
 
 
 def test_diagonal_matches_oracle():
@@ -96,11 +95,11 @@ def test_mixed_sentinel_dimension():
     assert np.all(np.isfinite(point.vectors[:, 0]))
 
 
-def test_negative_ratio_roots_kept_with_flag():
+def test_negative_ratio_roots_keep_magnitude():
+    # R/dH = -1/4: the refined root -1/2 carries the sign, both branches |x| = 1/2
     point = enumerate_roots(np.array([2.0]), np.array([-8.0]))
-    assert point.negative_ratio[0]
-    mags = np.abs(point.vectors[:, 0])
-    assert np.all(np.isfinite(mags)) and np.all(mags > 0)
+    assert point.convergence.tolist() == [Convergence.REFINED] * 2
+    assert point.vectors[:, 0] == pytest.approx([-0.5, 0.5], rel=1e-15)
 
 
 def test_convergence_labels_are_paired():
@@ -211,9 +210,9 @@ def test_d1_roots_are_signed_square_roots():
     r = rng.uniform(1.0, 81.0, (1, 4000))
     dh = rng.normal(0.0, 1.0, (1, 4000))
     batch = solve_roots(r, dh)
-    assert batch.negative_ratio.any()
     assert np.all(batch.convergence == Convergence.REFINED)
     ratio = r[0] / dh[0]
+    assert (ratio < 0.0).any()
     np.testing.assert_allclose(
         batch.x[:, 0], np.sign(ratio) * np.sqrt(np.abs(ratio)), rtol=1e-15, atol=0
     )
@@ -308,8 +307,7 @@ def test_expand_matches_full_layout_oracle(d, n, sentinel_rate, decades, r_sprea
     assert got.x.shape == (n, d) and got.label.shape == (n,)
     assert got.convergence.tobytes() == want.convergence.tobytes()
     assert got.expand().tobytes() == want.roots.tobytes()
-    for name in ("sentinel", "negative_ratio"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.sentinel.tobytes() == want.sentinel.tobytes()
 
     assert np.abs(got.x).tobytes() == np.median(np.abs(want.roots), axis=1).tobytes()
     with np.errstate(all="ignore"):

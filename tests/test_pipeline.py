@@ -184,7 +184,7 @@ def test_closed_form_roots_match_iteration_end_to_end(case, monkeypatch):
             np.testing.assert_array_equal(a.categories, b.categories)
             assert a.chains == b.chains
             assert a.gti.triggered == b.gti.triggered
-            np.testing.assert_allclose(a.rc.rc, b.rc.rc, rtol=1e-8, atol=0)
+            np.testing.assert_allclose(a.rc.rc_per_dim, b.rc.rc_per_dim, rtol=1e-8, atol=0)
             np.testing.assert_allclose(
                 [a.critical_short, a.critical_long],
                 [b.critical_short, b.critical_long],

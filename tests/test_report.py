@@ -326,7 +326,7 @@ def test_roots_table_has_explicit_nan_for_undefined(small_analysis):
 
     cfg, result, _ = small_analysis
     rep = copy.deepcopy(result.subjects[0])
-    rep.frames[0].rc.rc[0, :] = np.nan
+    rep.frames[0].rc.rc_per_dim[0] = np.nan
     text = roots_table_csv([rep])
     assert ",nan" in text
 
@@ -359,7 +359,7 @@ def test_frames_are_views_into_the_subject_columns():
         ]
         assert fr.gti.triggered is fj["gti"]["triggered"]
         assert fr.rc.rc_combined == fj["rc_combined"]
-        assert fr.rc.rc.tolist() == fj["rc_roots"]
+        assert [[v] * 2 ** cfg.D for v in fr.rc.rc_per_dim.tolist()] == fj["rc_roots"]
         assert fr.current_burst_index == fj["current_burst_index"]
         assert (fr.critical_short, fr.critical_long) == (fj["critical_short"], fj["critical_long"])
         assert fr.profile.kappa_combined.tolist() == [lv["kappa_combined"] for lv in fj["levels"]]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddp import (
+    Chain,
     ContractViolation,
     DataBurst,
     DdpError,
@@ -118,7 +119,6 @@ def test_zoom_rejects_shape_mismatch():
 def test_residual_curvature_constant_is_zero():
     values = np.full((81, 4), 2.0)
     rc = zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], CFG).rc[0]
-    assert np.all(rc.rc == 0.0)
     assert rc.rc_combined == 0.0
     assert np.all(rc.rc_per_dim == 0.0)
 
@@ -129,8 +129,8 @@ def test_residual_curvature_shape_and_sign():
     b0, _ = prescale_burst(ds.bursts[0])
     b1, _ = prescale_burst(ds.bursts[1])
     rc = zoom_profile([b0, b1], cfg).rc[0]
-    assert rc.rc.shape == (4, 16)
-    assert np.all(rc.rc >= 0.0)
+    assert rc.rc_per_dim.shape == (4,)
+    assert np.all(rc.rc_per_dim >= 0.0)
     assert rc.rc_combined >= 0.0
 
 
@@ -154,7 +154,6 @@ def test_residual_curvature_half_matches_full_layout_oracle(d):
     roots = LengthScaleRoots(
         x=np.where(sentinel, np.inf, x),
         sentinel=sentinel,
-        negative_ratio=np.zeros((n, d), dtype=bool),
         label=label,
     )
     dh = rng.normal(0.0, 1.0, (d, n))
@@ -172,7 +171,6 @@ def test_residual_curvature_keeps_values_near_the_float_maximum():
     kappa[1, :4] = 0.5
     rc = residual_curvature(kappa)
     assert rc.rc_per_dim.tolist() == [[1e308] * 3] * 2
-    assert np.all(rc.rc == 1e308) and rc.rc.shape == (2, 3, 8)
     assert rc.rc_combined.tolist() == [1e308, 1e308]
 
 
@@ -190,7 +188,7 @@ def test_level_medians_keep_values_near_the_float_maximum(monkeypatch):
     assert np.all(zoom.profile.kappa_per_dim == 1e308)
     assert np.all(zoom.profile.kappa_combined == 1e308)
     assert np.all(zoom.kappa_median == 1e308)
-    assert np.all(zoom.rc.rc == 1e308) and np.all(zoom.rc.rc_combined == 1e308)
+    assert np.all(zoom.rc.rc_per_dim == 1e308) and np.all(zoom.rc.rc_combined == 1e308)
 
 
 def _descending_column(rng, n, d):
@@ -312,7 +310,7 @@ def test_zoom_profile_columns_with_few_bursts(stride, n_bursts):
         (th.kappa_short, (p, n, d)), (th.kappa_long, (p, n, d)), (th.defined, (p, n, d)),
         (zoom.roots.sentinel, (p * n, d)), (zoom.fallback_fraction, (p,)),
         (pr.kappa_per_dim, (p, levels, d)), (pr.inv_l_combined, (p, levels)),
-        (rc.rc, (p, d, 2 ** d)), (rc.rc_per_dim, (p, d)), (rc.rc_combined, (p,)),
+        (rc.rc_per_dim, (p, d)), (rc.rc_combined, (p,)),
     ):
         assert got.shape == want
     _same_bits(zoom, zoom_profile_levels_oracle(bursts, cfg), "zoom")
@@ -351,6 +349,28 @@ def test_unprescaled_unfittable_bursts_raise_but_analyze_prescales():
     frames = json.loads(report_json([report], None, cfg))["subjects"][0]["frames"]
     assert len(frames) == 2
     assert all(fr["partial_dims"] == [] for fr in frames)
+
+
+_UNFITTABLE = (
+    r"zoom_profile needs prescaled bursts, which have one at any epsilon_denominator below 0\.5 "
+)
+
+
+def test_unprescaled_burst_message_names_prescaling_at_the_default_epsilon():
+    cfg = PipelineConfig(N=27)
+    values = np.random.default_rng(3).normal(0.0, 1.0, (27, 4))
+    values[:, 2] = -2.0 * np.arange(27)   # no pair of it has a real pair constant
+    with pytest.raises(ContractViolation, match=_UNFITTABLE + r"\(this is 1e-09\)$"):
+        zoom_profile([_burst(values, 0), _burst(values.copy(), 1)], cfg)
+
+
+def test_prescaled_burst_message_names_an_epsilon_beyond_one_half():
+    # prescaled values always have a real pair constant, but only below 0.5
+    # does the guard band surely admit one; at 2.0 it admits none in dimension 0
+    cfg = PipelineConfig(N=27, epsilon_denominator=2.0)
+    bursts = _prescaled_subjects("stable", cfg, 3)[0]
+    with pytest.raises(ContractViolation, match=_UNFITTABLE + r"\(this is 2\.0\)$"):
+        zoom_profile(bursts, cfg)
 
 
 def _profile(kappas, ltildes, ls, n=81):
@@ -463,8 +483,6 @@ def test_line_polyline_intersections_match_oracle():
 
 
 def _chain(length):
-    from ddp import Chain
-
     return [Chain(start_index=0, length=length)] if length else []
 
 
@@ -510,6 +528,28 @@ def test_gti_cannot_fire_at_the_sentinel_critical_length():
     record = gti([2.0, 0.0], _chain(n), (float(n + 1), float(n + 1)))
     assert record.energy_drop_fraction == 1.0
     assert not record.triggered
+
+
+# critical lengths at N = 81 as critical_chain_lengths gives them, the N + 1
+# sentinel or exp(t*) * N, plus 0 and NaN (which no chain length exceeds)
+_CRITICALS = st.one_of(
+    st.sampled_from([0.0, math.nan, 82.0]),
+    st.floats(-40.0, 1.0).map(lambda t: math.exp(t) * 81),
+)
+
+
+@given(
+    rc=st.lists(st.one_of(st.sampled_from([0.0, math.nan]), st.floats(0.0, 10.0)), max_size=4),
+    lengths=st.lists(st.integers(1, 81), max_size=3),
+    criticals=st.tuples(_CRITICALS, _CRITICALS),
+    threshold=st.floats(0.01, 0.99),
+)
+@settings(max_examples=300, deadline=None)
+def test_gti_imminent_is_triggered(rc, lengths, criticals, threshold):
+    # a chain longer than a critical length >= 0 holds at least one point
+    record = gti(rc, [Chain(start_index=0, length=k) for k in lengths], criticals, threshold)
+    assert record.imminent == record.triggered
+    assert record.chain_max_length >= 1 or not record.triggered
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
