@@ -168,10 +168,12 @@ def _cmd_stats(args) -> int:
             cfg = None
             if "config" in doc:
                 # keys that are not config fields (removed ones too) are ignored
-                given = doc["config"]
-                cfg = PipelineConfig(**{f.name: given[f.name] for f in fields(PipelineConfig)})
+                given = {f.name: doc["config"][f.name] for f in fields(PipelineConfig)}
+                cfg = PipelineConfig(**{f.name: given[f.name] for f in fields(PipelineConfig) if f.init})
             file_pools = subject_pools_from_json(doc)
-        except (TypeError, ValueError, ConfigError) as exc:
+            if cfg is not None and any(len(p.rc_values_per_dim) != cfg.D for p in file_pools):
+                raise ValueError(f"a subject does not hold D={cfg.D} rc_values_per_dim columns")
+        except (TypeError, ValueError, OverflowError, ConfigError) as exc:
             raise ParseError(f"malformed report {path}: {exc}") from None
         except KeyError as exc:
             raise ParseError(f"malformed report {path}: missing field {exc}") from None
@@ -179,11 +181,14 @@ def _cmd_stats(args) -> int:
             if config is None:
                 config, first = cfg, path
             for f in fields(PipelineConfig):
-                mine, theirs = getattr(cfg, f.name), getattr(config, f.name)
+                if f.init:
+                    mine, theirs, other = getattr(cfg, f.name), getattr(config, f.name), first
+                else:   # a constant of the method, as this version writes it
+                    mine, theirs, other = given[f.name], json.loads(json.dumps(f.default)), "this version"
                 if f.name != "seed" and mine != theirs:
                     raise DdpError(
                         f"report {path} was analyzed with {f.name}={mine!r}, "
-                        f"but {first} with {f.name}={theirs!r}; it cannot be pooled"
+                        f"but {other} with {f.name}={theirs!r}; it cannot be pooled"
                     )
         pools.extend(p for p in file_pools if p.group_label in wanted)
     if config is None:
@@ -226,7 +231,7 @@ def main(argv=None) -> int:
             return _cmd_synth(args)
         if args.command == "stats":
             return _cmd_stats(args)
-    except DdpError as exc:
+    except (DdpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -1,11 +1,17 @@
 """Pipeline configuration.
 
 A single frozen config object travels through the whole pipeline so that a
-run is reproducible from (input, config) alone.
+run is reproducible from (input, config) alone.  Five fields are settable:
+D, N, stride_n, epsilon_denominator and seed.  The method's own constants
+(the zoom factor, the GTI's drop threshold, the group threshold multiplier
+and the RC bin edges) are fields too, so their readers and the report's
+``config`` block see them, but the constructor and ``dataclasses.replace``
+reject them.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
@@ -23,49 +29,31 @@ class PipelineConfig:
     D: int = 4
     N: int = 81
     stride_n: int = 1
-    aggregation_factor: int = 3
-    drop_threshold: float = 0.8
-    rc_threshold_multiplier: float = 10.0
-    bin_edges: tuple[float, ...] = (0.3, 1.5, 3.0)
+    aggregation_factor: int = field(default=3, init=False)
+    drop_threshold: float = field(default=0.8, init=False)
+    rc_threshold_multiplier: float = field(default=10.0, init=False)
+    bin_edges: tuple[float, ...] = field(default=(0.3, 1.5, 3.0), init=False)
     epsilon_denominator: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
-        # NaN and inf slip through the sign and range checks below
-        for name in ("drop_threshold", "rc_threshold_multiplier", "epsilon_denominator"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, not {getattr(self, name)!r}")
-        if not all(math.isfinite(e) for e in self.bin_edges):
-            raise ConfigError(f"bin_edges must be finite, not {tuple(self.bin_edges)!r}")
-        if self.D < 1:
-            raise ConfigError("D must be a positive integer")
-        if self.N < 3:
-            raise ConfigError("N must be at least 3")
-        if self.stride_n < 1:
-            raise ConfigError("stride_n must be a positive integer")
-        if self.aggregation_factor < 2:
-            raise ConfigError("aggregation_factor must be at least 2")
-        if not (0.0 < self.drop_threshold < 1.0):
-            raise ConfigError("drop_threshold must lie in (0, 1)")
-        if self.rc_threshold_multiplier <= 0.0:
-            raise ConfigError("rc_threshold_multiplier must be positive")
-        if list(self.bin_edges) != sorted(self.bin_edges) or len(set(self.bin_edges)) != len(self.bin_edges):
-            raise ConfigError("bin_edges must be strictly ascending")
-        if self.epsilon_denominator <= 0.0:
-            raise ConfigError("epsilon_denominator must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        # The zoom-out ladder must land exactly on 9 points, so N has to be
-        # 9 times a power of the aggregation factor.
+        for name, least in (("D", 1), ("N", 3), ("stride_n", 1), ("seed", 0)):
+            value = getattr(self, name)
+            # bool is an int subclass; numpy integers register as Integral
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{name} must be an integer of at least {least}, not {value!r}")
+        eps = self.epsilon_denominator
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ConfigError(f"epsilon_denominator must be finite and positive, not {eps!r}")
+        # The zoom-out ladder must land exactly on 9 points.
         m = self.N
         while m > 9 and m % self.aggregation_factor == 0:
             m //= self.aggregation_factor
         if m != 9:
             raise ConfigError(
-                f"N={self.N} cannot be reduced to 9 points by repeated "
-                f"division by aggregation_factor={self.aggregation_factor}"
+                f"N={self.N} must be 9 times a power of {self.aggregation_factor}, "
+                "so that the zoom-out ladder ends at 9 points"
             )
-        object.__setattr__(self, "bin_edges", tuple(float(e) for e in self.bin_edges))
 
     def zoom_point_counts(self) -> list[int]:
         """Point counts of the zoom-out ladder, finest first, ending at 9."""

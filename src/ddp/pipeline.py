@@ -78,7 +78,7 @@ def analyze_subject(
     chains, gtis = [], []
     for p in range(n_pairs):
         found = detect_chains(cls.categories[p], cls.jointly_unstable[p])
-        criticals[p] = crit = critical_chain_lengths(zoom.profile[p], config)
+        criticals[p] = crit = critical_chain_lengths(zoom.profile[p])
         chains.append(found)
         gtis.append(gti(rc_combined[:p + 1], found, crit, config.drop_threshold))
         categories[p] = escalate_chain_categories(cls.categories[p], found, *crit)

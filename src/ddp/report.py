@@ -650,6 +650,9 @@ def emit(
     return list(texts)
 
 
+_NUMBER_OR_NULL = {int, float, type(None)}   # the types json.loads gives such values
+
+
 def subject_pools_from_json(doc: dict) -> list[SubjectPool]:
     """Rebuild the minimal per-subject pools a stats run needs."""
     subjects = doc.get("subjects", [])
@@ -659,10 +662,13 @@ def subject_pools_from_json(doc: dict) -> list[SubjectPool]:
     for sub in subjects:
         if not isinstance(sub, dict):
             raise ValueError("a subjects entry is not an object")
-        values = [
-            np.array([v for v in col if v is not None], dtype=float)
-            for col in sub.get("rc_values_per_dim", [])
-        ]
+        columns = sub.get("rc_values_per_dim", [])
+        # np.array would take a bool, a numeric str or a nested list as well
+        if type(columns) is not list or any(
+            type(col) is not list or not set(map(type, col)) <= _NUMBER_OR_NULL for col in columns
+        ):
+            raise ValueError("rc_values_per_dim is not a list of columns of numbers and nulls")
+        values = [np.array([v for v in col if v is not None], dtype=float) for col in columns]
         pools.append(
             SubjectPool(
                 subject_id=sub["subject_id"],

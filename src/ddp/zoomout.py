@@ -359,9 +359,7 @@ def _sum(values) -> float:
     return total
 
 
-def critical_chain_lengths(
-    profile: ZoomProfile, config: PipelineConfig
-) -> tuple[float, float]:
+def critical_chain_lengths(profile: ZoomProfile) -> tuple[float, float]:
     """(short, long) critical chain lengths in points of the finest frame.
 
     Built from the combined per-level statistics of one pair's profile.

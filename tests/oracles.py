@@ -859,7 +859,7 @@ def zoom_profile_levels_oracle(bursts, config: PipelineConfig) -> SubjectZoom:
     )
 
 
-def critical_chain_lengths_oracle(profile: ZoomProfile, config: PipelineConfig):
+def critical_chain_lengths_oracle(profile: ZoomProfile):
     """(short, long) critical chain lengths with np.polyfit line fits."""
     n = int(profile.point_count[0])
     sentinel = float(n + 1)

@@ -119,7 +119,7 @@ def test_04_null_signal_fixed_point():
 
 def test_05_aggregation_ladder():
     with criterion(5, "zoom levels are exactly [81, 27, 9]"):
-        cfg = PipelineConfig(N=81, aggregation_factor=3, seed=5)
+        cfg = PipelineConfig(N=81, seed=5)
         assert cfg.zoom_point_counts() == [81, 27, 9]
         ds = synthesize("stable", cfg, n_bursts=2)
         rep = analyze_dataset(ds, cfg).subjects[0]

@@ -1,6 +1,7 @@
 import json
 import logging
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +293,13 @@ def test_cli_stats_skips_directory_matching_glob(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: no report .json files")
 
 
+def _stats_doc(columns, **config):
+    return json.dumps({
+        "config": {**asdict(PipelineConfig()), **config},
+        "subjects": [{"subject_id": "a", "group_label": "control", "rc_values_per_dim": columns}],
+    })
+
+
 @pytest.mark.parametrize("text", [
     '{"subjects": [',
     "[1, 2]",
@@ -299,6 +307,12 @@ def test_cli_stats_skips_directory_matching_glob(tmp_path, capsys):
     '{"subjects": 5}',
     '{"subjects": [{"subject_id": "a", "group_label": "control", "rc_values_per_dim": 5}]}',
     json.dumps({"config": {**asdict(PipelineConfig()), "D": "x"}, "subjects": []}),
+    _stats_doc([[0.5], [0.5], [0.5], [0.5]], D=4.0),
+    _stats_doc([[[0.5, 0.6]], [0.5], [0.5], [0.5]]),
+    _stats_doc([[0.5, True], [0.5], [0.5], [0.5]]),
+    _stats_doc([[0.5, "1.5"], [0.5], [0.5], [0.5]]),
+    _stats_doc([[0.5], [0.5], [0.5]], D=2),
+    _stats_doc([[0.5, 10**400], [0.5], [0.5], [0.5]]),
 ])
 def test_cli_stats_rejects_malformed_report(text, tmp_path, capsys):
     (tmp_path / "broken.json").write_text(text, encoding="utf-8")
@@ -387,6 +401,63 @@ def test_cli_stats_pools_a_report_holding_removed_config_keys(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "control," in text and "post_aclr," in text
 
+
+
+def test_cli_stats_pools_a_report_at_the_method_constants(tmp_path, capsys):
+    # the golden report was written when the four constants were settable
+    golden = json.loads((Path(__file__).with_name("golden") / "report_seed7.json").read_text())
+    doc = golden["stable"]["report"]
+    assert doc["config"] == json.loads(json.dumps(asdict(PipelineConfig(seed=7))))
+    assert list(doc["config"]) == [
+        "D", "N", "stride_n", "aggregation_factor", "drop_threshold",
+        "rc_threshold_multiplier", "bin_edges", "epsilon_denominator", "seed",
+    ]
+    for sub, label in zip(doc["subjects"], ("control", "post_aclr")):
+        sub["group_label"] = label
+    (tmp_path / "older.json").write_text(json.dumps(doc))
+    assert main(["stats", "--reports", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "control," in out and "post_aclr," in out
+
+
+@pytest.mark.parametrize("name,value", [
+    ("aggregation_factor", 2),
+    ("drop_threshold", 0.5),
+    ("rc_threshold_multiplier", 5.0),
+    ("bin_edges", [0.3, 1.5]),
+])
+def test_cli_stats_refuses_a_report_at_another_method_constant(name, value, tmp_path, capsys):
+    report = _analyzed_report(tmp_path, "a", dims=4, group="control")
+    doc = json.loads(report.read_text())
+    doc["config"][name] = value
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["stats", "--reports", str(report.parent)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {report} was analyzed with {name}={value!r}, "
+                          f"but this version with {name}=")
+
+
+def test_cli_stats_pools_a_well_formed_hand_written_report(tmp_path, capsys):
+    (tmp_path / "ok.json").write_text(_stats_doc([[0.5, None, 1], [0.5], [], [0.5]]))
+    assert main(["stats", "--reports", str(tmp_path)]) == 0
+    assert "control," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--input", "{corpus}", "--burst-len", "27", "--out", "{blocker}/report.json"],
+    ["synth", "--profile", "stable", "--burst-len", "27", "--out", "{blocker}"],
+])
+def test_cli_reports_os_errors_as_error_lines(command, tmp_path, capsys):
+    corpus, blocker = tmp_path / "corpus", tmp_path / "blocker"
+    assert main(["synth", "--profile", "stable", "--bursts", "2", "--burst-len", "27",
+                 "--out", str(corpus)]) == 0
+    blocker.write_text("a file, not a directory")
+    capsys.readouterr()
+    argv = [a.format(corpus=corpus, blocker=blocker) for a in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
 
 def test_cli_synth_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"

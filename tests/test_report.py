@@ -128,7 +128,7 @@ def test_group_stats_medians_and_change():
 
 
 def test_group_stats_threshold_from_overall_median():
-    cfg = PipelineConfig(D=1, rc_threshold_multiplier=10.0)
+    cfg = PipelineConfig(D=1)
     gs = group_stats([_pool("control", [[0.2, 0.3, 0.4]])], cfg)
     assert gs.threshold == pytest.approx(3.0)
 

@@ -246,8 +246,8 @@ def test_batched_tail_matches_per_pair_oracle(d, n, kinds, stride, prescale, see
     for k, w in enumerate(want):
         g = pair_zoom(got, k)
         _same_bits(g, w, f"pair {k}")
-        crit_g = critical_chain_lengths(g.profile, cfg)
-        crit_w = critical_chain_lengths_oracle(w.profile, cfg)
+        crit_g = critical_chain_lengths(g.profile)
+        crit_w = critical_chain_lengths_oracle(w.profile)
         for cg, cw in zip(crit_g, crit_w):
             assert (cg == sentinel) == (cw == sentinel)
             assert math.isclose(cg, cw, rel_tol=1e-8, abs_tol=0.0), (cg, cw)
@@ -391,14 +391,14 @@ def _profile(kappas, ltildes, ls, n=81):
 def test_critical_lengths_no_intersection_sentinel():
     # the threshold lines stay below the mirrored curvature everywhere
     profile = _profile((1.0, 0.6, 0.2), (0.3, 0.5, 0.7), (0.3, 0.5, 0.7))
-    assert critical_chain_lengths(profile, CFG) == (82.0, 82.0)
+    assert critical_chain_lengths(profile) == (82.0, 82.0)
 
 
 def test_critical_lengths_intersection_frozen_value():
     # flat long-run line crosses the mirrored curvature; value frozen from
     # the independent segment-intersection oracle
     profile = _profile((1.0, 0.6, 0.2), (0.3, 0.5, 0.7), (0.3, 0.32, 0.34))
-    short, long_ = critical_chain_lengths(profile, CFG)
+    short, long_ = critical_chain_lengths(profile)
     assert short == pytest.approx(10.704772558690701, rel=1e-9)
     assert long_ == 82.0  # the steep instantaneous line never crosses
 
@@ -406,7 +406,7 @@ def test_critical_lengths_intersection_frozen_value():
 def test_critical_lengths_line_role_mapping():
     # swap the two line inputs: the crossing must move to the other output
     profile = _profile((1.0, 0.6, 0.2), (0.3, 0.32, 0.34), (0.3, 0.5, 0.7))
-    short, long_ = critical_chain_lengths(profile, CFG)
+    short, long_ = critical_chain_lengths(profile)
     assert long_ == pytest.approx(10.704772558690701, rel=1e-9)
     assert short == 82.0
 
@@ -418,7 +418,7 @@ def test_critical_lengths_jump_rule_prefers_lower_curvature():
     kappas = (0.5, 0.05, 0.6)
     line_vals = tuple(0.3 + 0.1 * ti for ti in t)
     profile = _profile(kappas, (9.9, 9.9, 9.9), line_vals)
-    short, _ = critical_chain_lengths(profile, CFG)
+    short, _ = critical_chain_lengths(profile)
     ts_m = (-t[::-1]).tolist()
     ys_m = list(kappas)[::-1]
     hits = segment_line_intersections_oracle(ts_m, ys_m, 0.3, 0.1)
@@ -448,7 +448,7 @@ def test_critical_lengths_fit_sums_from_left_to_right(monkeypatch):
         return line_polyline_intersections(ts, ys, intercept, slope)
 
     monkeypatch.setattr(zoomout, "line_polyline_intersections", recording)
-    critical_chain_lengths(profile, CFG)
+    critical_chain_lengths(profile)
 
     t = np.log(profile.x_coordinate).tolist()
     t_mean = _left_to_right(t) / 3
@@ -466,7 +466,7 @@ def test_critical_lengths_requires_two_usable_levels():
     profile = _profile((1.0, float("nan"), float("nan")),
                        (0.3, float("nan"), float("nan")),
                        (0.3, float("nan"), float("nan")))
-    assert critical_chain_lengths(profile, CFG) == (82.0, 82.0)
+    assert critical_chain_lengths(profile) == (82.0, 82.0)
 
 
 def test_line_polyline_intersections_match_oracle():
