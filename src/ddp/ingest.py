@@ -188,8 +188,8 @@ def parse_xyzm(stream: TextIO | Iterable[str] | str, config: PipelineConfig) -> 
     lines are checked one by one, so the first bad line raises, as it would
     line by line.
     """
-    bursts, metadata, counters = [], {}, {}
-    _read(stream, config, bursts, metadata, counters)
+    bursts, metadata, counters, groups = [], {}, {}, {}
+    _read(stream, config, bursts, metadata, counters, groups)
     return _dataset(bursts, metadata, counters)
 
 
@@ -199,13 +199,13 @@ def parse_xyzm_files(paths: Iterable, config: PipelineConfig) -> Dataset:
     Each file starts from the default directives: subject, ``#dt``,
     ``#group`` and ``#com``.  Burst numbering and metadata carry over, so a
     subject continued in a later file keeps counting its bursts and keeps
-    its ``#mass``.  An error names its file in front of the message.
+    its ``#mass``; it repeats its ``#group``.  An error names its file first.
     """
-    bursts, metadata, counters = [], {}, {}
+    bursts, metadata, counters, groups = [], {}, {}, {}
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                _read(fh, config, bursts, metadata, counters)
+                _read(fh, config, bursts, metadata, counters, groups)
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
             except ParseError as exc:   # keeps its type and line_number
@@ -221,10 +221,11 @@ def _dataset(bursts, metadata, counters) -> Dataset:
     return Dataset(bursts=bursts, metadata=metadata)
 
 
-def _read(stream, config, bursts, metadata, counters) -> None:
+def _read(stream, config, bursts, metadata, counters, groups) -> None:
     """Append one stream's bursts, read from the default directives on.
 
-    ``counters`` (bursts per subject) and ``metadata`` carry over between calls.
+    ``counters`` (bursts per subject), ``groups`` (each subject's one label)
+    and ``metadata`` carry over between calls.
     """
     d, n = config.D, config.N
     subject = DEFAULT_SUBJECT
@@ -319,6 +320,9 @@ def _read(stream, config, bursts, metadata, counters) -> None:
                 continue
 
             if not pending:
+                first = groups.setdefault(subject, group)   # a subject's bursts share one label
+                if first != group:
+                    raise ValidationError(f"subject {subject!r} mixes {first} and {group} bursts", lineno)
                 burst_state = (subject, dt, group, None if com is None else com.copy())
             pending.append(line)
             linenos.append(lineno)

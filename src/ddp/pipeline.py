@@ -26,7 +26,7 @@ from .lengthscale import Convergence, branch_layout
 from .report import (
     FrameResult,
     SubjectReport,
-    boxplot_stats,
+    boxplot_rows,
     csv_field,
     csv_nums,
     energy_exchange_amplitude,
@@ -186,16 +186,15 @@ def _negated(text: str) -> str:
 def _assemble_report(subject_id, bursts, meta, factors, table):
     # each dimension's finite rc values, pair-major, once per root (boxplot percentiles count them)
     per_dim = table.rc.rc_per_dim
-    rc_values_per_dim = [np.repeat(v[np.isfinite(v)], 2 ** per_dim.shape[1]) for v in per_dim.T]
-    rc_median_per_dim = np.array(
-        [float(np.median(v)) if v.size else float("nan") for v in rc_values_per_dim]
-    )
+    values = np.repeat(per_dim.T, 2 ** per_dim.shape[1], axis=1)   # (D, P * 2**D)
+    finite = np.isfinite(values)
+    rc_values_per_dim = [v[f] for v, f in zip(values, finite)]   # copies, so a pool holds only them
+    # every dimension in one call of each statistic, unless one holds a non-finite value
+    blocks = [values] if finite.all() else [v[None] for v in rc_values_per_dim]
+    summaries = [boxplot_rows(rows) for rows in blocks]   # each block's medians and boxplots
+    boxplots = [box for _, boxes in summaries for box in boxes]
     pooled = np.concatenate(rc_values_per_dim)   # D >= 1 columns, empty when P = 0
     rc_combined_median = float(np.median(pooled)) if pooled.size else float("nan")
-
-    boxplots = [
-        boxplot_stats(v) if v.size else None for v in rc_values_per_dim
-    ]
     modulation_iqr = [b.iqr if b is not None else None for b in boxplots]
 
     amplitudes: dict[int, float] = {}
@@ -214,7 +213,7 @@ def _assemble_report(subject_id, bursts, meta, factors, table):
         prescale_factors=factors,
         frame_table=table,
         rc_values_per_dim=rc_values_per_dim,
-        rc_median_per_dim=rc_median_per_dim,
+        rc_median_per_dim=np.concatenate([medians for medians, _ in summaries]),
         rc_combined_median=rc_combined_median,
         pdi_histogram=table.pdi_counts,
         boxplot_per_dim=boxplots,

@@ -14,11 +14,11 @@ Conventions, stated once so outputs are reproducible:
 Output format:
 
 * JSON is indented by 2 spaces, one item per line, with ": " after keys;
-  strings and keys are ASCII-escaped, and non-finite floats are written
-  as null; a dataclass instance is written as an object of its fields,
-  in declaration order, so its type fixes its keys and their order; the
-  text is the same bytes as ``json.dumps(value, indent=2)`` of the same
-  values read as Python numbers (see ``json_text``)
+  strings and keys are ASCII-escaped, non-finite floats are null, and a
+  dataclass instance is an object of its fields in declaration order, so
+  its type fixes its keys; the text is the bytes of ``json.dumps(value,
+  indent=2)`` of the values read as Python numbers: ``json_text`` writes
+  any value, ``subject_text`` a report's subject from its columns
 * CSV numbers are float reprs, nan when not finite; a text field holding a
   comma, a double quote, CR or LF is quoted as the csv module quotes it
   (``csv_field``), so every row has its header's width
@@ -27,9 +27,12 @@ Output format:
 from __future__ import annotations
 
 import functools
+import itertools
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -38,10 +41,11 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import GroupUnavailable
 from .ingest import GROUP_LABELS, Injection
+from .zoomout import GtiRecord, ZoomProfile
 
 if TYPE_CHECKING:
     from .curvature import Chain
-    from .zoomout import GtiRecord, ResidualCurvatureRecord, ZoomProfile
+    from .zoomout import ResidualCurvatureRecord
 
 SCHEMA_VERSION = "1.0"
 
@@ -68,11 +72,22 @@ def boxplot_stats(values) -> BoxplotStats:
     v = v[np.isfinite(v)]
     if v.size == 0:
         raise ValueError("boxplot_stats needs at least one finite value")
-    q25, q75 = np.percentile(v, [25.0, 75.0]).tolist()
-    mu, sigma = float(np.mean(v)), float(np.std(v))
+    return boxplot_rows(v[None])[1][0]
+
+
+def boxplot_rows(rows: np.ndarray) -> tuple[np.ndarray, list[BoxplotStats | None]]:
+    """Median and boxplot of each row of a (k, n) array of finite values, one call per statistic."""
+    if rows.shape[1] == 0:
+        return np.full(len(rows), np.nan), [None] * len(rows)
+    q25, q75 = np.percentile(rows, [25.0, 75.0], axis=1).tolist()
+    mu, sigma = np.mean(rows, axis=1), np.std(rows, axis=1)
     lo, hi = mu - 2.7 * sigma, mu + 2.7 * sigma
-    outliers = tuple(np.sort(v[(v < lo) | (v > hi)]).tolist())
-    return BoxplotStats(q25=q25, q75=q75, whisker_low=lo, whisker_high=hi, outliers=outliers)
+    outside = (rows < lo[:, None]) | (rows > hi[:, None])
+    outliers = [tuple(np.sort(r[o]).tolist()) for r, o in zip(rows, outside)]
+    return np.median(rows, axis=1), [
+        BoxplotStats(q25=a, q75=b, whisker_low=low, whisker_high=high, outliers=out)
+        for a, b, low, high, out in zip(q25, q75, lo.tolist(), hi.tolist(), outliers)
+    ]
 
 
 def percent_change(reference: float, value: float) -> float:
@@ -381,77 +396,56 @@ def json_text(value) -> str:
     properties are left out.  Keys must be str.  Every other type
     json.dumps rejects raises TypeError.
     """
-    chunks: list[str] = []
-    _write(value, "\n", chunks)
-    return "".join(chunks)
+    return _text(value, "\n")
 
 
-def _write(v, nl: str, out: list[str]) -> None:
-    """Append the JSON text of v to out; nl is a newline plus the current indent."""
+def _text(v, nl: str) -> str:
+    """The JSON text of v written at nl, a newline plus the current indent."""
     if isinstance(v, str):
-        out.append(_encode_str(v))
-    elif v is None:
-        out.append("null")
-    elif v is True:
-        out.append("true")
-    elif v is False:
-        out.append("false")
-    elif isinstance(v, int):
-        out.append(_int_repr(v))
-    elif isinstance(v, float):  # np.float64 included
-        out.append(_float_repr(v) if isfinite(v) else "null")
-    elif isinstance(v, (list, tuple)):
-        _write_list(v, nl, out)
-    elif isinstance(v, np.ndarray):
-        _write(v.tolist(), nl, out)
-    elif isinstance(v, dict):
-        if not v:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, item in v.items():
+        return _encode_str(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return _int_repr(v)
+    if isinstance(v, float):  # np.float64 included
+        return _float_repr(v) if isfinite(v) else "null"
+    if isinstance(v, (list, tuple)):
+        if v and isinstance(v[0], float):
+            try:
+                return _items(_float_texts(v, "null"), nl)
+            except TypeError:  # an item that is not a float
+                pass
+        return _items([_text(item, nl + "  ") for item in v], nl)
+    if isinstance(v, np.ndarray):
+        return _text(v.tolist(), nl)
+    if isinstance(v, dict):
+        for key in v:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _encode_str(key) + ": ")
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(v, np.floating):
-        _write(float(v), nl, out)
-    elif isinstance(v, np.integer):
-        out.append(_int_repr(int(v)))
-    elif is_dataclass(type(v)):   # an instance; a dataclass type itself is rejected
-        _write({name: getattr(v, name) for name in _field_names(type(v))}, nl, out)
-    else:
-        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        return _items([_text(item, nl + "  ") for item in v.values()], nl, v)
+    if isinstance(v, np.floating):
+        return _text(float(v), nl)
+    if isinstance(v, np.integer):
+        return _int_repr(int(v))
+    if is_dataclass(type(v)):   # an instance; a dataclass type itself is rejected
+        return _text({name: getattr(v, name) for name in _field_names(type(v))}, nl)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 @functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    """The field names of a dataclass type, in declaration order."""
-    return tuple(f.name for f in fields(cls))
+def _field_names(cls, floats: bool = False) -> tuple[str, ...]:
+    """The field names of a dataclass type in declaration order; with floats, those declared float."""
+    return tuple(f.name for f in fields(cls) if not floats or f.type.startswith("float"))
 
 
-def _write_list(items, nl: str, out: list[str]) -> None:
-    if not items:
-        out.append("[]")
-        return
-    inner = nl + "  "
-    if isinstance(items[0], float):
-        try:
-            text = ("," + inner).join(_float_texts(items, "null"))
-        except TypeError:  # an item that is not a float
-            pass
-        else:
-            out.append("[" + inner + text + nl + "]")
-            return
-    sep = "[" + inner
-    for item in items:
-        out.append(sep)
-        _write(item, inner, out)
-        sep = "," + inner
-    out.append(nl + "]")
+def _items(texts: list[str], nl: str, keys: Iterable | None = None) -> str:
+    """A JSON array of item texts written at nl, or an object when keys are given."""
+    ends = "[]" if keys is None else "{}"
+    if not texts:
+        return ends
+    if keys is not None:
+        texts = [f"{_encode_str(str(k))}: {v}" for k, v in zip(keys, texts)]
+    return ends[0] + nl + "  " + ("," + nl + "  ").join(texts) + nl + ends[1]
 
 
 _FRAME_KEYS = (
@@ -460,59 +454,122 @@ _FRAME_KEYS = (
     "pdi_counts", "chains", "mixed_disjoint_points", "fallback_fraction",
     "fit_excluded_fraction", "margin_zeroed_fraction", "partial_dims", "levels",
 )
+# marks in a template skeleton: the next float text, the next other text; "@f<i>" is float text i
+_F, _T, _SLOT = "@f", "@t", re.compile(r'"@([ft])(\d*)"')
 
 
-def _frames_json(t: FrameResult) -> list[dict]:
-    """The report's frame objects, built column by column from a subject's frame table.
+@functools.lru_cache(maxsize=64)   # keyed by shape: a template holds no subject's values
+def _frame_template(d: int, levels: int, nl: str):
+    """Literal parts and a slot picker for a frame object of D dimensions and L levels at nl.
 
-    GtiRecord and Chain objects are written as their fields; the fields of
-    ZoomProfile name the keys of each level object, in order.
+    The picker takes a row of `_frame_floats`, then the burst indices, the GTI record's other
+    fields, the category counts, chains, mixed points and each level's point count.
     """
-    level_keys = [f.name for f in fields(t.profile)]
-    ladder = t.profile.point_count.tolist(), t.profile.x_coordinate.tolist()
-    stats = [getattr(t.profile, name).tolist() for name in level_keys[2:]]
-    columns = [
-        *(a.tolist() for a in (
-            t.previous_burst_index, t.current_burst_index, t.dt_span, t.datum, t.datum_residual,
-            t.rc.rc_per_dim, t.rc.rc_combined,
-        )),
-        [[[v] * 2 ** len(row) for v in row] for row in t.rc.rc_per_dim.tolist()],   # rc_roots
-        t.critical_short.tolist(), t.critical_long.tolist(),
-        t.gti,
-        [{str(c): k for c, k in enumerate(np.bincount(row).tolist()) if k} for row in t.categories],
-        t.chains,
-        [np.flatnonzero(row).tolist() for row in t.mixed_disjoint],
-        *(a.tolist() for a in (
-            t.fallback_fraction, t.fit_excluded_fraction, t.margin_zeroed_fraction
-        )),
-        [[]] * len(t.categories),   # partial_dims: prescaled frames have no unfittable dimension
-        [[dict(zip(level_keys, level)) for level in zip(*ladder, *pair)] for pair in zip(*stats)],
-    ]
-    return [dict(zip(_FRAME_KEYS, values)) for values in zip(*columns)]
+    zoom, dims = _field_names(ZoomProfile), [_F] * d
+    gti = {k: _F if k in _field_names(GtiRecord, floats=True) else _T for k in _field_names(GtiRecord)}
+    level = {zoom[0]: _T, **{k: dims if k.endswith("_per_dim") else _F for k in zoom[1:]}}
+    roots = [[f"{_F}{2 * d + 1 + k}"] * 2 ** d for k in range(d)]   # each repeats its rc_per_dim text
+    skeleton = dict(zip(_FRAME_KEYS, [
+        _T, _T, _F, dims, dims, dims, _F, roots, _F, _F, gti, _T, _T, _T, _F, dims, dims,
+        [], [level] * levels,   # partial_dims: a prescaled frame has no unfittable dimension
+    ]))
+    pieces = _SLOT.split(_text(skeleton, nl))   # literal, kind, number, literal, ...
+    kinds, numbers = pieces[1::3], pieces[2::3]
+    floats, others = itertools.count(), itertools.count(numbers.count("") - kinds.count("t"))
+    parts = [None] * (2 * len(kinds) + 1)
+    parts[0::2] = pieces[0::3]
+    return parts, itemgetter(*[
+        int(n) if n else next(floats if k == "f" else others) for k, n in zip(kinds, numbers)
+    ])
 
 
-def subject_json(rep: SubjectReport) -> dict:
-    doc = {
-        "subject_id": rep.subject_id,
-        "group_label": rep.group_label,
-        "mass": rep.mass,
-        "mass_defaulted": rep.mass_defaulted,
-        "n_bursts": rep.n_bursts,
-        "prescale_factors": rep.prescale_factors,
-        "rc_median_per_dim": rep.rc_median_per_dim,
-        "rc_combined_median": rep.rc_combined_median,
-        "rc_values_per_dim": rep.rc_values_per_dim,
-        "pdi_histogram": {str(k): v for k, v in sorted(rep.pdi_histogram.items())},
-        "boxplot_per_dim": rep.boxplot_per_dim,
-        "modulation_iqr_per_dim": rep.modulation_iqr_per_dim,
-        "energy_exchange_amplitudes": {
-            str(k): v for k, v in sorted(rep.energy_exchange_amplitudes.items())
-        },
-        "frames": _frames_json(rep.frame_table),
+def _frame_floats(t: FrameResult) -> np.ndarray:
+    """A (P, K) array of each frame's floats, in the text order of its template's float slots."""
+    pr, p = t.profile, len(t.datum)
+    levels = [np.broadcast_to(pr.x_coordinate[:, None], (p, len(pr.x_coordinate), 1))]
+    levels += [getattr(pr, k) for k in _field_names(ZoomProfile)[2:]]
+    gti_floats = _field_names(GtiRecord, floats=True)
+    gti = np.array([[getattr(g, k) for k in gti_floats] for g in t.gti], dtype=float)
+    return np.column_stack([
+        t.dt_span, t.datum, t.datum_residual, t.rc.rc_per_dim, t.rc.rc_combined, t.critical_short,
+        t.critical_long, gti, t.fallback_fraction, t.fit_excluded_fraction, t.margin_zeroed_fraction,
+        np.concatenate([a.reshape(p, len(pr.x_coordinate), -1) for a in levels], axis=2).reshape(p, -1),
+    ])
+
+
+def _number_texts(values: np.ndarray) -> list[str]:
+    """The JSON text of each float of a 1-d array, null when not finite; one repr per bit pattern."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    distinct = bits.view(float)
+    texts = np.array(list(map(_float_repr, distinct.tolist())), dtype=object)
+    texts[~np.isfinite(distinct)] = "null"
+    return texts[inverse].tolist()
+
+
+def subject_text(rep: SubjectReport, indent: str) -> str:
+    """The JSON text of one subject object whose first line is at ``indent``.
+
+    Every float goes through one text table (`_number_texts`), in text
+    order, and each frame is filled into the template of its shape.
+    """
+    t, nl = rep.frame_table, "\n" + indent
+    inner, item, keys = nl + "  ", nl + "    ", nl + "      "   # a key's, a list item's, its keys' nl
+    boxes = [b for b in rep.boxplot_per_dim if b is not None]
+    amplitudes = sorted(rep.energy_exchange_amplitudes.items())
+    injection = [rep.injection] if rep.injection is not None else []
+    rows = _frame_floats(t) if len(t.datum) else np.empty((0, 0))
+    texts = iter(_number_texts(np.concatenate([np.ravel(np.array(c, dtype=float)) for c in [
+        rows, rep.mass, rep.prescale_factors, rep.rc_median_per_dim, rep.rc_combined_median,
+        *rep.rc_values_per_dim,
+        [getattr(b, k) for b in boxes for k in _field_names(BoxplotStats, floats=True)],
+        rep.modulation_iqr_per_dim, [v for _, v in amplitudes],
+        [getattr(r, k) for r in injection for k in _field_names(Injection, floats=True)],
+    ]])))
+
+    def take(n) -> list[str]:
+        return list(itertools.islice(texts, n))
+
+    def record(r, nl: str) -> str:   # a dataclass object, its floats from the table
+        names, floats = _field_names(type(r)), _field_names(type(r), floats=True)
+        values = [next(texts) if k in floats else _text(getattr(r, k), nl + "  ") for k in names]
+        return _items(values, nl, names)
+
+    levels = len(t.profile.point_count)
+    parts, pick = _frame_template(t.datum.shape[1], levels, item) if len(rows) else (None, None)
+    ladder = [_int_repr(c) for c in t.profile.point_count.tolist()]
+    gti_others = [k for k in _field_names(GtiRecord) if k not in _field_names(GtiRecord, floats=True)]
+    frames = []
+    for prev, cur, gti, counts, chains, mixed in zip(
+        t.previous_burst_index.tolist(), t.current_burst_index.tolist(), t.gti,
+        (np.bincount(row).tolist() for row in t.categories), t.chains, t.mixed_disjoint,
+    ):
+        parts[1::2] = pick(take(rows.shape[1]) + [
+            _int_repr(prev), _int_repr(cur), *(_text(getattr(gti, k), "") for k in gti_others),
+            _items([_int_repr(k) for k in counts if k], keys, [c for c, k in enumerate(counts) if k]),
+            _text(chains, keys), _text(np.flatnonzero(mixed).tolist(), keys), *ladder,
+        ])
+        frames.append("".join(parts))
+    histogram = sorted(rep.pdi_histogram.items())
+    doc = {   # written in text order, the order of the floats in the table
+        "subject_id": _encode_str(rep.subject_id),
+        "group_label": _encode_str(rep.group_label),
+        "mass": next(texts),
+        "mass_defaulted": _text(rep.mass_defaulted, ""),
+        "n_bursts": _int_repr(rep.n_bursts),
+        "prescale_factors": _items([_items(take(np.size(a)), item) for a in rep.prescale_factors], inner),
+        "rc_median_per_dim": _items(take(len(rep.rc_median_per_dim)), inner),
+        "rc_combined_median": next(texts),
+        "rc_values_per_dim": _items([_items(take(np.size(a)), item) for a in rep.rc_values_per_dim], inner),
+        "pdi_histogram": _items([_int_repr(k) for _, k in histogram], inner, [c for c, _ in histogram]),
+        "boxplot_per_dim": _items(
+            ["null" if b is None else record(b, item) for b in rep.boxplot_per_dim], inner
+        ),
+        "modulation_iqr_per_dim": _items(take(len(rep.modulation_iqr_per_dim)), inner),
+        "energy_exchange_amplitudes": _items(take(len(amplitudes)), inner, [k for k, _ in amplitudes]),
+        "frames": _items(frames, inner),
+        **{"injection": record(r, inner) for r in injection},
     }
-    if rep.injection is not None:
-        doc["injection"] = rep.injection
-    return doc
+    return _items(list(doc.values()), nl, doc)
 
 
 def report_json(
@@ -520,14 +577,13 @@ def report_json(
     stats: GroupStats | None,
     config: PipelineConfig,
 ) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config,
-        "dimension_names": config.dimension_names(),
-        "subjects": [subject_json(r) for r in reports],
-        "group_stats": stats,
-    }
-    return json_text(doc) + "\n"
+    """The report: schema version, config, dimension names, one object per subject, group statistics."""
+    head = json_text({
+        "schema_version": SCHEMA_VERSION, "config": config, "dimension_names": config.dimension_names(),
+    })
+    subjects = _items([subject_text(r, "    ") for r in reports], "\n  ")
+    stats_text = _text(stats, "\n  ")
+    return f'{head[:-2]},\n  "subjects": {subjects},\n  "group_stats": {stats_text}\n}}\n'
 
 
 def csv_num(x) -> str:
@@ -544,12 +600,12 @@ def csv_nums(values: list[float]) -> list[str]:
 def _float_texts(values: list, non_finite: str) -> list[str]:
     """The repr of each float of ``values``, or ``non_finite`` for NaN and inf.
 
-    A repr costs about a microsecond and a subject's RC lists hold each
-    median 16 times, so a list of floats holding each value twice or more
-    on average formats each distinct value once, through a dict.  Equal
-    values share a key, so a list holding a zero (0.0 == -0.0) or an item
-    that is not a float (1 == 1.0) goes item by item, as does a list of
-    mostly distinct values.  An item that is not a float raises TypeError.
+    A repr costs about half a microsecond and a dump's rank columns repeat
+    values, so a list of floats holding each value twice or more on average
+    formats each distinct value once, through a dict (a subject's report
+    uses `_number_texts`).  Equal values share a key, so a list holding a
+    zero (0.0 == -0.0) or a non-float (1 == 1.0) goes item by item, as does
+    a list of mostly distinct values.  A non-float item raises TypeError.
     """
     texts = dict.fromkeys(values)
     if 2 * len(texts) > len(values) or 0.0 in texts or set(map(type, values)) != {float}:
@@ -577,9 +633,10 @@ def roots_table_csv(reports: list[SubjectReport]) -> str:
         t = rep.frame_table
         subject = f"{csv_field(rep.subject_id)},{csv_field(rep.group_label)},"
         d = t.rc.rc_per_dim.shape[1]
+        roots = [str(ri) for ri in range(2 ** d)]   # a (pair, dimension)'s rows are one join over these
         heads = [f"{subject}{b},{dim}," for b in t.current_burst_index.tolist() for dim in range(d)]
-        for head, text in zip(heads, csv_nums(t.rc.rc_per_dim.ravel().tolist())):   # one per root
-            lines.extend([f"{head}{ri},{text}" for ri in range(2 ** d)])
+        texts = csv_nums(t.rc.rc_per_dim.ravel().tolist())
+        lines += [head + f",{x}\n{head}".join(roots) + f",{x}" for head, x in zip(heads, texts)]
     return "\n".join(lines) + "\n"
 
 

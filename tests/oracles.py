@@ -17,6 +17,7 @@ point, one root, one curvature value) live here too.
 
 from __future__ import annotations
 
+import csv
 import enum
 import io
 import json
@@ -1114,21 +1115,29 @@ def _csv_num_oracle(x) -> str:
     return repr(v) if math.isfinite(v) else "nan"
 
 
+def _csv_field_oracle(text: str) -> str:
+    """One text field as the csv module's default writer writes it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
 def roots_table_csv_oracle(reports) -> str:
     """One row per (subject, burst, dimension, root), each rc value read as a numpy scalar.
 
-    Every root of a dimension has the dimension's `rc_per_dim` value.
+    Every root of a dimension has the dimension's `rc_per_dim` value; the
+    text fields are quoted by the csv module.
     """
     lines = ["subject_id,group_label,burst_index,dimension,root_index,rc"]
     for rep in reports:
+        subject = f"{_csv_field_oracle(rep.subject_id)},{_csv_field_oracle(rep.group_label)}"
         for fr in rep.frames:
             d = fr.rc.rc_per_dim.size
             rc = np.repeat(fr.rc.rc_per_dim[:, None], 2 ** d, axis=1)   # (D, 2**D)
             for dim in range(d):
                 for ri in range(2 ** d):
                     lines.append(
-                        f"{rep.subject_id},{rep.group_label},{fr.current_burst_index},"
-                        f"{dim},{ri},{_csv_num_oracle(rc[dim, ri])}"
+                        f"{subject},{fr.current_burst_index},{dim},{ri},{_csv_num_oracle(rc[dim, ri])}"
                     )
     return "\n".join(lines) + "\n"
 
@@ -1197,6 +1206,7 @@ def parse_xyzm_oracle(stream, config: PipelineConfig) -> Dataset:
     bursts: list[DataBurst] = []
     metadata: dict[str, SubjectMeta] = {}
     counters: dict[str, int] = {}
+    groups: dict[str, str] = {}   # each subject's label: all its bursts share it
     subject, dt, group, com = DEFAULT_SUBJECT, 1.0, "unlabeled", None
     rows: list[list[float]] = []
     burst_state = None
@@ -1249,6 +1259,10 @@ def parse_xyzm_oracle(stream, config: PipelineConfig) -> Dataset:
                     raise ValidationError("#com values must be finite", lineno)
                 com = np.array(vec, dtype=float)
             continue
+        if not rows and groups.setdefault(subject, group) != group:
+            raise ValidationError(
+                f"subject {subject!r} mixes {groups[subject]} and {group} bursts", lineno
+            )
         tokens = line.split()
         if len(tokens) != d:
             raise ParseError(f"expected {d} values per line, got {len(tokens)}", lineno)

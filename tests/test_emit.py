@@ -5,7 +5,10 @@ emitters of tests/oracles.py, which clean each value into Python types and
 pass it to json.dumps, or format one numpy scalar per CSV field.
 """
 
+import copy
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -29,6 +32,7 @@ from ddp import (
 from ddp.cli import main
 from ddp.curvature import classify_frame
 from ddp.lengthscale import LengthScaleRoots
+from ddp.zoomout import GtiRecord
 from ddp.pipeline import _dump_header, _roots_rows
 import ddp.report
 from ddp.report import (
@@ -280,6 +284,112 @@ def test_rc_roots_with_special_floats_match_oracles():
     rc.flat[:] = np.random.default_rng(0).permutation(np.array(SPECIAL_FLOATS))
     assert roots_table_csv([rep]) == roots_table_csv_oracle([rep])
     assert report_json([rep], None, cfg) == report_json_oracle([rep], None, cfg)
+
+
+_WRITER_SPECIALS = np.array([
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1e300, -1e300, 1.7976931348623157e308,
+])
+
+
+@functools.cache
+def _writer_bases():
+    """Analyzed subjects of each shape the report writer meets, with their configs.
+
+    P = 0 (one burst), D 1 to 5, one zoom level (N = 9) and four (N = 243),
+    stride 2, an injection with #com amplitudes, chains with dimensions,
+    and subject ids holding quotes, a comma and non-ASCII text.
+    """
+    cases = [
+        (PipelineConfig(D=1, N=9, seed=3), "stable", 4, {}),
+        (PipelineConfig(D=2, N=9, seed=4), "stable", 1, {"subject_prefix": 'one "burst" é'}),
+        (PipelineConfig(D=3, N=27, seed=5), "burst", 4,
+         {"include_com": True, "group_label": "control", "subject_prefix": 'knee,"A" ü'}),
+        (PipelineConfig(D=4, N=243, seed=6), "stable", 3, {}),
+        (PipelineConfig(D=5, N=27, stride_n=2, seed=7), "burst", 5, {"group_label": "post_aclr"}),
+    ]
+    bases = []
+    for cfg, profile, n_bursts, options in cases:
+        ds = synthesize(profile, cfg, n_bursts=n_bursts, **options)
+        bases.append((cfg, analyze_dataset(ds, cfg).subjects[0]))
+    chains = [c for _, rep in bases for c in rep.frame_table.chains for c in c]
+    assert any(c.dimensions for c in chains)
+    assert any(rep.injection is not None for _, rep in bases)
+    assert any(len(rep.frame_table.categories) == 0 for _, rep in bases)
+    return bases
+
+
+def _drawn(rng, shape, special: float) -> np.ndarray:
+    """Floats of any sign and scale; each a special value with probability `special`, some repeated."""
+    n = int(np.prod(shape))
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    pick = rng.uniform(size=n) < special
+    v[pick] = rng.choice(_WRITER_SPECIALS, int(pick.sum()))
+    if n > 1:
+        v[rng.uniform(size=n) < 0.3] = v[0]   # equal values share one text
+    return v.reshape(shape)
+
+
+def _overwrite_floats(rep, rng, special: float, fired: bool):
+    """A copy of rep with every float column overwritten by drawn values."""
+    def draw(shape=()):
+        return _drawn(rng, shape, special)
+
+    rep = copy.deepcopy(rep)
+    t, d = rep.frame_table, len(rep.rc_median_per_dim)
+    pr = t.profile
+    for a in (
+        t.dt_span, t.datum, t.datum_residual, t.rc.rc_per_dim, t.rc.rc_combined, t.critical_short,
+        t.critical_long, t.fallback_fraction, t.fit_excluded_fraction, t.margin_zeroed_fraction,
+        pr.x_coordinate, pr.kappa_per_dim, pr.kappa_combined, pr.inv_ltilde_per_dim,
+        pr.inv_ltilde_combined, pr.inv_l_per_dim, pr.inv_l_combined,
+    ):
+        a[...] = draw(a.shape)
+    for g in t.gti:
+        g.critical_short, g.critical_long, drop = draw(3).tolist()
+        g.energy_drop_fraction = None if rng.uniform() < 0.2 else drop
+    if fired and t.gti:   # a hand-set fired GTI
+        t.gti[int(rng.integers(len(t.gti)))] = GtiRecord(
+            chain_max_length=int(rng.integers(1, 100)), critical_short=float(draw()),
+            critical_long=float(draw()), energy_drop_fraction=0.9, triggered=True, imminent=True,
+        )
+    rep.mass = float(draw())
+    rep.prescale_factors = [draw(f.shape) for f in rep.prescale_factors]
+    rep.rc_values_per_dim = [draw(int(rng.integers(0, 40))) for _ in range(d)]
+    rep.rc_median_per_dim = draw(d)
+    rep.rc_combined_median = float(draw())
+    rep.boxplot_per_dim = [
+        None if rng.uniform() < 0.25
+        else BoxplotStats(*draw(4).tolist(), outliers=tuple(draw(int(rng.integers(0, 4))).tolist()))
+        for _ in range(d)
+    ]
+    rep.modulation_iqr_per_dim = [None if rng.uniform() < 0.25 else float(x) for x in draw(d)]
+    bursts = t.current_burst_index.tolist()
+    rep.energy_exchange_amplitudes = {
+        b: float(x) for b, x in zip(bursts, draw(len(bursts))) if rng.uniform() < 0.7
+    }
+    if rep.injection is not None:
+        rep.injection = dataclasses.replace(rep.injection, drop_fraction=float(draw()))
+    return rep
+
+
+@given(
+    picks=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    fired=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_report_writer_with_special_floats_matches_oracles(picks, seed, special, fired):
+    """Every float column of analyzed reports overwritten with drawn values
+    (signed zeros, NaN, infinities, subnormals, extremes): the JSON report
+    and the roots CSV equal the oracle emitters byte for byte."""
+    rng = np.random.default_rng(seed)
+    bases = _writer_bases()
+    cfg = bases[picks[0]][0]
+    reports = [_overwrite_floats(bases[i][1], rng, special, fired) for i in picks]
+    assert report_json(reports, None, cfg) == report_json_oracle(reports, None, cfg)
+    assert roots_table_csv(reports) == roots_table_csv_oracle(reports)
 
 
 @given(st.text(alphabet='ab ,"\r\n\té;', max_size=8))

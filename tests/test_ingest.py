@@ -93,6 +93,39 @@ def test_files_parse_as_one_input(tmp_path, caplog):
     _same_dataset(parse_xyzm(first + "#dt 1.0\n#com none\n" + second, CFG9), ds)
 
 
+def test_burst_with_another_group_label_rejected():
+    # three control bursts with #group post_aclr before the third: the third
+    # burst's first data line raises, naming the subject and both labels
+    cfg = PipelineConfig(N=27, seed=1)
+    lines = emit_xyzm(synthesize("stable", cfg, n_bursts=3, group_label="control")).splitlines()
+    third = [i for i, line in enumerate(lines) if not line.startswith("#")][2 * 27]
+    lines.insert(third, "#group post_aclr")
+    with pytest.raises(ValidationError) as err:
+        parse_xyzm("\n".join(lines) + "\n", cfg)
+    assert err.value.line_number == third + 2
+    assert str(err.value).endswith("subject 'SYN000' mixes control and post_aclr bursts")
+    del lines[third]
+    assert {b.group_label for b in parse_xyzm("\n".join(lines) + "\n", cfg).bursts} == {"control"}
+
+
+def test_subject_returning_under_another_group_rejected(tmp_path):
+    text = "#group control\n#subject A\n" + _lines(9) + "\n#subject B\n" + _lines(9) + "\n"
+    switched = text + "#subject A\n#group post_aclr\n" + _lines(9) + "\n"
+    with pytest.raises(ValidationError, match="subject 'A' mixes control and post_aclr bursts"):
+        parse_xyzm(switched, CFG9)
+    assert [b.group_label for b in parse_xyzm(text + "#subject A\n" + _lines(9), CFG9).bursts] == [
+        "control"
+    ] * 3
+    # a subject continued in a later file repeats its #group; the default there is unlabeled
+    paths = [tmp_path / "a.xyzm", tmp_path / "b.xyzm"]
+    paths[0].write_text(text)
+    paths[1].write_text("#subject A\n" + _lines(9) + "\n")
+    with pytest.raises(ValidationError, match="mixes control and unlabeled"):
+        parse_xyzm_files(paths, CFG9)
+    paths[1].write_text("#subject A\n#group control\n" + _lines(9) + "\n")
+    assert len(parse_xyzm_files(paths, CFG9).bursts) == 3
+
+
 def test_wrong_width_rejected():
     with pytest.raises(ParseError):
         parse_xyzm("1.0 2.0 3.0\n", CFG9)
@@ -318,6 +351,7 @@ _FAULTS = {
     "overflow": lambda tokens: ["1e999", *tokens[1:]],
     "subject_after": lambda tokens: [" ".join(tokens) + "\n#subject other"],
     "dt_after": lambda tokens: [" ".join(tokens) + "\n#dt -1"],
+    "group_after": lambda tokens: [" ".join(tokens) + "\n#group control"],
     "deleted": None,
 }
 

@@ -20,10 +20,10 @@ from ddp import (
 )
 import ddp.zoomout
 from ddp.cli import main
-from ddp.pipeline import DUMP_KINDS
+from ddp.pipeline import DUMP_KINDS, _assemble_report
 from ddp.report import report_json, roots_table_csv
 
-from oracles import refine_roots_oracle
+from oracles import boxplot_stats_oracle, refine_roots_oracle
 
 
 def test_analyze_frame_count_matches_pairs():
@@ -74,6 +74,38 @@ def test_subject_without_frame_pair_reports_empty_columns(stride, n_bursts):
     if n_bursts:
         dumps = analyze_dataset(Dataset(bursts=bursts[:n_bursts]), cfg, dumps=DUMP_KINDS).dumps
         assert all(text.count("\n") == 1 for text in dumps.values())   # the header only
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3, 5, 8, 11])
+@pytest.mark.parametrize("nan_dim", [None, 2])
+def test_assembled_statistics_equal_per_dimension_calls(pairs, nan_dim):
+    """The medians, boxplots and pooled median, taken for every dimension
+    in one call of each statistic, have the bits of np.median and the
+    boxplot oracle called on each dimension alone; a NaN RC value leaves
+    its dimension fewer finite values than the others (none at P = 1)."""
+    cfg = PipelineConfig(N=9, seed=4)
+    bursts = synthesize("stable", cfg, n_bursts=12).bursts
+    table = analyze_subject("S", bursts, SubjectMeta(), cfg)[0].frame_table[:pairs]
+    rng = np.random.default_rng(pairs)
+    rc = rng.lognormal(0.0, 2.0, (pairs, cfg.D))
+    rc[::4, 1] *= 1e6   # far outliers
+    if nan_dim is not None:
+        rc[0, nan_dim] = np.nan
+    table.rc.rc_per_dim[...] = rc
+    rep = _assemble_report("S", bursts, SubjectMeta(), [], table)
+    columns = [np.repeat(v[np.isfinite(v)], 2 ** cfg.D) for v in rc.T]
+    for d, v in enumerate(columns):
+        assert rep.rc_values_per_dim[d].tobytes() == v.tobytes()
+        if v.size == 0:
+            assert np.isnan(rep.rc_median_per_dim[d]) and rep.boxplot_per_dim[d] is None
+            continue
+        assert rep.rc_median_per_dim[d].tobytes() == np.median(v).tobytes()
+        got, want = rep.boxplot_per_dim[d], boxplot_stats_oracle(v)
+        assert np.array([got.q25, got.q75, got.whisker_low, got.whisker_high]).tobytes() == np.array(
+            [want.q25, want.q75, want.whisker_low, want.whisker_high]).tobytes()
+        assert np.array(got.outliers).tobytes() == np.array(want.outliers).tobytes()
+        assert rep.modulation_iqr_per_dim[d] == got.q75 - got.q25
+    assert np.float64(rep.rc_combined_median).tobytes() == np.median(np.concatenate(columns)).tobytes()
 
 
 def test_analyze_rejects_wrong_burst_size():

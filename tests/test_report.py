@@ -19,7 +19,7 @@ from ddp import (
     synthesize,
 )
 import ddp.report as report
-from ddp.report import SubjectPool, dim_stats, report_json, roots_table_csv
+from ddp.report import SubjectPool, boxplot_rows, dim_stats, report_json, roots_table_csv
 
 from oracles import boxplot_stats_oracle, group_stats_oracle, quantile_oracle
 
@@ -77,6 +77,21 @@ def test_boxplot_rows_match_per_row_oracle():
             _same_boxplot(boxplot_stats(row), boxplot_stats_oracle(row))
         ragged = np.concatenate([rows[0], [np.nan, np.inf]])
         _same_boxplot(boxplot_stats(ragged), boxplot_stats_oracle(ragged))
+
+
+def test_boxplot_rows_in_one_call_match_each_row_alone():
+    # rows of P RC values, each repeated once per root, P = 1 to 11
+    rng = np.random.default_rng(11)
+    for p in range(1, 12):
+        for _ in range(20):
+            values = rng.lognormal(0.0, 2.0, (4, p)) * rng.choice([1.0, 1e6], (4, p), p=[0.9, 0.1])
+            rows = np.repeat(values, 16, axis=1)
+            medians, boxes = boxplot_rows(rows)
+            for row, median, box in zip(rows, medians, boxes):
+                assert median.tobytes() == np.median(row).tobytes()
+                _same_boxplot(box, boxplot_stats_oracle(row))
+    medians, boxes = boxplot_rows(np.empty((3, 0)))
+    assert np.isnan(medians).all() and boxes == [None] * 3
 
 
 def test_dim_stats_worked_example():
